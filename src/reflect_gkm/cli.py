@@ -40,6 +40,10 @@ from .suite import NotReflectionGenerated, default_max_degree, run_suite
 USAGE_ERROR = 2
 
 
+class UsageError(Exception):
+    """A command-line value is out of range."""
+
+
 def _add_group_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--group",
@@ -198,7 +202,7 @@ def _cmd_group_reflections(args) -> int:
 def _default_dmax(g, given: int | None) -> int:
     if given is not None:
         if given < 0:
-            raise GroupFileError("--max-degree must be nonnegative")
+            raise UsageError("--max-degree must be nonnegative")
         return given
     try:
         return default_max_degree(g)
@@ -285,9 +289,12 @@ def _cmd_member(args) -> int:
 
 def _cmd_verify(args) -> int:
     sections = ("theorem",) if args.subcommand == "theorem" else ("lemmas", "hypergraph")
+    if args.trials < 0:
+        raise UsageError("--trials must be nonnegative")
+    g = load_group(args.group)
     report = run_suite(
-        args.group,
-        dmax=args.max_degree,
+        g,
+        dmax=_default_dmax(g, args.max_degree),
         trials=args.trials,
         seed=args.seed,
         naive_control=getattr(args, "naive_control", False),
@@ -372,6 +379,7 @@ def main(argv=None) -> int:
         CapExceeded,
         NotPolynomialInvariantRing,
         NotReflectionGenerated,
+        UsageError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -20,6 +20,11 @@ minimal conductor, so equal values collide properly in dicts and sets.
 
 The text form is a polynomial in z with high powers first, for example
 ``1/2*z^2 - 1``; parse_cyc inverts text exactly.
+
+PrimeReduction maps values into a prime field F_p by sending z to a root
+of the cyclotomic polynomial modulo p.  It is a ring homomorphism on every
+value whose coefficient denominators are prime to p, and refuses any other
+value, so a rank computed from reduced entries never exceeds the exact one.
 """
 
 from __future__ import annotations
@@ -27,11 +32,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 __all__ = [
+    "ArithmeticFault",
     "ConductorMismatch",
     "CycNum",
+    "NotReducible",
+    "PrimeReduction",
     "cyclotomic_polynomial",
     "euler_phi",
     "parse_cyc",
@@ -41,6 +49,16 @@ __all__ = [
 
 class ConductorMismatch(Exception):
     """Arithmetic mixed two values with different declared conductors."""
+
+
+class ArithmeticFault(ArithmeticError):
+    """An identity that exact arithmetic relies on failed to hold; this is
+    a library bug, never a property of the input."""
+
+
+class NotReducible(ArithmeticError):
+    """A value has a coefficient denominator divisible by the prime, so it
+    has no image in F_p."""
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +76,8 @@ def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     # den is monic here (products of cyclotomic polynomials always are)
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise ArithmeticFault("integer polynomial division by a non-monic divisor")
     rem = list(num)
     dq = len(num) - len(den)
     quo = [0] * (dq + 1)
@@ -89,7 +108,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     for d in _divisors(m)[:-1]:
         den = _int_poly_mul(den, list(cyclotomic_polynomial(d)))
     quo, rem = _int_poly_divmod(num, den)
-    assert not any(rem), f"cyclotomic division left a remainder at m={m}"
+    if any(rem):
+        raise ArithmeticFault(f"cyclotomic division left a remainder at m={m}")
     return tuple(quo)
 
 
@@ -405,7 +425,8 @@ def _inverse_coeffs(m: int, coeffs: tuple) -> tuple:
         r0, r1 = r1, r
         s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1))
     # r0 is a nonzero constant: the cyclotomic polynomial is irreducible.
-    assert len(r0) == 1
+    if len(r0) != 1:
+        raise ArithmeticFault(f"extended Euclid against Phi_{m} ended in a nonconstant gcd")
     inv = [c / r0[0] for c in s0]
     return _reduce_mod(m, inv)
 
@@ -453,6 +474,80 @@ def _subfield_coords(m: int, d: int, vec) -> tuple[Fraction, ...] | None:
     for k, col in enumerate(pivots):
         sol[col] = rows[k][-1]
     return tuple(sol)
+
+
+# ---------------------------------------------------------------------------
+# reduction into a prime field
+
+
+def _is_prime(n: int) -> bool:
+    """Primality by trial division: a proof, not a probabilistic test."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    return all(n % q for q in range(3, isqrt(n) + 1, 2))
+
+
+def _cyclotomic_value_mod(m: int, x: int, p: int) -> int:
+    """Phi_m(x) modulo p."""
+    return sum(c * pow(x, k, p) for k, c in enumerate(cyclotomic_polynomial(m))) % p
+
+
+# A rank drops modulo p only when p divides every maximal nonzero minor, so
+# a large p makes that rare, while residues near 2^30 keep products cheap.
+_PRIME_FLOOR = 2**30
+
+
+class PrimeReduction:
+    """The ring map Z_(p)[zeta_m] -> F_p sending z to a root r of Phi_m mod p.
+
+    Z_(p) is the rationals whose denominators are prime to p.  Every minor
+    of a matrix over that ring reduces to the matching minor of the reduced
+    matrix, so rank over F_p never exceeds rank over Q(zeta_m).  A value
+    outside the ring raises NotReducible instead of being mapped.
+    """
+
+    __slots__ = ("conductor", "prime", "root", "_powers")
+
+    def __init__(self, conductor: int, prime: int, root: int):
+        if not _is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        if _cyclotomic_value_mod(conductor, root, prime):
+            raise ValueError(f"{root} is not a root of Phi_{conductor} modulo {prime}")
+        self.conductor = conductor
+        self.prime = prime
+        self.root = root % prime
+        self._powers = tuple(pow(root, k, prime) for k in range(euler_phi(conductor)))
+
+    @classmethod
+    def for_conductor(cls, conductor: int) -> "PrimeReduction":
+        """The smallest prime p = 1 (mod m) above 2^30, with the first
+        a^((p-1)/m), a = 2, 3, ..., that is a root of Phi_m mod p."""
+        m = conductor
+        p = (_PRIME_FLOOR // m + 1) * m + 1
+        while not _is_prime(p):
+            p += m
+        # F_p^* is cyclic of order divisible by m, so some a works
+        a = 2
+        while _cyclotomic_value_mod(m, pow(a, (p - 1) // m, p), p):
+            a += 1
+        return cls(m, p, pow(a, (p - 1) // m, p))
+
+    def reduce(self, x: CycNum) -> int:
+        """The image of x in F_p, as an integer in [0, p)."""
+        if x.conductor != self.conductor:
+            raise ConductorMismatch(f"conductor {self.conductor} vs {x.conductor}")
+        p = self.prime
+        acc = 0
+        for c, rk in zip(x.coeffs, self._powers):
+            if c:
+                den = c.denominator
+                if den % p == 0:
+                    raise NotReducible(f"{x.text()} has a denominator divisible by {p}")
+                term = c.numerator * rk
+                acc += term if den == 1 else term * pow(den, -1, p)
+        return acc % p
 
 
 # ---------------------------------------------------------------------------

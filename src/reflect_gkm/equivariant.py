@@ -37,6 +37,7 @@ from .cyclotomic import CycNum
 from .groups import PseudoReflection, ReflectionGroup
 from .linalg import nullspace
 from .polynomials import (
+    LinearForm,
     MultiPoly,
     NotDivisible,
     divide_by_linear_power,
@@ -54,6 +55,7 @@ __all__ = [
     "NotAMember",
     "coroot_map",
     "divided_difference",
+    "divisibility_conditions",
     "dump_group_map",
     "load_group_map",
     "membership",
@@ -303,44 +305,65 @@ def orbit_decomposition(group: ReflectionGroup, F: GroupMap, s: PseudoReflection
 # the graded membership nullspace
 
 
-def membership_basis(group: ReflectionGroup, d: int) -> list[GroupMap]:
-    """Deterministic basis of the degree-d homogeneous members.
+def divisibility_conditions(group: ReflectionGroup, d: int) -> list[dict[int, CycNum]]:
+    """The linear conditions cutting out the degree-d homogeneous members,
+    as sparse rows {column: coefficient}.
 
-    Unknowns are the monomial coefficients of F(x) for every x; each
-    (reflection, order, coset) triple contributes the linear conditions
-    "the low-order part of the weighted orbit sum vanishes in hyperplane
-    coordinates", which is divisibility said without dividing.
+    Columns are the monomial coefficients of F(x) for every x, element
+    major, monomials in graded_monomials order.  Each (reflection, order,
+    coset) triple contributes the conditions "the low-order part of the
+    weighted orbit sum vanishes in hyperplane coordinates", which is
+    divisibility said without dividing.
     """
+    n, m = group.dimension, group.conductor
+    monomials = graded_monomials(n, d)
+    nmono = len(monomials)
+    rows: list[dict[int, CycNum]] = []
+    for s in group.reflections():
+        cosets = group.right_cosets(s.element)
+        forms = [group.act_linear(coset[0], s.coroot)[1] for coset in cosets]
+        for i in range(1, s.order):
+            low = [e for e in monomials if e[0] < i]
+            if not low:
+                continue
+            row_of = {e: k for k, e in enumerate(low)}
+            w = s.eigenvalue ** (-i)
+            weights = [CycNum.one(m)]
+            for _ in range(s.order - 1):
+                weights.append(weights[-1] * w)
+            # (slot, monomial, [weight_j * coefficient]) per transported
+            # co-root; cosets sharing a hyperplane share their entries
+            entries: dict[LinearForm, list] = {}
+            for coset, form in zip(cosets, forms):
+                got = entries.get(form)
+                if got is None:
+                    coords = hyperplane_coordinates(form)
+                    got = entries[form] = [
+                        (row_of[e], k, [wt * c for wt in weights])
+                        for k, mono in enumerate(monomials)
+                        for e, c in coords.to_axis_sub.monomial_image(mono).terms.items()
+                        if e in row_of
+                    ]
+                block: list[dict[int, CycNum]] = [{} for _ in low]
+                for slot, k, weighted in got:
+                    for member, value in zip(coset, weighted):
+                        block[slot][member * nmono + k] = value
+                rows.extend(block)
+    return rows
+
+
+def membership_basis(group: ReflectionGroup, d: int) -> list[GroupMap]:
+    """Deterministic basis of the degree-d homogeneous members: the
+    nullspace of divisibility_conditions(group, d)."""
     n, m = group.dimension, group.conductor
     monomials = graded_monomials(n, d)
     nmono = len(monomials)
     ncols = group.order * nmono
     zero = CycNum.zero(m)
-    rows: list[list[CycNum]] = []
-    for s in group.reflections():
-        cosets = group.right_cosets(s.element)
-        for i in range(1, s.order):
-            w = s.eigenvalue ** (-i)
-            for coset in cosets:
-                rep = coset[0]
-                _, form = group.act_linear(rep, s.coroot)
-                coords = hyperplane_coordinates(form)
-                images = [coords.to_axis_sub.monomial_image(e) for e in monomials]
-                low = [e for e in monomials if e[0] < i]
-                if not low:
-                    continue
-                row_of = {e: k for k, e in enumerate(low)}
-                block = [[zero] * ncols for _ in low]
-                weight = CycNum.one(m)
-                for member in coset:
-                    for k, img in enumerate(images):
-                        col = member * nmono + k
-                        for e, c in img.terms.items():
-                            slot = row_of.get(e)
-                            if slot is not None:
-                                block[slot][col] = block[slot][col] + weight * c
-                    weight = weight * w
-                rows.extend(block)
+    rows = [
+        [row.get(j, zero) for j in range(ncols)]
+        for row in divisibility_conditions(group, d)
+    ]
     basis = nullspace(rows, ncols, m)
     out = []
     for vec in basis:

@@ -37,6 +37,7 @@ __all__ = [
     "CapExceeded",
     "GroupElement",
     "GroupFileError",
+    "GroupInvariantViolated",
     "MolienSeries",
     "NotPolynomialInvariantRing",
     "PseudoReflection",
@@ -59,6 +60,11 @@ class SingularGenerator(Exception):
 
 class CapExceeded(Exception):
     """Closure passed the configured element cap without terminating."""
+
+
+class GroupInvariantViolated(Exception):
+    """A fact that holds in every finite matrix group failed to hold; this
+    is a library bug, never a property of the input."""
 
 
 class NotPolynomialInvariantRing(Exception):
@@ -225,11 +231,16 @@ class ReflectionGroup:
             row = next(r for r in diff if any(r))
             _, coroot = LinearForm.normalize(row, self.conductor)
             lam, image = self.act_linear(el.index, coroot)
-            assert image == coroot, "co-root is not an eigenvector"
+            if image != coroot:
+                raise GroupInvariantViolated(
+                    f"element {el.index}: co-root is not an eigenvector"
+                )
             order = self.element_order(el.index)
-            assert lam**order == 1 and all(
-                lam**k != 1 for k in range(1, order)
-            ), "eigenvalue is not a primitive root of the right order"
+            if lam**order != 1 or any(lam**k == 1 for k in range(1, order)):
+                raise GroupInvariantViolated(
+                    f"element {el.index}: eigenvalue is not a primitive "
+                    f"root of unity of order {order}"
+                )
             hid = hyperplanes.setdefault(coroot, len(hyperplanes))
             found.append(PseudoReflection(el.index, order, coroot, lam, hid))
         self._reflections = tuple(found)
@@ -263,7 +274,8 @@ class ReflectionGroup:
         target = self.mult_table[self.mult_table[w][s.element]][self.inverse_table[w]]
         conj = self.reflection_at(target)
         c, form = self.act_linear(w, s.coroot)
-        assert form == conj.coroot, "conjugated hyperplane mismatch"
+        if form != conj.coroot:
+            raise GroupInvariantViolated("conjugated hyperplane mismatch")
         return c, conj
 
     # -- Molien series ------------------------------------------------------
@@ -394,7 +406,8 @@ class MolienSeries:
             for k in range(1, min(d, len(self.den) - 1) + 1):
                 acc -= self.den[k] * out[d - k]
             out.append(acc)
-        assert all(a.denominator == 1 for a in out)
+        if any(a.denominator != 1 for a in out):
+            raise GroupInvariantViolated("Molien series has a non-integral coefficient")
         return [int(a) for a in out]
 
 
@@ -524,6 +537,8 @@ def parse_group_dict(data: dict) -> ReflectionGroup:
             tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
         )
     cap = data.get("cap", 10000)
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        raise GroupFileError("cap must be a positive integer")
     elements, mult, inverse = group_closure(matrices, m, cap)
     return ReflectionGroup(name, n, m, variables, elements, mult, inverse)
 

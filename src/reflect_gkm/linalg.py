@@ -4,7 +4,8 @@ Plain Gaussian elimination, no pivoting heuristics: coefficients are exact,
 so the first nonzero entry in a column is as good a pivot as any, and doing
 it this way keeps every basis and nullspace deterministic, which the
 verification reports rely on.  Everything accepts CycNum entries; Fractions
-work too since only +, -, *, / and truthiness are used.
+work too since only +, -, *, / and truthiness are used.  rank_mod_p is the
+one exception: it works on integers modulo a prime.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "mat_vec",
     "nullspace",
     "rank",
+    "rank_mod_p",
     "rref",
     "solve",
 ]
@@ -55,6 +57,29 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
 
 def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p, p prime, of a matrix of integers read modulo p."""
+    work = [[x % p for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    r = 0
+    for col in range(ncols):
+        hit = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if hit is None:
+            continue
+        work[r], work[hit] = work[hit], work[r]
+        inv = pow(work[r][col], -1, p)
+        tail = [x * inv % p for x in work[r][col:]]
+        for i in range(r + 1, len(work)):
+            row = work[i]
+            f = row[col]
+            if f:
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+        r += 1
+        if r == len(work):
+            break
+    return r
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int, conductor: int) -> list[tuple[CycNum, ...]]:

@@ -15,27 +15,39 @@ The graded comparison driving the verification suite happens here too:
 for each degree d the dimension of the localized image (spanned by
 monomial multiples of localized coinvariant lifts) is compared against
 the histogram convolution prediction and against the divisibility
-nullspace computed in the equivariant module.
+nullspace computed in the equivariant module.  DimensionTriples decides
+each degree from ranks over a prime field where inequalities make that
+rigorous, and by exact elimination everywhere else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
-from .cyclotomic import CycNum
-from .equivariant import GroupMap, divided_difference, membership_basis, orbit_difference
+from .cyclotomic import CycNum, NotReducible, PrimeReduction
+from .equivariant import (
+    GroupMap,
+    divided_difference,
+    divisibility_conditions,
+    membership_basis,
+    orbit_difference,
+)
 from .groups import PseudoReflection, ReflectionGroup
 from .invariants import CoinvariantBasis, coinvariant_basis, tensor_hilbert_coefficients
-from .linalg import rank
+from .linalg import rank, rank_mod_p
 from .polynomials import MultiPoly, graded_monomials
 
 __all__ = [
+    "DimensionTriples",
     "TensorElement",
     "commutes_with_difference",
     "dimension_triple",
     "image_graded_dimension",
+    "image_rows",
     "localize",
     "localize_at",
+    "localized_lifts",
 ]
 
 
@@ -148,36 +160,144 @@ def localize(T: TensorElement) -> GroupMap:
 # graded comparison
 
 
-def image_graded_dimension(
-    group: ReflectionGroup, coinv: CoinvariantBasis, d: int
-) -> int:
-    """Dimension of the degree-d piece of the localized image.
+def localized_lifts(group: ReflectionGroup, coinv: CoinvariantBasis) -> list[GroupMap]:
+    """localize(1 (x) e) for every coinvariant lift e, in basis order."""
+    one = MultiPoly.one(group.dimension, group.conductor)
+    return [localize(TensorElement.pure(group, one, e)) for e in coinv.lifts]
 
-    The image in degree d is spanned by m * localize(1 (x) e) with e a
-    coinvariant lift and m a monomial filling the degree; the rank of that
-    spanning set over the (element, monomial) coordinates is exact.
+
+def image_rows(
+    group: ReflectionGroup, localized: Sequence[GroupMap], d: int
+) -> list[dict[int, CycNum]]:
+    """Spanning rows of the degree-d piece of the localized image, as
+    sparse rows {column: coefficient}.
+
+    One row per m * F, for F = localize(1 (x) e) of degree at most d (see
+    localized_lifts) and m a monomial filling the degree, in the (element,
+    monomial) coordinates of divisibility_conditions.  m is the same at
+    every element, so its row is the row of F with every exponent shifted
+    by m.
     """
-    n, cond = group.dimension, group.conductor
+    n = group.dimension
     monomials = graded_monomials(n, d)
     index = {e: k for k, e in enumerate(monomials)}
     nmono = len(monomials)
-    zero = CycNum.zero(cond)
-    one = MultiPoly.one(n, cond)
     rows = []
-    for lift in coinv.lifts:
-        dl = lift.degree()
+    for F in localized:
+        dl = F.degree()
         if dl > d:
             continue
-        base = localize(TensorElement.pure(group, one, lift))
         for m in graded_monomials(n, d - dl):
-            mono = MultiPoly(n, cond, {m: 1})
-            F = base * mono
-            row = [zero] * (group.order * nmono)
-            for x, v in enumerate(F.values):
-                for e, c in v.terms.items():
-                    row[x * nmono + index[e]] = c
-            rows.append(row)
-    return rank(rows)
+            rows.append({
+                x * nmono + index[tuple(a + b for a, b in zip(e, m))]: c
+                for x, v in enumerate(F.values)
+                for e, c in v.terms.items()
+            })
+    return rows
+
+
+def image_graded_dimension(
+    group: ReflectionGroup, coinv: CoinvariantBasis, d: int
+) -> int:
+    """Dimension of the degree-d piece of the localized image: the exact
+    rank of image_rows."""
+    ncols = group.order * len(graded_monomials(group.dimension, d))
+    zero = CycNum.zero(group.conductor)
+    rows = image_rows(group, localized_lifts(group, coinv), d)
+    return rank([[row.get(j, zero) for j in range(ncols)] for row in rows])
+
+
+class DimensionTriples:
+    """The theorem's degree rows for one group and coinvariant basis.
+
+    A row is decided by a modular certificate when it closes and by exact
+    elimination otherwise.  Let N be the number of image_rows in degree d,
+    ncols their length, and rank_p the rank after PrimeReduction, which
+    never exceeds the exact rank.  Then:
+
+      * rank_p(image rows) = N forces image = N, as image <= N rows;
+      * every lift's localization satisfies its own degree's divisibility
+        conditions, checked exactly, so every image row is a member (a
+        monomial taken the same at every element cannot lower the
+        form-adic valuation of an orbit sum), and null >= image = N;
+      * null <= ncols - rank_p(conditions), so that bound equal to N
+        forces null = N.
+
+    When any of these fails, or an entry has a denominator divisible by p,
+    the row is computed exactly by image_graded_dimension and
+    membership_basis.
+    """
+
+    def __init__(self, group: ReflectionGroup, coinv: CoinvariantBasis | None = None):
+        self.group = group
+        self.coinv = coinvariant_basis(group) if coinv is None else coinv
+        self._reduction = PrimeReduction.for_conductor(group.conductor)
+        self._localized = localized_lifts(group, self.coinv)
+        # lift index -> whether its localization meets its own conditions
+        self._lift_ok: dict[int, bool] = {}
+
+    def triple(self, d: int) -> tuple[int, int, int]:
+        """(predicted, localized image, divisibility nullspace) in degree d."""
+        group = self.group
+        expected = tensor_hilbert_coefficients(
+            group.fundamental_degrees(), group.dimension, d
+        )[d]
+        proven = self.certified_dimension(d)
+        if proven is not None:
+            return expected, proven, proven
+        image = image_graded_dimension(group, self.coinv, d)
+        null = len(membership_basis(group, d))
+        return expected, image, null
+
+    def certified_dimension(self, d: int) -> int | None:
+        """N when the certificate proves image = nullspace = N in degree d,
+        None when it does not close."""
+        group = self.group
+        ncols = group.order * len(graded_monomials(group.dimension, d))
+        rows = image_rows(group, self._localized, d)
+        try:
+            if self._rank_p(rows, ncols) != len(rows):
+                return None
+            conditions = divisibility_conditions(group, d)
+            if ncols - self._rank_p(conditions, ncols) != len(rows):
+                return None
+        except NotReducible:
+            return None
+        if not self._lifts_are_members(d, conditions):
+            return None
+        return len(rows)
+
+    def _rank_p(self, rows: list[dict[int, CycNum]], ncols: int) -> int:
+        reduce = self._reduction.reduce
+        dense = []
+        for row in rows:
+            out = [0] * ncols
+            for j, x in row.items():
+                out[j] = reduce(x)
+            dense.append(out)
+        return rank_mod_p(dense, self._reduction.prime)
+
+    def _lifts_are_members(self, d: int, conditions: list[dict[int, CycNum]]) -> bool:
+        """Does every localize(1 (x) e) of degree at most d satisfy its own
+        degree's divisibility conditions, exactly?  Verdicts are kept per
+        lift, so each lift is checked once."""
+        zero = CycNum.zero(self.group.conductor)
+        built = {d: conditions}
+        for k, F in enumerate(self._localized):
+            dl = F.degree()
+            if dl > d:
+                continue
+            if k not in self._lift_ok:
+                if dl not in built:
+                    built[dl] = divisibility_conditions(self.group, dl)
+                vec = image_rows(self.group, [F], dl)[0]
+                self._lift_ok[k] = all(
+                    not sum((c * vec[j] for j, c in row.items() if j in vec), zero)
+                    for row in built[dl]
+                )
+            if not self._lift_ok[k]:
+                return False
+        return True
 
 
 def dimension_triple(
@@ -187,16 +307,10 @@ def dimension_triple(
 
     The prediction is the coefficient of t^d in the product of the
     coinvariant histogram with the full polynomial ring series.  The
-    theorem under test says all three agree.
+    theorem under test says all three agree.  To decide many degrees of
+    one group, keep one DimensionTriples and call its triple method.
     """
-    if coinv is None:
-        coinv = coinvariant_basis(group)
-    expected = tensor_hilbert_coefficients(
-        group.fundamental_degrees(), group.dimension, d
-    )[d]
-    image = image_graded_dimension(group, coinv, d)
-    null = len(membership_basis(group, d))
-    return expected, image, null
+    return DimensionTriples(group, coinv).triple(d)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,8 @@ when that pattern holds.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,7 +43,7 @@ from .hypergraph import (
     pairwise_graded_dimension,
 )
 from .invariants import coinvariant_basis
-from .localization import commutes_with_difference, dimension_triple
+from .localization import DimensionTriples, commutes_with_difference
 from .sampling import random_member, random_nonmember, random_tensor
 
 __all__ = [
@@ -450,14 +448,6 @@ def default_max_degree(group: ReflectionGroup) -> int:
     return sum(d - 1 for d in group.fundamental_degrees()) + 3
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("REFLECT_GKM_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suite(
     group,
     dmax: int | None = None,
@@ -467,6 +457,8 @@ def run_suite(
     force: bool = False,
     sections=ALL_SECTIONS,
 ) -> VerificationReport:
+    if (dmax is not None and dmax < 0) or trials < 0:
+        raise ValueError(f"dmax and trials must be nonnegative, got {dmax} and {trials}")
     if not isinstance(group, ReflectionGroup):
         group = load_group(group)
     if not group.generated_by_reflections() and not force:
@@ -483,19 +475,8 @@ def run_suite(
     image_members = None
     if "theorem" in sections:
         t0 = time.perf_counter()
-        coinv = coinvariant_basis(group)
-
-        def one_row(d: int) -> DegreeRow:
-            predicted, image, null = dimension_triple(group, d, coinv)
-            return DegreeRow(d, predicted, image, null)
-
-        workers = _worker_count()
-        degrees_range = range(dmax + 1)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = tuple(pool.map(one_row, degrees_range))
-        else:
-            rows = tuple(one_row(d) for d in degrees_range)
+        triples = DimensionTriples(group, coinvariant_basis(group))
+        rows = tuple(DegreeRow(d, *triples.triple(d)) for d in range(dmax + 1))
 
         rng = _child_rng(seed, "localized_members")
         fails = 0

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from reflect_gkm.cyclotomic import (
     ConductorMismatch,
     CycNum,
+    NotReducible,
+    PrimeReduction,
     cyclotomic_polynomial,
     euler_phi,
     parse_cyc,
@@ -136,3 +138,38 @@ def test_field_axioms(a, b, c):
 def test_text_round_trip(coeffs):
     v = _cyc12(coeffs)
     assert parse_cyc(v.text(), 12) == v
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12])
+def test_prime_reduction_is_a_ring_map(m):
+    red = PrimeReduction.for_conductor(m)
+    p = red.prime
+    assert p % m == 1 % m and p > 2**30
+    assert red.reduce(root_of_unity(m, 1)) == red.root
+    vals = [
+        CycNum(m, [Fraction(k * j - 2, j + 1) for j in range(euler_phi(m))])
+        for k in range(-2, 3)
+    ]
+    for a in vals:
+        for b in vals:
+            assert red.reduce(a + b) == (red.reduce(a) + red.reduce(b)) % p
+            assert red.reduce(a * b) == red.reduce(a) * red.reduce(b) % p
+
+
+def test_prime_reduction_refuses_denominators_divisible_by_p():
+    # 2 is a root of z^2 + z + 1 modulo 7
+    red = PrimeReduction(3, 7, 2)
+    assert red.reduce(CycNum(3, (Fraction(1, 2), 1))) == (4 + 2) % 7
+    with pytest.raises(NotReducible):
+        red.reduce(CycNum(3, (Fraction(1, 14), 1)))
+    with pytest.raises(NotReducible):
+        red.reduce(CycNum(3, (0, Fraction(3, 7))))
+    with pytest.raises(ConductorMismatch):
+        red.reduce(CycNum.one(4))
+
+
+def test_prime_reduction_checks_its_prime_and_root():
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeReduction(3, 91, 9)
+    with pytest.raises(ValueError, match="not a root"):
+        PrimeReduction(3, 7, 3)

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from reflect_gkm.cli import main
 from reflect_gkm.cyclotomic import CycNum, root_of_unity
 from reflect_gkm.groups import (
     CapExceeded,
@@ -206,3 +208,22 @@ def test_closure_cap():
     neg = ((-one, zero), (zero, one))
     with pytest.raises(CapExceeded):
         group_closure([swap, neg], 1, cap=3)
+
+
+@pytest.mark.parametrize("cap", ["abc", None, True, 0, -3, 2.5])
+def test_group_file_cap_must_be_a_positive_int(cap, tmp_path, capsys):
+    data = {
+        "name": "flip",
+        "dimension": 1,
+        "conductor": 1,
+        "variables": ["x1"],
+        "generators": [["-1"]],
+        "cap": cap,
+    }
+    with pytest.raises(GroupFileError, match="cap"):
+        parse_group_dict(data)
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps(data))
+    assert main(["group", "info", "--group", str(path)]) == 2
+    assert "cap must be a positive integer" in capsys.readouterr().err
+    assert parse_group_dict({**data, "cap": 2}).order == 2

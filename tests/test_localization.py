@@ -7,10 +7,11 @@ import random
 import pytest
 
 from reflect_gkm.cyclotomic import root_of_unity
-from reflect_gkm.equivariant import GroupMap, membership, orbit_difference
-from reflect_gkm.groups import load_group
-from reflect_gkm.invariants import coinvariant_basis, reynolds
+from reflect_gkm.equivariant import GroupMap, membership, membership_basis, orbit_difference
+from reflect_gkm.groups import bundled_names, load_group
+from reflect_gkm.invariants import CoinvariantBasis, coinvariant_basis, reynolds
 from reflect_gkm.localization import (
+    DimensionTriples,
     TensorElement,
     commutes_with_difference,
     dimension_triple,
@@ -26,6 +27,7 @@ from reflect_gkm.sampling import (
     random_poly,
     random_tensor,
 )
+from reflect_gkm.suite import default_max_degree
 
 
 def P(text, group):
@@ -148,6 +150,57 @@ def test_dimension_triples_agree(z2, z3, s3):
         for d in range(dmax + 1):
             expected, image, null = dimension_triple(group, d, coinv)
             assert expected == image == null, (group.name, d)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_certified_rows_equal_exact_rows(name):
+    group = load_group(name)
+    coinv = coinvariant_basis(group)
+    triples = DimensionTriples(group, coinv)
+    exact_up_to = 5 if name == "g312" else default_max_degree(group)
+    for d in range(default_max_degree(group) + 1):
+        proven = triples.certified_dimension(d)
+        assert proven is not None, (name, d)
+        assert triples.triple(d) == (proven, proven, proven)
+        if d <= exact_up_to:
+            exact = (image_graded_dimension(group, coinv, d), len(membership_basis(group, d)))
+            assert exact == (proven, proven), (name, d)
+
+
+def test_duplicated_lift_falls_back_to_exact(s3):
+    coinv = coinvariant_basis(s3)
+    # one degree-2 lift replaced by a copy of the other: the row counts,
+    # and so the nullspace bound, stay right, but the image rows do not
+    # have full rank
+    assert coinv.degrees[3:5] == [2, 2]
+    lifts = list(coinv.lifts)
+    lifts[3] = lifts[4]
+    bad = CoinvariantBasis(lifts, list(coinv.degrees))
+    triples = DimensionTriples(s3, bad)
+    for d in range(5):
+        exact = (image_graded_dimension(s3, bad, d), len(membership_basis(s3, d)))
+        expected, image, null = triples.triple(d)
+        assert (image, null) == exact
+        if d >= 2:
+            assert triples.certified_dimension(d) is None
+            assert image < expected == null
+        else:
+            assert triples.certified_dimension(d) == expected
+
+
+def test_certificate_refuses_what_it_cannot_prove(s3):
+    coinv = coinvariant_basis(s3)
+    # a dropped lift: N rows stay independent, but the nullspace is larger
+    short = CoinvariantBasis(coinv.lifts[:-1], coinv.degrees[:-1])
+    assert DimensionTriples(s3, short).certified_dimension(3) is None
+    assert DimensionTriples(s3, short).triple(3) == (15, 14, 15)
+    # a degree-1 "localized lift" that is not a member
+    triples = DimensionTriples(s3, coinv)
+    k = coinv.degrees.index(1)
+    zero = MultiPoly.zero(s3.dimension, s3.conductor)
+    triples._localized[k] = GroupMap(s3, [P("x1", s3)] + [zero] * (s3.order - 1))
+    assert triples.certified_dimension(0) == 1
+    assert triples.certified_dimension(1) is None
 
 
 def test_sampling_determinism(s3):

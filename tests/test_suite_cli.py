@@ -1,6 +1,10 @@
 """End-to-end checks of the verification suite and the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,11 +64,28 @@ def test_report_json_round_trip():
     assert back.timings == {}
 
 
-def test_thread_count_does_not_change_report(monkeypatch):
-    base = run_suite("z3", dmax=4, trials=2, seed=5, sections=("theorem",))
-    monkeypatch.setenv("REFLECT_GKM_THREADS", "3")
-    threaded = run_suite("z3", dmax=4, trials=2, seed=5, sections=("theorem",))
-    assert threaded.to_json() == base.to_json()
+def test_run_suite_rejects_negative_bounds():
+    with pytest.raises(ValueError):
+        run_suite("z3", dmax=-1, trials=1)
+    with pytest.raises(ValueError):
+        run_suite("z3", dmax=2, trials=-1)
+
+
+def test_report_unchanged_under_optimized_python():
+    # python -O strips assert statements; every guard must still hold
+    code = (
+        "from reflect_gkm.suite import run_suite; import sys; "
+        "sys.stdout.write(run_suite('z3', dmax=3, trials=1).to_json())"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_suite("z3", dmax=3, trials=1).to_json()
+    assert json.loads(proc.stdout)["pass"] is True
 
 
 def test_naive_control_differs_for_order_three():
@@ -177,6 +198,19 @@ def test_cli_usage_errors(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["member", "--group", "z2", "--input", "/nonexistent.json"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--max-degree", "-1", "--trials", "0"],
+    ["--max-degree", "2", "--trials", "-1"],
+])
+@pytest.mark.parametrize("section", ["theorem", "lemmas"])
+def test_cli_verify_rejects_negative_bounds(section, bounds, capsys):
+    code = main(["verify", section, "--group", "s3", *bounds])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "must be nonnegative" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_cli_refusal_without_force(tmp_path, capsys):
