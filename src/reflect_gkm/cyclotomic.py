@@ -61,33 +61,77 @@ class NotReducible(ArithmeticError):
     has no image in F_p."""
 
 
+_ZERO = Fraction(0)
+
+
 # ---------------------------------------------------------------------------
-# integer / rational polynomial helpers (coefficient lists, low degree first)
+# univariate polynomials over a field (Fraction or CycNum coefficients),
+# as coefficient lists low degree first; the one set of these helpers in the
+# package (the Molien series in groups.py uses them too)
 
 
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+def upoly_trim(p: list) -> list:
+    """Drop trailing zero coefficients, in place."""
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
-def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den is monic here (products of cyclotomic polynomials always are)
-    if den[-1] != 1:
-        raise ArithmeticFault("integer polynomial division by a non-monic divisor")
-    rem = list(num)
-    dq = len(num) - len(den)
-    quo = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + len(den) - 1]
-        quo[k] = c
+def upoly_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, y in enumerate(b):
+        out[k] = out[k] + y
+    return upoly_trim(out)
+
+
+def upoly_sub(a: list, b: list) -> list:
+    return upoly_add(a, [-y for y in b])
+
+
+def upoly_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    zero = a[0] - a[0]
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return upoly_trim(out)
+
+
+def _reciprocal(x):
+    # an int is made a Fraction first, so int inputs never divide to a float
+    return 1 / (Fraction(x) if isinstance(x, int) else x)
+
+
+def upoly_divmod(a: list, b: list) -> tuple[list, list]:
+    """(quotient, remainder) of a by the trimmed nonzero b."""
+    rem = list(a)
+    inv = _reciprocal(b[-1])
+    quo = []
+    for k in range(len(rem) - len(b), -1, -1):
+        c = rem[k + len(b) - 1] * inv
+        quo.append(c)
         if c:
-            for j, dj in enumerate(den):
-                rem[k + j] -= c * dj
-    return quo, rem[: len(den) - 1]
+            for j, y in enumerate(b):
+                rem[k + j] = rem[k + j] - c * y
+    quo.reverse()
+    return upoly_trim(quo), upoly_trim(rem[: len(b) - 1])
+
+
+def upoly_gcd(a: list, b: list) -> list:
+    """The monic greatest common divisor; [] when both are zero."""
+    a, b = upoly_trim(list(a)), upoly_trim(list(b))
+    while b:
+        a, b = b, upoly_divmod(a, b)[1]
+    if a:
+        inv = _reciprocal(a[-1])
+        a = [c * inv for c in a]
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -103,21 +147,18 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         raise ValueError("conductor must be a positive integer")
     if m == 1:
         return (-1, 1)
-    num = [-1] + [0] * (m - 1) + [1]
-    den = [1]
+    num = [Fraction(-1)] + [_ZERO] * (m - 1) + [Fraction(1)]
+    den = [Fraction(1)]
     for d in _divisors(m)[:-1]:
-        den = _int_poly_mul(den, list(cyclotomic_polynomial(d)))
-    quo, rem = _int_poly_divmod(num, den)
-    if any(rem):
+        den = upoly_mul(den, [Fraction(c) for c in cyclotomic_polynomial(d)])
+    quo, rem = upoly_divmod(num, den)
+    if rem or any(c.denominator != 1 for c in quo):
         raise ArithmeticFault(f"cyclotomic division left a remainder at m={m}")
-    return tuple(quo)
+    return tuple(int(c) for c in quo)
 
 
 def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
-
-
-_ZERO = Fraction(0)
 
 
 def _reduce_mod(m: int, vec: list[Fraction]) -> tuple[Fraction, ...]:
@@ -386,30 +427,7 @@ class CycNum:
 
 
 # ---------------------------------------------------------------------------
-# Fraction polynomial helpers for the extended Euclid above
-
-
-def _trim(v: list[Fraction]) -> list[Fraction]:
-    while v and not v[-1]:
-        v.pop()
-    return v
-
-
-def _fp_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)]
-    return _trim(out)
-
-
-def _fp_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
+# field inverse and subfields
 
 
 @lru_cache(maxsize=8192)
@@ -418,30 +436,17 @@ def _inverse_coeffs(m: int, coeffs: tuple) -> tuple:
     cyclotomic polynomial.  Cached: inversion is much rarer than
     multiplication but tends to hit the same scalars over and over."""
     mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
-    r0, r1 = mod, _trim(list(coeffs))
+    r0, r1 = mod, upoly_trim(list(coeffs))
     s0, s1 = [_ZERO], [Fraction(1)]
     while r1:
-        q, r = _fp_divmod(r0, r1)
+        q, r = upoly_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1))
+        s0, s1 = s1, upoly_sub(s0, upoly_mul(q, s1))
     # r0 is a nonzero constant: the cyclotomic polynomial is irreducible.
     if len(r0) != 1:
         raise ArithmeticFault(f"extended Euclid against Phi_{m} ended in a nonconstant gcd")
     inv = [c / r0[0] for c in s0]
     return _reduce_mod(m, inv)
-
-
-def _fp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(a)
-    quo = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] / lead
-        quo[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                rem[k + j] -= c * bj
-    return _trim(quo), _trim(rem[: len(b) - 1])
 
 
 def _subfield_coords(m: int, d: int, vec) -> tuple[Fraction, ...] | None:

@@ -53,6 +53,7 @@ __all__ = [
     "MembershipCertificate",
     "MembershipFailure",
     "NotAMember",
+    "condition_entries",
     "coroot_map",
     "divided_difference",
     "divisibility_conditions",
@@ -62,6 +63,7 @@ __all__ = [
     "membership_basis",
     "orbit_decomposition",
     "orbit_difference",
+    "scatter_conditions",
 ]
 
 
@@ -219,11 +221,13 @@ class MembershipCertificate:
 
 
 def coroot_map(group: ReflectionGroup, s: PseudoReflection) -> GroupMap:
-    """The map x -> x(ell_s), the transported co-root of s."""
-    values = []
-    for x in range(group.order):
-        c, form = group.act_linear(x, s.coroot)
-        values.append(form.as_poly() * c)
+    """The map x -> x(ell_s), the transported co-root of s: member j of an
+    orbit takes tau_j times the orbit's form."""
+    values: list = [None] * group.order
+    for orbit in group.orbits(s):
+        poly = orbit.form.as_poly()
+        for x, t in zip(orbit.members, orbit.tau):
+            values[x] = poly * t
     return GroupMap(group, values)
 
 
@@ -253,27 +257,25 @@ def orbit_difference(group: ReflectionGroup, s: PseudoReflection, i: int, F: Gro
     """The order-i weighted difference of F along right <s>-orbits; returns
     the certificate of failed divisibilities instead of a map when F is not
     smooth enough."""
-    powers = group.cyclic_powers(s.element)
     w = s.eigenvalue ** (-i)
     values: list[MultiPoly | None] = [None] * group.order
     failures: list[MembershipFailure] = []
-    for coset in group.right_cosets(s.element):
-        rep = coset[0]
+    for orbit in group.orbits(s):
         acc = MultiPoly.zero(group.dimension, group.conductor)
         weight = CycNum.one(group.conductor)
-        for member in coset:
+        for member in orbit.members:
             acc = acc + F.values[member] * weight
             weight = weight * w
-        c, form = group.act_linear(rep, s.coroot)
+        c = orbit.scale
         if i > 0:
-            res = divide_by_linear_power(acc, form, i)
+            res = divide_by_linear_power(acc, orbit.form, i)
             if isinstance(res, NotDivisible):
-                failures.append(MembershipFailure(rep, s, i, res))
+                failures.append(MembershipFailure(orbit.rep, s, i, res))
                 continue
             value = res * c ** (-i)
         else:
-            value = acc * form.as_poly() ** (-i) * c ** (-i)
-        for member in coset:
+            value = acc * orbit.form.as_poly() ** (-i) * c ** (-i)
+        for member in orbit.members:
             values[member] = value
     if failures:
         return MembershipCertificate(failures)
@@ -305,50 +307,69 @@ def orbit_decomposition(group: ReflectionGroup, F: GroupMap, s: PseudoReflection
 # the graded membership nullspace
 
 
+def condition_entries(form: LinearForm, power: int, d: int, weights) -> tuple[int, list]:
+    """Divisibility by form^power of sum_j weights[j] * F(members[j]), for a
+    degree-d map F, as linear conditions on the monomial coefficients of the
+    F(members[j]): the coefficients below order `power` in the hyperplane
+    coordinates of form must vanish.
+
+    Returns (number of conditions, [(condition, monomial index, [weights[j]
+    * coefficient])]), monomials in graded_monomials order; scatter_conditions
+    places the entries at given members.
+    """
+    monomials = graded_monomials(form.nvars, d)
+    low = [e for e in monomials if e[0] < power]
+    if not low:
+        return 0, []
+    row_of = {e: k for k, e in enumerate(low)}
+    coords = hyperplane_coordinates(form)
+    entries = [
+        (row_of[e], k, [wt * c for wt in weights])
+        for k, mono in enumerate(monomials)
+        for e, c in coords.to_axis_sub.monomial_image(mono).terms.items()
+        if e in row_of
+    ]
+    return len(low), entries
+
+
+def scatter_conditions(conditions: tuple[int, list], members, nmono: int) -> list[dict[int, CycNum]]:
+    """Sparse rows {column: coefficient} of condition_entries output, with
+    weight j at the columns of members[j] (element major, nmono monomials
+    per element)."""
+    count, entries = conditions
+    rows: list[dict[int, CycNum]] = [{} for _ in range(count)]
+    for slot, k, weighted in entries:
+        for member, value in zip(members, weighted):
+            rows[slot][member * nmono + k] = value
+    return rows
+
+
 def divisibility_conditions(group: ReflectionGroup, d: int) -> list[dict[int, CycNum]]:
     """The linear conditions cutting out the degree-d homogeneous members,
     as sparse rows {column: coefficient}.
 
     Columns are the monomial coefficients of F(x) for every x, element
     major, monomials in graded_monomials order.  Each (reflection, order,
-    coset) triple contributes the conditions "the low-order part of the
+    orbit) triple contributes the conditions "the low-order part of the
     weighted orbit sum vanishes in hyperplane coordinates", which is
     divisibility said without dividing.
     """
-    n, m = group.dimension, group.conductor
-    monomials = graded_monomials(n, d)
-    nmono = len(monomials)
+    m = group.conductor
+    nmono = len(graded_monomials(group.dimension, d))
     rows: list[dict[int, CycNum]] = []
     for s in group.reflections():
-        cosets = group.right_cosets(s.element)
-        forms = [group.act_linear(coset[0], s.coroot)[1] for coset in cosets]
         for i in range(1, s.order):
-            low = [e for e in monomials if e[0] < i]
-            if not low:
-                continue
-            row_of = {e: k for k, e in enumerate(low)}
             w = s.eigenvalue ** (-i)
             weights = [CycNum.one(m)]
             for _ in range(s.order - 1):
                 weights.append(weights[-1] * w)
-            # (slot, monomial, [weight_j * coefficient]) per transported
-            # co-root; cosets sharing a hyperplane share their entries
-            entries: dict[LinearForm, list] = {}
-            for coset, form in zip(cosets, forms):
-                got = entries.get(form)
+            # orbits sharing a transported co-root share their entries
+            shared: dict[LinearForm, tuple[int, list]] = {}
+            for orbit in group.orbits(s):
+                got = shared.get(orbit.form)
                 if got is None:
-                    coords = hyperplane_coordinates(form)
-                    got = entries[form] = [
-                        (row_of[e], k, [wt * c for wt in weights])
-                        for k, mono in enumerate(monomials)
-                        for e, c in coords.to_axis_sub.monomial_image(mono).terms.items()
-                        if e in row_of
-                    ]
-                block: list[dict[int, CycNum]] = [{} for _ in low]
-                for slot, k, weighted in got:
-                    for member, value in zip(coset, weighted):
-                        block[slot][member * nmono + k] = value
-                rows.extend(block)
+                    got = shared[orbit.form] = condition_entries(orbit.form, i, d, weights)
+                rows.extend(scatter_conditions(got, orbit.members, nmono))
     return rows
 
 

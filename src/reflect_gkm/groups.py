@@ -14,7 +14,14 @@ Conventions used throughout the package:
     read off the first nonzero row of s - id;
   * the eigenvalue lambda of s is defined by s . ell = lambda ell for the
     co-root ell (contragredient action); it is a primitive |s|-th root of
-    unity.
+    unity;
+  * the orbit table of s, ReflectionGroup.orbits(s), holds one Orbit per
+    right coset x<s>, in right_cosets order: the members [x, xs, xs^2, ...],
+    and the co-root transported to the representative, x . ell = scale *
+    form with form normalized.  Member j sees tau_j * form with tau_j =
+    scale * lambda^j.  The table is computed once per (group, reflection)
+    and cached on the group; every consumer of transported co-roots reads
+    it instead of acting on the co-root again.
 
 The Molien series sum_w 1/det(1 - t w) / |W| is computed as an exact
 rational function and its denominator is factored as prod (1 - t^{d_i});
@@ -29,7 +36,16 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .cyclotomic import ConductorMismatch, CycNum, parse_cyc
+from .cyclotomic import (
+    ConductorMismatch,
+    CycNum,
+    parse_cyc,
+    upoly_add,
+    upoly_divmod,
+    upoly_gcd,
+    upoly_mul,
+    upoly_trim,
+)
 from .linalg import mat_identity, mat_inv, mat_mul, rank
 from .polynomials import LinearForm, LinearSubstitution, MultiPoly
 
@@ -40,6 +56,7 @@ __all__ = [
     "GroupInvariantViolated",
     "MolienSeries",
     "NotPolynomialInvariantRing",
+    "Orbit",
     "PseudoReflection",
     "ReflectionGroup",
     "SingularGenerator",
@@ -85,6 +102,24 @@ class PseudoReflection:
     coroot: LinearForm
     eigenvalue: CycNum
     hyperplane: int
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """One right coset x<s> with the co-root of s transported to it:
+    member j (= rep s^j) sees tau[j] * form, so rep . ell_s = scale * form."""
+
+    members: tuple[int, ...]
+    form: LinearForm
+    tau: tuple[CycNum, ...]
+
+    @property
+    def rep(self) -> int:
+        return self.members[0]
+
+    @property
+    def scale(self) -> CycNum:
+        return self.tau[0]
 
 
 def group_closure(matrices, conductor: int, cap: int = 10000):
@@ -135,6 +170,7 @@ class ReflectionGroup:
         self._by_element: dict[int, PseudoReflection] = {}
         self._molien: MolienSeries | None = None
         self._cosets: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._orbits: dict[int, tuple[Orbit, ...]] = {}
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -186,6 +222,19 @@ class ReflectionGroup:
         out = tuple(cosets)
         self._cosets[i] = out
         return out
+
+    def orbits(self, s: PseudoReflection) -> tuple[Orbit, ...]:
+        """The orbit table of s: one Orbit per right coset, in right_cosets
+        order.  Cached on the group, like the cosets themselves."""
+        got = self._orbits.get(s.element)
+        if got is None:
+            out = []
+            for coset in self.right_cosets(s.element):
+                c, form = self.act_linear(coset[0], s.coroot)
+                tau = tuple(c * s.eigenvalue**j for j in range(len(coset)))
+                out.append(Orbit(coset, form, tau))
+            got = self._orbits[s.element] = tuple(out)
+        return got
 
     # -- actions ---------------------------------------------------------
 
@@ -307,71 +356,11 @@ def _dot_col(coeffs, matrix, j, conductor):
 
 
 # ---------------------------------------------------------------------------
-# Molien series: univariate polynomials over CycNum, coefficient lists low
-# degree first
+# Molien series: univariate polynomials over CycNum (the upoly_* helpers of
+# cyclotomic), coefficient lists low degree first
 
 
-def _u_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _u_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        x = a[k] if k < len(a) else None
-        y = b[k] if k < len(b) else None
-        if x is None:
-            out.append(y)
-        elif y is None:
-            out.append(x)
-        else:
-            out.append(x + y)
-    return _u_trim(out)
-
-
-def _u_mul(a, b, zero):
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return _u_trim(out)
-
-
-def _u_divmod(a, b):
-    rem = list(a)
-    if len(rem) < len(b):
-        return [], _u_trim(rem)
-    lead = b[-1].inverse()
-    quo = [None] * (len(rem) - len(b) + 1)
-    for k in range(len(rem) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] * lead
-        quo[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                rem[k + j] = rem[k + j] - c * bj
-    zero = b[-1] - b[-1]
-    return _u_trim([c if c is not None else zero for c in quo]), _u_trim(rem[: len(b) - 1])
-
-
-def _u_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _u_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def _u_det(mat, zero):
+def _u_det(mat):
     n = len(mat)
     if n == 1:
         return mat[0][0]
@@ -381,10 +370,10 @@ def _u_det(mat, zero):
         if not entry:
             continue
         minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = _u_mul(entry, _u_det(minor, zero), zero)
+        term = upoly_mul(entry, _u_det(minor))
         if j % 2:
             term = [-c for c in term]
-        acc = _u_add(acc, term)
+        acc = upoly_add(acc, term)
     return acc
 
 
@@ -420,23 +409,23 @@ def _molien_series(group: ReflectionGroup) -> MolienSeries:
     for el in group.elements:
         entries = [
             [
-                _u_trim([(one if i == j else zero), -el.matrix[i][j]])
+                upoly_trim([(one if i == j else zero), -el.matrix[i][j]])
                 for j in range(group.dimension)
             ]
             for i in range(group.dimension)
         ]
-        dw = _u_det(entries, zero)
-        num = _u_add(_u_mul(num, dw, zero), den)
-        den = _u_mul(den, dw, zero)
-        g = _u_gcd(num, den)
+        dw = _u_det(entries)
+        num = upoly_add(upoly_mul(num, dw), den)
+        den = upoly_mul(den, dw)
+        g = upoly_gcd(num, den)
         if len(g) > 1:
-            num = _u_divmod(num, g)[0]
-            den = _u_divmod(den, g)[0]
+            num = upoly_divmod(num, g)[0]
+            den = upoly_divmod(den, g)[0]
     den = [c * group.order for c in den]
-    g = _u_gcd(num, den)
+    g = upoly_gcd(num, den)
     if len(g) > 1:
-        num = _u_divmod(num, g)[0]
-        den = _u_divmod(den, g)[0]
+        num = upoly_divmod(num, g)[0]
+        den = upoly_divmod(den, g)[0]
     scale = den[0].inverse()
     num = [c * scale for c in num]
     den = [c * scale for c in den]
@@ -456,7 +445,7 @@ def _peel_degrees(den: list[Fraction], nvars: int) -> tuple[int, ...] | None:
         if e is None:
             return None
         factor = [Fraction(1)] + [Fraction(0)] * (e - 1) + [Fraction(-1)]
-        quo, rem = _frac_divmod(cur, factor)
+        quo, rem = upoly_divmod(cur, factor)
         if rem:
             return None
         cur = quo
@@ -464,27 +453,6 @@ def _peel_degrees(den: list[Fraction], nvars: int) -> tuple[int, ...] | None:
     if cur != [Fraction(1)]:
         return None
     return tuple(degs)
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    rem = list(a)
-    if len(rem) < len(b):
-        while rem and not rem[-1]:
-            rem.pop()
-        return [], rem
-    quo = [Fraction(0)] * (len(rem) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(rem) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] / lead
-        quo[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                rem[k + j] -= c * bj
-    while rem and not rem[-1]:
-        rem.pop()
-    while quo and not quo[-1]:
-        quo.pop()
-    return quo, rem
 
 
 # ---------------------------------------------------------------------------

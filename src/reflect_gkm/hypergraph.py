@@ -40,18 +40,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclotomic import CycNum
-from .equivariant import GroupMap
+from .equivariant import GroupMap, condition_entries, scatter_conditions
 from .groups import PseudoReflection, ReflectionGroup
-from .linalg import mat_inv, nullspace
+from .linalg import mat_inv, rank
 from .polynomials import (
     LinearForm,
     MultiPoly,
     NotDivisible,
     divide_by_linear_power,
     graded_monomials,
-    hyperplane_coordinates,
     poly_text,
 )
 
@@ -92,6 +92,14 @@ class HyperEdge:
     def size(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def vandermonde_inverse(self):
+        """Inverse of the Vandermonde matrix [tau_j^i], computed on first
+        use and kept on the edge."""
+        r = self.size
+        V = [[self.tau[j] ** i for i in range(r)] for j in range(r)]
+        return mat_inv(V, self.axial.conductor)
+
 
 @dataclass(frozen=True)
 class Hypergraph:
@@ -106,14 +114,10 @@ class Hypergraph:
 def build_hypergraph(group: ReflectionGroup) -> Hypergraph:
     edges = {}
     for s in group.reflections():
-        for coset in group.right_cosets(s.element):
-            key = (frozenset(coset), s.hyperplane)
-            if key in edges:
-                continue
-            rep = coset[0]
-            c, form = group.act_linear(rep, s.coroot)
-            tau = tuple(c * s.eigenvalue ** j for j in range(s.order))
-            edges[key] = HyperEdge(s, tuple(coset), form, tau)
+        for orbit in group.orbits(s):
+            key = (frozenset(orbit.members), s.hyperplane)
+            if key not in edges:
+                edges[key] = HyperEdge(s, orbit.members, orbit.form, orbit.tau)
     ordered = tuple(edges.values())
     incidence = [[] for _ in range(group.order)]
     for k, e in enumerate(ordered):
@@ -141,8 +145,7 @@ def edge_quotients(edge: HyperEdge, F: GroupMap):
     g_i = h_i / axial^i, or an EdgeWitness at the first failure."""
     r = edge.size
     n, m = F.group.dimension, F.group.conductor
-    V = [[edge.tau[j] ** i for i in range(r)] for j in range(r)]
-    Vinv = mat_inv(V, m)
+    Vinv = edge.vandermonde_inverse
     values = [F.values[p] for p in edge.members]
     quotients = []
     for i in range(r):
@@ -186,34 +189,21 @@ def pairwise_membership(H: Hypergraph, F: GroupMap) -> list[EdgeWitness]:
 
 
 def pairwise_graded_dimension(group: ReflectionGroup, d: int) -> int:
-    """Dimension of the degree-d maps passing only the pairwise control."""
-    n, m = group.dimension, group.conductor
-    monomials = graded_monomials(n, d)
-    nmono = len(monomials)
-    ncols = group.order * nmono
-    zero = CycNum.zero(m)
-    H = build_hypergraph(group)
+    """Dimension of the degree-d maps passing only the pairwise control:
+    first-order divisibility of F(a) - F(b) for every pair on every edge."""
+    m = group.conductor
+    nmono = len(graded_monomials(group.dimension, d))
+    signs = (CycNum.one(m), -CycNum.one(m))
     rows = []
-    for edge in H.edges:
-        coords = hyperplane_coordinates(edge.axial)
-        images = [coords.to_axis_sub.monomial_image(e) for e in monomials]
-        low = [e for e in monomials if e[0] == 0]
-        if not low:
-            continue
-        row_of = {e: k for k, e in enumerate(low)}
+    for edge in build_hypergraph(group).edges:
+        conditions = condition_entries(edge.axial, 1, d, signs)
         for a in range(edge.size):
             for b in range(a + 1, edge.size):
-                block = [[zero] * ncols for _ in low]
-                for vertex, sign in ((edge.members[a], 1), (edge.members[b], -1)):
-                    for k, img in enumerate(images):
-                        col = vertex * nmono + k
-                        for e, c in img.terms.items():
-                            slot = row_of.get(e)
-                            if slot is not None:
-                                entry = c if sign > 0 else -c
-                                block[slot][col] = block[slot][col] + entry
-                rows.extend(block)
-    return len(nullspace(rows, ncols, m))
+                pair = (edge.members[a], edge.members[b])
+                rows.extend(scatter_conditions(conditions, pair, nmono))
+    ncols = group.order * nmono
+    zero = CycNum.zero(m)
+    return ncols - rank([[row.get(j, zero) for j in range(ncols)] for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -367,14 +367,11 @@ class HyperplaneCoordinates:
         return self.from_axis_sub.apply(f)
 
 
-_COORD_CACHE: dict[LinearForm, HyperplaneCoordinates] = {}
-
-
+@lru_cache(maxsize=256)
 def hyperplane_coordinates(form: LinearForm) -> HyperplaneCoordinates:
-    got = _COORD_CACHE.get(form)
-    if got is None:
-        got = _COORD_CACHE[form] = HyperplaneCoordinates(form)
-    return got
+    """The coordinates of form, shared between calls; a group has one form
+    per reflecting hyperplane, far fewer than the cache holds."""
+    return HyperplaneCoordinates(form)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ class LemmaResult:
 
     @property
     def ok(self) -> bool:
-        return self.failures == 0
+        # zero checks prove nothing, so they never pass
+        return self.failures == 0 and self.trials > 0
 
 
 @dataclass(frozen=True)

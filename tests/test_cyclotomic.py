@@ -13,6 +13,10 @@ from reflect_gkm.cyclotomic import (
     euler_phi,
     parse_cyc,
     root_of_unity,
+    upoly_add,
+    upoly_divmod,
+    upoly_gcd,
+    upoly_mul,
 )
 
 
@@ -23,6 +27,40 @@ def test_cyclotomic_polynomial_table():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_are_integral_and_factor_x_m_minus_1():
+    for m in range(1, 31):
+        assert all(type(c) is int for c in cyclotomic_polynomial(m))
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = _int_mul(prod, list(cyclotomic_polynomial(d)))
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+
+
+def test_univariate_helpers_stay_exact():
+    # int inputs divide to Fractions, never to floats
+    q, r = upoly_divmod([1, 0, 1], [2, 2])
+    assert all(isinstance(c, Fraction) for c in q + r)
+    assert q == [Fraction(-1, 2), Fraction(1, 2)] and r == [2]
+    assert upoly_add(upoly_mul(q, [2, 2]), r) == [1, 0, 1]
+    g = upoly_gcd([2, 2], [4, 4])
+    assert g == [1, 1] and all(isinstance(c, Fraction) for c in g)
+    # the gcd over Q(zeta_3) is monic
+    one, z = CycNum.one(3), root_of_unity(3, 1)
+    a = upoly_mul([-z, one], [-one, one])
+    b = upoly_mul([-z, one], [one, one])
+    assert upoly_gcd(a, b) == [-z, one]
+    assert upoly_gcd(upoly_mul(a, [2 * one]), []) == a
 
 
 def test_euler_phi():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from reflect_gkm.equivariant import (
     NotAMember,
     coroot_map,
     divided_difference,
+    divisibility_conditions,
     dump_group_map,
     load_group_map,
     membership,
@@ -21,7 +23,7 @@ from reflect_gkm.equivariant import (
     orbit_decomposition,
     orbit_difference,
 )
-from reflect_gkm.groups import load_group
+from reflect_gkm.groups import ReflectionGroup, bundled_names, load_group
 from reflect_gkm.polynomials import (
     MultiPoly,
     NotDivisible,
@@ -29,6 +31,7 @@ from reflect_gkm.polynomials import (
     parse_poly,
     poly_text,
 )
+from reflect_gkm.sampling import random_member, random_nonmember
 
 
 def P(text, group):
@@ -289,3 +292,36 @@ def test_conjugation_twist_instance(s3):
             rhs = orbit_difference(s3, conj, i, F)
             assert isinstance(lhs, GroupMap) and isinstance(rhs, GroupMap)
             assert lhs == rhs.act(w) * c ** (-i)
+
+
+def test_coroot_map_equals_per_element_action():
+    for name in bundled_names():
+        g = load_group(name)
+        for s in g.reflections():
+            expected = []
+            for x in range(g.order):
+                c, form = g.act_linear(x, s.coroot)
+                expected.append(form.as_poly() * c)
+            assert coroot_map(g, s) == GroupMap(g, expected), (name, s.element)
+
+
+def test_orbit_consumers_read_the_table(monkeypatch):
+    g = load_group("g312")
+    rng = random.Random(5)
+    member, nonmember = random_member(rng, g), random_nonmember(rng, g)
+    for s in g.reflections():
+        g.orbits(s)
+    calls = []
+    original = ReflectionGroup.act_linear
+
+    def counting(self, i, form):
+        calls.append(i)
+        return original(self, i, form)
+
+    monkeypatch.setattr(ReflectionGroup, "act_linear", counting)
+    assert membership(member).ok
+    assert not membership(nonmember).ok
+    assert divisibility_conditions(g, 3)
+    for s in g.reflections():
+        coroot_map(g, s)
+    assert calls == []

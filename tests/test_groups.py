@@ -227,3 +227,16 @@ def test_group_file_cap_must_be_a_positive_int(cap, tmp_path, capsys):
     assert main(["group", "info", "--group", str(path)]) == 2
     assert "cap must be a positive integer" in capsys.readouterr().err
     assert parse_group_dict({**data, "cap": 2}).order == 2
+
+
+def test_orbit_table_matches_cosets_and_action(groups):
+    for g in groups.values():
+        for s in g.reflections():
+            table = g.orbits(s)
+            assert g.orbits(s) is table
+            assert tuple(o.members for o in table) == g.right_cosets(s.element)
+            for o in table:
+                assert (o.scale, o.form) == g.act_linear(o.rep, s.coroot)
+                # member j = rep s^j sees tau_j times the same form
+                for x, t in zip(o.members, o.tau):
+                    assert g.act_linear(x, s.coroot) == (t, o.form)

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import reflect_gkm.hypergraph as hypergraph_module
 from reflect_gkm.cyclotomic import CycNum
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis
 from reflect_gkm.groups import load_group
@@ -249,6 +250,37 @@ def test_pairwise_is_weaker_exactly_on_high_order(z3, z2, s3, b2):
             assert pairwise_graded_dimension(group, d) == len(
                 membership_basis(group, d)
             ), (group.name, d)
+
+
+@pytest.mark.parametrize("name, pairwise, members", [
+    ("z3", [1, 3, 3, 3], [1, 2, 3, 3]),
+    ("z4", [1, 4, 4, 4], [1, 2, 3, 4]),
+    ("g312", [1, 4, 11, 23], [1, 4, 10, 19]),
+])
+def test_pairwise_dimensions_on_higher_order_groups(name, pairwise, members):
+    g = load_group(name)
+    assert [pairwise_graded_dimension(g, d) for d in range(4)] == pairwise
+    assert [len(membership_basis(g, d)) for d in range(4)] == members
+
+
+def test_vandermonde_inverse_once_per_edge(monkeypatch):
+    calls = []
+    original = hypergraph_module.mat_inv
+
+    def counting(a, conductor):
+        calls.append(len(a))
+        return original(a, conductor)
+
+    monkeypatch.setattr(hypergraph_module, "mat_inv", counting)
+    g = load_group("z4")
+    H = build_hypergraph(g)
+    rng = random.Random(3)
+    maps = [random_member(rng, g) for _ in range(3)]
+    maps += [random_nonmember(rng, g) for _ in range(3)]
+    for F in maps:
+        hypergraph_membership(H, F)
+    # every edge is interpolated for every map, but inverted once
+    assert len(calls) == len(H.edges)
 
 
 def test_pairwise_membership_control(z3):

@@ -152,3 +152,10 @@ def test_hyperplane_coordinates_invert(f, form):
 @given(_poly2)
 def test_text_round_trip_random(f):
     assert parse_poly(poly_text(f), 2, 4) == f
+
+
+def test_hyperplane_coordinates_cache_is_bounded():
+    _, form = LinearForm.normalize([1, 3], 1)
+    assert hyperplane_coordinates(form) is hyperplane_coordinates(form)
+    maxsize = hyperplane_coordinates.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0

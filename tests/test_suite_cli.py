@@ -193,6 +193,63 @@ def test_cli_member_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+# random_nonmember(random.Random(3), g312): a constant map bumped by x1 at
+# element 17.  Its witnesses come out of the orbit and edge loops, so their
+# order and valuations pin how those loops walk the cosets.
+G312_NONMEMBER = {
+    "group": "g312",
+    "values": {
+        str(x): "49/6*x1^2*x2^2" + (" + x1" if x == 17 else "") for x in range(18)
+    },
+}
+
+
+def _pinned(rows, keys):
+    return [dict(zip(keys, row)) for row in rows]
+
+
+def test_cli_member_payload_is_pinned(tmp_path, capsys):
+    path = tmp_path / "nonmember.json"
+    path.write_text(json.dumps(G312_NONMEMBER))
+    assert main(["member", "--group", "g312", "--input", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "group": "g312",
+        "input": str(path),
+        "member": False,
+        "failures": _pinned(
+            [(13, 1, 2, 1), (14, 2, 1, 0), (13, 3, 2, 1), (3, 9, 1, 0), (3, 9, 2, 0),
+             (4, 10, 1, 0), (5, 11, 1, 0), (3, 13, 1, 0), (3, 13, 2, 0)],
+            ("element", "reflection", "power", "valuation"),
+        ),
+    }
+
+
+def test_cli_hypergraph_member_payload_is_pinned(tmp_path, capsys):
+    path = tmp_path / "nonmember.json"
+    path.write_text(json.dumps(G312_NONMEMBER))
+    argv = ["hypergraph", "member", "--group", "g312", "--input", str(path), "--json"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "group": "g312",
+        "input": str(path),
+        "check": "edges",
+        "member": False,
+        "failures": _pinned(
+            [([13, 16, 17], 1, 2, 1), ([14, 17], 2, 1, 0), ([3, 15, 17], 9, 1, 0),
+             ([4, 17], 10, 1, 0), ([5, 17], 11, 1, 0)],
+            ("edge", "reflection", "power", "valuation"),
+        ),
+    }
+
+
+def test_zero_trials_never_pass(capsys):
+    assert not run_suite("z2", trials=0, sections=("lemmas", "hypergraph")).ok
+    assert not run_suite("z2", dmax=2, trials=0, sections=("theorem",)).ok
+    assert main(["verify", "lemmas", "--group", "z2", "--trials", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "overall: FAIL" in out and "PASS" not in out
+
+
 def test_cli_usage_errors(capsys):
     assert main(["verify", "theorem", "--group", "nosuch"]) == 2
     assert "error:" in capsys.readouterr().err
