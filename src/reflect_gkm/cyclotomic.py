@@ -1,13 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-A value is a residue modulo the m-th cyclotomic polynomial: a vector of
-phi(m) rational coefficients
+A value is a residue modulo the m-th cyclotomic polynomial Phi_m: phi(m)
+integer numerators over one positive common denominator,
 
-    c_0 + c_1 z + ... + c_{phi(m)-1} z^{phi(m)-1}
+    (n_0 + n_1 z + ... + n_{phi(m)-1} z^{phi(m)-1}) / d,
 
 where z stands for a fixed primitive m-th root of unity and phi is Euler's
-totient.  Everything is built on fractions.Fraction; no float is ever
-produced, so equality of values is decidable and exact.
+totient.  The pair is canonical, gcd(d, n_0, ..., n_{phi(m)-1}) = 1, so
+equal values at one conductor have equal pairs.  Each ring operation works
+on integers and takes one gcd per result; Phi_m is monic with integer
+coefficients, so reduction by it keeps numerators integral.  No float is
+ever produced, so equality of values is decidable and exact.
 
 Conductors are sticky by design.  Operands of the ring operations must share
 a conductor, except that plain ints and Fractions embed anywhere.  Mixing
@@ -23,8 +26,8 @@ The text form is a polynomial in z with high powers first, for example
 
 PrimeReduction maps values into a prime field F_p by sending z to a root
 of the cyclotomic polynomial modulo p.  It is a ring homomorphism on every
-value whose coefficient denominators are prime to p, and refuses any other
-value, so a rank computed from reduced entries never exceeds the exact one.
+value whose common denominator is prime to p, and refuses any other value,
+so a rank computed from reduced entries never exceeds the exact one.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "ArithmeticFault",
@@ -61,9 +64,6 @@ class NotReducible(ArithmeticError):
     has no image in F_p."""
 
 
-_ZERO = Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials over a field (Fraction or CycNum coefficients),
 # as coefficient lists low degree first; the one set of these helpers in the
@@ -84,10 +84,6 @@ def upoly_add(a: list, b: list) -> list:
     for k, y in enumerate(b):
         out[k] = out[k] + y
     return upoly_trim(out)
-
-
-def upoly_sub(a: list, b: list) -> list:
-    return upoly_add(a, [-y for y in b])
 
 
 def upoly_mul(a: list, b: list) -> list:
@@ -147,7 +143,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         raise ValueError("conductor must be a positive integer")
     if m == 1:
         return (-1, 1)
-    num = [Fraction(-1)] + [_ZERO] * (m - 1) + [Fraction(1)]
+    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
     den = [Fraction(1)]
     for d in _divisors(m)[:-1]:
         den = upoly_mul(den, [Fraction(c) for c in cyclotomic_polynomial(d)])
@@ -161,49 +157,85 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
-def _reduce_mod(m: int, vec: list[Fraction]) -> tuple[Fraction, ...]:
-    """Residue of a coefficient vector modulo the m-th cyclotomic polynomial."""
-    phi = euler_phi(m)
-    mod = cyclotomic_polynomial(m)
-    r = list(vec)
+def _reduce_mod(m: int, r: list[int]) -> list[int]:
+    """Residue of an integer coefficient list modulo the m-th cyclotomic
+    polynomial, in place, padded or cut to length phi(m).  Phi_m is monic
+    with integer coefficients, so the residue stays integral."""
+    phi, terms = _phi_terms(m)
     for k in range(len(r) - 1, phi - 1, -1):
         c = r[k]
         if c:
-            for j in range(phi + 1):
-                r[k - phi + j] -= c * mod[j]
+            base = k - phi
+            for j, t in terms:
+                r[base + j] -= c * t
     if len(r) < phi:
-        r.extend([_ZERO] * (phi - len(r)))
-    return tuple(r[:phi])
+        r.extend([0] * (phi - len(r)))
+    else:
+        del r[phi:]
+    return r
 
 
 @lru_cache(maxsize=None)
-def _zeta_power(m: int, e: int) -> tuple[Fraction, ...]:
-    """z^e reduced into the power basis of Q(zeta_m)."""
-    e %= m
-    return _reduce_mod(m, [_ZERO] * e + [Fraction(1)])
+def _phi_terms(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(m), the nonzero (j, c) of Phi_m below its leading term)."""
+    mod = cyclotomic_polynomial(m)
+    return len(mod) - 1, tuple((j, c) for j, c in enumerate(mod[:-1]) if c)
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """z^e reduced into the power basis of Q(zeta_m), for e = 0 .. m-1."""
+    return tuple(tuple(_reduce_mod(m, [0] * e + [1])) for e in range(m))
+
+
+def _zeta_power(m: int, e: int) -> tuple[int, ...]:
+    """z^e reduced into the power basis of Q(zeta_m); z^m = 1."""
+    return _zeta_powers(m)[e % m]
+
+
+def _mul_int(m: int, a, b) -> list[int]:
+    """The product of two integer coefficient vectors modulo Phi_m."""
+    n = len(a)
+    if n == 2:
+        # quadratic fields reduce in closed form: z^2 = -mod0 - mod1*z
+        mod = cyclotomic_polynomial(m)
+        a0, a1 = a
+        b0, b1 = b
+        c2 = a1 * b1
+        return [a0 * b0 - c2 * mod[0], a0 * b1 + a1 * b0 - c2 * mod[1]]
+    conv = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+    return _reduce_mod(m, conv)
 
 
 # ---------------------------------------------------------------------------
 
 
 class CycNum:
-    """An element of Q(zeta_m), reduced modulo the m-th cyclotomic polynomial."""
+    """An element of Q(zeta_m), reduced modulo the m-th cyclotomic polynomial.
 
-    __slots__ = ("conductor", "coeffs", "_min")
+    The value is held as integer numerators ``num`` (length phi(m)) over
+    one positive common denominator ``den``, with gcd(den, *num) == 1, so
+    equal values at one conductor have equal (num, den) pairs.  ``coeffs``
+    gives the same value as a tuple of Fractions.
+    """
+
+    __slots__ = ("conductor", "num", "den", "_min")
 
     def __init__(self, conductor: int, coeffs=(0,)):
         if conductor < 1:
             raise ValueError("conductor must be a positive integer")
-        vec = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        phi = euler_phi(conductor)
-        if len(vec) > phi:
-            tup = _reduce_mod(conductor, vec)
-        else:
-            vec.extend([_ZERO] * (phi - len(vec)))
-            tup = tuple(vec)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tup)
-        object.__setattr__(self, "_min", None)
+        vals = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in vals))
+        num = _reduce_mod(conductor, [c.numerator * (den // c.denominator) for c in vals])
+        g = gcd(den, *num)
+        _set_conductor(self, conductor)
+        _set_num(self, tuple(c // g for c in num))
+        _set_den(self, den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
@@ -211,26 +243,23 @@ class CycNum:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, conductor: int, coeffs: tuple) -> "CycNum":
-        """Internal constructor for coefficient tuples that are already
-        reduced Fractions of the right length; skips revalidation."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "conductor", conductor)
-        object.__setattr__(obj, "coeffs", coeffs)
-        object.__setattr__(obj, "_min", None)
-        return obj
-
-    @classmethod
     def rational(cls, conductor: int, value) -> "CycNum":
-        return cls(conductor, (Fraction(value),))
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        pad = (0,) * (euler_phi(conductor) - 1)
+        return _make(conductor, (q.numerator,) + pad, q.denominator)
 
     @classmethod
     def zero(cls, conductor: int) -> "CycNum":
-        return cls(conductor, ())
+        return cls.rational(conductor, 0)
 
     @classmethod
     def one(cls, conductor: int) -> "CycNum":
-        return cls(conductor, (Fraction(1),))
+        return cls.rational(conductor, 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- coercion ----------------------------------------------------------
 
@@ -242,7 +271,8 @@ class CycNum:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return CycNum(self.conductor, (Fraction(other),))
+            pad = (0,) * (len(self.num) - 1)
+            return _make(self.conductor, (other.numerator,) + pad, other.denominator)
         return None
 
     # -- ring operations ---------------------------------------------------
@@ -251,64 +281,52 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum._make(
-            self.conductor, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return _sum(self, o.num, o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum._make(self.conductor, tuple(-a for a in self.coeffs))
+        return _make(self.conductor, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum._make(
-            self.conductor, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return _sum(self, [-y for y in o.num], o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _sum(o, [-y for y in self.num], self.den)
 
     def __mul__(self, other):
+        if isinstance(other, CycNum):
+            m = self.conductor
+            if other.conductor != m:
+                raise ConductorMismatch(f"conductor {m} vs {other.conductor}")
+            a, b = self.num, other.num
+            den = self.den * other.den
+            if len(a) == 1:
+                # conductors 1 and 2: the field is Q
+                x = a[0] * b[0]
+                g = gcd(x, den)
+                return _make(m, (x // g,), den // g)
+            return _canon(m, _mul_int(m, a, b), den)
         if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            return CycNum._make(self.conductor, tuple(a * r for a in self.coeffs))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        n = len(a)
-        if n == 1:
-            return CycNum._make(self.conductor, (a[0] * b[0],))
-        if n == 2:
-            # quadratic fields reduce in closed form: z^2 = -mod0 - mod1*z
-            mod = cyclotomic_polynomial(self.conductor)
-            c2 = a[1] * b[1]
-            return CycNum._make(
+            return _canon(
                 self.conductor,
-                (a[0] * b[0] - c2 * mod[0], a[0] * b[1] + a[1] * b[0] - c2 * mod[1]),
+                [x * other.numerator for x in self.num],
+                self.den * other.denominator,
             )
-        conv = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return CycNum._make(self.conductor, _reduce_mod(self.conductor, conv))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
         if not self:
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        return CycNum._make(
-            self.conductor, _inverse_coeffs(self.conductor, self.coeffs)
-        )
+        return _inverse(self.conductor, self.num, self.den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -338,28 +356,28 @@ class CycNum:
     # -- predicates and conversions ----------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def minimal(self) -> "CycNum":
         """The same value written at its minimal conductor."""
-        cached = self._min
+        cached = getattr(self, "_min", None)
         if cached is not None:
             return cached
         out = self
         for d in _divisors(self.conductor)[:-1]:
-            sol = _subfield_coords(self.conductor, d, self.coeffs)
+            sol = _subfield_coords(self.conductor, d, self.num)
             if sol is not None:
-                out = CycNum(d, sol)
+                out = _canon(d, sol[0], sol[1] * self.den)
                 break
-        object.__setattr__(self, "_min", out)
+        _set_min(self, out)
         return out
 
     def embed(self, conductor: int) -> "CycNum":
@@ -372,38 +390,38 @@ class CycNum:
                 f"{self.conductor} does not divide {conductor}"
             )
         step = conductor // self.conductor
-        acc = [_ZERO] * euler_phi(conductor)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for k, e in enumerate(_zeta_power(conductor, j * step)):
-                    acc[k] += c * e
-        return CycNum(conductor, acc)
+        return _canon(conductor, _power_map(conductor, self.num, step), self.den)
 
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            return self.coeffs[0] == r and not any(self.coeffs[1:])
+            return (
+                self.den == other.denominator
+                and self.num[0] == other.numerator
+                and not any(self.num[1:])
+            )
         if not isinstance(other, CycNum):
             return NotImplemented
-        if other.conductor == self.conductor:
-            return self.coeffs == other.coeffs
-        big = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        return self.embed(big).coeffs == other.embed(big).coeffs
+        a, b = self, other
+        if a.conductor != b.conductor:
+            big = lcm(a.conductor, b.conductor)
+            a, b = a.embed(big), b.embed(big)
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
         m = self.minimal()
         if m.conductor == 1:
-            return hash(m.coeffs[0])
-        return hash((m.conductor, m.coeffs))
+            return hash(Fraction(m.num[0], m.den))
+        return hash((m.conductor, m.num, m.den))
 
     # -- text --------------------------------------------------------------
 
     def text(self) -> str:
         parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        coeffs = self.coeffs
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             mag = abs(c)
@@ -426,59 +444,110 @@ class CycNum:
         return f"CycNum({self.conductor}, {self.coeffs!r})"
 
 
+# CycNum refuses attribute assignment, so its slots are filled through their
+# descriptors; _min stays unset until minimal() caches a value there.
+_new = object.__new__
+_set_conductor = CycNum.conductor.__set__
+_set_num = CycNum.num.__set__
+_set_den = CycNum.den.__set__
+_set_min = CycNum._min.__set__
+
+
+def _make(conductor: int, num: tuple, den: int) -> CycNum:
+    """Internal constructor for a canonical (num, den) pair of the right
+    length; skips revalidation."""
+    obj = _new(CycNum)
+    _set_conductor(obj, conductor)
+    _set_num(obj, num)
+    _set_den(obj, den)
+    return obj
+
+
+def _canon(m: int, num: list, den: int) -> CycNum:
+    """The CycNum num/den at conductor m, for den > 0: one gcd divides out
+    the common factor."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    return _make(m, tuple(num), den)
+
+
+def _sum(x: CycNum, num, den: int) -> CycNum:
+    """x + num/den, for an integer vector num and den > 0."""
+    dx = x.den
+    if dx == den:
+        return _canon(x.conductor, [a + b for a, b in zip(x.num, num)], dx)
+    g = gcd(dx, den)
+    fx, fo = den // g, dx // g
+    return _canon(
+        x.conductor, [a * fx + b * fo for a, b in zip(x.num, num)], dx * fx
+    )
+
+
 # ---------------------------------------------------------------------------
 # field inverse and subfields
 
 
+def _power_map(m: int, num, k: int) -> list[int]:
+    """sum_j num[j] z^(j k) in the power basis of Q(zeta_m): the conjugate
+    sigma_k for k prime to m, the embedding of a subfield for k = m / d."""
+    acc = [0] * euler_phi(m)
+    for j, c in enumerate(num):
+        if c:
+            for i, e in enumerate(_zeta_power(m, j * k)):
+                acc[i] += c * e
+    return acc
+
+
 @lru_cache(maxsize=8192)
-def _inverse_coeffs(m: int, coeffs: tuple) -> tuple:
-    """Coefficients of the field inverse, by extended Euclid against the
-    cyclotomic polynomial.  Cached: inversion is much rarer than
-    multiplication but tends to hit the same scalars over and over."""
-    mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
-    r0, r1 = mod, upoly_trim(list(coeffs))
-    s0, s1 = [_ZERO], [Fraction(1)]
-    while r1:
-        q, r = upoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, upoly_sub(s0, upoly_mul(q, s1))
-    # r0 is a nonzero constant: the cyclotomic polynomial is irreducible.
-    if len(r0) != 1:
-        raise ArithmeticFault(f"extended Euclid against Phi_{m} ended in a nonconstant gcd")
-    inv = [c / r0[0] for c in s0]
-    return _reduce_mod(m, inv)
+def _inverse(m: int, num: tuple, den: int) -> CycNum:
+    """The field inverse of the nonzero num/den at conductor m.
+
+    With P the product of the conjugates sigma_k(num), 1 < k < m prime to
+    m, the norm N = num * P is a nonzero integer and the inverse is
+    den * P / N.
+    Cached: inversion is much rarer than multiplication but tends to hit
+    the same scalars over and over."""
+    if not any(num[1:]):
+        prod, norm = [1] + [0] * (len(num) - 1), num[0]
+    else:
+        prod = None
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = _power_map(m, num, k)
+                prod = conj if prod is None else _mul_int(m, prod, conj)
+        norm_vec = _mul_int(m, num, prod)
+        if any(norm_vec[1:]):
+            raise ArithmeticFault(f"the norm of {num} over Phi_{m} is not rational")
+        norm = norm_vec[0]
+    if norm < 0:
+        den, norm = -den, -norm
+    return _canon(m, [den * c for c in prod], norm)
 
 
-def _subfield_coords(m: int, d: int, vec) -> tuple[Fraction, ...] | None:
-    """Coordinates of vec (living in Q(zeta_m)) over the power basis of
-    Q(zeta_d), or None when the value does not lie in the subfield."""
+def _subfield_coords(m: int, d: int, num: tuple) -> tuple[list[int], int] | None:
+    """Integer coordinates (c, q) with num = (1/q) sum_j c_j zeta_d^j, where
+    zeta_d = z^(m/d), or None when num does not lie in Q(zeta_d).  The
+    system is solved by fraction-free Gauss-Jordan elimination."""
     phi_d = euler_phi(d)
     step = m // d
     cols = [_zeta_power(m, j * step) for j in range(phi_d)]
-    # solve cols * c = vec by Gaussian elimination on the augmented system
-    rows = [[cols[j][i] for j in range(phi_d)] + [vec[i]] for i in range(euler_phi(m))]
-    piv = 0
-    pivots: list[int] = []
-    for col in range(phi_d):
-        hit = next((r for r in range(piv, len(rows)) if rows[r][col]), None)
-        if hit is None:
-            continue
-        rows[piv], rows[hit] = rows[hit], rows[piv]
-        inv = 1 / rows[piv][col]
-        rows[piv] = [x * inv for x in rows[piv]]
-        for r in range(len(rows)):
-            if r != piv and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[piv])]
-        pivots.append(col)
-        piv += 1
-    for r in range(piv, len(rows)):
-        if rows[r][-1]:
-            return None
-    sol = [_ZERO] * phi_d
-    for k, col in enumerate(pivots):
-        sol[col] = rows[k][-1]
-    return tuple(sol)
+    rows = [[col[i] for col in cols] + [num[i]] for i in range(len(num))]
+    # the powers of zeta_d are independent, so every column has a pivot
+    for k in range(phi_d):
+        hit = next(r for r in range(k, len(rows)) if rows[r][k])
+        rows[k], rows[hit] = rows[hit], rows[k]
+        p = rows[k]
+        for r, row in enumerate(rows):
+            f = row[k]
+            if r != k and f:
+                rows[r] = [p[k] * x - f * y for x, y in zip(row, p)]
+    if any(row[-1] for row in rows[phi_d:]):
+        return None
+    # row k now reads rows[k][k] * c_k = rows[k][-1]
+    q = lcm(*(rows[k][k] for k in range(phi_d)))
+    return [rows[k][-1] * (q // rows[k][k]) for k in range(phi_d)], q
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +613,11 @@ class PrimeReduction:
         if x.conductor != self.conductor:
             raise ConductorMismatch(f"conductor {self.conductor} vs {x.conductor}")
         p = self.prime
-        acc = 0
-        for c, rk in zip(x.coeffs, self._powers):
-            if c:
-                den = c.denominator
-                if den % p == 0:
-                    raise NotReducible(f"{x.text()} has a denominator divisible by {p}")
-                term = c.numerator * rk
-                acc += term if den == 1 else term * pow(den, -1, p)
-        return acc % p
+        den = x.den
+        if den % p == 0:
+            raise NotReducible(f"{x.text()} has a denominator divisible by {p}")
+        acc = sum(c * rk for c, rk in zip(x.num, self._powers) if c)
+        return acc % p if den == 1 else acc * pow(den, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +629,7 @@ def root_of_unity(m: int, k: int) -> CycNum:
         raise ValueError("order must be a positive integer")
     k %= m
     g = gcd(k, m)
-    return CycNum(m // g, _zeta_power(m // g, k // g))
+    return _make(m // g, _zeta_power(m // g, k // g), 1)
 
 
 _TERM_RE = re.compile(
@@ -594,5 +659,8 @@ def parse_cyc(text: str, conductor: int) -> CycNum:
         exp = 0
         if zpart:
             exp = 1 if zpart == "z" else int(zpart[2:])
-        acc = acc + CycNum(conductor, [_ZERO] * exp + [sign * coeff])
+        # z^m = 1, so _zeta_power reduces the exponent mod m first
+        q = sign * coeff
+        term = [q.numerator * e for e in _zeta_power(conductor, exp)]
+        acc = acc + _canon(conductor, term, q.denominator)
     return acc

@@ -171,6 +171,7 @@ class ReflectionGroup:
         self._molien: MolienSeries | None = None
         self._cosets: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._orbits: dict[int, tuple[Orbit, ...]] = {}
+        self._transported: dict[tuple[int, int], tuple[CycNum, LinearForm]] = {}
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -230,7 +231,13 @@ class ReflectionGroup:
         if got is None:
             out = []
             for coset in self.right_cosets(s.element):
-                c, form = self.act_linear(coset[0], s.coroot)
+                # the powers of s share its co-root, so the transport to a
+                # representative is computed once per (representative, hyperplane)
+                key = (coset[0], s.hyperplane)
+                moved = self._transported.get(key)
+                if moved is None:
+                    moved = self._transported[key] = self.act_linear(coset[0], s.coroot)
+                c, form = moved
                 tau = tuple(c * s.eigenvalue**j for j in range(len(coset)))
                 out.append(Orbit(coset, form, tau))
             got = self._orbits[s.element] = tuple(out)

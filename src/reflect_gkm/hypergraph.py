@@ -188,14 +188,15 @@ def pairwise_membership(H: Hypergraph, F: GroupMap) -> list[EdgeWitness]:
     return out
 
 
-def pairwise_graded_dimension(group: ReflectionGroup, d: int) -> int:
+def pairwise_graded_dimension(hyper: Hypergraph, d: int) -> int:
     """Dimension of the degree-d maps passing only the pairwise control:
     first-order divisibility of F(a) - F(b) for every pair on every edge."""
+    group = hyper.group
     m = group.conductor
     nmono = len(graded_monomials(group.dimension, d))
     signs = (CycNum.one(m), -CycNum.one(m))
     rows = []
-    for edge in build_hypergraph(group).edges:
+    for edge in hyper.edges:
         conditions = condition_entries(edge.axial, 1, d, signs)
         for a in range(edge.size):
             for b in range(a + 1, edge.size):

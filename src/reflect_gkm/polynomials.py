@@ -60,7 +60,7 @@ def _as_coeff(value, conductor: int) -> CycNum:
             f"coefficient at conductor {value.conductor} in a polynomial over "
             f"conductor {conductor}"
         )
-    return CycNum.rational(conductor, Fraction(value))
+    return CycNum.rational(conductor, value)
 
 
 class MultiPoly:

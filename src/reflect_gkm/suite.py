@@ -515,9 +515,8 @@ def run_suite(
             member_dims = tuple(
                 len(membership_basis(group, d)) for d in range(dmax + 1)
             )
-        pairwise = tuple(
-            pairwise_graded_dimension(group, d) for d in range(dmax + 1)
-        )
+        H = build_hypergraph(group)
+        pairwise = tuple(pairwise_graded_dimension(H, d) for d in range(dmax + 1))
         all2 = all(s.order == 2 for s in group.reflections())
         control = ControlResult(pairwise, member_dims, all2)
         timings["control"] = time.perf_counter() - t0

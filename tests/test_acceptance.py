@@ -229,7 +229,7 @@ def test_edge_and_orbit_membership_agree():
 def test_pairwise_control_separates_higher_order():
     # order three: first-power pairwise conditions are strictly weaker
     z3 = the_group("z3")
-    assert pairwise_graded_dimension(z3, 1) == 3
+    assert pairwise_graded_dimension(build_hypergraph(z3), 1) == 3
     assert len(membership_basis(z3, 1)) == 2
 
     # order two everywhere: the two notions agree on the whole sample

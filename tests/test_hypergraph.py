@@ -242,12 +242,13 @@ def test_pairwise_is_weaker_exactly_on_high_order(z3, z2, s3, b2):
     # degree one over the order-three cyclic group: every pairwise
     # difference of linear maps is divisible by the axial line, so the
     # control accepts everything while true membership does not
-    assert pairwise_graded_dimension(z3, 1) == 3
+    assert pairwise_graded_dimension(build_hypergraph(z3), 1) == 3
     assert len(membership_basis(z3, 1)) == 2
     # when every reflection has order two the control is the whole story
     for group in (z2, s3, b2):
+        H = build_hypergraph(group)
         for d in range(4):
-            assert pairwise_graded_dimension(group, d) == len(
+            assert pairwise_graded_dimension(H, d) == len(
                 membership_basis(group, d)
             ), (group.name, d)
 
@@ -259,7 +260,8 @@ def test_pairwise_is_weaker_exactly_on_high_order(z3, z2, s3, b2):
 ])
 def test_pairwise_dimensions_on_higher_order_groups(name, pairwise, members):
     g = load_group(name)
-    assert [pairwise_graded_dimension(g, d) for d in range(4)] == pairwise
+    H = build_hypergraph(g)
+    assert [pairwise_graded_dimension(H, d) for d in range(4)] == pairwise
     assert [len(membership_basis(g, d)) for d in range(4)] == members
 
 
@@ -281,6 +283,27 @@ def test_vandermonde_inverse_once_per_edge(monkeypatch):
         hypergraph_membership(H, F)
     # every edge is interpolated for every map, but inverted once
     assert len(calls) == len(H.edges)
+
+
+@pytest.mark.parametrize("name, calls", [("g312", 39), ("z3", 1), ("z4", 2)])
+def test_orbit_tables_transport_each_coroot_once(name, calls, monkeypatch):
+    # the powers of a reflection share its co-root, so a fresh group acts
+    # once per distinct (coset representative, hyperplane)
+    g = load_group(name)
+    g.reflections()
+    seen = []
+    original = type(g).act_linear
+
+    def counting(self, i, form):
+        seen.append(i)
+        return original(self, i, form)
+
+    monkeypatch.setattr(type(g), "act_linear", counting)
+    build_hypergraph(g)
+    distinct = {
+        (orbit.rep, s.hyperplane) for s in g.reflections() for orbit in g.orbits(s)
+    }
+    assert len(seen) == len(distinct) == calls
 
 
 def test_pairwise_membership_control(z3):

@@ -1,5 +1,6 @@
 """End-to-end checks of the verification suite and the command line."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -103,6 +104,41 @@ def test_naive_control_agrees_for_order_two():
                        sections=("lemmas",))
     control = report.control
     assert control.agrees and control.all_order_two and control.ok
+
+
+def test_naive_control_builds_the_hypergraph_once(monkeypatch):
+    import reflect_gkm.hypergraph as hypergraph_module
+    import reflect_gkm.suite as suite_module
+
+    calls = []
+    original = hypergraph_module.build_hypergraph
+
+    def counting(group):
+        calls.append(group.name)
+        return original(group)
+
+    monkeypatch.setattr(suite_module, "build_hypergraph", counting)
+    monkeypatch.setattr(hypergraph_module, "build_hypergraph", counting)
+    run_suite("z3", dmax=3, trials=1, sections=("theorem",), naive_control=True)
+    assert calls == ["z3"]
+
+
+# sha256 of run_suite(name, dmax=3, trials=1).to_json(), recorded before the
+# scalar layer moved to integer numerators; any change to report bytes fails
+REPORT_DIGESTS = {
+    "z2": "00c88cb4090e00d71ad352ac238d8c596810964023a54455e62972ed49babfa8",
+    "z3": "2c621e1bc7552fad65d8fe42094d6a70b249262a323722f4d244def21a5e8efc",
+    "z4": "b3a58c47eaa55536647e341ac0077e1d3553ed00c039136b0f4992040c95d0f3",
+    "s3": "708421222dbd059ebc0873328934647d79f3ec7b96710289591d833c1912620e",
+    "b2": "4a9e7c71a10cb908a9bdfd1a4dcdae0d9d724d38fb4c93b31b43752f6f918d77",
+    "g312": "4ac439352d1282cf5e87bfb2d724d17a12052198e0843a8cd6d4502190a281ef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(name):
+    blob = run_suite(name, dmax=3, trials=1).to_json()
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_DIGESTS[name]
 
 
 def test_refuses_group_not_generated_by_reflections(tmp_path):
