@@ -41,7 +41,15 @@ USAGE_ERROR = 2
 
 
 class UsageError(Exception):
-    """A command-line value is out of range."""
+    """A command-line value is out of range, or an output path cannot be
+    written."""
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _add_group_arg(p: argparse.ArgumentParser) -> None:
@@ -69,9 +77,7 @@ def _emit(args, payload: dict, human: str) -> None:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        _write(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(human)
 
 
@@ -310,7 +316,7 @@ def _cmd_hypergraph_export(args) -> int:
     H = build_hypergraph(g)
     text = to_dot(H) if args.format == "dot" else to_json(H)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         sys.stdout.write(
             f"wrote {args.format} hypergraph for {g.name} "
             f"({len(H.edges)} edges) to {args.out}\n"

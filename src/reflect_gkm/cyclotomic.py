@@ -654,7 +654,10 @@ def parse_cyc(text: str, conductor: int) -> CycNum:
         m = _TERM_RE.match(piece[1:])
         if m is None:
             raise ValueError(f"bad term {piece!r} in cyclotomic literal {text!r}")
-        coeff = Fraction(m.group("rat")) if m.group("rat") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("rat") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in cyclotomic literal {text!r}") from None
         zpart = m.group("pz") or m.group("z")
         exp = 0
         if zpart:

@@ -46,7 +46,7 @@ from .cyclotomic import (
     upoly_mul,
     upoly_trim,
 )
-from .linalg import mat_identity, mat_inv, mat_mul, rank
+from .linalg import mat_identity, mat_inv, mat_mul, mat_vec, rank
 from .polynomials import LinearForm, LinearSubstitution, MultiPoly
 
 __all__ = [
@@ -261,10 +261,7 @@ class ReflectionGroup:
     def act_linear(self, i: int, form: LinearForm) -> tuple[CycNum, LinearForm]:
         """w . form, split as (scale, normalized form)."""
         inv_matrix = self.elements[self.inverse_table[i]].matrix
-        n = self.dimension
-        coeffs = [
-            _dot_col(form.coeffs, inv_matrix, j, self.conductor) for j in range(n)
-        ]
+        coeffs = mat_vec(tuple(zip(*inv_matrix)), form.coeffs)
         return LinearForm.normalize(coeffs, self.conductor)
 
     # -- reflections -------------------------------------------------------
@@ -352,14 +349,6 @@ class ReflectionGroup:
 
     def __repr__(self):
         return f"ReflectionGroup({self.name!r}, order={self.order})"
-
-
-def _dot_col(coeffs, matrix, j, conductor):
-    acc = CycNum.zero(conductor)
-    for k, c in enumerate(coeffs):
-        if c:
-            acc = acc + c * matrix[k][j]
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +520,8 @@ def load_group(source) -> ReflectionGroup:
         raise GroupFileError(f"no such group file or bundled name: {source}")
     try:
         data = json.loads(path.read_text())
+    except OSError as exc:
+        raise GroupFileError(f"cannot read {source}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise GroupFileError(f"{path}: invalid JSON ({exc})") from None
     return parse_group_dict(data)

@@ -28,7 +28,7 @@ The edge integral with insertion exponent k is the Lagrange sum
 a rational section with poles only along the axial form.  Collapsing the
 scalar weights shows it equals g_{r-1-k}, so it is computed by two
 independent routes (Lagrange scalars, eigenvalue-weighted orbit sums) and
-compared after clearing the common axial power.
+compared; both carry the same axial power, so the numerators must agree.
 
 The pairwise condition (adjacent values congruent modulo the axial form,
 first order only) is kept as a deliberately weaker control: it agrees with
@@ -239,18 +239,17 @@ def _check_insertion(k: int):
 
 def edge_integral(edge: HyperEdge, F: GroupMap, k: int) -> EdgeSection:
     """Lagrange route: scalar weights tau_j^k / prod_{l != j}(tau_j - tau_l),
-    summed against the vertex values.  For k >= size - 1 the section power
+    summed against the vertex values.  The reciprocal product is the last
+    row of the edge's Vandermonde inverse (the leading coefficient of the
+    j-th Lagrange basis polynomial).  For k >= size - 1 the section power
     is nonpositive and the result is automatically polynomial."""
     _check_insertion(k)
     r = edge.size
     n, m = F.group.dimension, F.group.conductor
+    leading = edge.vandermonde_inverse[r - 1]
     total = MultiPoly.zero(n, m)
     for j in range(r):
-        denom = CycNum.one(m)
-        for l in range(r):
-            if l != j:
-                denom = denom * (edge.tau[j] - edge.tau[l])
-        weight = edge.tau[j] ** k * denom.inverse()
+        weight = edge.tau[j] ** k * leading[j]
         total = total + F.values[edge.members[j]] * weight
     return EdgeSection(total, r - 1 - k)
 
@@ -274,10 +273,9 @@ def edge_integral_weighted(edge: HyperEdge, F: GroupMap, k: int) -> EdgeSection:
 
 
 def integral_identity(edge: HyperEdge, F: GroupMap, k: int) -> bool:
-    """Do the two routes agree as rational sections?"""
-    return sections_equal(
-        edge_integral(edge, F, k), edge_integral_weighted(edge, F, k), edge.axial
-    )
+    """Do the two routes agree as rational sections?  Both carry the power
+    size - 1 - k, so equal sections have equal numerators."""
+    return edge_integral(edge, F, k) == edge_integral_weighted(edge, F, k)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ an exact coefficient matrix over graded monomials.  The Reynolds projector
 averages over the group, the degree-d piece of the Hilbert ideal is spanned
 by products of positive-degree invariants with complementary monomials, and
 the coinvariant ring R / J is presented by greedy standard monomials in
-graded-lex order so bases are reproducible run to run.
+graded-lex order so bases are reproducible run to run.  A degree-d
+monomial is standard exactly when no element of J_d has its last nonzero
+coefficient (in graded-lex order) at that monomial; these are the
+non-pivot columns of the row reduction of J_d with its columns reversed.
+Every basis here is read off linalg.rref.
 
 The degree histogram of the standard monomials must match the coefficients
 of prod_i (1 + t + ... + t^{d_i - 1}); a mismatch means the group is not a
@@ -20,6 +24,7 @@ from weakref import WeakKeyDictionary
 
 from .cyclotomic import CycNum
 from .groups import ReflectionGroup
+from .linalg import rref
 from .polynomials import MultiPoly, graded_monomials
 
 __all__ = [
@@ -82,42 +87,18 @@ def reynolds(group: ReflectionGroup, f: MultiPoly) -> MultiPoly:
     return acc / group.order
 
 
-class _Echelon:
-    """Incremental row echelon form over exact coefficients; rows are kept
-    pivot-normalized and reduction walks pivots in ascending column order."""
-
-    def __init__(self):
-        self.rows: dict[int, list] = {}
-
-    def reduce(self, row: list) -> list:
-        for p in sorted(self.rows):
-            c = row[p]
-            if c:
-                stored = self.rows[p]
-                row = [a - c * b if b else a for a, b in zip(row, stored)]
-        return row
-
-    def add(self, row: list) -> bool:
-        row = self.reduce(row)
-        pivot = next((k for k, c in enumerate(row) if c), None)
-        if pivot is None:
-            return False
-        inv = row[pivot].inverse()
-        self.rows[pivot] = [c * inv for c in row]
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def _coeff_row(f: MultiPoly, monomials, conductor: int) -> list[CycNum]:
     zero = CycNum.zero(conductor)
     return [f.terms.get(e, zero) for e in monomials]
 
 
-def _row_poly(row, monomials, nvars: int, conductor: int) -> MultiPoly:
-    return MultiPoly(nvars, conductor, {e: c for e, c in zip(monomials, row) if c})
+def _reduced_basis(rows, monomials, nvars: int, conductor: int) -> list[MultiPoly]:
+    """The nonzero rows of rref(rows) as polynomials, in pivot order."""
+    red, pivots = rref(rows)
+    return [
+        MultiPoly(nvars, conductor, {e: c for e, c in zip(monomials, row) if c})
+        for row in red[: len(pivots)]
+    ]
 
 
 _CACHE: "WeakKeyDictionary[ReflectionGroup, dict]" = WeakKeyDictionary()
@@ -131,49 +112,41 @@ def _group_cache(group: ReflectionGroup) -> dict:
 
 
 def invariant_basis(group: ReflectionGroup, d: int) -> GradedBasis:
-    """Row-reduced basis of the degree-d invariants, via Reynolds images of
-    the degree-d monomials."""
+    """Basis of the degree-d invariants in reduced row echelon form, via
+    Reynolds images of the degree-d monomials."""
     cache = _group_cache(group)
     got = cache.get(("inv", d))
     if got is not None:
         return got
     n, m = group.dimension, group.conductor
     monomials = graded_monomials(n, d)
-    ech = _Echelon()
+    rows = []
     for exps in monomials:
         image = reynolds(group, MultiPoly(n, m, {exps: 1}))
         if image:
-            ech.add(_coeff_row(image, monomials, m))
-    vectors = [
-        _row_poly(ech.rows[p], monomials, n, m) for p in sorted(ech.rows)
-    ]
-    out = GradedBasis(d, vectors)
+            rows.append(_coeff_row(image, monomials, m))
+    out = GradedBasis(d, _reduced_basis(rows, monomials, n, m))
     cache[("inv", d)] = out
     return out
 
 
 def hilbert_ideal_piece(group: ReflectionGroup, d: int) -> GradedBasis:
     """Degree-d piece of the ideal generated by positive-degree invariants:
-    the span of (R^W)_e * R_{d-e} over 0 < e <= d, row-reduced."""
+    the span of (R^W)_e * R_{d-e} over 0 < e <= d, in reduced row echelon
+    form."""
     cache = _group_cache(group)
     got = cache.get(("ideal", d))
     if got is not None:
         return got
     n, m = group.dimension, group.conductor
     monomials = graded_monomials(n, d)
-    ech = _Echelon()
+    rows = []
     for e in range(1, d + 1):
-        piece = invariant_basis(group, e)
-        if not piece.vectors:
-            continue
-        for inv in piece.vectors:
+        for inv in invariant_basis(group, e).vectors:
             for exps in graded_monomials(n, d - e):
                 prod = inv * MultiPoly(n, m, {exps: 1})
-                ech.add(_coeff_row(prod, monomials, m))
-    vectors = [
-        _row_poly(ech.rows[p], monomials, n, m) for p in sorted(ech.rows)
-    ]
-    out = GradedBasis(d, vectors)
+                rows.append(_coeff_row(prod, monomials, m))
+    out = GradedBasis(d, _reduced_basis(rows, monomials, n, m))
     cache[("ideal", d)] = out
     return out
 
@@ -207,7 +180,8 @@ def tensor_hilbert_coefficients(degrees, nvars: int, dmax: int) -> list[int]:
 
 def coinvariant_basis(group: ReflectionGroup, dmax: int | None = None) -> CoinvariantBasis:
     """Greedy graded-lex standard monomials presenting R / J degree by
-    degree; lifts are the selected monomials themselves."""
+    degree; lifts are the selected monomials themselves (the selection
+    rule is in the module docstring)."""
     degrees = group.fundamental_degrees()
     top = sum(d - 1 for d in degrees)
     if dmax is None:
@@ -222,14 +196,12 @@ def coinvariant_basis(group: ReflectionGroup, dmax: int | None = None) -> Coinva
     degs: list[int] = []
     for d in range(dmax + 1):
         monomials = graded_monomials(n, d)
-        ech = _Echelon()
-        for vec in hilbert_ideal_piece(group, d).vectors:
-            ech.add(_coeff_row(vec, monomials, m))
+        reverse = monomials[::-1]
+        rows = [_coeff_row(v, reverse, m) for v in hilbert_ideal_piece(group, d).vectors]
+        leading = {len(monomials) - 1 - col for col in rref(rows)[1]}
         count = 0
         for pos, exps in enumerate(monomials):
-            row = [CycNum.zero(m)] * len(monomials)
-            row[pos] = CycNum.one(m)
-            if ech.add(row):
+            if pos not in leading:
                 lifts.append(MultiPoly(n, m, {exps: 1}))
                 degs.append(d)
                 count += 1

@@ -5,7 +5,10 @@ so the first nonzero entry in a column is as good a pivot as any, and doing
 it this way keeps every basis and nullspace deterministic, which the
 verification reports rely on.  Everything accepts CycNum entries; Fractions
 work too since only +, -, *, / and truthiness are used.  rank_mod_p is the
-one exception: it works on integers modulo a prime.
+one exception: it works on integers modulo a prime.  rref is the package's
+only elimination over Q(zeta_m); cyclotomic._subfield_coords, fraction-free
+over the integers, is the other one outside this module, since cyclotomic
+sits below linalg in the import order.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "rank",
     "rank_mod_p",
     "rref",
-    "solve",
 ]
 
 Matrix = tuple[tuple[CycNum, ...], ...]
@@ -101,23 +103,6 @@ def nullspace(rows: Sequence[Sequence], ncols: int, conductor: int) -> list[tupl
                 vec[pc] = -entry
         basis.append(tuple(vec))
     return basis
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence, conductor: int) -> tuple[CycNum, ...] | None:
-    """One exact solution of rows * x = rhs with free variables set to zero,
-    or None when the system is inconsistent."""
-    if not rows:
-        return tuple()
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    zero = CycNum.zero(conductor)
-    sol = [zero] * ncols
-    for k, pc in enumerate(pivots):
-        sol[pc] = red[k][ncols]
-    return tuple(sol)
 
 
 # -- small dense matrices (group elements) -----------------------------------

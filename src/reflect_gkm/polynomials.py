@@ -537,8 +537,7 @@ def _split_factors(s: str) -> list[str]:
 
 import re as _re
 
-_RAT_RE = _re.compile(r"^\d+(?:/\d+)?$")
-_ZPOW_RE = _re.compile(r"^z(?:\^\d+)?$")
+_SCALAR_RE = _re.compile(r"^(?:\d+(?:/\d+)?|z(?:\^\d+)?)$")
 
 
 def parse_poly(
@@ -560,9 +559,7 @@ def parse_poly(
         for factor in _split_factors(chunk):
             if factor.startswith("(") and factor.endswith(")"):
                 coeff = coeff * parse_cyc(factor[1:-1], conductor)
-            elif _RAT_RE.match(factor):
-                coeff = coeff * Fraction(factor)
-            elif _ZPOW_RE.match(factor):
+            elif _SCALAR_RE.match(factor):
                 coeff = coeff * parse_cyc(factor, conductor)
             else:
                 m = _re.match(r"^(.*?)(?:\^(\d+))?$", factor)

@@ -190,6 +190,33 @@ def test_integral_large_insertion_is_polynomial(z2, z3):
         edge_integral(build_hypergraph(z2).edges[0], GroupMap.constant(z2, 1), -1)
 
 
+def _lagrange_product_integral(edge, F, k):
+    # the Lagrange weights from the explicit products, as edge_integral
+    # computed them before it read the Vandermonde inverse
+    m = F.group.conductor
+    total = MultiPoly.zero(F.group.dimension, m)
+    for j in range(edge.size):
+        denom = CycNum.one(m)
+        for l in range(edge.size):
+            if l != j:
+                denom = denom * (edge.tau[j] - edge.tau[l])
+        total = total + F.values[edge.members[j]] * (edge.tau[j] ** k * denom.inverse())
+    return total
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3", "b2", "g312"])
+def test_edge_integral_matches_lagrange_products(name):
+    group = load_group(name)
+    rng = random.Random(59)
+    maps = (random_member(rng, group, max_degree=3), random_nonmember(rng, group))
+    for edge in build_hypergraph(group).edges:
+        for F in maps:
+            for k in range(edge.size + 1):
+                sec = edge_integral(edge, F, k)
+                assert sec.power == edge.size - 1 - k
+                assert sec.poly == _lagrange_product_integral(edge, F, k)
+
+
 def test_incidence_index(s3, z4):
     for group in (s3, z4):
         H = build_hypergraph(group)

@@ -83,12 +83,49 @@ def test_ideal_plus_coinvariants_fill_each_degree(s3):
         assert ideal + standard == total, d
 
 
-def test_coinvariant_basis_small(z2, z3):
-    b = coinvariant_basis(z2)
-    assert [poly_text(p) for p in b.lifts] == ["1", "x1"]
-    assert b.degrees == [0, 1]
-    b3 = coinvariant_basis(z3)
-    assert [poly_text(p) for p in b3.lifts] == ["1", "x1", "x1^2"]
+# The greedy graded-lex standard monomials of every bundled group.  The
+# report digests cannot see this choice: the degree rows do not depend on
+# which lifts are picked.
+LIFTS = {
+    "z2": "1,x1",
+    "z3": "1,x1,x1^2",
+    "z4": "1,x1,x1^2,x1^3",
+    "s3": "1,x1,x2,x1^2,x1*x2,x1^2*x2",
+    "b2": "1,x1,x2,x1^2,x1*x2,x1^3,x1^2*x2,x1^3*x2",
+    "g312": "1,x1,x2,x1^2,x1*x2,x2^2,x1^3,x1^2*x2,x1*x2^2,x1^4,x1^3*x2,"
+    "x1^2*x2^2,x1^5,x1^4*x2,x1^3*x2^2,x1^5*x2,x1^4*x2^2,x1^5*x2^2",
+}
+
+
+def test_coinvariant_basis_small():
+    for name, lifts in LIFTS.items():
+        b = coinvariant_basis(load_group(name))
+        assert ",".join(poly_text(p) for p in b.lifts) == lifts, name
+        assert b.degrees == [sum(next(iter(p.terms))) for p in b.lifts], name
+
+
+def _is_rref(vectors, monomials):
+    pivots = [next(k for k, e in enumerate(monomials) if e in v.terms) for v in vectors]
+    if pivots != sorted(set(pivots)):
+        return False
+    for i, v in enumerate(vectors):
+        for j, p in enumerate(pivots):
+            want = 1 if i == j else 0
+            if v.terms.get(monomials[p], 0) != want:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(LIFTS))
+def test_invariant_and_ideal_bases_are_reduced(name):
+    g = load_group(name)
+    for d in range(6):
+        monomials = graded_monomials(g.dimension, d)
+        inv = invariant_basis(g, d).vectors
+        for v in inv:
+            assert reynolds(g, v) == v
+        assert _is_rref(inv, monomials)
+        assert _is_rref(hilbert_ideal_piece(g, d).vectors, monomials)
 
 
 def test_coinvariant_histograms():

@@ -8,12 +8,10 @@ from reflect_gkm.linalg import (
     mat_identity,
     mat_inv,
     mat_mul,
-    mat_vec,
     nullspace,
     rank,
     rank_mod_p,
     rref,
-    solve,
 )
 
 
@@ -52,15 +50,6 @@ def test_nullspace_orthogonality():
 def test_nullspace_of_empty_system():
     basis = nullspace([], 2, 1)
     assert len(basis) == 2
-
-
-def test_solve_consistent_and_not():
-    rows = [[c(1), c(2)], [c(3), c(4)]]
-    sol = solve(rows, [c(5), c(6)], 1)
-    assert sol is not None
-    assert mat_vec(tuple(tuple(r) for r in rows), sol) == (c(5), c(6))
-    bad = solve([[c(1), c(1)], [c(2), c(2)]], [c(0), c(1)], 1)
-    assert bad is None
 
 
 def test_matrix_inverse_over_cyclotomics():

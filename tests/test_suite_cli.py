@@ -293,6 +293,31 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    bad_map = tmp_path / "map.json"
+    bad_map.write_text(json.dumps({"values": {"0": "1/0*x1"}}))
+    assert main(["member", "--group", "z3", "--input", str(bad_map)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+    bad_group = tmp_path / "group.json"
+    bad_group.write_text(json.dumps({**MINUS_IDENTITY, "generators": [["1/0", "0", "0", "1"]]}))
+    assert main(["group", "info", "--group", str(bad_group)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_cli_unreadable_and_unwritable_paths(tmp_path, capsys):
+    assert main(["group", "info", "--group", str(tmp_path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    missing = tmp_path / "missing"
+    argv = ["hypergraph", "export", "--group", "z2", "--format", "dot",
+            "--out", str(missing / "x.dot")]
+    assert main(argv) == 2
+    assert "cannot write" in capsys.readouterr().err
+    argv = ["verify", "theorem", "--group", "z2", "--max-degree", "1", "--trials", "1",
+            "--json", str(missing / "r.json")]
+    assert main(argv) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bounds", [
     ["--max-degree", "-1", "--trials", "0"],
     ["--max-degree", "2", "--trials", "-1"],
