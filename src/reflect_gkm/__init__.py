@@ -14,6 +14,7 @@ from .equivariant import (
     MapFileError,
     MembershipCertificate,
     MembershipFailure,
+    MembershipRuleViolated,
     NotAMember,
     coroot_map,
     divided_difference,
@@ -89,6 +90,7 @@ __all__ = [
     "MapFileError",
     "MembershipCertificate",
     "MembershipFailure",
+    "MembershipRuleViolated",
     "MultiPoly",
     "NotAMember",
     "NotDivisible",

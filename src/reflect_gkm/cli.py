@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -50,6 +51,21 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work is
+    done for it."""
+    target = Path(path)
+    if target.is_dir():
+        reason = "it is a directory"
+    elif not target.parent.is_dir():
+        reason = f"no directory {target.parent}"
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {reason}")
 
 
 def _add_group_arg(p: argparse.ArgumentParser) -> None:
@@ -377,6 +393,9 @@ def main(argv=None) -> int:
     }
     key = (args.command, getattr(args, "subcommand", None))
     try:
+        for path in (getattr(args, "json", None), getattr(args, "out", None)):
+            if isinstance(path, str):
+                _check_writable(path)
         return handlers[key](args)
     except (
         GroupFileError,

@@ -21,6 +21,25 @@ localization images of tensors, which is what the verification suite
 establishes degree by degree; this module only provides the certificates
 and the graded nullspace the comparison needs.
 
+membership decides the verdict from one reflection per hyperplane K: a
+generator s of the cyclic stabilizer W_K, of maximal order e = e_K, taken
+first in reflections() order.  Write S_c(x) = sum_{j<e} lambda^{-cj}
+F(x s^j) for its weighted sums on the coset x<s>.  The other reflections
+with hyperplane K are the powers s^k, and they add nothing:
+
+  * if gcd(k, e) = 1, s^k has eigenvalue lambda^k and the same cosets, and
+    reindexing j -> kj mod e turns its order-i sum into S_i itself;
+  * if gcd(k, e) = g > 1, s^k has order e/g, and discrete Fourier inversion
+    F(x s^a) = (1/e) sum_c lambda^{ca} S_c(x) gives its order-i sum on the
+    sub-coset through x as (1/g) sum of S_c over c = i (mod e/g); every
+    such c is >= i, so ell^c | S_c makes it divisible by ell^i.
+
+So the verdict checks S_i for 1 <= i < e on every coset, hyperplane by
+hyperplane, and returns at the first failure.  The certificate's failures
+list is still per reflection, over every pseudo-reflection and power,
+exactly as the definition reads; it is built by that full loop when it is
+first read, which only the command line does.
+
 divided_difference is the same weighted average acting on a single
 polynomial through the group action instead of along orbits; values of
 orbit differences of members are where it shows up downstream.
@@ -45,6 +64,7 @@ from .polynomials import (
     hyperplane_coordinates,
     parse_poly,
     poly_text,
+    weighted_sum,
 )
 
 __all__ = [
@@ -52,6 +72,7 @@ __all__ = [
     "MapFileError",
     "MembershipCertificate",
     "MembershipFailure",
+    "MembershipRuleViolated",
     "NotAMember",
     "condition_entries",
     "coroot_map",
@@ -69,6 +90,12 @@ __all__ = [
 
 class MapFileError(Exception):
     """A group-map file violates the schema."""
+
+
+class MembershipRuleViolated(Exception):
+    """membership() said "not a member" but no condition over all
+    pseudo-reflections fails: the one-generator-per-hyperplane rule and the
+    full definition disagree, which is a library bug."""
 
 
 class NotAMember(Exception):
@@ -207,13 +234,26 @@ class MembershipFailure:
     witness: NotDivisible
 
 
-@dataclass
 class MembershipCertificate:
-    failures: list[MembershipFailure]
+    """The verdict ok, and the failing (coset, reflection, power)
+    conditions.  A certificate from membership() carries the map and lists
+    its failures, over every pseudo-reflection, on first read."""
+
+    def __init__(self, ok: bool, F: GroupMap | None = None, failures=None):
+        self.ok = ok
+        self._map = F
+        self._failures = failures
 
     @property
-    def ok(self) -> bool:
-        return not self.failures
+    def failures(self) -> list[MembershipFailure]:
+        if self._failures is None:
+            self._failures = [] if self.ok else _all_failures(self._map)
+            if not self.ok and not self._failures:
+                raise MembershipRuleViolated(
+                    "membership verdict is 'not a member' but every "
+                    "divisibility condition holds"
+                )
+        return self._failures
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +271,15 @@ def coroot_map(group: ReflectionGroup, s: PseudoReflection) -> GroupMap:
     return GroupMap(group, values)
 
 
+def _weights(s: PseudoReflection, i: int) -> list[CycNum]:
+    """lambda^{-ij} for j < order(s)."""
+    w = s.eigenvalue ** (-i)
+    out = [CycNum.one(w.conductor)]
+    for _ in range(s.order - 1):
+        out.append(out[-1] * w)
+    return out
+
+
 def divided_difference(group: ReflectionGroup, s: PseudoReflection, i: int, f: MultiPoly):
     """ell_s^-i sum_j lambda^{-ij} s^j(f) on a single polynomial.
 
@@ -238,13 +287,8 @@ def divided_difference(group: ReflectionGroup, s: PseudoReflection, i: int, f: M
     library bug and is asserted); beyond that the result may genuinely be
     non-polynomial and NotDivisible is returned as data.
     """
-    powers = group.cyclic_powers(s.element)
-    w = s.eigenvalue ** (-i)
-    acc = MultiPoly.zero(group.dimension, group.conductor)
-    weight = CycNum.one(group.conductor)
-    for p in powers:
-        acc = acc + group.act(p, f) * weight
-        weight = weight * w
+    moved = (group.act(p, f) for p in group.cyclic_powers(s.element))
+    acc = weighted_sum(zip(moved, _weights(s, i)), group.dimension, group.conductor)
     res = divide_by_linear_power(acc, s.coroot, i)
     if isinstance(res, NotDivisible) and i <= s.order - 1:
         raise AssertionError(
@@ -253,45 +297,69 @@ def divided_difference(group: ReflectionGroup, s: PseudoReflection, i: int, f: M
     return res
 
 
+def _orbit_quotients(group: ReflectionGroup, s: PseudoReflection, i: int, F: GroupMap):
+    """(orbit, weighted orbit sum / form^i) for each orbit of s in turn;
+    the quotient is NotDivisible where the division fails."""
+    weights = _weights(s, i)
+    n, m = group.dimension, group.conductor
+    for orbit in group.orbits(s):
+        values = (F.values[x] for x in orbit.members)
+        acc = weighted_sum(zip(values, weights), n, m)
+        yield orbit, divide_by_linear_power(acc, orbit.form, i)
+
+
 def orbit_difference(group: ReflectionGroup, s: PseudoReflection, i: int, F: GroupMap):
     """The order-i weighted difference of F along right <s>-orbits; returns
     the certificate of failed divisibilities instead of a map when F is not
     smooth enough."""
-    w = s.eigenvalue ** (-i)
     values: list[MultiPoly | None] = [None] * group.order
     failures: list[MembershipFailure] = []
-    for orbit in group.orbits(s):
-        acc = MultiPoly.zero(group.dimension, group.conductor)
-        weight = CycNum.one(group.conductor)
-        for member in orbit.members:
-            acc = acc + F.values[member] * weight
-            weight = weight * w
-        c = orbit.scale
-        if i > 0:
-            res = divide_by_linear_power(acc, orbit.form, i)
-            if isinstance(res, NotDivisible):
-                failures.append(MembershipFailure(orbit.rep, s, i, res))
-                continue
-            value = res * c ** (-i)
-        else:
-            value = acc * orbit.form.as_poly() ** (-i) * c ** (-i)
+    for orbit, res in _orbit_quotients(group, s, i, F):
+        if isinstance(res, NotDivisible):
+            failures.append(MembershipFailure(orbit.rep, s, i, res))
+            continue
+        value = res * orbit.scale ** (-i)
         for member in orbit.members:
             values[member] = value
     if failures:
-        return MembershipCertificate(failures)
+        return MembershipCertificate(False, failures=failures)
     return GroupMap(group, values)
 
 
+def _hyperplane_generators(group: ReflectionGroup) -> list[PseudoReflection]:
+    """One reflection of maximal order per hyperplane, the first such in
+    reflections() order."""
+    best: dict[int, PseudoReflection] = {}
+    for s in group.reflections():
+        got = best.get(s.hyperplane)
+        if got is None or s.order > got.order:
+            best[s.hyperplane] = s
+    return list(best.values())
+
+
 def membership(F: GroupMap) -> MembershipCertificate:
-    """Certificate that every orbit difference of F stays polynomial, over
-    all pseudo-reflections and all orders 1 <= i < order(s)."""
+    """Is F a member?  Decided from one generator per hyperplane (see the
+    module docstring), stopping at the first failed division; the
+    certificate lists the failures over all pseudo-reflections on read."""
+    group = F.group
+    for s in _hyperplane_generators(group):
+        for i in range(1, s.order):
+            for _, res in _orbit_quotients(group, s, i, F):
+                if isinstance(res, NotDivisible):
+                    return MembershipCertificate(False, F)
+    return MembershipCertificate(True)
+
+
+def _all_failures(F: GroupMap) -> list[MembershipFailure]:
+    """Every failing (coset, reflection, power), over all pseudo-reflections
+    and all orders 1 <= i < order(s)."""
     failures: list[MembershipFailure] = []
     for s in F.group.reflections():
         for i in range(1, s.order):
             res = orbit_difference(F.group, s, i, F)
             if isinstance(res, MembershipCertificate):
                 failures.extend(res.failures)
-    return MembershipCertificate(failures)
+    return failures
 
 
 def orbit_decomposition(group: ReflectionGroup, F: GroupMap, s: PseudoReflection) -> list[GroupMap]:
@@ -322,11 +390,11 @@ def condition_entries(form: LinearForm, power: int, d: int, weights) -> tuple[in
     if not low:
         return 0, []
     row_of = {e: k for k, e in enumerate(low)}
-    coords = hyperplane_coordinates(form)
+    to_axis = hyperplane_coordinates(form)
     entries = [
         (row_of[e], k, [wt * c for wt in weights])
         for k, mono in enumerate(monomials)
-        for e, c in coords.to_axis_sub.monomial_image(mono).terms.items()
+        for e, c in to_axis.monomial_image(mono).terms.items()
         if e in row_of
     ]
     return len(low), entries

@@ -53,6 +53,7 @@ from .polynomials import (
     divide_by_linear_power,
     graded_monomials,
     poly_text,
+    weighted_sum,
 )
 
 __all__ = [
@@ -69,7 +70,6 @@ __all__ = [
     "pairwise_graded_dimension",
     "pairwise_membership",
     "section_polynomial",
-    "sections_equal",
     "to_dot",
     "to_json_dict",
 ]
@@ -143,15 +143,11 @@ class EdgeWitness:
 def edge_quotients(edge: HyperEdge, F: GroupMap):
     """Interpolate F along the edge and divide; the list of quotients
     g_i = h_i / axial^i, or an EdgeWitness at the first failure."""
-    r = edge.size
     n, m = F.group.dimension, F.group.conductor
-    Vinv = edge.vandermonde_inverse
     values = [F.values[p] for p in edge.members]
     quotients = []
-    for i in range(r):
-        h = MultiPoly.zero(n, m)
-        for j in range(r):
-            h = h + values[j] * Vinv[i][j]
+    for i, row in enumerate(edge.vandermonde_inverse):
+        h = weighted_sum(zip(values, row), n, m)
         res = divide_by_linear_power(h, edge.axial, i)
         if isinstance(res, NotDivisible):
             return EdgeWitness(edge, i, res)
@@ -219,14 +215,6 @@ class EdgeSection:
     power: int
 
 
-def sections_equal(a: EdgeSection, b: EdgeSection, axial: LinearForm) -> bool:
-    """Equality after clearing the common axial power."""
-    q = min(a.power, b.power)
-    lhs = a.poly * axial.as_poly() ** (b.power - q)
-    rhs = b.poly * axial.as_poly() ** (a.power - q)
-    return lhs == rhs
-
-
 def section_polynomial(section: EdgeSection, axial: LinearForm):
     """The section as a polynomial, or NotDivisible when it has a pole."""
     return divide_by_linear_power(section.poly, axial, section.power)
@@ -245,12 +233,11 @@ def edge_integral(edge: HyperEdge, F: GroupMap, k: int) -> EdgeSection:
     is nonpositive and the result is automatically polynomial."""
     _check_insertion(k)
     r = edge.size
-    n, m = F.group.dimension, F.group.conductor
     leading = edge.vandermonde_inverse[r - 1]
-    total = MultiPoly.zero(n, m)
-    for j in range(r):
-        weight = edge.tau[j] ** k * leading[j]
-        total = total + F.values[edge.members[j]] * weight
+    pairs = (
+        (F.values[x], t**k * lead) for x, t, lead in zip(edge.members, edge.tau, leading)
+    )
+    total = weighted_sum(pairs, F.group.dimension, F.group.conductor)
     return EdgeSection(total, r - 1 - k)
 
 
@@ -260,16 +247,14 @@ def edge_integral_weighted(edge: HyperEdge, F: GroupMap, k: int) -> EdgeSection:
     _check_insertion(k)
     r = edge.size
     i = r - 1 - k
-    lam = edge.reflection.eigenvalue
-    n, m = F.group.dimension, F.group.conductor
-    acc = MultiPoly.zero(n, m)
-    w = lam ** (-i)
-    weight = CycNum.one(m)
-    for j in range(r):
-        acc = acc + F.values[edge.members[j]] * weight
+    w = edge.reflection.eigenvalue ** (-i)
+    weight = edge.tau[0] ** (-i) / r
+    pairs = []
+    for x in edge.members:
+        pairs.append((F.values[x], weight))
         weight = weight * w
-    c = edge.tau[0]
-    return EdgeSection(acc * (c ** (-i) / r), i)
+    acc = weighted_sum(pairs, F.group.dimension, F.group.conductor)
+    return EdgeSection(acc, i)
 
 
 def integral_identity(edge: HyperEdge, F: GroupMap, k: int) -> bool:

@@ -11,17 +11,20 @@ than one power of z is parenthesized, ``(z + 1)*x1``.  parse_poly inverts
 poly_text bit-exactly.
 
 The workhorse for everything downstream is exact division by a power of a
-linear form.  Rather than polynomial long division, we move to coordinates
-in which the form is the first variable: for a normalized form ell with
-pivot variable x_p, the substitution
+linear form.  A normalized form is ell = x_p + a(x') with pivot variable
+x_p and a a linear form in the other variables x'.  Writing f as a
+polynomial in x_p with coefficients in x', one division by ell is
+synthetic division by x_p - (-a), i.e. Horner's rule in x_p: from the top
+x_p-degree down, each quotient coefficient is the next coefficient of f
+plus -a times the previous one, one linear-form product per step, and what
+is left at the bottom is the remainder f(x_p = -a), a polynomial in x'
+alone.  ell divides f exactly when that remainder is zero.  Division by
+ell^k repeats the step on the quotient and stops at the first nonzero
+remainder: after v exact steps that remainder is the component of f of
+order exactly v along ell, and ell^v times it is the NotDivisible witness.
 
-    u_1 = ell(x),   u_2.. = the remaining variables in order
-
-is invertible and triangular, so f is divisible by ell^k exactly when every
-monomial of the rewritten polynomial carries u_1-exponent at least k.  The
-change of coordinates is cached per hyperplane and memoized per monomial,
-because the membership systems later ask for the same transforms over and
-over.
+weighted_sum is the one kernel for linear combinations sum_k w_k f_k with
+scalar weights: it accumulates every product into a single dict.
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ __all__ = [
     "LinearForm",
     "MultiPoly",
     "LinearSubstitution",
-    "HyperplaneCoordinates",
     "NotDivisible",
     "divide_by_linear_power",
     "graded_monomials",
     "hyperplane_coordinates",
     "parse_poly",
     "poly_text",
+    "weighted_sum",
 ]
 
 Exponents = tuple[int, ...]
@@ -222,15 +225,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_components(self) -> dict[int, "MultiPoly"]:
-        buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            buckets.setdefault(sum(e), {})[e] = c
-        return {
-            d: MultiPoly._make(self.nvars, self.conductor, t)
-            for d, t in sorted(buckets.items())
-        }
-
     def coefficient(self, exps: Iterable[int]) -> CycNum:
         return self.terms.get(tuple(exps), CycNum.zero(self.conductor))
 
@@ -289,6 +283,21 @@ class LinearForm:
 # substitutions and hyperplane coordinates
 
 
+def weighted_sum(pairs, nvars: int, conductor: int) -> MultiPoly:
+    """sum_k w_k * f_k over (f_k, w_k) pairs with scalar weights, every
+    product accumulated into one dict."""
+    out: dict[Exponents, CycNum] = {}
+    for f, w in pairs:
+        w = _as_coeff(w, conductor)
+        if not w:
+            continue
+        for e, c in f.terms.items():
+            v = c * w
+            prev = out.get(e)
+            out[e] = v if prev is None else prev + v
+    return MultiPoly._make(nvars, conductor, {e: c for e, c in out.items() if c})
+
+
 class LinearSubstitution:
     """x_k -> sum_j rows[k][j] x_j, applied to polynomials with a
     per-monomial memo (monomial images are reused heavily downstream)."""
@@ -325,53 +334,31 @@ class LinearSubstitution:
         return img
 
     def apply(self, f: MultiPoly) -> MultiPoly:
-        out = MultiPoly.zero(f.nvars, f.conductor)
-        for exps, c in f.terms.items():
-            out = out + self.monomial_image(exps) * c
-        return out
-
-
-class HyperplaneCoordinates:
-    """Invertible change of variables carrying a normalized linear form to
-    the first coordinate.  to_axis rewrites f(x) in the new coordinates u
-    (with u_1 = the form); from_axis undoes it."""
-
-    def __init__(self, form: LinearForm):
-        self.form = form
-        n = form.nvars
-        m = form.conductor
-        p = form.pivot
-        rest = [j for j in range(n) if j != p]
-        zero = CycNum.zero(m)
-        one = CycNum.one(m)
-
-        fwd_rows = [[zero] * n for _ in range(n)]
-        # x_p = u_1 - sum_j coeffs[j] * u_{slot(j)}
-        fwd_rows[p][0] = one
-        for slot, j in enumerate(rest, start=1):
-            fwd_rows[p][slot] = -form.coeffs[j]
-            fwd_rows[j][slot] = one
-
-        back_rows = [[zero] * n for _ in range(n)]
-        back_rows[0] = list(form.coeffs)
-        for slot, j in enumerate(rest, start=1):
-            back_rows[slot][j] = one
-
-        self.to_axis_sub = LinearSubstitution(fwd_rows, m)
-        self.from_axis_sub = LinearSubstitution(back_rows, m)
-
-    def to_axis(self, f: MultiPoly) -> MultiPoly:
-        return self.to_axis_sub.apply(f)
-
-    def from_axis(self, f: MultiPoly) -> MultiPoly:
-        return self.from_axis_sub.apply(f)
+        return weighted_sum(
+            ((self.monomial_image(e), c) for e, c in f.terms.items()),
+            f.nvars,
+            f.conductor,
+        )
 
 
 @lru_cache(maxsize=256)
-def hyperplane_coordinates(form: LinearForm) -> HyperplaneCoordinates:
-    """The coordinates of form, shared between calls; a group has one form
-    per reflecting hyperplane, far fewer than the cache holds."""
-    return HyperplaneCoordinates(form)
+def hyperplane_coordinates(form: LinearForm) -> LinearSubstitution:
+    """The substitution rewriting f(x) in coordinates u with u_1 = form
+    and u_2.. the remaining variables in order, i.e. x_p = u_1 - sum_j
+    coeffs[j] u_slot(j) for the pivot p.  A monomial's image lists its
+    components by order along the form (the u_1-exponent), which is how
+    condition_entries reads off divisibility conditions.  Shared between
+    calls; a group has one form per reflecting hyperplane, far fewer than
+    the cache holds."""
+    n, m, p = form.nvars, form.conductor, form.pivot
+    zero, one = CycNum.zero(m), CycNum.one(m)
+    rows = [[zero] * n for _ in range(n)]
+    rows[p][0] = one
+    slots = (j for j in range(n) if j != p)
+    for slot, j in enumerate(slots, start=1):
+        rows[p][slot] = -form.coeffs[j]
+        rows[j][slot] = one
+    return LinearSubstitution(rows, m)
 
 
 # ---------------------------------------------------------------------------
@@ -387,27 +374,69 @@ class NotDivisible:
     witness: MultiPoly
 
 
+def _add_linear_multiple(base: dict, q: dict, linear) -> dict:
+    """base + (sum_j c_j x_j) * q on term dicts, for linear = [(j, c_j)]."""
+    out = dict(base)
+    for e, c in q.items():
+        for j, cj in linear:
+            key = e[:j] + (e[j] + 1,) + e[j + 1 :]
+            v = c * cj
+            prev = out.get(key)
+            if prev is not None:
+                v = prev + v
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def _times_form_power(terms: dict, form: LinearForm, k: int) -> dict:
+    support = [(j, c) for j, c in enumerate(form.coeffs) if c]
+    for _ in range(k):
+        terms = _add_linear_multiple({}, terms, support)
+    return terms
+
+
 def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):
     """f / form^power as a polynomial, or NotDivisible.
 
     power <= 0 multiplies by the |power|-th power of the form, so the
-    result is always a polynomial in that range.
+    result is always a polynomial in that range.  Otherwise f is divided by
+    Horner's rule in the pivot variable (see the module docstring), one
+    step per power, stopping at the first nonzero remainder.
     """
+    n, m = f.nvars, f.conductor
     if power <= 0:
-        return f * form.as_poly() ** (-power)
+        return MultiPoly._make(n, m, _times_form_power(f.terms, form, -power))
     if not f:
         return f
-    coords = hyperplane_coordinates(form)
-    g = coords.to_axis(f)
-    val = min(e[0] for e in g.terms)
-    if val >= power:
-        shifted = {
-            (e[0] - power,) + e[1:]: c for e, c in g.terms.items()
-        }
-        return coords.from_axis(MultiPoly._make(f.nvars, f.conductor, shifted))
-    layer = {e: c for e, c in g.terms.items() if e[0] == val}
-    witness = coords.from_axis(MultiPoly._make(f.nvars, f.conductor, layer))
-    return NotDivisible(val, witness)
+    p = form.pivot
+    # on form = 0 the pivot variable is root = -(the other terms of form)
+    root = [(j, -c) for j, c in enumerate(form.coeffs) if c and j != p]
+    # slices[k]: the coefficient of x_p^k, with the x_p exponent set to 0
+    slices: list[dict] = [{} for _ in range(1 + max(e[p] for e in f.terms))]
+    for e, c in f.terms.items():
+        slices[e[p]][e[:p] + (0,) + e[p + 1 :]] = c
+    for step in range(power):
+        quotient: list[dict] = [{} for _ in range(len(slices) - 1)]
+        carry: dict = {}
+        for k in range(len(slices) - 1, 0, -1):
+            carry = quotient[k - 1] = _add_linear_multiple(slices[k], carry, root)
+        remainder = _add_linear_multiple(slices[0], carry, root)
+        if remainder:
+            witness = _times_form_power(remainder, form, step)
+            return NotDivisible(step, MultiPoly._make(n, m, witness))
+        slices = quotient
+    return MultiPoly._make(
+        n,
+        m,
+        {
+            e[:p] + (k,) + e[p + 1 :]: c
+            for k, piece in enumerate(slices)
+            for e, c in piece.items()
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

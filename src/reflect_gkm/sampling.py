@@ -17,7 +17,6 @@ from .localization import TensorElement, localize
 from .polynomials import MultiPoly, graded_monomials
 
 __all__ = [
-    "random_group_map",
     "random_member",
     "random_nonmember",
     "random_poly",
@@ -65,17 +64,6 @@ def random_tensor(
         g = random_poly(rng, n, m, max_terms=2, homogeneous=total - dleft)
         pairs.append((f, g))
     return TensorElement(group, pairs)
-
-
-def random_group_map(
-    rng: random.Random, group: ReflectionGroup, max_degree: int = 4
-) -> GroupMap:
-    """Unconstrained values at every element; usually not a member."""
-    n, m = group.dimension, group.conductor
-    return GroupMap(
-        group,
-        [random_poly(rng, n, m, max_degree=max_degree) for _ in range(group.order)],
-    )
 
 
 def random_member(rng: random.Random, group: ReflectionGroup, max_degree: int = 5) -> GroupMap:

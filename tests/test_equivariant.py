@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+import reflect_gkm.equivariant as equivariant_module
 from reflect_gkm.cyclotomic import CycNum, root_of_unity
 from reflect_gkm.equivariant import (
     GroupMap,
     MapFileError,
     MembershipCertificate,
+    MembershipRuleViolated,
     NotAMember,
     coroot_map,
     divided_difference,
@@ -30,6 +32,7 @@ from reflect_gkm.polynomials import (
     divide_by_linear_power,
     parse_poly,
     poly_text,
+    weighted_sum,
 )
 from reflect_gkm.sampling import random_member, random_nonmember
 
@@ -325,3 +328,114 @@ def test_orbit_consumers_read_the_table(monkeypatch):
     for s in g.reflections():
         coroot_map(g, s)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the verdict from one generator per hyperplane
+
+
+def all_reflections_verdict(group, F):
+    """Membership by the definition: every pseudo-reflection, every order,
+    every element, with no coset sharing and no generator rule."""
+    return all(
+        orbit_difference_oracle(group, s, i, F) is not None
+        for s in group.reflections()
+        for i in range(1, s.order)
+    )
+
+
+def z4_map_failing_only_at(order):
+    """A z4 map whose weighted sums are S_c = T_c with T_c = x1^c except
+    T_order = x1^(order - 1): it fails at that order alone."""
+    z4 = load_group("z4")
+    s = z4.reflections()[0]
+    assert s.order == 4 and s.element == 1
+    x = P("x1", z4)
+    T = [x**c for c in range(4)]
+    T[order] = x ** (order - 1)
+    # F(s^a) = (1/4) sum_c lambda^(ca) T_c inverts S_i = sum_j lambda^(-ij) F(s^j)
+    lam = s.eigenvalue
+    values = [
+        weighted_sum(((T[c], lam ** (c * a) / 4) for c in range(4)), 1, 4)
+        for a in range(4)
+    ]
+    assert list(z4.cyclic_powers(1)) == [0, 1, 2, 3]
+    return z4, GroupMap(z4, values)
+
+
+def map_failing_only_at_hyperplane(group, hyperplane):
+    """Zero except at the identity, where it is the product of
+    ell_K'^(e_K' - 1) over the other hyperplanes K': every condition of K'
+    holds, and K's first one fails."""
+    orders = {s.hyperplane: 1 for s in group.reflections()}
+    coroots = {}
+    for s in group.reflections():
+        orders[s.hyperplane] = max(orders[s.hyperplane], s.order)
+        coroots[s.hyperplane] = s.coroot
+    value = MultiPoly.one(group.dimension, group.conductor)
+    for k, e in orders.items():
+        if k != hyperplane:
+            value = value * coroots[k].as_poly() ** (e - 1)
+    zero = MultiPoly.zero(group.dimension, group.conductor)
+    return GroupMap(group, [value] + [zero] * (group.order - 1))
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_verdict_equals_all_reflections_loop(name):
+    g = load_group(name)
+    rng = random.Random(f"verdict:{name}")
+    maps = [random_member(rng, g, max_degree=3) for _ in range(2)]
+    maps += [random_nonmember(rng, g, max_degree=3) for _ in range(3)]
+    hyperplanes = sorted({s.hyperplane for s in g.reflections()})
+    maps += [map_failing_only_at_hyperplane(g, k) for k in hyperplanes]
+    verdicts = []
+    for F in maps:
+        cert = membership(F)
+        verdicts.append(cert.ok)
+        assert cert.ok == all_reflections_verdict(g, F)
+        assert cert.ok == (not cert.failures)
+    assert verdicts[:2] == [True, True]
+    assert not any(verdicts[2:])
+    # a map failing at one hyperplane only is listed at that hyperplane only
+    for k, F in zip(hyperplanes, maps[5:]):
+        assert {f.reflection.hyperplane for f in membership(F).failures} == {k}
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_z4_maps_failing_only_at_higher_orders(order):
+    z4, F = z4_map_failing_only_at(order)
+    assert not all_reflections_verdict(z4, F)
+    cert = membership(F)
+    assert not cert.ok
+    # only the order-4 reflections see the failure, at that order only
+    assert {(f.reflection.element, f.power) for f in cert.failures} == {
+        (1, order), (3, order)
+    }
+    # the square s^2 has order 2 and its one condition holds
+    s2 = z4.reflection_at(2)
+    assert isinstance(orbit_difference(z4, s2, 1, F), GroupMap)
+
+
+def test_g312_verdict_takes_one_generator_per_hyperplane(monkeypatch):
+    g = load_group("g312")
+    member = random_member(random.Random(8), g)
+    passes = []
+    original = equivariant_module._orbit_quotients
+
+    def counting(group, s, i, F):
+        passes.append((s.element, i))
+        return original(group, s, i, F)
+
+    monkeypatch.setattr(equivariant_module, "_orbit_quotients", counting)
+    assert membership(member).ok
+    # 7 (reflection, power) passes against 11 for every reflection: the
+    # order-3 hyperplanes are checked through one of their two generators
+    assert passes == [(1, 1), (1, 2), (2, 1), (9, 1), (9, 2), (10, 1), (11, 1)]
+
+
+def test_failures_of_a_wrong_verdict_raise():
+    g = load_group("s3")
+    member = random_member(random.Random(2), g)
+    assert membership(member).failures == []
+    with pytest.raises(MembershipRuleViolated):
+        MembershipCertificate(False, member).failures

@@ -21,7 +21,6 @@ from reflect_gkm.localization import (
 )
 from reflect_gkm.polynomials import MultiPoly, parse_poly
 from reflect_gkm.sampling import (
-    random_group_map,
     random_member,
     random_nonmember,
     random_poly,
@@ -32,6 +31,15 @@ from reflect_gkm.suite import default_max_degree
 
 def P(text, group):
     return parse_poly(text, group.dimension, group.conductor, names=group.variables)
+
+
+def random_group_map(rng, group, max_degree=4):
+    """Unconstrained values at every element; usually not a member."""
+    n, m = group.dimension, group.conductor
+    return GroupMap(
+        group,
+        [random_poly(rng, n, m, max_degree=max_degree) for _ in range(group.order)],
+    )
 
 
 @pytest.fixture(scope="module")

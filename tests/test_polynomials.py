@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from reflect_gkm.cyclotomic import CycNum, root_of_unity
 from reflect_gkm.polynomials import (
     LinearForm,
+    LinearSubstitution,
     MultiPoly,
     NotDivisible,
     divide_by_linear_power,
@@ -15,7 +17,16 @@ from reflect_gkm.polynomials import (
     hyperplane_coordinates,
     parse_poly,
     poly_text,
+    weighted_sum,
 )
+
+
+def homogeneous_components(f):
+    """{degree: the terms of f of that degree}."""
+    buckets = {}
+    for e, c in f.terms.items():
+        buckets.setdefault(sum(e), {})[e] = c
+    return {d: MultiPoly(f.nvars, f.conductor, t) for d, t in sorted(buckets.items())}
 
 
 def xy(conductor=1):
@@ -42,7 +53,7 @@ def test_degree_and_homogeneity():
     f = x**3 + x * y
     assert f.degree() == 3
     assert not f.is_homogeneous()
-    comps = f.homogeneous_components()
+    comps = homogeneous_components(f)
     assert sorted(comps) == [2, 3]
     assert comps[2] == x * y and comps[3] == x**3
     assert sum(comps.values(), MultiPoly.zero(2, 1)) == f
@@ -140,12 +151,23 @@ def test_divide_after_multiplying_recovers(f, form, k):
     assert divide_by_linear_power(g, form, k) == f
 
 
+def inverse_coordinates(form):
+    """u_1 -> form, u_slot(j) -> x_j: the inverse of hyperplane_coordinates."""
+    n, m = form.nvars, form.conductor
+    rows = [[CycNum.zero(m)] * n for _ in range(n)]
+    rows[0] = list(form.coeffs)
+    rest = [j for j in range(n) if j != form.pivot]
+    for slot, j in enumerate(rest, start=1):
+        rows[slot][j] = CycNum.one(m)
+    return LinearSubstitution(rows, m)
+
+
 @settings(max_examples=60)
 @given(_poly2, _form2)
 def test_hyperplane_coordinates_invert(f, form):
-    coords = hyperplane_coordinates(form)
-    assert coords.from_axis(coords.to_axis(f)) == f
-    assert coords.to_axis(form.as_poly()) == MultiPoly.variable(2, 4, 0)
+    to_axis = hyperplane_coordinates(form)
+    assert inverse_coordinates(form).apply(to_axis.apply(f)) == f
+    assert to_axis.apply(form.as_poly()) == MultiPoly.variable(2, 4, 0)
 
 
 @settings(max_examples=60)
@@ -159,3 +181,94 @@ def test_hyperplane_coordinates_cache_is_bounded():
     assert hyperplane_coordinates(form) is hyperplane_coordinates(form)
     maxsize = hyperplane_coordinates.cache_info().maxsize
     assert isinstance(maxsize, int) and maxsize > 0
+
+
+def coordinate_division(f, form, power):
+    """The route division used to take, kept here as the oracle: rewrite f
+    with the form as the first coordinate, read the valuation off the
+    lowest u_1-exponent, and shift or take the lowest layer back."""
+    if power <= 0:
+        return f * form.as_poly() ** (-power)
+    if not f:
+        return f
+    to_axis, from_axis = hyperplane_coordinates(form), inverse_coordinates(form)
+    g = to_axis.apply(f)
+    val = min(e[0] for e in g.terms)
+    if val >= power:
+        shifted = {(e[0] - power,) + e[1:]: c for e, c in g.terms.items()}
+        return from_axis.apply(MultiPoly(f.nvars, f.conductor, shifted))
+    layer = {e: c for e, c in g.terms.items() if e[0] == val}
+    return NotDivisible(val, from_axis.apply(MultiPoly(f.nvars, f.conductor, layer)))
+
+
+def _random_scalar(rng, m):
+    return CycNum(m, [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(2)])
+
+
+def _random_poly(rng, n, m, terms=4, dmax=3):
+    out = {}
+    for _ in range(terms):
+        e = tuple(rng.randint(0, dmax) for _ in range(n))
+        out[e] = _random_scalar(rng, m)
+    return MultiPoly(n, m, out)
+
+
+def _division_cases():
+    rng = random.Random(20)
+    for m in (1, 3, 4):
+        for n in (2, 3):
+            forms = [
+                LinearForm.normalize([0, 1] + [0] * (n - 2), m)[1],  # one term, pivot x2
+                LinearForm.normalize([0] + [_random_scalar(rng, m) or 1 for _ in range(n - 1)], m)[1],
+            ]
+            for _ in range(3):
+                coeffs = [_random_scalar(rng, m) for _ in range(n)]
+                if any(coeffs):
+                    forms.append(LinearForm.normalize(coeffs, m)[1])
+            for form in forms:
+                for a in range(4):
+                    g = _random_poly(rng, n, m)
+                    yield g * form.as_poly() ** a, form
+                yield MultiPoly.zero(n, m), form
+
+
+def test_horner_division_equals_coordinate_route():
+    pivots = set()
+    for f, form in _division_cases():
+        pivots.add(form.pivot)
+        for power in range(5):
+            mine = divide_by_linear_power(f, form, power)
+            oracle = coordinate_division(f, form, power)
+            assert type(mine) is type(oracle), (f, form, power)
+            if isinstance(oracle, NotDivisible):
+                assert mine.valuation == oracle.valuation
+                assert mine.witness == oracle.witness
+            else:
+                assert mine == oracle
+                assert mine * form.as_poly() ** power == f
+    assert pivots == {0, 1}
+
+
+def test_division_by_a_single_variable_shifts():
+    x, y = xy(3)
+    _, form = LinearForm.normalize([0, 2], 3)
+    assert divide_by_linear_power(y**3 * x + y**2, form, 2) == y * x + 1
+    res = divide_by_linear_power(y**3 * x + y**2, form, 3)
+    assert isinstance(res, NotDivisible)
+    assert (res.valuation, res.witness) == (2, y**2)
+
+
+def test_weighted_sum_matches_repeated_addition():
+    rng = random.Random(4)
+    for m in (1, 3, 4):
+        polys = [_random_poly(rng, 2, m) for _ in range(4)]
+        weights = [_random_scalar(rng, m) for _ in range(4)] + [0]
+        polys.append(polys[0])
+        expected = MultiPoly.zero(2, m)
+        for f, w in zip(polys, weights):
+            expected = expected + f * w
+        assert weighted_sum(zip(polys, weights), 2, m) == expected
+    # cancelling terms leave no zero coefficient behind
+    x, y = xy()
+    total = weighted_sum([(x + y, 1), (x - y, -1)], 2, 1)
+    assert total == 2 * y and total.terms == {(0, 1): CycNum(1, [2])}

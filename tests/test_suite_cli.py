@@ -318,6 +318,21 @@ def test_cli_unreadable_and_unwritable_paths(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_cli_verify_checks_the_json_path_before_running(tmp_path, monkeypatch, capsys):
+    import reflect_gkm.cli as cli_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_suite started before the output path was checked")
+
+    monkeypatch.setattr(cli_module, "run_suite", refuse)
+    for path, reason in ((tmp_path / "missing" / "r.json", "no directory"),
+                         (tmp_path, "it is a directory")):
+        argv = ["verify", "theorem", "--group", "g312", "--json", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {path}: " in err and reason in err
+
+
 @pytest.mark.parametrize("bounds", [
     ["--max-degree", "-1", "--trials", "0"],
     ["--max-degree", "2", "--trials", "-1"],
