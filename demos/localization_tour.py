@@ -10,12 +10,12 @@ import random
 
 from reflect_gkm import (
     TensorElement,
-    dimension_triple,
     load_group,
     localize,
     membership,
     poly_text,
 )
+from reflect_gkm.localization import DimensionTriples
 from reflect_gkm.polynomials import parse_poly
 from reflect_gkm.sampling import random_tensor
 
@@ -40,6 +40,7 @@ rng = random.Random(0)
 print("\nrandom tensors localize to members:",
       all(membership(localize(random_tensor(rng, g))).ok for _ in range(10)))
 
+triples = DimensionTriples(g)
 print("\n(degree: predicted, image rank, nullspace)")
 for d in range(5):
-    print(" ", d, dimension_triple(g, d))
+    print(" ", d, triples.triple(d))

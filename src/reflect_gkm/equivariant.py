@@ -17,9 +17,9 @@ is likewise a property of the coset, not the representative.
 A map is a *member* when every such division is exact, over every
 pseudo-reflection s (all of them, including proper powers sharing a
 hyperplane) and every 1 <= i <= order(s) - 1.  Members are exactly the
-localization images of tensors, which is what the verification suite
-establishes degree by degree; this module only provides the certificates
-and the graded nullspace the comparison needs.
+localization images of tensors, which DimensionTriples establishes for
+every degree at once; this module provides the verdict it rests on and
+the graded nullspace its exact fallback and the tests compare against.
 
 membership decides the verdict from one reflection per hyperplane K: a
 generator s of the cyclic stabilizer W_K, of maximal order e = e_K, taken
@@ -35,10 +35,11 @@ with hyperplane K are the powers s^k, and they add nothing:
     such c is >= i, so ell^c | S_c makes it divisible by ell^i.
 
 So the verdict checks S_i for 1 <= i < e on every coset, hyperplane by
-hyperplane, and returns at the first failure.  The certificate's failures
-list is still per reflection, over every pseudo-reflection and power,
-exactly as the definition reads; it is built by that full loop when it is
-first read, which only the command line does.
+hyperplane, and returns at the first failure; divisibility_conditions
+takes the same generators.  The certificate's failures list is still per
+reflection, over every pseudo-reflection and power, exactly as the
+definition reads; it is built by that full loop when it is first read,
+which only the command line does.
 
 divided_difference is the same weighted average acting on a single
 polynomial through the group action instead of along orbits; values of
@@ -53,7 +54,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cyclotomic import CycNum
-from .groups import PseudoReflection, ReflectionGroup
+from .groups import GroupInvariantViolated, PseudoReflection, ReflectionGroup
 from .linalg import nullspace
 from .polynomials import (
     LinearForm,
@@ -284,14 +285,14 @@ def divided_difference(group: ReflectionGroup, s: PseudoReflection, i: int, f: M
     """ell_s^-i sum_j lambda^{-ij} s^j(f) on a single polynomial.
 
     For i <= order - 1 the division is always exact (a failure would be a
-    library bug and is asserted); beyond that the result may genuinely be
-    non-polynomial and NotDivisible is returned as data.
+    library bug and raises GroupInvariantViolated); beyond that the result
+    may genuinely be non-polynomial and NotDivisible is returned as data.
     """
     moved = (group.act(p, f) for p in group.cyclic_powers(s.element))
     acc = weighted_sum(zip(moved, _weights(s, i)), group.dimension, group.conductor)
     res = divide_by_linear_power(acc, s.coroot, i)
     if isinstance(res, NotDivisible) and i <= s.order - 1:
-        raise AssertionError(
+        raise GroupInvariantViolated(
             "inexact division in a range where it is guaranteed exact"
         )
     return res
@@ -417,20 +418,17 @@ def divisibility_conditions(group: ReflectionGroup, d: int) -> list[dict[int, Cy
     as sparse rows {column: coefficient}.
 
     Columns are the monomial coefficients of F(x) for every x, element
-    major, monomials in graded_monomials order.  Each (reflection, order,
+    major, monomials in graded_monomials order.  Each (generator, order,
     orbit) triple contributes the conditions "the low-order part of the
     weighted orbit sum vanishes in hyperplane coordinates", which is
-    divisibility said without dividing.
+    divisibility said without dividing.  As in membership, one generator
+    per hyperplane spans the conditions of all reflections.
     """
-    m = group.conductor
     nmono = len(graded_monomials(group.dimension, d))
     rows: list[dict[int, CycNum]] = []
-    for s in group.reflections():
+    for s in _hyperplane_generators(group):
         for i in range(1, s.order):
-            w = s.eigenvalue ** (-i)
-            weights = [CycNum.one(m)]
-            for _ in range(s.order - 1):
-                weights.append(weights[-1] * w)
+            weights = _weights(s, i)
             # orbits sharing a transported co-root share their entries
             shared: dict[LinearForm, tuple[int, list]] = {}
             for orbit in group.orbits(s):

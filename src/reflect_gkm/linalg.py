@@ -5,7 +5,8 @@ so the first nonzero entry in a column is as good a pivot as any, and doing
 it this way keeps every basis and nullspace deterministic, which the
 verification reports rely on.  Everything accepts CycNum entries; Fractions
 work too since only +, -, *, / and truthiness are used.  rank_mod_p is the
-one exception: it works on integers modulo a prime.  rref is the package's
+one exception: it works on integers modulo a prime, for the rank step of
+localization.DimensionTriples' certificate.  rref is the package's
 only elimination over Q(zeta_m); cyclotomic._subfield_coords, fraction-free
 over the integers, is the other one outside this module, since cyclotomic
 sits below linalg in the import order.

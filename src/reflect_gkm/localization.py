@@ -15,21 +15,24 @@ The graded comparison driving the verification suite happens here too:
 for each degree d the dimension of the localized image (spanned by
 monomial multiples of localized coinvariant lifts) is compared against
 the histogram convolution prediction and against the divisibility
-nullspace computed in the equivariant module.  DimensionTriples decides
-each degree from ranks over a prime field where inequalities make that
-rigorous, and by exact elimination everywhere else.
+nullspace computed in the equivariant module.  DimensionTriples proves
+image = nullspace in every degree at once from one determinant
+certificate on the localized lifts (membership of each lift, a full rank
+modulo a prime at one point, and a degree count), and falls back to
+exact per-degree elimination when the certificate does not close.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, prod
 from typing import Sequence
 
 from .cyclotomic import CycNum, NotReducible, PrimeReduction
 from .equivariant import (
     GroupMap,
     divided_difference,
-    divisibility_conditions,
+    membership,
     membership_basis,
     orbit_difference,
 )
@@ -44,7 +47,6 @@ __all__ = [
     "commutes_with_difference",
     "dimension_triple",
     "image_graded_dimension",
-    "image_rows",
     "localize",
     "localize_at",
     "localized_lifts",
@@ -166,75 +168,117 @@ def localized_lifts(group: ReflectionGroup, coinv: CoinvariantBasis) -> list[Gro
     return [localize(TensorElement.pure(group, one, e)) for e in coinv.lifts]
 
 
-def image_rows(
-    group: ReflectionGroup, localized: Sequence[GroupMap], d: int
-) -> list[dict[int, CycNum]]:
-    """Spanning rows of the degree-d piece of the localized image, as
-    sparse rows {column: coefficient}.
+def image_graded_dimension(
+    group: ReflectionGroup, coinv: CoinvariantBasis, d: int
+) -> int:
+    """Dimension of the degree-d piece of the localized image, by exact
+    elimination.
 
-    One row per m * F, for F = localize(1 (x) e) of degree at most d (see
-    localized_lifts) and m a monomial filling the degree, in the (element,
-    monomial) coordinates of divisibility_conditions.  m is the same at
-    every element, so its row is the row of F with every exponent shifted
-    by m.
+    The image is spanned by m * F, for F = localize(1 (x) e) of degree at
+    most d (see localized_lifts) and m a monomial filling the degree, each
+    a row in the (element, monomial) coordinates of divisibility_conditions.
+    m is the same at every element, so its row is the row of F with every
+    exponent shifted by m.
     """
     n = group.dimension
     monomials = graded_monomials(n, d)
     index = {e: k for k, e in enumerate(monomials)}
     nmono = len(monomials)
+    zero = CycNum.zero(group.conductor)
     rows = []
-    for F in localized:
+    for F in localized_lifts(group, coinv):
         dl = F.degree()
         if dl > d:
             continue
         for m in graded_monomials(n, d - dl):
-            rows.append({
-                x * nmono + index[tuple(a + b for a, b in zip(e, m))]: c
-                for x, v in enumerate(F.values)
-                for e, c in v.terms.items()
-            })
-    return rows
+            row = [zero] * (group.order * nmono)
+            for x, v in enumerate(F.values):
+                for e, c in v.terms.items():
+                    row[x * nmono + index[tuple(a + b for a, b in zip(e, m))]] = c
+            rows.append(row)
+    return rank(rows)
 
 
-def image_graded_dimension(
-    group: ReflectionGroup, coinv: CoinvariantBasis, d: int
-) -> int:
-    """Dimension of the degree-d piece of the localized image: the exact
-    rank of image_rows."""
-    ncols = group.order * len(graded_monomials(group.dimension, d))
-    zero = CycNum.zero(group.conductor)
-    rows = image_rows(group, localized_lifts(group, coinv), d)
-    return rank([[row.get(j, zero) for j in range(ncols)] for row in rows])
+# t of the rank step's moment-curve point (t, t^2, ..., t^n) mod p.  det A
+# vanishes on every reflecting hyperplane, so a point on one mod p refuses
+# (safe, but every row then takes the exact path); a fixed t keeps the
+# verdict deterministic.
+_MOMENT_T = 65537
+
+
+def _value_mod_p(f: MultiPoly, point: Sequence[int], reduction: PrimeReduction) -> int:
+    """f(point) in F_p, every coefficient sent through reduction."""
+    p = reduction.prime
+    return sum(
+        reduction.reduce(c) * prod(pow(v, k, p) for v, k in zip(point, e))
+        for e, c in f.terms.items()
+    ) % p
+
+
+def _refusal(group: ReflectionGroup, localized: Sequence[GroupMap]) -> str | None:
+    """The first step of the all-degree certificate that fails on the
+    localized lifts, or None when all three hold (see DimensionTriples)."""
+    if not all(membership(F).ok for F in localized):
+        return "members"
+    reduction = PrimeReduction.for_conductor(group.conductor)
+    p = reduction.prime
+    point = [pow(_MOMENT_T, k, p) for k in range(1, group.dimension + 1)]
+    try:
+        matrix = [
+            [_value_mod_p(F.values[x], point, reduction) for F in localized]
+            for x in range(group.order)
+        ]
+    except NotReducible:
+        return "rank"
+    if rank_mod_p(matrix, p) != group.order:
+        return "rank"
+    degrees = [F.degree() for F in localized]
+    if (
+        len(localized) != group.order
+        or None in degrees
+        or not all(F.is_homogeneous() for F in localized)
+        or 2 * sum(degrees) != group.order * len(group.reflections())
+    ):
+        return "degrees"
+    return None
 
 
 class DimensionTriples:
     """The theorem's degree rows for one group and coinvariant basis.
 
-    A row is decided by a modular certificate when it closes and by exact
-    elimination otherwise.  Let N be the number of image_rows in degree d,
-    ncols their length, and rank_p the rank after PrimeReduction, which
-    never exceeds the exact rank.  Then:
+    All rows are decided at once by a certificate on the |W| x |W| matrix
+    A = [F_j(x)] of the localized lifts F_j = localize(1 (x) e_j):
 
-      * rank_p(image rows) = N forces image = N, as image <= N rows;
-      * every lift's localization satisfies its own degree's divisibility
-        conditions, checked exactly, so every image row is a member (a
-        monomial taken the same at every element cannot lower the
-        form-adic valuation of an orbit sum), and null >= image = N;
-      * null <= ncols - rank_p(conditions), so that bound equal to N
-        forces null = N.
+      (a) members: every F_j passes membership.  At a hyperplane K with
+          stabilizer of order e_K, a discrete Fourier transform on each of
+          its |W|/e_K cosets turns A's rows into sums S_i divisible by
+          ell_K^i, so ell_K^a_K divides det A, a_K = |W|(e_K - 1)/2;
+      (b) rank: A at a fixed moment-curve point, reduced by PrimeReduction,
+          has rank |W| over F_p, so det A is nonzero;
+      (c) degrees: the |W| lifts are nonzero and homogeneous, and
+          2 * sum_j deg F_j = |W| * #reflections = 2 * sum_K a_K.
 
-    When any of these fails, or an entry has a denominator divisible by p,
-    the row is computed exactly by image_graded_dimension and
-    membership_basis.
+    So det A = kappa * prod_K ell_K^a_K, kappa a nonzero constant.  A member
+    G put in place of any column keeps the bound of (a), so Cramer's rule
+    makes G an R-combination of the F_j: members = image, free on the F_j,
+    of dimension sum_j dim R_(d - deg F_j) in degree d.  That count is read
+    from the lifts, not the fundamental degrees, so it still checks the
+    prediction.  When a step fails, refused_by names it and every row is
+    computed exactly by image_graded_dimension and membership_basis.
     """
 
     def __init__(self, group: ReflectionGroup, coinv: CoinvariantBasis | None = None):
         self.group = group
         self.coinv = coinvariant_basis(group) if coinv is None else coinv
-        self._reduction = PrimeReduction.for_conductor(group.conductor)
-        self._localized = localized_lifts(group, self.coinv)
-        # lift index -> whether its localization meets its own conditions
-        self._lift_ok: dict[int, bool] = {}
+        localized = localized_lifts(group, self.coinv)
+        self._lift_degrees = [F.degree() for F in localized]
+        self._refused_by = _refusal(group, localized)
+
+    @property
+    def refused_by(self) -> str | None:
+        """None when the certificate closed, otherwise the failing step:
+        "members", "rank" or "degrees"."""
+        return self._refused_by
 
     def triple(self, d: int) -> tuple[int, int, int]:
         """(predicted, localized image, divisibility nullspace) in degree d."""
@@ -242,62 +286,13 @@ class DimensionTriples:
         expected = tensor_hilbert_coefficients(
             group.fundamental_degrees(), group.dimension, d
         )[d]
-        proven = self.certified_dimension(d)
-        if proven is not None:
-            return expected, proven, proven
+        if self._refused_by is None:
+            n = group.dimension
+            free = sum(comb(d - k + n - 1, n - 1) for k in self._lift_degrees if k <= d)
+            return expected, free, free
         image = image_graded_dimension(group, self.coinv, d)
         null = len(membership_basis(group, d))
         return expected, image, null
-
-    def certified_dimension(self, d: int) -> int | None:
-        """N when the certificate proves image = nullspace = N in degree d,
-        None when it does not close."""
-        group = self.group
-        ncols = group.order * len(graded_monomials(group.dimension, d))
-        rows = image_rows(group, self._localized, d)
-        try:
-            if self._rank_p(rows, ncols) != len(rows):
-                return None
-            conditions = divisibility_conditions(group, d)
-            if ncols - self._rank_p(conditions, ncols) != len(rows):
-                return None
-        except NotReducible:
-            return None
-        if not self._lifts_are_members(d, conditions):
-            return None
-        return len(rows)
-
-    def _rank_p(self, rows: list[dict[int, CycNum]], ncols: int) -> int:
-        reduce = self._reduction.reduce
-        dense = []
-        for row in rows:
-            out = [0] * ncols
-            for j, x in row.items():
-                out[j] = reduce(x)
-            dense.append(out)
-        return rank_mod_p(dense, self._reduction.prime)
-
-    def _lifts_are_members(self, d: int, conditions: list[dict[int, CycNum]]) -> bool:
-        """Does every localize(1 (x) e) of degree at most d satisfy its own
-        degree's divisibility conditions, exactly?  Verdicts are kept per
-        lift, so each lift is checked once."""
-        zero = CycNum.zero(self.group.conductor)
-        built = {d: conditions}
-        for k, F in enumerate(self._localized):
-            dl = F.degree()
-            if dl > d:
-                continue
-            if k not in self._lift_ok:
-                if dl not in built:
-                    built[dl] = divisibility_conditions(self.group, dl)
-                vec = image_rows(self.group, [F], dl)[0]
-                self._lift_ok[k] = all(
-                    not sum((c * vec[j] for j, c in row.items() if j in vec), zero)
-                    for row in built[dl]
-                )
-            if not self._lift_ok[k]:
-                return False
-        return True
 
 
 def dimension_triple(

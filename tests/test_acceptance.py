@@ -24,8 +24,7 @@ from reflect_gkm.hypergraph import (
     pairwise_graded_dimension,
     pairwise_membership,
 )
-from reflect_gkm.invariants import coinvariant_basis
-from reflect_gkm.localization import commutes_with_difference, dimension_triple
+from reflect_gkm.localization import DimensionTriples, commutes_with_difference
 from reflect_gkm.polynomials import MultiPoly, parse_poly
 from reflect_gkm.sampling import random_member, random_nonmember, random_tensor
 
@@ -81,10 +80,9 @@ def all_operator_indices(group):
 
 def test_dimension_triples_match_hand_expansion():
     for name, expected in EXPECTED_DIMENSIONS.items():
-        g = the_group(name)
-        coinv = coinvariant_basis(g)
+        triples = DimensionTriples(the_group(name))
         for d, want in enumerate(expected):
-            triple = dimension_triple(g, d, coinv)
+            triple = triples.triple(d)
             assert triple == (want, want, want), (
                 f"{name} degree {d}: expected {want} three ways, got {triple}"
             )

@@ -15,6 +15,7 @@ from reflect_gkm.equivariant import (
     MembershipCertificate,
     MembershipRuleViolated,
     NotAMember,
+    condition_entries,
     coroot_map,
     divided_difference,
     divisibility_conditions,
@@ -24,12 +25,15 @@ from reflect_gkm.equivariant import (
     membership_basis,
     orbit_decomposition,
     orbit_difference,
+    scatter_conditions,
 )
-from reflect_gkm.groups import ReflectionGroup, bundled_names, load_group
+from reflect_gkm.groups import GroupInvariantViolated, ReflectionGroup, bundled_names, load_group
+from reflect_gkm.linalg import rref
 from reflect_gkm.polynomials import (
     MultiPoly,
     NotDivisible,
     divide_by_linear_power,
+    graded_monomials,
     parse_poly,
     poly_text,
     weighted_sum,
@@ -135,6 +139,18 @@ def test_divided_difference_order_three(z3):
     # nonpositive order multiplies by the co-root instead; on x1^2 the
     # weights cancel the eigenvalues exactly and the orbit sum survives
     assert divided_difference(z3, s, -1, P("x1^2", z3)) == P("3*x1^3", z3)
+
+
+def test_inexact_guaranteed_division_is_a_library_bug(z3, monkeypatch):
+    s = z3.reflections()[0]
+    x1 = P("x1", z3)
+    monkeypatch.setattr(
+        equivariant_module, "divide_by_linear_power", lambda f, form, power: NotDivisible(0, f)
+    )
+    with pytest.raises(GroupInvariantViolated):
+        divided_difference(z3, s, 1, x1)
+    # beyond the guaranteed range NotDivisible is still data
+    assert isinstance(divided_difference(z3, s, 3, x1), NotDivisible)
 
 
 def test_orbit_difference_basic(z2):
@@ -439,3 +455,37 @@ def test_failures_of_a_wrong_verdict_raise():
     assert membership(member).failures == []
     with pytest.raises(MembershipRuleViolated):
         MembershipCertificate(False, member).failures
+
+
+# ---------------------------------------------------------------------------
+# divisibility conditions from one generator per hyperplane
+
+
+def all_reflection_conditions(group, d):
+    """Condition rows by the definition: every pseudo-reflection, every
+    order, every orbit."""
+    nmono = len(graded_monomials(group.dimension, d))
+    rows = []
+    for s in group.reflections():
+        for i in range(1, s.order):
+            w = s.eigenvalue ** (-i)
+            weights = [w**j for j in range(s.order)]
+            for orbit in group.orbits(s):
+                entries = condition_entries(orbit.form, i, d, weights)
+                rows.extend(scatter_conditions(entries, orbit.members, nmono))
+    return rows
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_one_generator_conditions_span_all_reflections(name):
+    g = load_group(name)
+    zero = CycNum.zero(g.conductor)
+    for d in range(5):
+        ncols = g.order * len(graded_monomials(g.dimension, d))
+        reduced = []
+        for rows in (divisibility_conditions(g, d), all_reflection_conditions(g, d)):
+            red, pivots = rref([[row.get(j, zero) for j in range(ncols)] for row in rows])
+            reduced.append((pivots, red[: len(pivots)]))
+        assert reduced[0] == reduced[1], (name, d)
+    if name == "g312":
+        assert (len(divisibility_conditions(g, 3)), len(all_reflection_conditions(g, 3))) == (63, 99)

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from reflect_gkm import localization
 from reflect_gkm.cyclotomic import root_of_unity
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis, orbit_difference
 from reflect_gkm.groups import bundled_names, load_group
-from reflect_gkm.invariants import CoinvariantBasis, coinvariant_basis, reynolds
+from reflect_gkm.invariants import (
+    CoinvariantBasis,
+    coinvariant_basis,
+    reynolds,
+    tensor_hilbert_coefficients,
+)
 from reflect_gkm.localization import (
     DimensionTriples,
     TensorElement,
@@ -160,55 +167,109 @@ def test_dimension_triples_agree(z2, z3, s3):
             assert expected == image == null, (group.name, d)
 
 
+def exact_rows(group, coinv, dmax):
+    """(predicted, image, nullspace) for d <= dmax, the last two by exact
+    elimination."""
+    predicted = tensor_hilbert_coefficients(group.fundamental_degrees(), group.dimension, dmax)
+    return [
+        (predicted[d], image_graded_dimension(group, coinv, d), len(membership_basis(group, d)))
+        for d in range(dmax + 1)
+    ]
+
+
 @pytest.mark.parametrize("name", bundled_names())
 def test_certified_rows_equal_exact_rows(name):
     group = load_group(name)
     coinv = coinvariant_basis(group)
     triples = DimensionTriples(group, coinv)
-    exact_up_to = 5 if name == "g312" else default_max_degree(group)
-    for d in range(default_max_degree(group) + 1):
-        proven = triples.certified_dimension(d)
-        assert proven is not None, (name, d)
-        assert triples.triple(d) == (proven, proven, proven)
-        if d <= exact_up_to:
-            exact = (image_graded_dimension(group, coinv, d), len(membership_basis(group, d)))
-            assert exact == (proven, proven), (name, d)
+    assert triples.refused_by is None
+    dmax = default_max_degree(group)
+    rows = [triples.triple(d) for d in range(dmax + 1)]
+    assert all(expected == image == null for expected, image, null in rows), rows
+    exact_up_to = 5 if name == "g312" else dmax
+    assert rows[: exact_up_to + 1] == exact_rows(group, coinv, exact_up_to)
+
+
+def edit_localized_lifts(monkeypatch, edit):
+    """Make DimensionTriples (and the exact image) see edit(lifts)."""
+    original = localization.localized_lifts
+    monkeypatch.setattr(
+        localization, "localized_lifts", lambda group, coinv: edit(original(group, coinv))
+    )
+
+
+def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
+    coinv = coinvariant_basis(s3)
+    k = coinv.degrees.index(1)
+    zero = MultiPoly.zero(s3.dimension, s3.conductor)
+    nonmember = GroupMap(s3, [P("x1", s3)] + [zero] * (s3.order - 1))
+    assert not membership(nonmember).ok
+    edit_localized_lifts(monkeypatch, lambda lifts: lifts[:k] + [nonmember] + lifts[k + 1 :])
+    triples = DimensionTriples(s3, coinv)
+    assert triples.refused_by == "members"
+    assert [triples.triple(d) for d in range(5)] == exact_rows(s3, coinv, 4)
 
 
 def test_duplicated_lift_falls_back_to_exact(s3):
     coinv = coinvariant_basis(s3)
-    # one degree-2 lift replaced by a copy of the other: the row counts,
-    # and so the nullspace bound, stay right, but the image rows do not
-    # have full rank
+    # one degree-2 lift replaced by a copy of the other: every lift is a
+    # member and the degree count holds, but det A vanishes
     assert coinv.degrees[3:5] == [2, 2]
     lifts = list(coinv.lifts)
     lifts[3] = lifts[4]
     bad = CoinvariantBasis(lifts, list(coinv.degrees))
     triples = DimensionTriples(s3, bad)
-    for d in range(5):
-        exact = (image_graded_dimension(s3, bad, d), len(membership_basis(s3, d)))
-        expected, image, null = triples.triple(d)
-        assert (image, null) == exact
-        if d >= 2:
-            assert triples.certified_dimension(d) is None
-            assert image < expected == null
-        else:
-            assert triples.certified_dimension(d) == expected
+    assert triples.refused_by == "rank"
+    rows = [triples.triple(d) for d in range(5)]
+    assert rows == exact_rows(s3, bad, 4)
+    assert all(image < expected == null for expected, image, null in rows[2:])
+
+
+def test_lift_times_x1_is_refused_by_degrees(s3, monkeypatch):
+    coinv = coinvariant_basis(s3)
+    # x1 taken the same at every element keeps the lift a member and, as
+    # x1 is nonzero at the rank step's point, keeps det A nonzero; only the
+    # degree count sees the extra factor
+    x1 = P("x1", s3)
+    edit_localized_lifts(monkeypatch, lambda lifts: [lifts[0] * x1] + lifts[1:])
+    triples = DimensionTriples(s3, coinv)
+    assert triples.refused_by == "degrees"
+    assert [triples.triple(d) for d in range(5)] == exact_rows(s3, coinv, 4)
 
 
 def test_certificate_refuses_what_it_cannot_prove(s3):
     coinv = coinvariant_basis(s3)
-    # a dropped lift: N rows stay independent, but the nullspace is larger
+    # a dropped lift: A is no longer square, and the image falls short
     short = CoinvariantBasis(coinv.lifts[:-1], coinv.degrees[:-1])
-    assert DimensionTriples(s3, short).certified_dimension(3) is None
-    assert DimensionTriples(s3, short).triple(3) == (15, 14, 15)
-    # a degree-1 "localized lift" that is not a member
-    triples = DimensionTriples(s3, coinv)
-    k = coinv.degrees.index(1)
-    zero = MultiPoly.zero(s3.dimension, s3.conductor)
-    triples._localized[k] = GroupMap(s3, [P("x1", s3)] + [zero] * (s3.order - 1))
-    assert triples.certified_dimension(0) == 1
-    assert triples.certified_dimension(1) is None
+    triples = DimensionTriples(s3, short)
+    assert triples.refused_by is not None
+    rows = [triples.triple(d) for d in range(5)]
+    assert rows == exact_rows(s3, short, 4)
+    assert rows[3] == (15, 14, 15)
+
+
+G412 = {
+    "name": "g412",
+    "dimension": 2,
+    "conductor": 4,
+    "variables": ["x1", "x2"],
+    "generators": [["0", "1", "1", "0"], ["z", "0", "0", "1"]],
+}
+
+
+def test_certificate_closes_on_g412(tmp_path):
+    path = tmp_path / "g412.json"
+    path.write_text(json.dumps(G412))
+    group = load_group(str(path))
+    assert (group.order, group.conductor) == (32, 4)
+    coinv = coinvariant_basis(group)
+    triples = DimensionTriples(group, coinv)
+    assert triples.refused_by is None
+    dmax = default_max_degree(group)
+    assert dmax == 13
+    predicted = tensor_hilbert_coefficients(group.fundamental_degrees(), 2, dmax)
+    assert [triples.triple(d) for d in range(dmax + 1)] == [(e, e, e) for e in predicted]
+    assert [triples.triple(d) for d in range(4)] == exact_rows(group, coinv, 3)
 
 
 def test_sampling_determinism(s3):
