@@ -1,8 +1,8 @@
 """The linear hypergraph of a group and integration over an edge.
 
 Vertices are group elements.  Each reflection s spreads every coset of
-its cyclic group into one hyperedge carrying an axial linear form and a
-tuple of distinct scalars tau, one per vertex.  A map restricted to an
+its cyclic group into one hyperedge, the group's orbit record for that
+coset: a linear form and a tuple of distinct scalars tau, one per vertex.  A map restricted to an
 edge is a polynomial in tau exactly when it satisfies the divisibility
 conditions, and a Lagrange-style integral recovers the coefficients two
 independent ways.
@@ -27,9 +27,9 @@ g = load_group("z4")
 H = build_hypergraph(g)
 print(f"{g.name}: {len(H.edges)} hyperedges")
 for e in H.edges:
-    axial = poly_text(e.axial.as_poly(), names=g.variables)
+    form = poly_text(e.form.as_poly(), names=g.variables)
     taus = ", ".join(t.text() for t in e.tau)
-    print(f"  size {e.size}  members {e.members}  axial {axial}  tau ({taus})")
+    print(f"  size {e.size}  members {e.members}  form {form}  tau ({taus})")
 
 # note the nested edges: the square of the order-4 generator is itself a
 # reflection of order 2 and contributes its own smaller edges
@@ -45,7 +45,7 @@ for k in range(edge.size):
     lagrange = edge_integral(edge, F, k)
     weighted = edge_integral_weighted(edge, F, k)
     agree = integral_identity(edge, F, k)
-    value = section_polynomial(lagrange, edge.axial)
+    value = section_polynomial(lagrange, edge.form)
     text = poly_text(value, names=g.variables) if value is not None else "pole"
     print(f"  insertion {k}: routes agree {agree}, value {text}")
 

@@ -29,6 +29,7 @@ from .groups import (
     CapExceeded,
     GroupFileError,
     NotPolynomialInvariantRing,
+    Orbit,
     PseudoReflection,
     ReflectionGroup,
     SingularGenerator,
@@ -38,7 +39,6 @@ from .groups import (
 )
 from .hypergraph import (
     EdgeWitness,
-    HyperEdge,
     Hypergraph,
     build_hypergraph,
     edge_integral,
@@ -84,7 +84,6 @@ __all__ = [
     "EdgeWitness",
     "GroupFileError",
     "GroupMap",
-    "HyperEdge",
     "Hypergraph",
     "LinearForm",
     "MapFileError",
@@ -96,6 +95,7 @@ __all__ = [
     "NotDivisible",
     "NotPolynomialInvariantRing",
     "NotReflectionGenerated",
+    "Orbit",
     "PseudoReflection",
     "ReflectionGroup",
     "SingularGenerator",

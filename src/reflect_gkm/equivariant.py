@@ -272,15 +272,6 @@ def coroot_map(group: ReflectionGroup, s: PseudoReflection) -> GroupMap:
     return GroupMap(group, values)
 
 
-def _weights(s: PseudoReflection, i: int) -> list[CycNum]:
-    """lambda^{-ij} for j < order(s)."""
-    w = s.eigenvalue ** (-i)
-    out = [CycNum.one(w.conductor)]
-    for _ in range(s.order - 1):
-        out.append(out[-1] * w)
-    return out
-
-
 def divided_difference(group: ReflectionGroup, s: PseudoReflection, i: int, f: MultiPoly):
     """ell_s^-i sum_j lambda^{-ij} s^j(f) on a single polynomial.
 
@@ -289,7 +280,7 @@ def divided_difference(group: ReflectionGroup, s: PseudoReflection, i: int, f: M
     may genuinely be non-polynomial and NotDivisible is returned as data.
     """
     moved = (group.act(p, f) for p in group.cyclic_powers(s.element))
-    acc = weighted_sum(zip(moved, _weights(s, i)), group.dimension, group.conductor)
+    acc = weighted_sum(zip(moved, s.weights(i)), group.dimension, group.conductor)
     res = divide_by_linear_power(acc, s.coroot, i)
     if isinstance(res, NotDivisible) and i <= s.order - 1:
         raise GroupInvariantViolated(
@@ -301,11 +292,10 @@ def divided_difference(group: ReflectionGroup, s: PseudoReflection, i: int, f: M
 def _orbit_quotients(group: ReflectionGroup, s: PseudoReflection, i: int, F: GroupMap):
     """(orbit, weighted orbit sum / form^i) for each orbit of s in turn;
     the quotient is NotDivisible where the division fails."""
-    weights = _weights(s, i)
     n, m = group.dimension, group.conductor
     for orbit in group.orbits(s):
         values = (F.values[x] for x in orbit.members)
-        acc = weighted_sum(zip(values, weights), n, m)
+        acc = weighted_sum(zip(values, s.weights(i)), n, m)
         yield orbit, divide_by_linear_power(acc, orbit.form, i)
 
 
@@ -319,7 +309,7 @@ def orbit_difference(group: ReflectionGroup, s: PseudoReflection, i: int, F: Gro
         if isinstance(res, NotDivisible):
             failures.append(MembershipFailure(orbit.rep, s, i, res))
             continue
-        value = res * orbit.scale ** (-i)
+        value = res * orbit.inverse_scale_power(i)
         for member in orbit.members:
             values[member] = value
     if failures:
@@ -428,7 +418,7 @@ def divisibility_conditions(group: ReflectionGroup, d: int) -> list[dict[int, Cy
     rows: list[dict[int, CycNum]] = []
     for s in _hyperplane_generators(group):
         for i in range(1, s.order):
-            weights = _weights(s, i)
+            weights = s.weights(i)
             # orbits sharing a transported co-root share their entries
             shared: dict[LinearForm, tuple[int, list]] = {}
             for orbit in group.orbits(s):

@@ -15,13 +15,18 @@ Conventions used throughout the package:
   * the eigenvalue lambda of s is defined by s . ell = lambda ell for the
     co-root ell (contragredient action); it is a primitive |s|-th root of
     unity;
+  * reflections() builds each s with its eigenvalue weights lambda^{-ij},
+    i, j < |s|; s.weights(i) reads row i mod |s|, since lambda^|s| = 1;
   * the orbit table of s, ReflectionGroup.orbits(s), holds one Orbit per
-    right coset x<s>, in right_cosets order: the members [x, xs, xs^2, ...],
-    and the co-root transported to the representative, x . ell = scale *
-    form with form normalized.  Member j sees tau_j * form with tau_j =
-    scale * lambda^j.  The table is computed once per (group, reflection)
-    and cached on the group; every consumer of transported co-roots reads
-    it instead of acting on the co-root again.
+    right coset x<s>, in right_cosets order: s, the members [x, xs, xs^2,
+    ...], and the co-root transported to the representative, x . ell =
+    scale * form with form normalized.  Member j sees tau_j * form with
+    tau_j = scale * lambda^j.  The table is computed once per (group,
+    reflection) and cached on the group.  An Orbit is also a hyperedge of
+    the reflection hypergraph.  Every per-coset scalar (scale^-i, the
+    Vandermonde inverse, both edge-integral weight vectors) is a function
+    of tau, so it is computed on first use and kept in a table that all
+    orbits of the group with equal tau share.
 
 The Molien series sum_w 1/det(1 - t w) / |W| is computed as an exact
 rational function and its denominator is factored as prod (1 - t^{d_i});
@@ -31,7 +36,7 @@ the d_i are the fundamental degrees that drive the rest of the package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -102,16 +107,25 @@ class PseudoReflection:
     coroot: LinearForm
     eigenvalue: CycNum
     hyperplane: int
+    weight_table: tuple[tuple[CycNum, ...], ...] = field(compare=False, repr=False)
+
+    def weights(self, i: int) -> tuple[CycNum, ...]:
+        """lambda^{-ij} for j < order, row i mod order of weight_table."""
+        return self.weight_table[i % self.order]
 
 
 @dataclass(frozen=True)
 class Orbit:
     """One right coset x<s> with the co-root of s transported to it:
-    member j (= rep s^j) sees tau[j] * form, so rep . ell_s = scale * form."""
+    member j (= rep s^j) sees tau[j] * form, so rep . ell_s = scale * form.
+    It is also the hyperedge of s through x.  Its scalars below depend on
+    tau alone, so orbits with equal tau share one table of them."""
 
+    reflection: PseudoReflection
     members: tuple[int, ...]
     form: LinearForm
     tau: tuple[CycNum, ...]
+    scalars: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def rep(self) -> int:
@@ -120,6 +134,53 @@ class Orbit:
     @property
     def scale(self) -> CycNum:
         return self.tau[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    def _kept(self, key, build):
+        got = self.scalars.get(key)
+        if got is None:
+            got = self.scalars[key] = build()
+        return got
+
+    @property
+    def vandermonde_inverse(self):
+        """Inverse of the Vandermonde matrix [tau_j^i]."""
+
+        def invert():
+            V = [[t**i for i in range(self.size)] for t in self.tau]
+            return mat_inv(V, self.form.conductor)
+
+        return self._kept("vandermonde", invert)
+
+    def inverse_scale_power(self, i: int) -> CycNum:
+        """scale^-i, which turns (rep . ell_s)^i into form^i."""
+        return self._kept(("scale", i), lambda: self.scale ** (-i))
+
+    def lagrange_weights(self, k: int) -> tuple[CycNum, ...]:
+        """tau_j^k / prod_{l != j} (tau_j - tau_l) for each member j."""
+        return self._kept(("lagrange", k), lambda: _lagrange_weights(self, k))
+
+    def eigenvalue_weights(self, k: int) -> tuple[CycNum, ...]:
+        """scale^-i lambda^{-ij} / size for each member j, i = size - 1 - k."""
+        return self._kept(("eigenvalue", k), lambda: _eigenvalue_weights(self, k))
+
+
+def _lagrange_weights(orbit: Orbit, k: int) -> tuple[CycNum, ...]:
+    # 1 / prod_{l != j} (tau_j - tau_l) is the leading coefficient of the
+    # j-th Lagrange basis polynomial: the last row of the Vandermonde inverse
+    leading = orbit.vandermonde_inverse[orbit.size - 1]
+    return tuple(t**k * lead for t, lead in zip(orbit.tau, leading))
+
+
+def _eigenvalue_weights(orbit: Orbit, k: int) -> tuple[CycNum, ...]:
+    # the reflection's eigenvalue and order are tau[1] / tau[0] and
+    # len(tau), so orbits with equal tau have equal weights
+    i = orbit.size - 1 - k
+    base = orbit.inverse_scale_power(i) / orbit.size
+    return tuple(base * w for w in orbit.reflection.weights(i))
 
 
 def group_closure(matrices, conductor: int, cap: int = 10000):
@@ -172,6 +233,7 @@ class ReflectionGroup:
         self._cosets: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._orbits: dict[int, tuple[Orbit, ...]] = {}
         self._transported: dict[tuple[int, int], tuple[CycNum, LinearForm]] = {}
+        self._scalars: dict[tuple, dict] = {}
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -187,13 +249,6 @@ class ReflectionGroup:
 
     def inv(self, i: int) -> int:
         return self.inverse_table[i]
-
-    def element_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != 0:
-            cur = self.mult_table[cur][i]
-            k += 1
-        return k
 
     def cyclic_powers(self, i: int) -> tuple[int, ...]:
         """Indices of e, s, s^2, ... for s the element at index i."""
@@ -239,7 +294,11 @@ class ReflectionGroup:
                     moved = self._transported[key] = self.act_linear(coset[0], s.coroot)
                 c, form = moved
                 tau = tuple(c * s.eigenvalue**j for j in range(len(coset)))
-                out.append(Orbit(coset, form, tau))
+                # orbits with equal tau share their scalars; (num, den) is
+                # exact at one conductor
+                exact = tuple((t.num, t.den) for t in tau)
+                scalars = self._scalars.setdefault(exact, {})
+                out.append(Orbit(s, coset, form, tau, scalars))
             got = self._orbits[s.element] = tuple(out)
         return got
 
@@ -288,14 +347,18 @@ class ReflectionGroup:
                 raise GroupInvariantViolated(
                     f"element {el.index}: co-root is not an eigenvector"
                 )
-            order = self.element_order(el.index)
+            order = len(self.cyclic_powers(el.index))
             if lam**order != 1 or any(lam**k == 1 for k in range(1, order)):
                 raise GroupInvariantViolated(
                     f"element {el.index}: eigenvalue is not a primitive "
                     f"root of unity of order {order}"
                 )
             hid = hyperplanes.setdefault(coroot, len(hyperplanes))
-            found.append(PseudoReflection(el.index, order, coroot, lam, hid))
+            down = [lam ** (-j) for j in range(order)]
+            table = tuple(
+                tuple(down[i * j % order] for j in range(order)) for i in range(order)
+            )
+            found.append(PseudoReflection(el.index, order, coroot, lam, hid, table))
         self._reflections = tuple(found)
         self._by_element = {s.element: s for s in found}
         return self._reflections

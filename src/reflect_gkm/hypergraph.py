@@ -3,20 +3,23 @@
 Vertices are the group elements.  Each hyperedge is a right orbit of a
 pseudo-reflection s, carrying the reflecting hyperplane transported to the
 orbit: every vertex rep.s^j sees the same normalized linear form (the
-axial form of the edge) scaled by tau_j = c . lambda^j, where c is the
-scale picked up at the representative and lambda is the eigenvalue of s on
-its co-root.  Orbits of different powers of s coincide as vertex sets
-exactly when the powers generate the same cyclic group, so edges are
-deduplicated by (vertex set, hyperplane); proper powers with a smaller
-orbit contribute their own shorter edges inside the long one.
+form of the edge) scaled by tau_j = c . lambda^j, where c is the scale
+picked up at the representative and lambda is the eigenvalue of s on its
+co-root.  That is the group's orbit record, so a hyperedge is the
+groups.Orbit entry of ReflectionGroup.orbits(s) itself, which keeps its
+Vandermonde inverse and integral weights.  Orbits of different powers of
+s coincide as vertex sets exactly when the powers generate the same
+cyclic group, so edges are deduplicated by (vertex set, hyperplane), the
+first in reflections() order kept; proper powers with a smaller orbit
+contribute their own shorter edges inside the long one.
 
 A map on the vertices passes an edge when it interpolates along it with
 polynomial coefficients: writing the values at the r vertices as
 
     F(p_j) = sum_i h_i . tau_j^i            (a scalar Vandermonde solve)
 
-the requirement is that the axial form divides h_i to order i, making
-g_i = h_i / axial^i a polynomial for every i.  Summing the interpolation
+the requirement is that the edge's form divides h_i to order i, making
+g_i = h_i / form^i a polynomial for every i.  Summing the interpolation
 against the eigenvalue weights shows this is condition-for-condition the
 same as the orbit-difference membership, which is what the verification
 suite confirms on random maps.
@@ -25,27 +28,28 @@ The edge integral with insertion exponent k is the Lagrange sum
 
     sum_p F(p) tau(p)^k / prod_{q != p} (tau(p) - tau(q)),
 
-a rational section with poles only along the axial form.  Collapsing the
+a rational section with poles only along the edge's form.  Collapsing the
 scalar weights shows it equals g_{r-1-k}, so it is computed by two
-independent routes (Lagrange scalars, eigenvalue-weighted orbit sums) and
-compared; both carry the same axial power, so the numerators must agree.
+independent routes (Lagrange scalars from the Vandermonde inverse,
+eigenvalue-weighted orbit sums) and compared; both carry the same power
+of the form, so the numerators must agree.
 
-The pairwise condition (adjacent values congruent modulo the axial form,
-first order only) is kept as a deliberately weaker control: it agrees with
+The pairwise condition (adjacent values congruent modulo the form, first
+order only) is kept as a deliberately weaker control: it agrees with
 membership when every reflection has order two and is strictly larger
-otherwise.
+otherwise.  The JSON export keeps the key "axial" for the edge's form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import combinations
 
 from .cyclotomic import CycNum
 from .equivariant import GroupMap, condition_entries, scatter_conditions
-from .groups import PseudoReflection, ReflectionGroup
-from .linalg import mat_inv, rank
+from .groups import Orbit, ReflectionGroup
+from .linalg import rank
 from .polynomials import (
     LinearForm,
     MultiPoly,
@@ -59,7 +63,6 @@ from .polynomials import (
 __all__ = [
     "EdgeSection",
     "EdgeWitness",
-    "HyperEdge",
     "Hypergraph",
     "build_hypergraph",
     "edge_integral",
@@ -76,54 +79,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class HyperEdge:
-    """One right orbit with its transported hyperplane data."""
-
-    reflection: PseudoReflection
-    members: tuple[int, ...]
-    axial: LinearForm
-    tau: tuple[CycNum, ...]
-
-    @property
-    def rep(self) -> int:
-        return self.members[0]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @cached_property
-    def vandermonde_inverse(self):
-        """Inverse of the Vandermonde matrix [tau_j^i], computed on first
-        use and kept on the edge."""
-        r = self.size
-        V = [[self.tau[j] ** i for i in range(r)] for j in range(r)]
-        return mat_inv(V, self.axial.conductor)
-
-
-@dataclass(frozen=True)
 class Hypergraph:
     group: ReflectionGroup
-    edges: tuple[HyperEdge, ...]
-    by_vertex: tuple[tuple[int, ...], ...]
-
-    def incident(self, vertex: int) -> tuple[HyperEdge, ...]:
-        return tuple(self.edges[k] for k in self.by_vertex[vertex])
+    edges: tuple[Orbit, ...]
 
 
 def build_hypergraph(group: ReflectionGroup) -> Hypergraph:
     edges = {}
     for s in group.reflections():
         for orbit in group.orbits(s):
-            key = (frozenset(orbit.members), s.hyperplane)
-            if key not in edges:
-                edges[key] = HyperEdge(s, orbit.members, orbit.form, orbit.tau)
-    ordered = tuple(edges.values())
-    incidence = [[] for _ in range(group.order)]
-    for k, e in enumerate(ordered):
-        for v in e.members:
-            incidence[v].append(k)
-    return Hypergraph(group, ordered, tuple(tuple(v) for v in incidence))
+            edges.setdefault((frozenset(orbit.members), s.hyperplane), orbit)
+    return Hypergraph(group, tuple(edges.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +99,22 @@ def build_hypergraph(group: ReflectionGroup) -> Hypergraph:
 @dataclass
 class EdgeWitness:
     """A failed edge: the first power whose interpolation coefficient the
-    axial form does not divide, with the obstruction."""
+    edge's form does not divide, with the obstruction."""
 
-    edge: HyperEdge
+    edge: Orbit
     power: int
     witness: NotDivisible
 
 
-def edge_quotients(edge: HyperEdge, F: GroupMap):
+def edge_quotients(edge: Orbit, F: GroupMap):
     """Interpolate F along the edge and divide; the list of quotients
-    g_i = h_i / axial^i, or an EdgeWitness at the first failure."""
+    g_i = h_i / form^i, or an EdgeWitness at the first failure."""
     n, m = F.group.dimension, F.group.conductor
     values = [F.values[p] for p in edge.members]
     quotients = []
     for i, row in enumerate(edge.vandermonde_inverse):
         h = weighted_sum(zip(values, row), n, m)
-        res = divide_by_linear_power(h, edge.axial, i)
+        res = divide_by_linear_power(h, edge.form, i)
         if isinstance(res, NotDivisible):
             return EdgeWitness(edge, i, res)
         quotients.append(res)
@@ -166,21 +132,15 @@ def hypergraph_membership(H: Hypergraph, F: GroupMap) -> list[EdgeWitness]:
 
 
 def pairwise_membership(H: Hypergraph, F: GroupMap) -> list[EdgeWitness]:
-    """The weaker control: adjacent values congruent modulo the axial form,
-    first order only, reported in the same witness shape (power 1)."""
+    """The weaker control: adjacent values congruent modulo the edge's
+    form, first order only, reported in the same witness shape (power 1)."""
     out = []
     for edge in H.edges:
-        hit = False
-        for a in range(edge.size):
-            if hit:
+        for a, b in combinations(edge.members, 2):
+            res = divide_by_linear_power(F.values[a] - F.values[b], edge.form, 1)
+            if isinstance(res, NotDivisible):
+                out.append(EdgeWitness(edge, 1, res))
                 break
-            for b in range(a + 1, edge.size):
-                diff = F.values[edge.members[a]] - F.values[edge.members[b]]
-                res = divide_by_linear_power(diff, edge.axial, 1)
-                if isinstance(res, NotDivisible):
-                    out.append(EdgeWitness(edge, 1, res))
-                    hit = True
-                    break
     return out
 
 
@@ -193,11 +153,9 @@ def pairwise_graded_dimension(hyper: Hypergraph, d: int) -> int:
     signs = (CycNum.one(m), -CycNum.one(m))
     rows = []
     for edge in hyper.edges:
-        conditions = condition_entries(edge.axial, 1, d, signs)
-        for a in range(edge.size):
-            for b in range(a + 1, edge.size):
-                pair = (edge.members[a], edge.members[b])
-                rows.extend(scatter_conditions(conditions, pair, nmono))
+        conditions = condition_entries(edge.form, 1, d, signs)
+        for pair in combinations(edge.members, 2):
+            rows.extend(scatter_conditions(conditions, pair, nmono))
     ncols = group.order * nmono
     zero = CycNum.zero(m)
     return ncols - rank([[row.get(j, zero) for j in range(ncols)] for row in rows])
@@ -209,55 +167,41 @@ def pairwise_graded_dimension(hyper: Hypergraph, d: int) -> int:
 
 @dataclass(frozen=True)
 class EdgeSection:
-    """A rational section along an edge: poly / axial^power."""
+    """A rational section along an edge: poly / form^power."""
 
     poly: MultiPoly
     power: int
 
 
-def section_polynomial(section: EdgeSection, axial: LinearForm):
+def section_polynomial(section: EdgeSection, form: LinearForm):
     """The section as a polynomial, or NotDivisible when it has a pole."""
-    return divide_by_linear_power(section.poly, axial, section.power)
+    return divide_by_linear_power(section.poly, form, section.power)
 
 
-def _check_insertion(k: int):
+def _integral(edge: Orbit, F: GroupMap, weights_for, k: int) -> EdgeSection:
     if k < 0:
         raise ValueError("insertion exponent must be nonnegative")
-
-
-def edge_integral(edge: HyperEdge, F: GroupMap, k: int) -> EdgeSection:
-    """Lagrange route: scalar weights tau_j^k / prod_{l != j}(tau_j - tau_l),
-    summed against the vertex values.  The reciprocal product is the last
-    row of the edge's Vandermonde inverse (the leading coefficient of the
-    j-th Lagrange basis polynomial).  For k >= size - 1 the section power
-    is nonpositive and the result is automatically polynomial."""
-    _check_insertion(k)
-    r = edge.size
-    leading = edge.vandermonde_inverse[r - 1]
-    pairs = (
-        (F.values[x], t**k * lead) for x, t, lead in zip(edge.members, edge.tau, leading)
-    )
+    pairs = zip((F.values[x] for x in edge.members), weights_for(k))
     total = weighted_sum(pairs, F.group.dimension, F.group.conductor)
-    return EdgeSection(total, r - 1 - k)
+    return EdgeSection(total, edge.size - 1 - k)
 
 
-def edge_integral_weighted(edge: HyperEdge, F: GroupMap, k: int) -> EdgeSection:
+def edge_integral(edge: Orbit, F: GroupMap, k: int) -> EdgeSection:
+    """Lagrange route: scalar weights tau_j^k / prod_{l != j}(tau_j - tau_l),
+    summed against the vertex values (Orbit.lagrange_weights).  For
+    k >= size - 1 the section power is nonpositive and the result is
+    automatically polynomial."""
+    return _integral(edge, F, edge.lagrange_weights, k)
+
+
+def edge_integral_weighted(edge: Orbit, F: GroupMap, k: int) -> EdgeSection:
     """Eigenvalue route: the lambda-weighted orbit sum of matching order,
-    scaled back by the representative's transport factor."""
-    _check_insertion(k)
-    r = edge.size
-    i = r - 1 - k
-    w = edge.reflection.eigenvalue ** (-i)
-    weight = edge.tau[0] ** (-i) / r
-    pairs = []
-    for x in edge.members:
-        pairs.append((F.values[x], weight))
-        weight = weight * w
-    acc = weighted_sum(pairs, F.group.dimension, F.group.conductor)
-    return EdgeSection(acc, i)
+    scaled back by the representative's transport factor
+    (Orbit.eigenvalue_weights)."""
+    return _integral(edge, F, edge.eigenvalue_weights, k)
 
 
-def integral_identity(edge: HyperEdge, F: GroupMap, k: int) -> bool:
+def integral_identity(edge: Orbit, F: GroupMap, k: int) -> bool:
     """Do the two routes agree as rational sections?  Both carry the power
     size - 1 - k, so equal sections have equal numerators."""
     return edge_integral(edge, F, k) == edge_integral_weighted(edge, F, k)
@@ -275,7 +219,7 @@ def to_json_dict(H: Hypergraph) -> dict:
         "edges": [
             {
                 "members": list(e.members),
-                "axial": poly_text(e.axial.as_poly(), names=g.variables),
+                "axial": poly_text(e.form.as_poly(), names=g.variables),
                 "reflection": e.reflection.element,
                 "order": e.size,
                 "tau": [t.text() for t in e.tau],
@@ -291,14 +235,13 @@ def to_json(H: Hypergraph) -> str:
 
 def to_dot(H: Hypergraph) -> str:
     """Graphviz form: each hyperedge drawn as a clique labeled by its
-    axial form (label carried by the first pair to keep the picture
-    readable)."""
+    form (label carried by the first pair to keep the picture readable)."""
     g = H.group
     lines = [f'graph "{g.name}" {{', "  node [shape=circle];"]
     for x in range(g.order):
         lines.append(f'  v{x} [label="{x}"];')
     for e in H.edges:
-        label = poly_text(e.axial.as_poly(), names=g.variables)
+        label = poly_text(e.form.as_poly(), names=g.variables)
         first = True
         for a in range(e.size):
             for b in range(a + 1, e.size):

@@ -169,16 +169,16 @@ def localized_lifts(group: ReflectionGroup, coinv: CoinvariantBasis) -> list[Gro
 
 
 def image_graded_dimension(
-    group: ReflectionGroup, coinv: CoinvariantBasis, d: int
+    group: ReflectionGroup, localized: Sequence[GroupMap], d: int
 ) -> int:
     """Dimension of the degree-d piece of the localized image, by exact
     elimination.
 
-    The image is spanned by m * F, for F = localize(1 (x) e) of degree at
-    most d (see localized_lifts) and m a monomial filling the degree, each
-    a row in the (element, monomial) coordinates of divisibility_conditions.
-    m is the same at every element, so its row is the row of F with every
-    exponent shifted by m.
+    The image is spanned by m * F, for F one of the localized lifts
+    localize(1 (x) e) (see localized_lifts) of degree at most d and m a
+    monomial filling the degree, each a row in the (element, monomial)
+    coordinates of divisibility_conditions.  m is the same at every
+    element, so its row is the row of F with every exponent shifted by m.
     """
     n = group.dimension
     monomials = graded_monomials(n, d)
@@ -186,7 +186,7 @@ def image_graded_dimension(
     nmono = len(monomials)
     zero = CycNum.zero(group.conductor)
     rows = []
-    for F in localized_lifts(group, coinv):
+    for F in localized:
         dl = F.degree()
         if dl > d:
             continue
@@ -273,6 +273,8 @@ class DimensionTriples:
         localized = localized_lifts(group, self.coinv)
         self._lift_degrees = [F.degree() for F in localized]
         self._refused_by = _refusal(group, localized)
+        # kept for the exact fallback rows only
+        self._localized = None if self._refused_by is None else localized
 
     @property
     def refused_by(self) -> str | None:
@@ -290,7 +292,7 @@ class DimensionTriples:
             n = group.dimension
             free = sum(comb(d - k + n - 1, n - 1) for k in self._lift_degrees if k <= d)
             return expected, free, free
-        image = image_graded_dimension(group, self.coinv, d)
+        image = image_graded_dimension(group, self._localized, d)
         null = len(membership_basis(group, d))
         return expected, image, null
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cyclotomic import ConductorMismatch, CycNum, parse_cyc
 
@@ -224,9 +224,6 @@ class MultiPoly:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def coefficient(self, exps: Iterable[int]) -> CycNum:
-        return self.terms.get(tuple(exps), CycNum.zero(self.conductor))
 
     def __repr__(self):
         return f"MultiPoly({poly_text(self)!r})"

@@ -32,7 +32,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .equivariant import GroupMap, membership, orbit_difference
+from .equivariant import (
+    GroupMap,
+    coroot_map,
+    membership,
+    membership_basis,
+    orbit_difference,
+)
 from .groups import ReflectionGroup, load_group
 from .hypergraph import (
     EdgeWitness,
@@ -329,9 +335,8 @@ def _action_closure(group: ReflectionGroup, seed: int, trials: int) -> LemmaResu
 
 
 def _orbit_decomposition(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
-    from .equivariant import coroot_map
-
     rng = _child_rng(seed, "orbit_decomposition")
+    coroots = {s.element: coroot_map(group, s) for s in group.reflections()}
     checks = failures = 0
     for _ in range(trials):
         F = random_member(rng, group)
@@ -341,7 +346,7 @@ def _orbit_decomposition(group: ReflectionGroup, seed: int, trials: int) -> Lemm
             if not all(isinstance(p, GroupMap) for p in parts):
                 failures += 1
                 continue
-            L = coroot_map(group, s)
+            L = coroots[s.element]
             rebuilt = GroupMap.zero(group)
             for j, part in enumerate(parts):
                 rebuilt = rebuilt + part * L ** j
@@ -351,9 +356,8 @@ def _orbit_decomposition(group: ReflectionGroup, seed: int, trials: int) -> Lemm
 
 
 def _leibniz(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
-    from .equivariant import coroot_map
-
     rng = _child_rng(seed, "leibniz")
+    coroots = {s.element: coroot_map(group, s) for s in group.reflections()}
     checks = failures = 0
     for _ in range(trials):
         F = random_member(rng, group, max_degree=3)
@@ -361,7 +365,7 @@ def _leibniz(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
         FG = F * G
         for s in group.reflections():
             r = s.order
-            L = coroot_map(group, s)
+            L = coroots[s.element]
             ops_F = [orbit_difference(group, s, a, F) for a in range(r)]
             ops_G = [orbit_difference(group, s, a, G) for a in range(r)]
             if not all(isinstance(p, GroupMap) for p in ops_F + ops_G):
@@ -514,8 +518,6 @@ def run_suite(
         if rows:
             member_dims = tuple(r.nullspace for r in rows)
         else:
-            from .equivariant import membership_basis
-
             member_dims = tuple(
                 len(membership_basis(group, d)) for d in range(dmax + 1)
             )

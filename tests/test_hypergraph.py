@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-import reflect_gkm.hypergraph as hypergraph_module
+import reflect_gkm.groups as groups_module
 from reflect_gkm.cyclotomic import CycNum
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis
 from reflect_gkm.groups import load_group
@@ -35,11 +35,12 @@ def P(text, group):
     return parse_poly(text, group.dimension, group.conductor, names=group.variables)
 
 
-def sections_equal(a, b, axial):
-    """Equality of two edge sections after clearing the common axial power."""
+def sections_equal(a, b, form):
+    """Equality of two edge sections after clearing the common power of the
+    edge's form."""
     q = min(a.power, b.power)
-    lhs = a.poly * axial.as_poly() ** (b.power - q)
-    rhs = b.poly * axial.as_poly() ** (a.power - q)
+    lhs = a.poly * form.as_poly() ** (b.power - q)
+    rhs = b.poly * form.as_poly() ** (a.power - q)
     return lhs == rhs
 
 
@@ -86,7 +87,7 @@ def test_edge_census(z2, z3, z4, s3, b2):
 def test_edge_data(z3):
     (edge,) = build_hypergraph(z3).edges
     assert edge.members == (0, 1, 2)
-    assert edge.axial.as_poly() == P("x1", z3)
+    assert edge.form.as_poly() == P("x1", z3)
     lam = edge.reflection.eigenvalue
     assert edge.tau == (CycNum.one(3), lam, lam * lam)
     assert len(set(edge.tau)) == 3
@@ -142,11 +143,11 @@ def test_integral_constants(z2, z3, z4, s3):
         one = GroupMap.constant(group, 1)
         for edge in H.edges:
             top = edge_integral(edge, one, edge.size - 1)
-            val = section_polynomial(top, edge.axial)
+            val = section_polynomial(top, edge.form)
             assert val == MultiPoly.one(group.dimension, group.conductor)
             for k in range(edge.size - 1):
                 sec = edge_integral(edge, one, k)
-                assert section_polynomial(sec, edge.axial) == MultiPoly.zero(
+                assert section_polynomial(sec, edge.form) == MultiPoly.zero(
                     group.dimension, group.conductor
                 )
 
@@ -162,7 +163,7 @@ def test_integral_dual_routes_agree(z3, z4, s3, b2):
                     assert integral_identity(edge, F, k)
                     a = edge_integral(edge, F, k)
                     b = edge_integral_weighted(edge, F, k)
-                    assert sections_equal(a, b, edge.axial)
+                    assert sections_equal(a, b, edge.form)
 
 
 def test_integral_polynomiality_tracks_membership(z3):
@@ -170,14 +171,14 @@ def test_integral_polynomiality_tracks_membership(z3):
     good = localize(TensorElement.pure(z3, 1, P("x1^2", z3)))
     for k in range(edge.size):
         sec = edge_integral(edge, good, k)
-        assert not isinstance(section_polynomial(sec, edge.axial), type(None))
-        assert isinstance(section_polynomial(sec, edge.axial), MultiPoly)
+        assert not isinstance(section_polynomial(sec, edge.form), type(None))
+        assert isinstance(section_polynomial(sec, edge.form), MultiPoly)
     bad = GroupMap(z3, [P("x1", z3), P("x1", z3), MultiPoly.zero(1, 3)])
     assert not membership(bad).ok
     poles = []
     for k in range(edge.size):
         sec = edge_integral(edge, bad, k)
-        poles.append(not isinstance(section_polynomial(sec, edge.axial), MultiPoly))
+        poles.append(not isinstance(section_polynomial(sec, edge.form), MultiPoly))
     assert any(poles)
 
 
@@ -191,7 +192,7 @@ def test_integral_large_insertion_is_polynomial(z2, z3):
         for k in range(edge.size - 1, edge.size + 3):
             sec = edge_integral(edge, F, k)
             assert sec.power <= 0
-            assert isinstance(section_polynomial(sec, edge.axial), MultiPoly)
+            assert isinstance(section_polynomial(sec, edge.form), MultiPoly)
             assert integral_identity(edge, F, k)
     with pytest.raises(ValueError):
         edge_integral(build_hypergraph(z2).edges[0], GroupMap.constant(z2, 1), -1)
@@ -224,18 +225,6 @@ def test_edge_integral_matches_lagrange_products(name):
                 assert sec.poly == _lagrange_product_integral(edge, F, k)
 
 
-def test_incidence_index(s3, z4):
-    for group in (s3, z4):
-        H = build_hypergraph(group)
-        for v in range(group.order):
-            for e in H.incident(v):
-                assert v in e.members
-        # every edge listed at each of its vertices, nothing else
-        for k, e in enumerate(H.edges):
-            for v in range(group.order):
-                assert (k in H.by_vertex[v]) == (v in e.members)
-
-
 def test_lagrange_normalization_constant(z2, z3, z4, s3):
     # the product prod_{a != j}(1 - lambda^a / lambda^j) collapses to the
     # orbit size, for every vertex of every edge
@@ -264,7 +253,7 @@ def test_vandermonde_agrees_with_integral_flags(z3, z4):
                 solved = not isinstance(edge_quotients(edge, F), EdgeWitness)
                 flags = all(
                     isinstance(
-                        section_polynomial(edge_integral(edge, F, k), edge.axial),
+                        section_polynomial(edge_integral(edge, F, k), edge.form),
                         MultiPoly,
                     )
                     for k in range(edge.size - 1)
@@ -274,7 +263,7 @@ def test_vandermonde_agrees_with_integral_flags(z3, z4):
 
 def test_pairwise_is_weaker_exactly_on_high_order(z3, z2, s3, b2):
     # degree one over the order-three cyclic group: every pairwise
-    # difference of linear maps is divisible by the axial line, so the
+    # difference of linear maps is divisible by the edge's line, so the
     # control accepts everything while true membership does not
     assert pairwise_graded_dimension(build_hypergraph(z3), 1) == 3
     assert len(membership_basis(z3, 1)) == 2
@@ -299,16 +288,22 @@ def test_pairwise_dimensions_on_higher_order_groups(name, pairwise, members):
     assert [len(membership_basis(g, d)) for d in range(4)] == members
 
 
-def test_vandermonde_inverse_once_per_edge(monkeypatch):
+def count_mat_inv(monkeypatch):
+    """Record the size of every matrix the orbit records invert."""
     calls = []
-    original = hypergraph_module.mat_inv
+    original = groups_module.mat_inv
 
     def counting(a, conductor):
         calls.append(len(a))
         return original(a, conductor)
 
-    monkeypatch.setattr(hypergraph_module, "mat_inv", counting)
+    monkeypatch.setattr(groups_module, "mat_inv", counting)
+    return calls
+
+
+def test_vandermonde_inverse_once_per_edge(monkeypatch):
     g = load_group("z4")
+    calls = count_mat_inv(monkeypatch)
     H = build_hypergraph(g)
     rng = random.Random(3)
     maps = [random_member(rng, g) for _ in range(3)]
@@ -317,6 +312,57 @@ def test_vandermonde_inverse_once_per_edge(monkeypatch):
         hypergraph_membership(H, F)
     # every edge is interpolated for every map, but inverted once
     assert len(calls) == len(H.edges)
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3", "b2", "g312"])
+def test_edges_are_the_groups_orbit_records(name):
+    g = load_group(name)
+    edges = build_hypergraph(g).edges
+    for edge in edges:
+        assert any(edge is orbit for orbit in g.orbits(edge.reflection))
+        # the scalars are a function of tau, kept once per distinct tau
+        assert all((edge.scalars is e.scalars) == (edge.tau == e.tau) for e in edges)
+
+
+def test_rebuilt_hypergraph_inverts_nothing_again(monkeypatch):
+    g = load_group("g312")
+    calls = count_mat_inv(monkeypatch)
+    rng = random.Random(7)
+    maps = (random_member(rng, g), random_nonmember(rng, g))
+    for F in maps:
+        hypergraph_membership(build_hypergraph(g), F)
+    first = len(calls)
+    # edges with equal tau share their scalars, the inverse included
+    assert first == len({id(edge.scalars) for edge in build_hypergraph(g).edges})
+    # the orbit records, and the inverses kept on them, belong to the group
+    for F in maps:
+        hypergraph_membership(build_hypergraph(g), F)
+    assert len(calls) == first
+
+
+@pytest.mark.parametrize("name", ["z4", "g312"])
+def test_integral_weights_once_per_tau_and_insertion(name, monkeypatch):
+    g = load_group(name)
+    built = {"lagrange": [], "eigenvalue": []}
+    for route in built:
+        original = getattr(groups_module, f"_{route}_weights")
+
+        def counting(orbit, k, original=original, seen=built[route]):
+            seen.append((id(orbit.scalars), k))
+            return original(orbit, k)
+
+        monkeypatch.setattr(groups_module, f"_{route}_weights", counting)
+    H = build_hypergraph(g)
+    rng = random.Random(11)
+    maps = [random_member(rng, g), random_nonmember(rng, g), random_member(rng, g)]
+    for F in maps:
+        for edge in H.edges:
+            for k in range(edge.size):
+                assert integral_identity(edge, F, k)
+    # once per (edge, k), or fewer: edges with equal tau share the result
+    wanted = sorted({(id(edge.scalars), k) for edge in H.edges for k in range(edge.size)})
+    assert sorted(built["lagrange"]) == wanted
+    assert sorted(built["eigenvalue"]) == wanted
 
 
 @pytest.mark.parametrize("name, calls", [("g312", 39), ("z3", 1), ("z4", 2)])

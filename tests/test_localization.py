@@ -25,6 +25,7 @@ from reflect_gkm.localization import (
     image_graded_dimension,
     localize,
     localize_at,
+    localized_lifts,
 )
 from reflect_gkm.polynomials import MultiPoly, parse_poly
 from reflect_gkm.sampling import (
@@ -152,11 +153,11 @@ def test_commutes_with_difference_random(z3, s3):
 
 
 def test_image_dimensions(z2, z3):
-    c2 = coinvariant_basis(z2)
-    assert image_graded_dimension(z2, c2, 0) == 1
-    assert image_graded_dimension(z2, c2, 1) == 2
-    c3 = coinvariant_basis(z3)
-    assert image_graded_dimension(z3, c3, 2) == 3
+    l2 = localized_lifts(z2, coinvariant_basis(z2))
+    assert image_graded_dimension(z2, l2, 0) == 1
+    assert image_graded_dimension(z2, l2, 1) == 2
+    l3 = localized_lifts(z3, coinvariant_basis(z3))
+    assert image_graded_dimension(z3, l3, 2) == 3
 
 
 def test_dimension_triples_agree(z2, z3, s3):
@@ -171,8 +172,9 @@ def exact_rows(group, coinv, dmax):
     """(predicted, image, nullspace) for d <= dmax, the last two by exact
     elimination."""
     predicted = tensor_hilbert_coefficients(group.fundamental_degrees(), group.dimension, dmax)
+    lifts = localization.localized_lifts(group, coinv)
     return [
-        (predicted[d], image_graded_dimension(group, coinv, d), len(membership_basis(group, d)))
+        (predicted[d], image_graded_dimension(group, lifts, d), len(membership_basis(group, d)))
         for d in range(dmax + 1)
     ]
 
@@ -210,19 +212,38 @@ def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
     assert [triples.triple(d) for d in range(5)] == exact_rows(s3, coinv, 4)
 
 
-def test_duplicated_lift_falls_back_to_exact(s3):
+def duplicated_lift_basis(s3):
     coinv = coinvariant_basis(s3)
     # one degree-2 lift replaced by a copy of the other: every lift is a
     # member and the degree count holds, but det A vanishes
     assert coinv.degrees[3:5] == [2, 2]
     lifts = list(coinv.lifts)
     lifts[3] = lifts[4]
-    bad = CoinvariantBasis(lifts, list(coinv.degrees))
+    return CoinvariantBasis(lifts, list(coinv.degrees))
+
+
+def test_duplicated_lift_falls_back_to_exact(s3):
+    bad = duplicated_lift_basis(s3)
     triples = DimensionTriples(s3, bad)
     assert triples.refused_by == "rank"
     rows = [triples.triple(d) for d in range(5)]
     assert rows == exact_rows(s3, bad, 4)
     assert all(image < expected == null for expected, image, null in rows[2:])
+
+
+def test_refused_rows_localize_the_lifts_once(s3, monkeypatch):
+    calls = []
+
+    def counted(lifts):
+        calls.append(len(lifts))
+        return lifts
+
+    edit_localized_lifts(monkeypatch, counted)
+    triples = DimensionTriples(s3, duplicated_lift_basis(s3))
+    assert triples.refused_by == "rank"
+    for d in range(5):
+        triples.triple(d)
+    assert calls == [s3.order]
 
 
 def test_lift_times_x1_is_refused_by_degrees(s3, monkeypatch):
