@@ -24,6 +24,11 @@ minimal conductor, so equal values collide properly in dicts and sets.
 The text form is a polynomial in z with high powers first, for example
 ``1/2*z^2 - 1``; parse_cyc inverts text exactly.
 
+dot_product is the one exact linear combination sum_k x_k y_k: it works on
+the integer numerators and builds a single CycNum for the total, so callers
+that sum many products (polynomial coefficients, matrix entries) pay one
+gcd per result instead of one per product and per partial sum.
+
 PrimeReduction maps values into a prime field F_p by sending z to a root
 of the cyclotomic polynomial modulo p.  It is a ring homomorphism on every
 value whose common denominator is prime to p, and refuses any other value,
@@ -44,6 +49,7 @@ __all__ = [
     "NotReducible",
     "PrimeReduction",
     "cyclotomic_polynomial",
+    "dot_product",
     "euler_phi",
     "parse_cyc",
     "root_of_unity",
@@ -483,6 +489,39 @@ def _sum(x: CycNum, num, den: int) -> CycNum:
     return _canon(
         x.conductor, [a * fx + b * fo for a, b in zip(x.num, num)], dx * fx
     )
+
+
+def dot_product(conductor: int, pairs) -> CycNum:
+    """sum x * y over (x, y) pairs of CycNums at the given conductor.
+
+    Each product is formed on the integer numerators (one integer product
+    when phi(conductor) = 1), the products are added over the lcm of their
+    denominators, and the total is canonicalised once, with one gcd.  The
+    empty sum is zero."""
+    m = conductor
+    acc = None
+    den = 1
+    for x, y in pairs:
+        if x.conductor != m or y.conductor != m:
+            raise ConductorMismatch(f"conductor {m} vs {x.conductor}, {y.conductor}")
+        d = x.den * y.den
+        a = x.num
+        if len(a) == 1:
+            prod = [a[0] * y.num[0]]
+        else:
+            prod = _mul_int(m, a, y.num)
+        if acc is None:
+            acc, den = prod, d
+        elif d == den:
+            acc = [u + v for u, v in zip(acc, prod)]
+        else:
+            g = gcd(den, d)
+            fa, fp = d // g, den // g
+            acc = [u * fa + v * fp for u, v in zip(acc, prod)]
+            den *= fa
+    if acc is None:
+        return CycNum.zero(m)
+    return _canon(m, acc, den)
 
 
 # ---------------------------------------------------------------------------

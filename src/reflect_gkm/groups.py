@@ -24,12 +24,13 @@ Conventions used throughout the package:
     tau_j = scale * lambda^j.  The table is computed once per (group,
     reflection) and cached on the group.  An Orbit is also a hyperedge of
     the reflection hypergraph.  Every per-coset scalar (scale^-i, the
-    Vandermonde inverse, both edge-integral weight vectors) is a function
-    of tau, so it is computed on first use and kept in a table that all
-    orbits of the group with equal tau share.
+    Vandermonde inverse, both edge-integral weight vectors and whether
+    they are equal) is a function of tau, so it is computed on first use
+    and kept in a table that all orbits of the group with equal tau share.
 
 The Molien series sum_w 1/det(1 - t w) / |W| is computed as an exact
-rational function and its denominator is factored as prod (1 - t^{d_i});
+rational function, one term per distinct det(1 - t w) weighted by how
+many elements share it, and its denominator is factored as prod (1 - t^{d_i});
 the d_i are the fundamental degrees that drive the rest of the package.
 """
 
@@ -167,6 +168,14 @@ class Orbit:
         """scale^-i lambda^{-ij} / size for each member j, i = size - 1 - k."""
         return self._kept(("eigenvalue", k), lambda: _eigenvalue_weights(self, k))
 
+    def weights_agree(self, k: int) -> bool:
+        """Are the two weight vectors above exactly equal?  The edge
+        integrals are linear in the vertex values, so equal vectors make
+        the two routes agree on every map."""
+        return self._kept(
+            ("agree", k), lambda: self.lagrange_weights(k) == self.eigenvalue_weights(k)
+        )
+
 
 def _lagrange_weights(orbit: Orbit, k: int) -> tuple[CycNum, ...]:
     # 1 / prod_{l != j} (tau_j - tau_l) is the leading coefficient of the
@@ -183,10 +192,22 @@ def _eigenvalue_weights(orbit: Orbit, k: int) -> tuple[CycNum, ...]:
     return tuple(base * w for w in orbit.reflection.weights(i))
 
 
+def _matrix_key(matrix) -> tuple:
+    """The exact (num, den) pairs of a matrix's entries, which are canonical
+    at the one conductor of the group, so equal matrices have equal keys."""
+    return tuple((x.num, x.den) for row in matrix for x in row)
+
+
 def group_closure(matrices, conductor: int, cap: int = 10000):
     """BFS closure of a generator list; returns (elements, mult_table,
     inverse_table).  Deterministic: the identity is element 0 and products
-    are explored in generator file order."""
+    are explored in generator file order.
+
+    The BFS records right[x][g], the index of x * gen_g, and for each
+    element b > 0 the word (parent, g) that first reached it, b = parent *
+    gen_g, with parent < b.  So a * b = (a * parent) * gen_g, and the Cayley
+    table is filled row by row from integer lookups: |W| * #generators
+    matrix products in all."""
     n = len(matrices[0])
     for k, g in enumerate(matrices):
         if len(g) != n or any(len(row) != n for row in g):
@@ -196,24 +217,33 @@ def group_closure(matrices, conductor: int, cap: int = 10000):
         except ValueError:
             raise SingularGenerator(f"generator {k} is singular") from None
     ident = mat_identity(n, conductor)
-    index: dict = {ident: 0}
+    index = {_matrix_key(ident): 0}
     elements = [ident]
-    head = 0
-    while head < len(elements):
-        base = elements[head]
-        head += 1
-        for g in matrices:
-            prod = mat_mul(base, g)
-            if prod not in index:
+    words = [None]
+    right = []
+    # the loop reads elements as the BFS appends to it
+    for x, base in enumerate(elements):
+        row = []
+        for g, gen in enumerate(matrices):
+            prod = mat_mul(base, gen)
+            key = _matrix_key(prod)
+            j = index.get(key)
+            if j is None:
                 if len(elements) >= cap:
                     raise CapExceeded(f"group order exceeds cap {cap}")
-                index[prod] = len(elements)
+                j = index[key] = len(elements)
                 elements.append(prod)
-    size = len(elements)
-    mult = [[index[mat_mul(a, b)] for b in elements] for a in elements]
-    inverse = [0] * size
-    for i in range(size):
-        inverse[i] = next(j for j in range(size) if mult[i][j] == 0)
+                words.append((x, g))
+            row.append(j)
+        right.append(row)
+    mult = []
+    steps = words[1:]
+    for a in range(len(elements)):
+        row = [a]
+        for parent, g in steps:
+            row.append(right[row[parent]][g])
+        mult.append(row)
+    inverse = [row.index(0) for row in mult]
     return elements, mult, inverse
 
 
@@ -463,8 +493,9 @@ def _molien_series(group: ReflectionGroup) -> MolienSeries:
     m = group.conductor
     zero = CycNum.zero(m)
     one = CycNum.one(m)
-    num: list = []
-    den = [one]
+    # det(1 - tw) is a class function: count the elements per exact
+    # polynomial, then add count / det once per distinct one
+    classes: dict[tuple, list] = {}
     for el in group.elements:
         entries = [
             [
@@ -474,7 +505,16 @@ def _molien_series(group: ReflectionGroup) -> MolienSeries:
             for i in range(group.dimension)
         ]
         dw = _u_det(entries)
-        num = upoly_add(upoly_mul(num, dw), den)
+        key = tuple((c.num, c.den) for c in dw)
+        got = classes.get(key)
+        if got is None:
+            classes[key] = [dw, 1]
+        else:
+            got[1] += 1
+    num: list = []
+    den = [one]
+    for dw, count in classes.values():
+        num = upoly_add(upoly_mul(num, dw), [c * count for c in den])
         den = upoly_mul(den, dw)
         g = upoly_gcd(num, den)
         if len(g) > 1:

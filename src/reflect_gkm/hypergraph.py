@@ -32,7 +32,11 @@ a rational section with poles only along the edge's form.  Collapsing the
 scalar weights shows it equals g_{r-1-k}, so it is computed by two
 independent routes (Lagrange scalars from the Vandermonde inverse,
 eigenvalue-weighted orbit sums) and compared; both carry the same power
-of the form, so the numerators must agree.
+of the form, so the numerators must agree.  Each route is a scalar-weighted
+sum of the same vertex values, so the identity is linear in F: when the two
+weight vectors are exactly equal it holds for every map, and
+integral_identity decides it once per (tau, k) from the weights alone.  The
+per-map sums run only when the vectors differ, as the exact fallback.
 
 The pairwise condition (adjacent values congruent modulo the form, first
 order only) is kept as a deliberately weaker control: it agrees with
@@ -203,7 +207,16 @@ def edge_integral_weighted(edge: Orbit, F: GroupMap, k: int) -> EdgeSection:
 
 def integral_identity(edge: Orbit, F: GroupMap, k: int) -> bool:
     """Do the two routes agree as rational sections?  Both carry the power
-    size - 1 - k, so equal sections have equal numerators."""
+    size - 1 - k, so equal sections have equal numerators.
+
+    Both numerators are sums of F's vertex values against scalar weights,
+    so equal weight vectors (Orbit.weights_agree, decided once per tau and
+    k) prove the identity for every F and no sum is formed.  Only when the
+    vectors differ are both routes summed on F and compared."""
+    if k < 0:
+        raise ValueError("insertion exponent must be nonnegative")
+    if edge.weights_agree(k):
+        return True
     return edge_integral(edge, F, k) == edge_integral_weighted(edge, F, k)
 
 

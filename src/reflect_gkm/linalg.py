@@ -4,7 +4,9 @@ Plain Gaussian elimination, no pivoting heuristics: coefficients are exact,
 so the first nonzero entry in a column is as good a pivot as any, and doing
 it this way keeps every basis and nullspace deterministic, which the
 verification reports rely on.  Everything accepts CycNum entries; Fractions
-work too since only +, -, *, / and truthiness are used.  rank_mod_p is the
+work too since only +, -, *, / and truthiness are used.  The small dense
+matrices (group elements) take CycNum entries only: mat_mul and mat_vec
+sum their products by cyclotomic.dot_product.  rank_mod_p is the
 one exception: it works on integers modulo a prime, for the rank step of
 localization.DimensionTriples' certificate.  rref is the package's
 only elimination over Q(zeta_m); cyclotomic._subfield_coords, fraction-free
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, dot_product
 
 __all__ = [
     "mat_identity",
@@ -123,12 +125,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _dot(row, col):
-    it = iter(zip(row, col))
-    x, y = next(it)
-    acc = x * y
-    for x, y in it:
-        acc = acc + x * y
-    return acc
+    return dot_product(row[0].conductor, zip(row, col))
 
 
 def mat_vec(a: Matrix, v: Sequence) -> tuple:

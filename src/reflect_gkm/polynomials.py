@@ -24,7 +24,10 @@ remainder: after v exact steps that remainder is the component of f of
 order exactly v along ell, and ell^v times it is the NotDivisible witness.
 
 weighted_sum is the one kernel for linear combinations sum_k w_k f_k with
-scalar weights: it accumulates every product into a single dict.
+scalar weights.  It collects, per output monomial, the coefficients of the
+f_k there with their weights, and computes each output coefficient as one
+exact dot product (cyclotomic.dot_product), so it builds one CycNum per
+output monomial rather than one per product and per partial sum.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cyclotomic import ConductorMismatch, CycNum, parse_cyc
+from .cyclotomic import ConductorMismatch, CycNum, dot_product, parse_cyc
 
 __all__ = [
     "LinearForm",
@@ -281,18 +284,25 @@ class LinearForm:
 
 
 def weighted_sum(pairs, nvars: int, conductor: int) -> MultiPoly:
-    """sum_k w_k * f_k over (f_k, w_k) pairs with scalar weights, every
-    product accumulated into one dict."""
-    out: dict[Exponents, CycNum] = {}
+    """sum_k w_k * f_k over (f_k, w_k) pairs with scalar weights: one
+    dot product per output monomial."""
+    columns: dict[Exponents, list] = {}
     for f, w in pairs:
         w = _as_coeff(w, conductor)
         if not w:
             continue
         for e, c in f.terms.items():
-            v = c * w
-            prev = out.get(e)
-            out[e] = v if prev is None else prev + v
-    return MultiPoly._make(nvars, conductor, {e: c for e, c in out.items() if c})
+            col = columns.get(e)
+            if col is None:
+                columns[e] = [(c, w)]
+            else:
+                col.append((c, w))
+    out = {}
+    for e, col in columns.items():
+        c = dot_product(conductor, col)
+        if c:
+            out[e] = c
+    return MultiPoly._make(nvars, conductor, out)
 
 
 class LinearSubstitution:

@@ -13,7 +13,13 @@ from math import gcd
 
 import pytest
 
-from reflect_gkm.cyclotomic import CycNum, cyclotomic_polynomial, euler_phi, parse_cyc
+from reflect_gkm.cyclotomic import (
+    CycNum,
+    cyclotomic_polynomial,
+    dot_product,
+    euler_phi,
+    parse_cyc,
+)
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12]
 # denominators that share factors, so sums and products cancel partly
@@ -144,6 +150,18 @@ def test_ring_operations_match_the_fraction_reference(m):
         for got, want in ((x * q, [c * q for c in a]), (x + q, [a[0] + q] + a[1:])):
             assert_canonical(got, m)
             assert list(got.coeffs) == want
+    # the dot kernel against per-term CycNum products and sums, on prefixes
+    # of the pairs and on pairs whose products cancel to zero
+    pairs = list(zip(nums, reversed(nums)))
+    cancelling = pairs + [(-x, y) for x, y in pairs]
+    for case in [pairs[:k] for k in range(len(pairs) + 1)] + [cancelling]:
+        want = CycNum.zero(m)
+        for x, y in case:
+            want = want + x * y
+        got = dot_product(m, case)
+        assert_canonical(got, m)
+        assert (got.num, got.den) == (want.num, want.den)
+    assert not dot_product(m, cancelling)
 
 
 @pytest.mark.parametrize("m", CONDUCTORS)

@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from reflect_gkm.cli import main
-from reflect_gkm.cyclotomic import CycNum, root_of_unity
+from reflect_gkm.cyclotomic import CycNum, parse_cyc, root_of_unity
 from reflect_gkm.groups import (
     CapExceeded,
     GroupFileError,
@@ -15,6 +16,7 @@ from reflect_gkm.groups import (
     load_group,
     parse_group_dict,
 )
+from reflect_gkm.linalg import mat_identity, mat_mul
 from reflect_gkm.polynomials import MultiPoly
 
 
@@ -66,6 +68,88 @@ def test_cayley_tables(groups):
                 for b in range(n):
                     for c in range(n):
                         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+
+
+G412 = {
+    "name": "g412",
+    "dimension": 2,
+    "conductor": 4,
+    "variables": ["x1", "x2"],
+    "generators": [["0", "1", "1", "0"], ["z", "0", "0", "1"]],
+}
+
+
+def seven_group_data(name):
+    """The definition of a bundled group, or of G(4,1,2)."""
+    if name == "g412":
+        return G412
+    text = resources.files("reflect_gkm").joinpath(f"groups/{name}.json").read_text()
+    return json.loads(text)
+
+
+def load_seven(name, tmp_path):
+    """The group of seven_group_data, loaded from a file in tmp_path."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(seven_group_data(name)))
+    return load_group(str(path))
+
+
+def pairwise_closure(matrices, conductor):
+    """The BFS closure with every table entry from its own matrix product,
+    |W|^2 of them, indexed by CycNum equality and hashing."""
+    ident = mat_identity(len(matrices[0]), conductor)
+    index = {ident: 0}
+    elements = [ident]
+    for base in elements:
+        for g in matrices:
+            prod = mat_mul(base, g)
+            if prod not in index:
+                index[prod] = len(elements)
+                elements.append(prod)
+    mult = [[index[mat_mul(a, b)] for b in elements] for a in elements]
+    inverse = [row.index(0) for row in mult]
+    return elements, mult, inverse
+
+
+SEVEN = list(EXPECTED) + ["g412"]
+
+
+@pytest.mark.parametrize("name", SEVEN)
+def test_closure_tables_match_pairwise_products(name, tmp_path):
+    data = seven_group_data(name)
+    n, m = data["dimension"], data["conductor"]
+    gens = []
+    for flat in data["generators"]:
+        entries = [parse_cyc(str(e), m) for e in flat]
+        gens.append(tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n)))
+    want = pairwise_closure(gens, m)
+    assert group_closure(gens, m) == want
+    g = load_seven(name, tmp_path)
+    assert ([e.matrix for e in g.elements], g.mult_table, g.inverse_table) == want
+
+
+# num and den of the reduced Molien series, as the sum of one term per
+# element gave them
+MOLIEN = {
+    "z2": ((1,), (1, 0, -1)),
+    "z3": ((1,), (1, 0, 0, -1)),
+    "z4": ((1,), (1, 0, 0, 0, -1)),
+    "s3": ((1,), (1, 0, -1, -1, 0, 1)),
+    "b2": ((1,), (1, 0, -1, 0, -1, 0, 1)),
+    "g312": ((1,), (1, 0, 0, -1, 0, 0, -1, 0, 0, 1)),
+    "g412": ((1,), (1, 0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", SEVEN)
+def test_molien_series_is_pinned(name, tmp_path):
+    series = load_seven(name, tmp_path).molien()
+    num, den = MOLIEN[name]
+    assert (series.num, series.den) == (
+        tuple(Fraction(c) for c in num),
+        tuple(Fraction(c) for c in den),
+    )
+    assert all(type(c) is Fraction for c in series.num + series.den)
 
 
 def test_bfs_order_is_deterministic(groups):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import reflect_gkm.groups as groups_module
+import reflect_gkm.hypergraph as hypergraph_module
 from reflect_gkm.cyclotomic import CycNum
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis
 from reflect_gkm.groups import load_group
@@ -29,6 +30,7 @@ from reflect_gkm.hypergraph import (
 from reflect_gkm.localization import TensorElement, localize
 from reflect_gkm.polynomials import MultiPoly, parse_poly
 from reflect_gkm.sampling import random_member, random_nonmember
+from reflect_gkm.suite import run_suite
 
 
 def P(text, group):
@@ -340,6 +342,19 @@ def test_rebuilt_hypergraph_inverts_nothing_again(monkeypatch):
     assert len(calls) == first
 
 
+def count_weighted_sums(monkeypatch):
+    """Record every weighted sum the hypergraph module forms."""
+    calls = []
+    original = hypergraph_module.weighted_sum
+
+    def counting(pairs, nvars, conductor):
+        calls.append(conductor)
+        return original(pairs, nvars, conductor)
+
+    monkeypatch.setattr(hypergraph_module, "weighted_sum", counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["z4", "g312"])
 def test_integral_weights_once_per_tau_and_insertion(name, monkeypatch):
     g = load_group(name)
@@ -355,6 +370,11 @@ def test_integral_weights_once_per_tau_and_insertion(name, monkeypatch):
     H = build_hypergraph(g)
     rng = random.Random(11)
     maps = [random_member(rng, g), random_nonmember(rng, g), random_member(rng, g)]
+    # any values at all, members or not
+    x = g.variables[-1]
+    maps.append(GroupMap(g, [P(f"{x}^2 - 3*{x} + 1/5", g)] * (g.order - 1) + [P(x, g)]))
+    maps.append(GroupMap.constant(g, 0))
+    summed = count_weighted_sums(monkeypatch)
     for F in maps:
         for edge in H.edges:
             for k in range(edge.size):
@@ -363,6 +383,31 @@ def test_integral_weights_once_per_tau_and_insertion(name, monkeypatch):
     wanted = sorted({(id(edge.scalars), k) for edge in H.edges for k in range(edge.size)})
     assert sorted(built["lagrange"]) == wanted
     assert sorted(built["eigenvalue"]) == wanted
+    # the weight vectors are equal, which proves the identity for every map
+    # without summing any of them
+    assert all(edge.weights_agree(k) for edge in H.edges for k in range(edge.size))
+    assert summed == []
+
+
+def test_unequal_weights_fall_back_to_the_sums(monkeypatch):
+    # the eigenvalue route without its 1/size: the vectors differ, so the
+    # identity is decided on each map, and fails on a nonzero member
+    def scaled(orbit, k):
+        i = orbit.size - 1 - k
+        base = orbit.inverse_scale_power(i)
+        return tuple(base * w for w in orbit.reflection.weights(i))
+
+    monkeypatch.setattr(groups_module, "_eigenvalue_weights", scaled)
+    g = load_group("z3")
+    (edge,) = build_hypergraph(g).edges
+    summed = count_weighted_sums(monkeypatch)
+    one = GroupMap.constant(g, 1)
+    assert not edge.weights_agree(edge.size - 1)
+    assert not integral_identity(edge, one, edge.size - 1)
+    assert len(summed) == 2
+    report = run_suite(g, trials=2, sections=("hypergraph",))
+    assert not report.hypergraph.ok and not report.ok
+    assert "FAIL" in report.text()
 
 
 @pytest.mark.parametrize("name, calls", [("g312", 39), ("z3", 1), ("z4", 2)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflect_gkm.cyclotomic import CycNum, root_of_unity
+from reflect_gkm.cyclotomic import CycNum, euler_phi, root_of_unity
 from reflect_gkm.polynomials import (
     LinearForm,
     LinearSubstitution,
@@ -258,16 +258,33 @@ def test_division_by_a_single_variable_shifts():
     assert (res.valuation, res.witness) == (2, y**2)
 
 
+def _full_scalar(rng, m):
+    # every power-basis coefficient, over denominators sharing factors
+    return CycNum(m, [
+        Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.choice((1, 2, 3, 4, 6, 9, 12)))
+        for _ in range(euler_phi(m))
+    ])
+
+
 def test_weighted_sum_matches_repeated_addition():
-    rng = random.Random(4)
-    for m in (1, 3, 4):
+    for m in (1, 2, 3, 4, 5, 7, 8, 9, 12):
+        rng = random.Random(f"weighted-sum:{m}")
         polys = [_random_poly(rng, 2, m) for _ in range(4)]
-        weights = [_random_scalar(rng, m) for _ in range(4)] + [0]
+        polys += [
+            MultiPoly(2, m, {e: _full_scalar(rng, m) for e in graded_monomials(2, 2)})
+            for _ in range(3)
+        ]
+        weights = [_random_scalar(rng, m) for _ in range(4)]
+        weights += [_full_scalar(rng, m) for _ in range(2)] + [0]
         polys.append(polys[0])
+        weights.append(-weights[0])
         expected = MultiPoly.zero(2, m)
         for f, w in zip(polys, weights):
             expected = expected + f * w
         assert weighted_sum(zip(polys, weights), 2, m) == expected
+        # a sum that cancels to zero leaves no term
+        f, w = polys[4], weights[4]
+        assert weighted_sum([(f, w), (f, -w)], 2, m).terms == {}
     # cancelling terms leave no zero coefficient behind
     x, y = xy()
     total = weighted_sum([(x + y, 1), (x - y, -1)], 2, 1)
