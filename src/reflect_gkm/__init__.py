@@ -69,6 +69,7 @@ from .polynomials import (
     poly_text,
 )
 from .suite import (
+    NoPseudoReflections,
     NotReflectionGenerated,
     VerificationReport,
     run_suite,
@@ -92,6 +93,7 @@ __all__ = [
     "MembershipRuleViolated",
     "MultiPoly",
     "NotAMember",
+    "NoPseudoReflections",
     "NotDivisible",
     "NotPolynomialInvariantRing",
     "NotReflectionGenerated",

@@ -36,7 +36,12 @@ from .hypergraph import (
 )
 from .invariants import coinvariant_basis
 from .polynomials import poly_text
-from .suite import NotReflectionGenerated, default_max_degree, run_suite
+from .suite import (
+    NoPseudoReflections,
+    NotReflectionGenerated,
+    default_max_degree,
+    run_suite,
+)
 
 USAGE_ERROR = 2
 
@@ -256,7 +261,7 @@ def _cmd_coinvariants(args) -> int:
     g = load_group(args.group)
     top = sum(d - 1 for d in g.fundamental_degrees())
     dmax = min(_default_dmax(g, args.max_degree), top)
-    basis = coinvariant_basis(g, dmax)
+    basis = coinvariant_basis(g)
     by_degree: dict[int, list[str]] = {}
     for lift, d in zip(basis.lifts, basis.degrees):
         by_degree.setdefault(d, []).append(poly_text(lift, names=g.variables))
@@ -403,6 +408,7 @@ def main(argv=None) -> int:
         SingularGenerator,
         CapExceeded,
         NotPolynomialInvariantRing,
+        NoPseudoReflections,
         NotReflectionGenerated,
         UsageError,
     ) as exc:

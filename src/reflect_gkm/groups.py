@@ -260,7 +260,6 @@ class ReflectionGroup:
         self._reflections: tuple[PseudoReflection, ...] | None = None
         self._by_element: dict[int, PseudoReflection] = {}
         self._molien: MolienSeries | None = None
-        self._cosets: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._orbits: dict[int, tuple[Orbit, ...]] = {}
         self._transported: dict[tuple[int, int], tuple[CycNum, LinearForm]] = {}
         self._scalars: dict[tuple, dict] = {}
@@ -292,9 +291,6 @@ class ReflectionGroup:
     def right_cosets(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Right cosets x<s> with members ordered [x, xs, xs^2, ...]; the
         representative x is the smallest index in its coset."""
-        got = self._cosets.get(i)
-        if got is not None:
-            return got
         powers = self.cyclic_powers(i)
         seen = [False] * self.order
         cosets = []
@@ -305,13 +301,11 @@ class ReflectionGroup:
             for m in members:
                 seen[m] = True
             cosets.append(members)
-        out = tuple(cosets)
-        self._cosets[i] = out
-        return out
+        return tuple(cosets)
 
     def orbits(self, s: PseudoReflection) -> tuple[Orbit, ...]:
         """The orbit table of s: one Orbit per right coset, in right_cosets
-        order.  Cached on the group, like the cosets themselves."""
+        order.  Cached on the group."""
         got = self._orbits.get(s.element)
         if got is None:
             out = []
@@ -578,16 +572,19 @@ def parse_group_dict(data: dict) -> ReflectionGroup:
     gens = data["generators"]
     if not isinstance(name, str):
         raise GroupFileError("name must be a string")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise GroupFileError("dimension must be a positive integer")
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise GroupFileError("conductor must be a positive integer")
+    # names must read back through parse_poly: identifiers, distinct, and
+    # not z, the root of unity
     if (
         not isinstance(variables, list)
         or len(variables) != n
-        or not all(isinstance(v, str) for v in variables)
+        or not all(isinstance(v, str) and v.isidentifier() and v != "z" for v in variables)
+        or len(set(variables)) != n
     ):
-        raise GroupFileError(f"variables must be {n} strings")
+        raise GroupFileError(f"variables must be {n} distinct identifiers other than z")
     if not isinstance(gens, list) or not gens:
         raise GroupFileError("generators must be a nonempty list")
     matrices = []

@@ -11,9 +11,11 @@ coefficient (in graded-lex order) at that monomial; these are the
 non-pivot columns of the row reduction of J_d with its columns reversed.
 Every basis here is read off linalg.rref.
 
-The degree histogram of the standard monomials must match the coefficients
-of prod_i (1 + t + ... + t^{d_i - 1}); a mismatch means the group is not a
-pseudo-reflection group (or a bug) and is raised as HistogramMismatch.
+The basis always runs to the top degree sum_i (d_i - 1), and its degree
+histogram must match the coefficients of prod_i (1 + t + ... + t^{d_i - 1});
+a mismatch means the group is not a pseudo-reflection group (or a bug) and
+is raised as HistogramMismatch.  graded_count turns a degree histogram into
+the graded dimensions of a free module; the theorem rows count with it.
 """
 
 from __future__ import annotations
@@ -29,20 +31,17 @@ from .polynomials import MultiPoly, graded_monomials
 
 __all__ = [
     "CoinvariantBasis",
-    "DegreeBoundTooSmall",
     "GradedBasis",
     "HistogramMismatch",
     "coinvariant_basis",
     "coinvariant_histogram",
+    "degree_histogram",
+    "graded_count",
     "hilbert_ideal_piece",
     "invariant_basis",
     "reynolds",
     "tensor_hilbert_coefficients",
 ]
-
-
-class DegreeBoundTooSmall(Exception):
-    """The requested bound cannot cover all coinvariant degrees."""
 
 
 class HistogramMismatch(Exception):
@@ -69,11 +68,7 @@ class CoinvariantBasis:
         return len(self.lifts)
 
     def histogram(self) -> list[int]:
-        top = max(self.degrees) if self.degrees else 0
-        out = [0] * (top + 1)
-        for d in self.degrees:
-            out[d] += 1
-        return out
+        return degree_histogram(self.degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +146,12 @@ def hilbert_ideal_piece(group: ReflectionGroup, d: int) -> GradedBasis:
     return out
 
 
+def degree_histogram(degrees) -> list[int]:
+    """h with h[k] the number of entries of degrees equal to k."""
+    degrees = list(degrees)
+    return [degrees.count(k) for k in range(max(degrees, default=0) + 1)]
+
+
 def coinvariant_histogram(degrees) -> list[int]:
     """Coefficients of prod_i (1 + t + ... + t^{d_i - 1})."""
     out = [1]
@@ -163,53 +164,42 @@ def coinvariant_histogram(degrees) -> list[int]:
     return out
 
 
+def graded_count(histogram, nvars: int, d: int) -> int:
+    """Coefficient of t^d in sum_k histogram[k] t^k / (1 - t)^nvars: the
+    degree-d dimension of a free module over nvars variables with
+    histogram[k] generators in degree k."""
+    return sum(
+        c * comb(d - k + nvars - 1, nvars - 1) for k, c in enumerate(histogram[: d + 1])
+    )
+
+
 def tensor_hilbert_coefficients(degrees, nvars: int, dmax: int) -> list[int]:
     """Coefficients of prod_i (1 + ... + t^{d_i - 1}) / (1 - t)^nvars up to
     degree dmax: the expected graded dimensions of the equivariant ring."""
     num = coinvariant_histogram(degrees)
-    out = []
-    for d in range(dmax + 1):
-        acc = 0
-        for i, c in enumerate(num):
-            if i > d:
-                break
-            acc += c * comb(d - i + nvars - 1, nvars - 1)
-        out.append(acc)
-    return out
+    return [graded_count(num, nvars, d) for d in range(dmax + 1)]
 
 
-def coinvariant_basis(group: ReflectionGroup, dmax: int | None = None) -> CoinvariantBasis:
+def coinvariant_basis(group: ReflectionGroup) -> CoinvariantBasis:
     """Greedy graded-lex standard monomials presenting R / J degree by
-    degree; lifts are the selected monomials themselves (the selection
-    rule is in the module docstring)."""
-    degrees = group.fundamental_degrees()
-    top = sum(d - 1 for d in degrees)
-    if dmax is None:
-        dmax = top
-    if dmax < top:
-        raise DegreeBoundTooSmall(
-            f"bound {dmax} is below the top coinvariant degree {top}"
-        )
-    expected = coinvariant_histogram(degrees)
+    degree, up to the top degree; lifts are the selected monomials
+    themselves (the selection rule is in the module docstring)."""
+    expected = coinvariant_histogram(group.fundamental_degrees())
     n, m = group.dimension, group.conductor
     lifts: list[MultiPoly] = []
     degs: list[int] = []
-    for d in range(dmax + 1):
+    for d in range(len(expected)):
         monomials = graded_monomials(n, d)
         reverse = monomials[::-1]
         rows = [_coeff_row(v, reverse, m) for v in hilbert_ideal_piece(group, d).vectors]
         leading = {len(monomials) - 1 - col for col in rref(rows)[1]}
-        count = 0
-        for pos, exps in enumerate(monomials):
-            if pos not in leading:
-                lifts.append(MultiPoly(n, m, {exps: 1}))
-                degs.append(d)
-                count += 1
-        want = expected[d] if d < len(expected) else 0
-        if count != want:
+        standard = [e for pos, e in enumerate(monomials) if pos not in leading]
+        if len(standard) != expected[d]:
             raise HistogramMismatch(
-                f"degree {d}: found {count} standard monomials, expected {want}"
+                f"degree {d}: found {len(standard)} standard monomials, expected {expected[d]}"
             )
+        lifts += [MultiPoly(n, m, {e: 1}) for e in standard]
+        degs += [d] * len(standard)
     if len(lifts) != group.order:
         raise HistogramMismatch(
             f"found {len(lifts)} standard monomials for a group of order {group.order}"

@@ -11,21 +11,21 @@ tensor product over invariants has no canonical normal form worth
 maintaining at this scale, so equality of tensors is extensional: two
 tensors are equal when their localizations agree everywhere.
 
-The graded comparison driving the verification suite happens here too:
-for each degree d the dimension of the localized image (spanned by
-monomial multiples of localized coinvariant lifts) is compared against
-the histogram convolution prediction and against the divisibility
-nullspace computed in the equivariant module.  DimensionTriples proves
-image = nullspace in every degree at once from one determinant
-certificate on the localized lifts (membership of each lift, a full rank
-modulo a prime at one point, and a degree count), and falls back to
-exact per-degree elimination when the certificate does not close.
+The graded comparison driving the verification suite happens here too,
+from the group alone: for each degree d the dimension of the localized
+image (spanned by monomial multiples of localized coinvariant lifts) is
+compared against the prediction from the fundamental degrees and against
+the divisibility nullspace computed in the equivariant module.
+DimensionTriples proves image = nullspace in every degree at once from one
+determinant certificate on the localized lifts (membership of each lift, a
+full rank modulo a prime at one point, and a degree count), and falls back
+to exact per-degree elimination when the certificate does not close.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 from typing import Sequence
 
 from .cyclotomic import CycNum, NotReducible, PrimeReduction
@@ -37,7 +37,12 @@ from .equivariant import (
     orbit_difference,
 )
 from .groups import PseudoReflection, ReflectionGroup
-from .invariants import CoinvariantBasis, coinvariant_basis, tensor_hilbert_coefficients
+from .invariants import (
+    coinvariant_basis,
+    coinvariant_histogram,
+    degree_histogram,
+    graded_count,
+)
 from .linalg import rank, rank_mod_p
 from .polynomials import MultiPoly, graded_monomials
 
@@ -162,10 +167,11 @@ def localize(T: TensorElement) -> GroupMap:
 # graded comparison
 
 
-def localized_lifts(group: ReflectionGroup, coinv: CoinvariantBasis) -> list[GroupMap]:
-    """localize(1 (x) e) for every coinvariant lift e, in basis order."""
+def localized_lifts(group: ReflectionGroup) -> list[GroupMap]:
+    """localize(1 (x) e) for each lift e of coinvariant_basis(group), in order."""
     one = MultiPoly.one(group.dimension, group.conductor)
-    return [localize(TensorElement.pure(group, one, e)) for e in coinv.lifts]
+    lifts = coinvariant_basis(group).lifts
+    return [localize(TensorElement.pure(group, one, e)) for e in lifts]
 
 
 def image_graded_dimension(
@@ -244,7 +250,7 @@ def _refusal(group: ReflectionGroup, localized: Sequence[GroupMap]) -> str | Non
 
 
 class DimensionTriples:
-    """The theorem's degree rows for one group and coinvariant basis.
+    """The theorem's degree rows for one group.
 
     All rows are decided at once by a certificate on the |W| x |W| matrix
     A = [F_j(x)] of the localized lifts F_j = localize(1 (x) e_j):
@@ -267,39 +273,32 @@ class DimensionTriples:
     computed exactly by image_graded_dimension and membership_basis.
     """
 
-    def __init__(self, group: ReflectionGroup, coinv: CoinvariantBasis | None = None):
+    def __init__(self, group: ReflectionGroup):
         self.group = group
-        self.coinv = coinvariant_basis(group) if coinv is None else coinv
-        localized = localized_lifts(group, self.coinv)
-        self._lift_degrees = [F.degree() for F in localized]
-        self._refused_by = _refusal(group, localized)
-        # kept for the exact fallback rows only
-        self._localized = None if self._refused_by is None else localized
-
-    @property
-    def refused_by(self) -> str | None:
-        """None when the certificate closed, otherwise the failing step:
-        "members", "rank" or "degrees"."""
-        return self._refused_by
+        self._predicted = coinvariant_histogram(group.fundamental_degrees())
+        localized = localized_lifts(group)
+        # None when the certificate closed, else "members", "rank" or "degrees"
+        self.refused_by = _refusal(group, localized)
+        if self.refused_by is None:
+            # step (c) made every degree an int
+            self._free = degree_histogram(F.degree() for F in localized)
+        else:
+            # kept for the exact fallback rows only
+            self._localized = localized
 
     def triple(self, d: int) -> tuple[int, int, int]:
         """(predicted, localized image, divisibility nullspace) in degree d."""
         group = self.group
-        expected = tensor_hilbert_coefficients(
-            group.fundamental_degrees(), group.dimension, d
-        )[d]
-        if self._refused_by is None:
-            n = group.dimension
-            free = sum(comb(d - k + n - 1, n - 1) for k in self._lift_degrees if k <= d)
+        expected = graded_count(self._predicted, group.dimension, d)
+        if self.refused_by is None:
+            free = graded_count(self._free, group.dimension, d)
             return expected, free, free
         image = image_graded_dimension(group, self._localized, d)
         null = len(membership_basis(group, d))
         return expected, image, null
 
 
-def dimension_triple(
-    group: ReflectionGroup, d: int, coinv: CoinvariantBasis | None = None
-) -> tuple[int, int, int]:
+def dimension_triple(group: ReflectionGroup, d: int) -> tuple[int, int, int]:
     """(predicted, localized image, divisibility nullspace) in degree d.
 
     The prediction is the coefficient of t^d in the product of the
@@ -307,7 +306,7 @@ def dimension_triple(
     theorem under test says all three agree.  To decide many degrees of
     one group, keep one DimensionTriples and call its triple method.
     """
-    return DimensionTriples(group, coinv).triple(d)
+    return DimensionTriples(group).triple(d)
 
 
 # ---------------------------------------------------------------------------

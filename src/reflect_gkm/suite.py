@@ -21,7 +21,8 @@ The optional pairwise control computes the graded dimensions cut out by
 the classical adjacent-difference condition alone.  It is expected to
 match the true dimensions exactly when every reflection has order two and
 to overshoot somewhere when higher orders are present; the control passes
-when that pattern holds.
+when that pattern holds.  The true dimensions are the nullspace column of
+the theorem rows, from one DimensionTriples if that section did not run.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .equivariant import (
-    GroupMap,
-    coroot_map,
-    membership,
-    membership_basis,
-    orbit_difference,
-)
+from .equivariant import GroupMap, coroot_map, membership, orbit_difference
 from .groups import ReflectionGroup, load_group
 from .hypergraph import (
     EdgeWitness,
@@ -47,7 +42,6 @@ from .hypergraph import (
     integral_identity,
     pairwise_graded_dimension,
 )
-from .invariants import coinvariant_basis
 from .localization import DimensionTriples, commutes_with_difference
 from .sampling import random_member, random_nonmember, random_tensor
 
@@ -55,6 +49,7 @@ __all__ = [
     "ControlResult",
     "DegreeRow",
     "LemmaResult",
+    "NoPseudoReflections",
     "NotReflectionGenerated",
     "VerificationReport",
     "default_max_degree",
@@ -67,6 +62,11 @@ ALL_SECTIONS = ("theorem", "lemmas", "hypergraph")
 class NotReflectionGenerated(Exception):
     """The group is not generated by its pseudo-reflections, so the claims
     under test do not apply; pass force=True to run anyway."""
+
+
+class NoPseudoReflections(Exception):
+    """The group has no pseudo-reflections, so every map is a member and the
+    hypergraph section has no non-member to test."""
 
 
 @dataclass(frozen=True)
@@ -475,6 +475,10 @@ def run_suite(
             f"group {group.name!r} is not generated by pseudo-reflections; "
             "the verified claims do not apply (use force to run regardless)"
         )
+    if "hypergraph" in sections and not group.reflections():
+        raise NoPseudoReflections(
+            f"group {group.name!r} has no pseudo-reflections, so no map is a non-member"
+        )
     degrees = group.fundamental_degrees()
     if dmax is None:
         dmax = default_max_degree(group)
@@ -484,7 +488,7 @@ def run_suite(
     image_members = None
     if "theorem" in sections:
         t0 = time.perf_counter()
-        triples = DimensionTriples(group, coinvariant_basis(group))
+        triples = DimensionTriples(group)
         rows = tuple(DegreeRow(d, *triples.triple(d)) for d in range(dmax + 1))
 
         rng = _child_rng(seed, "localized_members")
@@ -518,9 +522,8 @@ def run_suite(
         if rows:
             member_dims = tuple(r.nullspace for r in rows)
         else:
-            member_dims = tuple(
-                len(membership_basis(group, d)) for d in range(dmax + 1)
-            )
+            triples = DimensionTriples(group)
+            member_dims = tuple(triples.triple(d)[2] for d in range(dmax + 1))
         H = build_hypergraph(group)
         pairwise = tuple(pairwise_graded_dimension(H, d) for d in range(dmax + 1))
         all2 = all(s.order == 2 for s in group.reflections())

@@ -17,7 +17,7 @@ from reflect_gkm.groups import (
     parse_group_dict,
 )
 from reflect_gkm.linalg import mat_identity, mat_mul
-from reflect_gkm.polynomials import MultiPoly
+from reflect_gkm.polynomials import MultiPoly, parse_poly, poly_text
 
 
 EXPECTED = {
@@ -283,6 +283,53 @@ def test_group_file_faults(tmp_path):
         )
     with pytest.raises(GroupFileError):
         load_group(tmp_path / "missing.json")
+    flip = {
+        "name": "flip",
+        "dimension": 1,
+        "conductor": 2,
+        "variables": ["x1"],
+        "generators": [["-1"]],
+    }
+    assert parse_group_dict(flip).order == 2
+    # JSON true is a Python int, but not a dimension or a conductor
+    for key in ("dimension", "conductor"):
+        with pytest.raises(GroupFileError, match=key):
+            parse_group_dict({**flip, key: True})
+    # z reads back as the root of unity, a repeated name as its first
+    # variable, and a non-identifier not at all
+    for names in (["z"], ["a", "a"], ["x^2"], ["2x"], [""], ["x y"]):
+        data = {
+            **flip,
+            "dimension": len(names),
+            "generators": [["-1"] + ["0", "0", "1"] * (len(names) - 1)],
+            "variables": names,
+        }
+        with pytest.raises(GroupFileError, match="variables"):
+            parse_group_dict(data)
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(data))
+        assert main(["group", "info", "--group", str(path)]) == 2
+
+
+def test_variable_names_read_back(groups):
+    for g in groups.values():
+        n, m = g.dimension, g.conductor
+        zeta = root_of_unity(m, 1)
+        f = MultiPoly(n, m, {(1,) + (0,) * (n - 1): zeta, (0,) * (n - 1) + (2,): 3})
+        assert parse_poly(poly_text(f, g.variables), n, m, names=g.variables) == f
+    renamed = parse_group_dict(
+        {
+            "name": "flip",
+            "dimension": 2,
+            "conductor": 2,
+            "variables": ["u", "v_2"],
+            "generators": [["-1", "0", "0", "1"]],
+        }
+    )
+    f = MultiPoly(2, 2, {(1, 0): 1, (1, 2): -2})
+    text = poly_text(f, renamed.variables)
+    assert text == "-2*u*v_2^2 + u"
+    assert parse_poly(text, 2, 2, names=renamed.variables) == f
 
 
 def test_closure_cap():

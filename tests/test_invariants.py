@@ -2,10 +2,10 @@ import pytest
 
 from reflect_gkm.groups import load_group
 from reflect_gkm.invariants import (
-    CoinvariantBasis,
-    DegreeBoundTooSmall,
     coinvariant_basis,
     coinvariant_histogram,
+    degree_histogram,
+    graded_count,
     hilbert_ideal_piece,
     invariant_basis,
     reynolds,
@@ -139,11 +139,6 @@ def test_coinvariant_histograms():
         assert b.histogram() == coinvariant_histogram(g.fundamental_degrees())
 
 
-def test_degree_bound_fault(s3):
-    with pytest.raises(DegreeBoundTooSmall):
-        coinvariant_basis(s3, 2)
-
-
 def test_tensor_hilbert_coefficients():
     assert tensor_hilbert_coefficients((2,), 1, 4) == [1, 2, 2, 2, 2]
     assert tensor_hilbert_coefficients((3,), 1, 3) == [1, 2, 3, 3]
@@ -151,3 +146,9 @@ def test_tensor_hilbert_coefficients():
     assert tensor_hilbert_coefficients((2, 3), 2, 4) == [1, 4, 9, 15, 21]
     assert tensor_hilbert_coefficients((2, 4), 2, 4) == [1, 4, 9, 16, 24]
     assert tensor_hilbert_coefficients((3, 6), 2, 4) == [1, 4, 10, 19, 31]
+    # the same count for any histogram: one generator in degree 0 over one
+    # variable, then generators in degrees 0, 2, 2 over two (1, 2, 3+2, 4+2*2)
+    assert [graded_count([1], 1, d) for d in range(4)] == [1, 1, 1, 1]
+    assert [graded_count(degree_histogram([2, 0, 2]), 2, d) for d in range(4)] == [1, 2, 5, 8]
+    assert degree_histogram([]) == [0]
+    assert degree_histogram([1, 3, 1]) == [0, 2, 0, 1]

@@ -11,12 +11,7 @@ from reflect_gkm import localization
 from reflect_gkm.cyclotomic import root_of_unity
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis, orbit_difference
 from reflect_gkm.groups import bundled_names, load_group
-from reflect_gkm.invariants import (
-    CoinvariantBasis,
-    coinvariant_basis,
-    reynolds,
-    tensor_hilbert_coefficients,
-)
+from reflect_gkm.invariants import coinvariant_basis, reynolds, tensor_hilbert_coefficients
 from reflect_gkm.localization import (
     DimensionTriples,
     TensorElement,
@@ -153,26 +148,25 @@ def test_commutes_with_difference_random(z3, s3):
 
 
 def test_image_dimensions(z2, z3):
-    l2 = localized_lifts(z2, coinvariant_basis(z2))
+    l2 = localized_lifts(z2)
     assert image_graded_dimension(z2, l2, 0) == 1
     assert image_graded_dimension(z2, l2, 1) == 2
-    l3 = localized_lifts(z3, coinvariant_basis(z3))
+    l3 = localized_lifts(z3)
     assert image_graded_dimension(z3, l3, 2) == 3
 
 
 def test_dimension_triples_agree(z2, z3, s3):
     for group, dmax in ((z2, 4), (z3, 4), (s3, 4)):
-        coinv = coinvariant_basis(group)
         for d in range(dmax + 1):
-            expected, image, null = dimension_triple(group, d, coinv)
+            expected, image, null = dimension_triple(group, d)
             assert expected == image == null, (group.name, d)
 
 
-def exact_rows(group, coinv, dmax):
+def exact_rows(group, dmax):
     """(predicted, image, nullspace) for d <= dmax, the last two by exact
-    elimination."""
+    elimination on the localized lifts DimensionTriples sees."""
     predicted = tensor_hilbert_coefficients(group.fundamental_degrees(), group.dimension, dmax)
-    lifts = localization.localized_lifts(group, coinv)
+    lifts = localization.localized_lifts(group)
     return [
         (predicted[d], image_graded_dimension(group, lifts, d), len(membership_basis(group, d)))
         for d in range(dmax + 1)
@@ -182,52 +176,45 @@ def exact_rows(group, coinv, dmax):
 @pytest.mark.parametrize("name", bundled_names())
 def test_certified_rows_equal_exact_rows(name):
     group = load_group(name)
-    coinv = coinvariant_basis(group)
-    triples = DimensionTriples(group, coinv)
+    triples = DimensionTriples(group)
     assert triples.refused_by is None
     dmax = default_max_degree(group)
     rows = [triples.triple(d) for d in range(dmax + 1)]
     assert all(expected == image == null for expected, image, null in rows), rows
     exact_up_to = 5 if name == "g312" else dmax
-    assert rows[: exact_up_to + 1] == exact_rows(group, coinv, exact_up_to)
+    assert rows[: exact_up_to + 1] == exact_rows(group, exact_up_to)
 
 
 def edit_localized_lifts(monkeypatch, edit):
     """Make DimensionTriples (and the exact image) see edit(lifts)."""
     original = localization.localized_lifts
-    monkeypatch.setattr(
-        localization, "localized_lifts", lambda group, coinv: edit(original(group, coinv))
-    )
+    monkeypatch.setattr(localization, "localized_lifts", lambda group: edit(original(group)))
 
 
 def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
-    coinv = coinvariant_basis(s3)
-    k = coinv.degrees.index(1)
+    k = coinvariant_basis(s3).degrees.index(1)
     zero = MultiPoly.zero(s3.dimension, s3.conductor)
     nonmember = GroupMap(s3, [P("x1", s3)] + [zero] * (s3.order - 1))
     assert not membership(nonmember).ok
     edit_localized_lifts(monkeypatch, lambda lifts: lifts[:k] + [nonmember] + lifts[k + 1 :])
-    triples = DimensionTriples(s3, coinv)
+    triples = DimensionTriples(s3)
     assert triples.refused_by == "members"
-    assert [triples.triple(d) for d in range(5)] == exact_rows(s3, coinv, 4)
+    assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
 
 
-def duplicated_lift_basis(s3):
-    coinv = coinvariant_basis(s3)
+def duplicate_a_lift(lifts):
     # one degree-2 lift replaced by a copy of the other: every lift is a
     # member and the degree count holds, but det A vanishes
-    assert coinv.degrees[3:5] == [2, 2]
-    lifts = list(coinv.lifts)
-    lifts[3] = lifts[4]
-    return CoinvariantBasis(lifts, list(coinv.degrees))
+    assert [F.degree() for F in lifts[3:5]] == [2, 2]
+    return lifts[:3] + [lifts[4]] + lifts[4:]
 
 
-def test_duplicated_lift_falls_back_to_exact(s3):
-    bad = duplicated_lift_basis(s3)
-    triples = DimensionTriples(s3, bad)
+def test_duplicated_lift_falls_back_to_exact(s3, monkeypatch):
+    edit_localized_lifts(monkeypatch, duplicate_a_lift)
+    triples = DimensionTriples(s3)
     assert triples.refused_by == "rank"
     rows = [triples.triple(d) for d in range(5)]
-    assert rows == exact_rows(s3, bad, 4)
+    assert rows == exact_rows(s3, 4)
     assert all(image < expected == null for expected, image, null in rows[2:])
 
 
@@ -236,10 +223,10 @@ def test_refused_rows_localize_the_lifts_once(s3, monkeypatch):
 
     def counted(lifts):
         calls.append(len(lifts))
-        return lifts
+        return duplicate_a_lift(lifts)
 
     edit_localized_lifts(monkeypatch, counted)
-    triples = DimensionTriples(s3, duplicated_lift_basis(s3))
+    triples = DimensionTriples(s3)
     assert triples.refused_by == "rank"
     for d in range(5):
         triples.triple(d)
@@ -247,25 +234,23 @@ def test_refused_rows_localize_the_lifts_once(s3, monkeypatch):
 
 
 def test_lift_times_x1_is_refused_by_degrees(s3, monkeypatch):
-    coinv = coinvariant_basis(s3)
     # x1 taken the same at every element keeps the lift a member and, as
     # x1 is nonzero at the rank step's point, keeps det A nonzero; only the
     # degree count sees the extra factor
     x1 = P("x1", s3)
     edit_localized_lifts(monkeypatch, lambda lifts: [lifts[0] * x1] + lifts[1:])
-    triples = DimensionTriples(s3, coinv)
+    triples = DimensionTriples(s3)
     assert triples.refused_by == "degrees"
-    assert [triples.triple(d) for d in range(5)] == exact_rows(s3, coinv, 4)
+    assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
 
 
-def test_certificate_refuses_what_it_cannot_prove(s3):
-    coinv = coinvariant_basis(s3)
+def test_certificate_refuses_what_it_cannot_prove(s3, monkeypatch):
     # a dropped lift: A is no longer square, and the image falls short
-    short = CoinvariantBasis(coinv.lifts[:-1], coinv.degrees[:-1])
-    triples = DimensionTriples(s3, short)
+    edit_localized_lifts(monkeypatch, lambda lifts: lifts[:-1])
+    triples = DimensionTriples(s3)
     assert triples.refused_by is not None
     rows = [triples.triple(d) for d in range(5)]
-    assert rows == exact_rows(s3, short, 4)
+    assert rows == exact_rows(s3, 4)
     assert rows[3] == (15, 14, 15)
 
 
@@ -283,14 +268,13 @@ def test_certificate_closes_on_g412(tmp_path):
     path.write_text(json.dumps(G412))
     group = load_group(str(path))
     assert (group.order, group.conductor) == (32, 4)
-    coinv = coinvariant_basis(group)
-    triples = DimensionTriples(group, coinv)
+    triples = DimensionTriples(group)
     assert triples.refused_by is None
     dmax = default_max_degree(group)
     assert dmax == 13
     predicted = tensor_hilbert_coefficients(group.fundamental_degrees(), 2, dmax)
     assert [triples.triple(d) for d in range(dmax + 1)] == [(e, e, e) for e in predicted]
-    assert [triples.triple(d) for d in range(4)] == exact_rows(group, coinv, 3)
+    assert [triples.triple(d) for d in range(4)] == exact_rows(group, 3)
 
 
 def test_sampling_determinism(s3):

@@ -11,6 +11,7 @@ import pytest
 
 from reflect_gkm.cli import main
 from reflect_gkm.suite import (
+    NoPseudoReflections,
     NotReflectionGenerated,
     VerificationReport,
     run_suite,
@@ -381,3 +382,31 @@ def test_cli_molien_text(capsys):
     assert main(["molien", "--group", "z3"]) == 0
     out = capsys.readouterr().out
     assert "0:1" in out and "3:1" in out and "1:0" in out
+
+
+def test_cli_coinvariants_below_the_top_degree(capsys):
+    assert main(["coinvariants", "--group", "z4", "--max-degree", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        "group z4: coinvariant algebra, top degree 3 (showing up to 1)",
+        "  degree 0 (dim 1): 1",
+        "  degree 1 (dim 1): x1",
+    ]
+    assert main(["coinvariants", "--group", "s3", "--max-degree", "2", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["top_degree"] == 3
+    assert data["histogram"] == [1, 2, 2]
+    assert data["lifts"] == {"0": ["1"], "1": ["x1", "x2"], "2": ["x1^2", "x1*x2"]}
+
+
+def test_group_without_reflections_refuses_the_hypergraph_section(tmp_path, capsys):
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({**MINUS_IDENTITY, "generators": [["1", "0", "0", "1"]]}))
+    assert main(["verify", "theorem", "--group", str(path), "--trials", "1"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "lemmas", "--group", str(path), "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "no pseudo-reflections" in captured.err
+    assert captured.out == ""
+    with pytest.raises(NoPseudoReflections):
+        run_suite(str(path), trials=1, sections=("hypergraph",))
