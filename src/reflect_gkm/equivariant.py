@@ -471,7 +471,8 @@ def dump_group_map(F: GroupMap) -> dict:
 
 def load_group_map(source, group: ReflectionGroup) -> GroupMap:
     """Read the JSON form {"group": name, "values": {"<index>": "<poly>"}};
-    missing indices mean zero."""
+    an index is written in decimal without leading zeros, and missing
+    indices mean zero."""
     if isinstance(source, (str, Path)):
         try:
             data = json.loads(Path(source).read_text())
@@ -493,10 +494,11 @@ def load_group_map(source, group: ReflectionGroup) -> GroupMap:
         raise MapFileError("'values' must map element indices to polynomials")
     values = [MultiPoly.zero(group.dimension, group.conductor)] * group.order
     for key, text in raw.items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise MapFileError(f"bad element index {key!r}") from None
+        # only the canonical decimal spelling is an index, so no two keys
+        # name the same element
+        idx = int(key) if isinstance(key, str) and key.isdecimal() else None
+        if idx is None or key != str(idx):
+            raise MapFileError(f"bad element index {key!r}: not a decimal without leading zeros")
         if not 0 <= idx < group.order:
             raise MapFileError(f"element index {idx} out of range")
         try:

@@ -248,7 +248,9 @@ def group_closure(matrices, conductor: int, cap: int = 10000):
 
 
 class ReflectionGroup:
-    def __init__(self, name, dimension, conductor, variables, elements, mult_table, inverse_table):
+    def __init__(
+        self, name, dimension, conductor, variables, elements, mult_table, inverse_table, generators
+    ):
         self.name = name
         self.dimension = dimension
         self.conductor = conductor
@@ -256,6 +258,8 @@ class ReflectionGroup:
         self.elements = [GroupElement(i, m) for i, m in enumerate(elements)]
         self.mult_table = mult_table
         self.inverse_table = inverse_table
+        # element indices of the file's generators, in file order
+        self.generators = tuple(generators)
         self._subs: dict[int, LinearSubstitution] = {}
         self._reflections: tuple[PseudoReflection, ...] | None = None
         self._by_element: dict[int, PseudoReflection] = {}
@@ -604,7 +608,9 @@ def parse_group_dict(data: dict) -> ReflectionGroup:
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise GroupFileError("cap must be a positive integer")
     elements, mult, inverse = group_closure(matrices, m, cap)
-    return ReflectionGroup(name, n, m, variables, elements, mult, inverse)
+    # the BFS reaches each generator from the identity, among the first elements
+    generators = tuple(elements.index(g) for g in matrices)
+    return ReflectionGroup(name, n, m, variables, elements, mult, inverse, generators)
 
 
 def load_group(source) -> ReflectionGroup:

@@ -1,10 +1,15 @@
 """Invariant theory by per-degree exact linear algebra.
 
-No Groebner machinery: at desk scale every question reduces to the rank of
-an exact coefficient matrix over graded monomials.  The Reynolds projector
-averages over the group, the degree-d piece of the Hilbert ideal is spanned
-by products of positive-degree invariants with complementary monomials, and
-the coinvariant ring R / J is presented by greedy standard monomials in
+No Groebner machinery and no average over the group: at desk scale every
+question reduces to the rank of an exact coefficient matrix over graded
+monomials, built from the group file's generators.  The degree-d
+invariants (R^W)_d are the common kernel on R_d of g - 1 over the
+generators g (not the reflections: a group they do not generate has fewer
+invariants than they fix).  The Hilbert ideal J is generated by
+positive-degree invariants, so J_0 = 0 and J_d = x_1 J_{d-1} + ... +
+x_n J_{d-1} + (R^W)_d, built upward.  reynolds, the average
+(1/|W|) sum_w w . f, stays public as the tests' oracle for both.  The
+coinvariant ring R / J is presented by greedy standard monomials in
 graded-lex order so bases are reproducible run to run.  A degree-d
 monomial is standard exactly when no element of J_d has its last nonzero
 coefficient (in graded-lex order) at that monomial; these are the
@@ -21,12 +26,13 @@ the graded dimensions of a free module; the theorem rows count with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 from weakref import WeakKeyDictionary
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, upoly_mul
 from .groups import ReflectionGroup
-from .linalg import rref
+from .linalg import nullspace, rref
 from .polynomials import MultiPoly, graded_monomials
 
 __all__ = [
@@ -82,9 +88,9 @@ def reynolds(group: ReflectionGroup, f: MultiPoly) -> MultiPoly:
     return acc / group.order
 
 
-def _coeff_row(f: MultiPoly, monomials, conductor: int) -> list[CycNum]:
+def _coeff_row(terms: dict, monomials, conductor: int) -> list[CycNum]:
     zero = CycNum.zero(conductor)
-    return [f.terms.get(e, zero) for e in monomials]
+    return [terms.get(e, zero) for e in monomials]
 
 
 def _reduced_basis(rows, monomials, nvars: int, conductor: int) -> list[MultiPoly]:
@@ -96,54 +102,41 @@ def _reduced_basis(rows, monomials, nvars: int, conductor: int) -> list[MultiPol
     ]
 
 
-_CACHE: "WeakKeyDictionary[ReflectionGroup, dict]" = WeakKeyDictionary()
-
-
-def _group_cache(group: ReflectionGroup) -> dict:
-    got = _CACHE.get(group)
-    if got is None:
-        got = _CACHE[group] = {}
-    return got
-
-
 def invariant_basis(group: ReflectionGroup, d: int) -> GradedBasis:
-    """Basis of the degree-d invariants in reduced row echelon form, via
-    Reynolds images of the degree-d monomials."""
-    cache = _group_cache(group)
-    got = cache.get(("inv", d))
-    if got is not None:
-        return got
+    """Basis of the degree-d invariants in reduced row echelon form: the
+    common kernel on R_d of g - 1 over the group file's generators g."""
     n, m = group.dimension, group.conductor
     monomials = graded_monomials(n, d)
+    basis = [MultiPoly(n, m, {e: 1}) for e in monomials]
     rows = []
-    for exps in monomials:
-        image = reynolds(group, MultiPoly(n, m, {exps: 1}))
-        if image:
-            rows.append(_coeff_row(image, monomials, m))
-    out = GradedBasis(d, _reduced_basis(rows, monomials, n, m))
-    cache[("inv", d)] = out
-    return out
+    for g in group.generators:
+        # column j of g - 1 is g . x^j - x^j
+        cols = [_coeff_row((group.act(g, x) - x).terms, monomials, m) for x in basis]
+        rows += [row for row in zip(*cols) if any(row)]
+    kernel = nullspace(rows, len(monomials), m)
+    return GradedBasis(d, _reduced_basis(kernel, monomials, n, m))
+
+
+_IDEAL: "WeakKeyDictionary[ReflectionGroup, list[GradedBasis]]" = WeakKeyDictionary()
 
 
 def hilbert_ideal_piece(group: ReflectionGroup, d: int) -> GradedBasis:
-    """Degree-d piece of the ideal generated by positive-degree invariants:
-    the span of (R^W)_e * R_{d-e} over 0 < e <= d, in reduced row echelon
-    form."""
-    cache = _group_cache(group)
-    got = cache.get(("ideal", d))
-    if got is not None:
-        return got
+    """Degree-d piece of the ideal J generated by positive-degree
+    invariants, in reduced row echelon form: J_0 = 0 and J_d is the span of
+    x_k * J_{d-1} for every k plus (R^W)_d.  The pieces are built upward
+    from the highest one kept for the group."""
+    pieces = _IDEAL.setdefault(group, [GradedBasis(0, [])])
     n, m = group.dimension, group.conductor
-    monomials = graded_monomials(n, d)
-    rows = []
-    for e in range(1, d + 1):
-        for inv in invariant_basis(group, e).vectors:
-            for exps in graded_monomials(n, d - e):
-                prod = inv * MultiPoly(n, m, {exps: 1})
-                rows.append(_coeff_row(prod, monomials, m))
-    out = GradedBasis(d, _reduced_basis(rows, monomials, n, m))
-    cache[("ideal", d)] = out
-    return out
+    while len(pieces) <= d:
+        k = len(pieces)
+        monomials = graded_monomials(n, k)
+        rows = [_coeff_row(v.terms, monomials, m) for v in invariant_basis(group, k).vectors]
+        for v in pieces[-1].vectors:
+            for i in range(n):
+                shifted = {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in v.terms.items()}
+                rows.append(_coeff_row(shifted, monomials, m))
+        pieces.append(GradedBasis(k, _reduced_basis(rows, monomials, n, m)))
+    return pieces[d]
 
 
 def degree_histogram(degrees) -> list[int]:
@@ -154,14 +147,7 @@ def degree_histogram(degrees) -> list[int]:
 
 def coinvariant_histogram(degrees) -> list[int]:
     """Coefficients of prod_i (1 + t + ... + t^{d_i - 1})."""
-    out = [1]
-    for d in degrees:
-        nxt = [0] * (len(out) + d - 1)
-        for i, c in enumerate(out):
-            for j in range(d):
-                nxt[i + j] += c
-        out = nxt
-    return out
+    return reduce(upoly_mul, ([1] * d for d in degrees), [1])
 
 
 def graded_count(histogram, nvars: int, d: int) -> int:
@@ -191,7 +177,7 @@ def coinvariant_basis(group: ReflectionGroup) -> CoinvariantBasis:
     for d in range(len(expected)):
         monomials = graded_monomials(n, d)
         reverse = monomials[::-1]
-        rows = [_coeff_row(v, reverse, m) for v in hilbert_ideal_piece(group, d).vectors]
+        rows = [_coeff_row(v.terms, reverse, m) for v in hilbert_ideal_piece(group, d).vectors]
         leading = {len(monomials) - 1 - col for col in rref(rows)[1]}
         standard = [e for pos, e in enumerate(monomials) if pos not in leading]
         if len(standard) != expected[d]:

@@ -168,10 +168,10 @@ def localize(T: TensorElement) -> GroupMap:
 
 
 def localized_lifts(group: ReflectionGroup) -> list[GroupMap]:
-    """localize(1 (x) e) for each lift e of coinvariant_basis(group), in order."""
-    one = MultiPoly.one(group.dimension, group.conductor)
+    """localize(1 (x) e), the map x -> x . e, for each lift e of
+    coinvariant_basis(group), in order."""
     lifts = coinvariant_basis(group).lifts
-    return [localize(TensorElement.pure(group, one, e)) for e in lifts]
+    return [GroupMap(group, [group.act(x, e) for x in range(group.order)]) for e in lifts]
 
 
 def image_graded_dimension(

@@ -298,6 +298,14 @@ def test_map_json_errors(s3, z2, tmp_path):
         load_group_map(tmp_path / "missing.json", z2)
 
 
+@pytest.mark.parametrize("key", ["00", "01", "1_0", " 1", "+1", "-0", "1.0", "\u0661"])
+def test_map_indices_are_canonical_decimals(z2, key):
+    # "00" once overwrote "0", and "1_0" read as element 10
+    with pytest.raises(MapFileError, match="bad element index"):
+        load_group_map({"values": {"0": "x1", key: "0"}}, z2)
+    assert load_group_map({"values": {"0": "x1", "1": "-x1"}}, z2).values[1] == -P("x1", z2)
+
+
 def test_conjugation_twist_instance(s3):
     # moving a reflection across w twists the operator by the scale the
     # co-root picks up: op(s, i, F.act(w)) == op(wsw^-1, i, F).act(w) * c^-i

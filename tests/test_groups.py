@@ -223,6 +223,22 @@ def test_cyclic_powers_and_cosets(groups):
             assert b2.mul(coset[0], s.element) == coset[1]
 
 
+@pytest.mark.parametrize("name", SEVEN)
+def test_generators_index_the_file_matrices(name, tmp_path):
+    data = seven_group_data(name)
+    g = load_seven(name, tmp_path)
+    n, m = data["dimension"], data["conductor"]
+    for idx, flat in zip(g.generators, data["generators"], strict=True):
+        assert [x for row in g.elements[idx].matrix for x in row] == [
+            parse_cyc(str(e), m) for e in flat
+        ]
+    # a repeated generator and the identity keep their places in file order
+    ident = [("1" if i == j else "0") for i in range(n) for j in range(n)]
+    twice = dict(data, generators=[ident] + data["generators"] + data["generators"][:1])
+    again = parse_group_dict(twice)
+    assert again.generators == (0,) + g.generators + g.generators[:1]
+
+
 def test_molien_coefficients(groups):
     s3 = groups["s3"]
     assert s3.molien().coefficients(6) == [1, 0, 1, 1, 1, 1, 2]

@@ -1,7 +1,13 @@
+from itertools import product
+
 import pytest
 
-from reflect_gkm.groups import load_group
+from reflect_gkm import invariants
+from reflect_gkm.cyclotomic import CycNum
+from reflect_gkm.groups import bundled_names, load_group, parse_group_dict
 from reflect_gkm.invariants import (
+    GradedBasis,
+    HistogramMismatch,
     coinvariant_basis,
     coinvariant_histogram,
     degree_histogram,
@@ -11,7 +17,25 @@ from reflect_gkm.invariants import (
     reynolds,
     tensor_hilbert_coefficients,
 )
+from reflect_gkm.linalg import rref
 from reflect_gkm.polynomials import MultiPoly, graded_monomials, poly_text
+
+G412 = {
+    "name": "g412",
+    "dimension": 2,
+    "conductor": 4,
+    "variables": ["x1", "x2"],
+    "generators": [["0", "1", "1", "0"], ["z", "0", "0", "1"]],
+}
+
+# the scalar matrices z * id over Q(zeta_3): no reflections at all
+SCALAR3 = {
+    "name": "scalar3",
+    "dimension": 2,
+    "conductor": 3,
+    "variables": ["x1", "x2"],
+    "generators": [["z", "0", "0", "z"]],
+}
 
 
 @pytest.fixture(scope="module")
@@ -128,10 +152,104 @@ def test_invariant_and_ideal_bases_are_reduced(name):
         assert _is_rref(hilbert_ideal_piece(g, d).vectors, monomials)
 
 
+# Oracles: the Reynolds-image definition of the invariants, and the ideal
+# as the span of (R^W)_e * R_{d-e} over 0 < e <= d.
+
+
+def _span_rref(group, polys, d):
+    n, m = group.dimension, group.conductor
+    monomials = graded_monomials(n, d)
+    zero = CycNum.zero(m)
+    red, pivots = rref([[p.terms.get(e, zero) for e in monomials] for p in polys])
+    return [
+        MultiPoly(n, m, {e: c for e, c in zip(monomials, row) if c})
+        for row in red[: len(pivots)]
+    ]
+
+
+def reynolds_invariants(group, d):
+    n, m = group.dimension, group.conductor
+    images = [reynolds(group, MultiPoly(n, m, {e: 1})) for e in graded_monomials(n, d)]
+    return _span_rref(group, images, d)
+
+
+def products_ideal(group, d):
+    n, m = group.dimension, group.conductor
+    prods = [
+        inv * MultiPoly(n, m, {e: 1})
+        for k in range(1, d + 1)
+        for inv in reynolds_invariants(group, k)
+        for e in graded_monomials(n, d - k)
+    ]
+    return _span_rref(group, prods, d)
+
+
+def oracle_group(name):
+    return parse_group_dict(G412) if name == "g412" else load_group(name)
+
+
+@pytest.mark.parametrize("name", list(bundled_names()) + ["g412"])
+def test_invariant_basis_equals_reynolds_image(name):
+    g = oracle_group(name)
+    for d in range(7):
+        assert invariant_basis(g, d).vectors == reynolds_invariants(g, d), (name, d)
+
+
+@pytest.mark.parametrize("name", list(bundled_names()) + ["g412"])
+def test_hilbert_ideal_equals_span_of_invariant_products(name):
+    g = oracle_group(name)
+    top = sum(d - 1 for d in g.fundamental_degrees())
+    for d in range(min(top, 6) + 2):
+        assert hilbert_ideal_piece(g, d).vectors == products_ideal(g, d), (name, d)
+
+
+def test_invariants_come_from_the_generators_not_the_reflections():
+    # scalar3 has no reflections, so each R_d would be fixed by all of them
+    g = parse_group_dict(SCALAR3)
+    assert g.reflections() == ()
+    got = [invariant_basis(g, d).dimension for d in range(7)]
+    assert got == g.molien().coefficients(6) == [1, 0, 0, 4, 0, 0, 7]
+
+
+def test_hilbert_ideal_is_built_without_recursion(z2):
+    x = MultiPoly.variable(1, 2, 0)
+    assert hilbert_ideal_piece(z2, 2000).vectors == [x**2000]
+    assert hilbert_ideal_piece(z2, 1999).vectors == [x**1999]
+
+
+def test_a_missing_invariant_is_a_histogram_mismatch(monkeypatch):
+    real = invariants.invariant_basis
+
+    def drop_quadric(group, d):
+        return GradedBasis(d, []) if d == 2 else real(group, d)
+
+    monkeypatch.setattr(invariants, "invariant_basis", drop_quadric)
+    with pytest.raises(HistogramMismatch, match="degree 2"):
+        coinvariant_basis(load_group("s3"))
+
+
+def test_coinvariant_basis_never_averages(monkeypatch):
+    calls = []
+    real = invariants.reynolds
+
+    def counting(group, f):
+        calls.append(f)
+        return real(group, f)
+
+    monkeypatch.setattr(invariants, "reynolds", counting)
+    for name in bundled_names():
+        coinvariant_basis(load_group(name))
+    assert calls == []
+
+
 def test_coinvariant_histograms():
     assert coinvariant_histogram((2, 3)) == [1, 2, 2, 1]
     assert coinvariant_histogram((2, 4)) == [1, 2, 2, 2, 1]
     assert coinvariant_histogram((3, 6)) == [1, 2, 3, 3, 3, 3, 2, 1]
+    # coefficient k counts the exponent tuples 0 <= a_i < d_i summing to k
+    for degrees in ((), (2,), (2, 3), (3, 6), (2, 4, 6, 8), (12, 24)):
+        sums = [sum(a) for a in product(*(range(d) for d in degrees))]
+        assert coinvariant_histogram(degrees) == degree_histogram(sums), degrees
     for name, size in (("s3", 6), ("b2", 8), ("g312", 18)):
         g = load_group(name)
         b = coinvariant_basis(g)

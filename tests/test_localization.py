@@ -155,6 +155,15 @@ def test_image_dimensions(z2, z3):
     assert image_graded_dimension(z3, l3, 2) == 3
 
 
+@pytest.mark.parametrize("name", bundled_names())
+def test_localized_lifts_are_localized_pure_tensors(name):
+    group = load_group(name)
+    one = MultiPoly.one(group.dimension, group.conductor)
+    lifts = coinvariant_basis(group).lifts
+    want = [localize(TensorElement.pure(group, one, e)) for e in lifts]
+    assert localized_lifts(group) == want
+
+
 def test_dimension_triples_agree(z2, z3, s3):
     for group, dmax in ((z2, 4), (z3, 4), (s3, 4)):
         for d in range(dmax + 1):

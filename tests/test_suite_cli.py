@@ -294,6 +294,13 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_repeated_map_index_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"values": {"0": "x1", "00": "0", "1": "-x1"}}))
+    assert main(["member", "--group", "z2", "--input", str(path)]) == 2
+    assert "'00'" in capsys.readouterr().err
+
+
 def test_cli_zero_denominator_is_a_usage_error(tmp_path, capsys):
     bad_map = tmp_path / "map.json"
     bad_map.write_text(json.dumps({"values": {"0": "1/0*x1"}}))
