@@ -56,7 +56,6 @@ from .invariants import (
 from .localization import (
     TensorElement,
     commutes_with_difference,
-    dimension_triple,
     localize,
     localize_at,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "coinvariant_basis",
     "commutes_with_difference",
     "coroot_map",
-    "dimension_triple",
     "divide_by_linear_power",
     "divided_difference",
     "dump_group_map",

@@ -174,10 +174,9 @@ class GroupMap:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = GroupMap.constant(self.group, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        # the ring structure is pointwise, so powers are too; MultiPoly.__pow__
+        # raises ValueError on a negative or non-integer exponent
+        return GroupMap(self.group, [a**n for a in self.values])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):

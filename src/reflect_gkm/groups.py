@@ -37,6 +37,7 @@ the d_i are the fundamental degrees that drive the rest of the package.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -574,8 +575,9 @@ def parse_group_dict(data: dict) -> ReflectionGroup:
     m = data["conductor"]
     variables = data["variables"]
     gens = data["generators"]
-    if not isinstance(name, str):
-        raise GroupFileError("name must be a string")
+    # the name goes verbatim into text reports and quoted into DOT output
+    if not isinstance(name, str) or re.search(r'[\\"\x00-\x1f\x7f-\x9f]', name):
+        raise GroupFileError("name must be a string with no quote, backslash or control character")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise GroupFileError("dimension must be a positive integer")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:

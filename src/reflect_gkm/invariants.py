@@ -10,11 +10,13 @@ positive-degree invariants, so J_0 = 0 and J_d = x_1 J_{d-1} + ... +
 x_n J_{d-1} + (R^W)_d, built upward.  reynolds, the average
 (1/|W|) sum_w w . f, stays public as the tests' oracle for both.  The
 coinvariant ring R / J is presented by greedy standard monomials in
-graded-lex order so bases are reproducible run to run.  A degree-d
-monomial is standard exactly when no element of J_d has its last nonzero
-coefficient (in graded-lex order) at that monomial; these are the
-non-pivot columns of the row reduction of J_d with its columns reversed.
-Every basis here is read off linalg.rref.
+graded-lex order so bases are reproducible run to run.  Every basis here
+is in reduced row echelon form over columns in reversed graded-lex order:
+each vector ends at its own monomial, with coefficient 1, which the other
+vectors lack.  linalg.nullspace gives the invariants in this form (listed
+in reverse) and J_d takes one linalg.rref over the reversed columns, so a
+degree-d monomial is standard exactly when it ends no J_d vector: the
+standard monomials take no elimination of their own.
 
 The basis always runs to the top degree sum_i (d_i - 1), and its degree
 histogram must match the coefficients of prod_i (1 + t + ... + t^{d_i - 1});
@@ -93,18 +95,10 @@ def _coeff_row(terms: dict, monomials, conductor: int) -> list[CycNum]:
     return [terms.get(e, zero) for e in monomials]
 
 
-def _reduced_basis(rows, monomials, nvars: int, conductor: int) -> list[MultiPoly]:
-    """The nonzero rows of rref(rows) as polynomials, in pivot order."""
-    red, pivots = rref(rows)
-    return [
-        MultiPoly(nvars, conductor, {e: c for e, c in zip(monomials, row) if c})
-        for row in red[: len(pivots)]
-    ]
-
-
 def invariant_basis(group: ReflectionGroup, d: int) -> GradedBasis:
-    """Basis of the degree-d invariants in reduced row echelon form: the
-    common kernel on R_d of g - 1 over the group file's generators g."""
+    """Basis of the degree-d invariants, the common kernel on R_d of g - 1
+    over the group file's generators g, in reduced row echelon form over
+    reversed graded-lex columns (module docstring)."""
     n, m = group.dimension, group.conductor
     monomials = graded_monomials(n, d)
     basis = [MultiPoly(n, m, {e: 1}) for e in monomials]
@@ -113,8 +107,10 @@ def invariant_basis(group: ReflectionGroup, d: int) -> GradedBasis:
         # column j of g - 1 is g . x^j - x^j
         cols = [_coeff_row((group.act(g, x) - x).terms, monomials, m) for x in basis]
         rows += [row for row in zip(*cols) if any(row)]
+    # the vector of free column f is 1 at f, 0 at the other free columns and
+    # nonzero only left of f: in reverse order, the reversed-column RREF
     kernel = nullspace(rows, len(monomials), m)
-    return GradedBasis(d, _reduced_basis(kernel, monomials, n, m))
+    return GradedBasis(d, [MultiPoly(n, m, dict(zip(monomials, v))) for v in reversed(kernel)])
 
 
 _IDEAL: "WeakKeyDictionary[ReflectionGroup, list[GradedBasis]]" = WeakKeyDictionary()
@@ -122,20 +118,23 @@ _IDEAL: "WeakKeyDictionary[ReflectionGroup, list[GradedBasis]]" = WeakKeyDiction
 
 def hilbert_ideal_piece(group: ReflectionGroup, d: int) -> GradedBasis:
     """Degree-d piece of the ideal J generated by positive-degree
-    invariants, in reduced row echelon form: J_0 = 0 and J_d is the span of
-    x_k * J_{d-1} for every k plus (R^W)_d.  The pieces are built upward
-    from the highest one kept for the group."""
+    invariants, in reduced row echelon form over reversed graded-lex
+    columns (module docstring): J_0 = 0 and J_d is the span of x_k * J_{d-1}
+    for every k plus (R^W)_d.  The pieces are built upward from the
+    highest one kept for the group."""
     pieces = _IDEAL.setdefault(group, [GradedBasis(0, [])])
     n, m = group.dimension, group.conductor
     while len(pieces) <= d:
         k = len(pieces)
-        monomials = graded_monomials(n, k)
-        rows = [_coeff_row(v.terms, monomials, m) for v in invariant_basis(group, k).vectors]
+        reverse = graded_monomials(n, k)[::-1]
+        rows = [_coeff_row(v.terms, reverse, m) for v in invariant_basis(group, k).vectors]
         for v in pieces[-1].vectors:
             for i in range(n):
                 shifted = {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in v.terms.items()}
-                rows.append(_coeff_row(shifted, monomials, m))
-        pieces.append(GradedBasis(k, _reduced_basis(rows, monomials, n, m)))
+                rows.append(_coeff_row(shifted, reverse, m))
+        red, pivots = rref(rows)
+        basis = [MultiPoly(n, m, dict(zip(reverse, row))) for row in red[: len(pivots)]]
+        pieces.append(GradedBasis(k, basis))
     return pieces[d]
 
 
@@ -175,11 +174,9 @@ def coinvariant_basis(group: ReflectionGroup) -> CoinvariantBasis:
     lifts: list[MultiPoly] = []
     degs: list[int] = []
     for d in range(len(expected)):
-        monomials = graded_monomials(n, d)
-        reverse = monomials[::-1]
-        rows = [_coeff_row(v.terms, reverse, m) for v in hilbert_ideal_piece(group, d).vectors]
-        leading = {len(monomials) - 1 - col for col in rref(rows)[1]}
-        standard = [e for pos, e in enumerate(monomials) if pos not in leading]
+        # degree d is listed in descending lex order: a vector ends at its least tuple
+        last = {min(v.terms) for v in hilbert_ideal_piece(group, d).vectors}
+        standard = [e for e in graded_monomials(n, d) if e not in last]
         if len(standard) != expected[d]:
             raise HistogramMismatch(
                 f"degree {d}: found {len(standard)} standard monomials, expected {expected[d]}"

@@ -50,7 +50,6 @@ __all__ = [
     "DimensionTriples",
     "TensorElement",
     "commutes_with_difference",
-    "dimension_triple",
     "image_graded_dimension",
     "localize",
     "localize_at",
@@ -296,17 +295,6 @@ class DimensionTriples:
         image = image_graded_dimension(group, self._localized, d)
         null = len(membership_basis(group, d))
         return expected, image, null
-
-
-def dimension_triple(group: ReflectionGroup, d: int) -> tuple[int, int, int]:
-    """(predicted, localized image, divisibility nullspace) in degree d.
-
-    The prediction is the coefficient of t^d in the product of the
-    coinvariant histogram with the full polynomial ring series.  The
-    theorem under test says all three agree.  To decide many degrees of
-    one group, keep one DimensionTriples and call its triple method.
-    """
-    return DimensionTriples(group).triple(d)
 
 
 # ---------------------------------------------------------------------------

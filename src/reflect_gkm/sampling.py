@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _DENOMS = (1, 2, 3)
+_NONMEMBER_ATTEMPTS = 50
 
 
 def random_poly(
@@ -71,14 +72,13 @@ def random_member(rng: random.Random, group: ReflectionGroup, max_degree: int = 
     return localize(random_tensor(rng, group, max_degree=max_degree))
 
 
-def random_nonmember(
-    rng: random.Random, group: ReflectionGroup, max_degree: int = 4, attempts: int = 50
-) -> GroupMap:
+def random_nonmember(rng: random.Random, group: ReflectionGroup, max_degree: int = 4) -> GroupMap:
     """Perturb one value of a random member by a random monomial until the
     membership certificate fails.  Raises RuntimeError if the group refuses
-    to produce one (it will not, for nontrivial reflection groups)."""
+    to produce one in _NONMEMBER_ATTEMPTS tries (it will not, for
+    nontrivial reflection groups)."""
     n, m = group.dimension, group.conductor
-    for _ in range(attempts):
+    for _ in range(_NONMEMBER_ATTEMPTS):
         F = random_member(rng, group, max_degree=max_degree)
         x = rng.randrange(group.order)
         d = rng.randint(0, max_degree)

@@ -133,7 +133,8 @@ class VerificationReport:
         for extra in (self.image_members, self.hypergraph, self.control):
             if extra is not None:
                 parts.append(extra.ok)
-        return all(parts)
+        # a report without a single check proves nothing
+        return bool(parts) and all(parts)
 
     # -- serialization ----------------------------------------------------
 
@@ -466,6 +467,9 @@ def run_suite(
     force: bool = False,
     sections=ALL_SECTIONS,
 ) -> VerificationReport:
+    unknown = [s for s in sections if s not in ALL_SECTIONS]
+    if unknown:
+        raise ValueError(f"unknown sections {unknown}; choose from {list(ALL_SECTIONS)}")
     if (dmax is not None and dmax < 0) or trials < 0:
         raise ValueError(f"dmax and trials must be nonnegative, got {dmax} and {trials}")
     if not isinstance(group, ReflectionGroup):

@@ -111,6 +111,15 @@ def test_group_map_ring_and_action(s3):
         assert acted.values[x] == F.values[s3.mul(x, wi)]
 
 
+def test_group_map_powers_are_nonnegative_integers(z2):
+    F = gmap(z2, "x1", "-x1")
+    assert F**0 == GroupMap.constant(z2, 1)
+    assert F**3 == F * F * F
+    for bad in (-1, -2, 2.0, "2"):
+        with pytest.raises(ValueError):
+            F**bad
+
+
 def test_group_map_degree(z2):
     F = gmap(z2, "x1^3", "x1")
     assert F.degree() == 3

@@ -325,6 +325,14 @@ def test_group_file_faults(tmp_path):
         path = tmp_path / "names.json"
         path.write_text(json.dumps(data))
         assert main(["group", "info", "--group", str(path)]) == 2
+    # the name is written into DOT output between quotes
+    for name in ('z2" [color=red', "back\\slash", "new\nline", "tab\t", "del\x7f", "c1\x85"):
+        with pytest.raises(GroupFileError, match="name"):
+            parse_group_dict({**flip, "name": name})
+        path = tmp_path / "name.json"
+        path.write_text(json.dumps({**flip, "name": name}))
+        assert main(["hypergraph", "export", "--format", "dot", "--group", str(path)]) == 2
+    assert parse_group_dict({**flip, "name": "G(2,1,1) ζ"}).name == "G(2,1,1) ζ"
 
 
 def test_variable_names_read_back(groups):

@@ -129,13 +129,15 @@ def test_coinvariant_basis_small():
 
 
 def _is_rref(vectors, monomials):
-    pivots = [next(k for k, e in enumerate(monomials) if e in v.terms) for v in vectors]
+    # columns in reversed graded-lex order, as the invariants module keeps them
+    columns = monomials[::-1]
+    pivots = [next(k for k, e in enumerate(columns) if e in v.terms) for v in vectors]
     if pivots != sorted(set(pivots)):
         return False
     for i, v in enumerate(vectors):
         for j, p in enumerate(pivots):
             want = 1 if i == j else 0
-            if v.terms.get(monomials[p], 0) != want:
+            if v.terms.get(columns[p], 0) != want:
                 return False
     return True
 
@@ -158,7 +160,7 @@ def test_invariant_and_ideal_bases_are_reduced(name):
 
 def _span_rref(group, polys, d):
     n, m = group.dimension, group.conductor
-    monomials = graded_monomials(n, d)
+    monomials = graded_monomials(n, d)[::-1]  # reversed graded-lex columns
     zero = CycNum.zero(m)
     red, pivots = rref([[p.terms.get(e, zero) for e in monomials] for p in polys])
     return [
@@ -239,6 +241,29 @@ def test_coinvariant_basis_never_averages(monkeypatch):
     monkeypatch.setattr(invariants, "reynolds", counting)
     for name in bundled_names():
         coinvariant_basis(load_group(name))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["s3", "g312"])
+def test_coinvariant_basis_eliminates_once_per_degree(name, monkeypatch):
+    calls = []
+
+    def counting(kind, real):
+        def wrapped(*args):
+            calls.append(kind)
+            return real(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(invariants, "nullspace", counting("nullspace", invariants.nullspace))
+    monkeypatch.setattr(invariants, "rref", counting("rref", invariants.rref))
+    g = load_group(name)
+    top = sum(d - 1 for d in g.fundamental_degrees())
+    coinvariant_basis(g)
+    # per degree 1..top: one kernel for (R^W)_d, one reduction of J_d
+    assert calls == ["nullspace", "rref"] * top
+    calls.clear()
+    coinvariant_basis(g)
     assert calls == []
 
 

@@ -16,7 +16,6 @@ from reflect_gkm.localization import (
     DimensionTriples,
     TensorElement,
     commutes_with_difference,
-    dimension_triple,
     image_graded_dimension,
     localize,
     localize_at,
@@ -166,8 +165,9 @@ def test_localized_lifts_are_localized_pure_tensors(name):
 
 def test_dimension_triples_agree(z2, z3, s3):
     for group, dmax in ((z2, 4), (z3, 4), (s3, 4)):
+        triples = DimensionTriples(group)
         for d in range(dmax + 1):
-            expected, image, null = dimension_triple(group, d)
+            expected, image, null = triples.triple(d)
             assert expected == image == null, (group.name, d)
 
 

@@ -73,6 +73,19 @@ def test_run_suite_rejects_negative_bounds():
         run_suite("z3", dmax=2, trials=-1)
 
 
+def test_run_suite_rejects_unknown_sections():
+    # before any work: the group name is not even looked up
+    for sections in (("bogus",), ("Theorem",), ("theorem", "lemma"), "theorem"):
+        with pytest.raises(ValueError, match="sections"):
+            run_suite("nosuch", trials=1, sections=sections)
+
+
+def test_a_run_without_checks_never_passes():
+    report = run_suite("z2", trials=1, sections=())
+    assert not report.ok
+    assert json.loads(report.to_json())["pass"] is False
+
+
 def test_report_unchanged_under_optimized_python():
     # python -O strips assert statements; every guard must still hold
     code = (
