@@ -41,6 +41,18 @@ reflection, over every pseudo-reflection and power, exactly as the
 definition reads; it is built by that full loop when it is first read,
 which only the command line does.
 
+An equivariant map, F(x) = x . e with e = F(1), needs only the identity
+coset <s> of each generator.  Its order-i sum there is P_i = sum_j
+lambda^{-ij} s^j . e, and on the coset x<s> (members x s^j, the same
+weights) it is x . P_i.  That orbit's form is a nonzero multiple of
+x . ell_s, and x acts as a ring automorphism, so x . ell_s^i divides
+x . P_i exactly when ell_s^i divides P_i.  membership_by_transport checks
+equivariance by exact equality at every element and then divides the
+identity cosets alone, sum_K (e_K - 1) divisions instead of |W|/e_K times
+as many; a map that is not equivariant takes membership.  This is step (a)
+of the DimensionTriples certificate, whose lifts x -> x . e_j are
+equivariant by construction.
+
 divided_difference is the same weighted average acting on a single
 polynomial through the group action instead of along orbits; values of
 orbit differences of members are where it shows up downstream.
@@ -83,6 +95,7 @@ __all__ = [
     "load_group_map",
     "membership",
     "membership_basis",
+    "membership_by_transport",
     "orbit_decomposition",
     "orbit_difference",
     "scatter_conditions",
@@ -289,8 +302,9 @@ def divided_difference(group: ReflectionGroup, s: PseudoReflection, i: int, f: M
 
 
 def _orbit_quotients(group: ReflectionGroup, s: PseudoReflection, i: int, F: GroupMap):
-    """(orbit, weighted orbit sum / form^i) for each orbit of s in turn;
-    the quotient is NotDivisible where the division fails."""
+    """(orbit, weighted orbit sum / form^i) for each orbit of s in turn,
+    the identity coset first; the quotient is NotDivisible where the
+    division fails."""
     n, m = group.dimension, group.conductor
     for orbit in group.orbits(s):
         values = (F.values[x] for x in orbit.members)
@@ -337,6 +351,27 @@ def membership(F: GroupMap) -> MembershipCertificate:
             for _, res in _orbit_quotients(group, s, i, F):
                 if isinstance(res, NotDivisible):
                     return MembershipCertificate(False, F)
+    return MembershipCertificate(True)
+
+
+def membership_by_transport(F: GroupMap) -> MembershipCertificate:
+    """membership(F), with fewer divisions when F is equivariant.
+
+    If F(x) = x . F(1) for every x, by exact polynomial equality, the
+    identity coset <s> of each hyperplane generator decides every coset
+    (see the module docstring), so only those are divided.  Any other map
+    takes membership itself; the verdict is the same either way.
+    """
+    group = F.group
+    e = F.values[0]
+    if any(F.values[x] != group.act(x, e) for x in range(1, group.order)):
+        return membership(F)
+    for s in _hyperplane_generators(group):
+        for i in range(1, s.order):
+            # the first orbit is the identity coset <s>
+            _, res = next(_orbit_quotients(group, s, i, F))
+            if isinstance(res, NotDivisible):
+                return MembershipCertificate(False, F)
     return MembershipCertificate(True)
 
 

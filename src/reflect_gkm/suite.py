@@ -257,9 +257,10 @@ class VerificationReport:
                 )
             if self.image_members is not None:
                 m = self.image_members
+                mark = "ok" if m.ok else "FAIL"
                 lines.append(
                     f"  localized members: {m.trials} trials, "
-                    f"{m.failures} failures"
+                    f"{m.failures} failures  {mark}"
                 )
         for r in self.lemmas:
             mark = "ok" if r.ok else "FAIL"

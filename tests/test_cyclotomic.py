@@ -9,6 +9,7 @@ from reflect_gkm.cyclotomic import (
     CycNum,
     NotReducible,
     PrimeReduction,
+    _is_prime,
     cyclotomic_polynomial,
     euler_phi,
     parse_cyc,
@@ -178,11 +179,24 @@ def test_text_round_trip(coeffs):
     assert parse_cyc(v.text(), 12) == v
 
 
+# the smallest prime p = 1 (mod m) above 2^30, for each conductor tested
+FOR_CONDUCTOR_PRIMES = {
+    1: 1073741827,
+    2: 1073741827,
+    3: 1073741827,
+    4: 1073741833,
+    5: 1073741831,
+    8: 1073741833,
+    12: 1073741833,
+}
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12])
 def test_prime_reduction_is_a_ring_map(m):
     red = PrimeReduction.for_conductor(m)
     p = red.prime
     assert p % m == 1 % m and p > 2**30
+    assert p == FOR_CONDUCTOR_PRIMES[m]
     assert red.reduce(root_of_unity(m, 1)) == red.root
     vals = [
         CycNum(m, [Fraction(k * j - 2, j + 1) for j in range(euler_phi(m))])
@@ -211,3 +225,27 @@ def test_prime_reduction_checks_its_prime_and_root():
         PrimeReduction(3, 91, 9)
     with pytest.raises(ValueError, match="not a root"):
         PrimeReduction(3, 7, 3)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 2 * 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(range(q * q, limit, q))
+    assert [n for n in range(limit) if _is_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # psi_12: a strong pseudoprime to every prime base up to 37
+        318665857834031151167461,
+        # psi_9 = psi_10 = psi_11
+        3825123056546413051,
+    ],
+)
+def test_strong_pseudoprimes_are_composite(n):
+    assert not _is_prime(n)

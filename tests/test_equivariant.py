@@ -23,6 +23,7 @@ from reflect_gkm.equivariant import (
     load_group_map,
     membership,
     membership_basis,
+    membership_by_transport,
     orbit_decomposition,
     orbit_difference,
     scatter_conditions,
@@ -38,7 +39,7 @@ from reflect_gkm.polynomials import (
     poly_text,
     weighted_sum,
 )
-from reflect_gkm.sampling import random_member, random_nonmember
+from reflect_gkm.sampling import random_member, random_nonmember, random_poly
 
 
 def P(text, group):
@@ -464,6 +465,22 @@ def test_g312_verdict_takes_one_generator_per_hyperplane(monkeypatch):
     # 7 (reflection, power) passes against 11 for every reflection: the
     # order-3 hyperplanes are checked through one of their two generators
     assert passes == [(1, 1), (1, 2), (2, 1), (9, 1), (9, 2), (10, 1), (11, 1)]
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_transport_verdict_equals_membership(name):
+    g = load_group(name)
+    rng = random.Random(f"transport:{name}")
+    f = random_poly(rng, g.dimension, g.conductor, max_degree=3)
+    equivariant = GroupMap(g, [g.act(x, f) for x in range(g.order)])
+    # 1 added at the last element breaks equivariance and membership
+    bumped = list(equivariant.values)
+    bumped[-1] = bumped[-1] + 1
+    maps = [equivariant, GroupMap(g, bumped), random_member(rng, g, max_degree=3)]
+    maps.append(random_nonmember(rng, g, max_degree=3))
+    verdicts = [membership_by_transport(F).ok for F in maps]
+    assert verdicts == [membership(F).ok for F in maps] == [True, False, True, False]
+    assert membership_by_transport(maps[1]).failures == membership(maps[1]).failures
 
 
 def test_failures_of_a_wrong_verdict_raise():

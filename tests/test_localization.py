@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from reflect_gkm import localization
+from reflect_gkm import equivariant, localization
 from reflect_gkm.cyclotomic import root_of_unity
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis, orbit_difference
 from reflect_gkm.groups import bundled_names, load_group
@@ -209,6 +209,51 @@ def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
     triples = DimensionTriples(s3)
     assert triples.refused_by == "members"
     assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
+
+
+def test_lift_perturbed_off_every_reflection_is_refused_by_members(s3, monkeypatch):
+    # x1 added to a degree-1 lift at a 3-cycle, which lies in no <s>: the
+    # identity cosets still divide, the lift stays homogeneous, and only
+    # the equivariance check sends it to the full membership that refuses it
+    c = next(x for x in range(s3.order) if len(s3.cyclic_powers(x)) == 3)
+    assert all(c not in s3.cyclic_powers(s.element) for s in s3.reflections())
+    k = coinvariant_basis(s3).degrees.index(1)
+
+    def perturb(lifts):
+        values = list(lifts[k].values)
+        values[c] = values[c] + P("x1", s3)
+        return lifts[:k] + [GroupMap(s3, values)] + lifts[k + 1 :]
+
+    assert not membership(perturb(localized_lifts(s3))[k]).ok
+    edit_localized_lifts(monkeypatch, perturb)
+    triples = DimensionTriples(s3)
+    assert triples.refused_by == "members"
+    assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
+
+
+def test_certificate_divides_identity_cosets_only(monkeypatch):
+    # g312's hyperplane generators have orders 3, 3, 2, 2, 2: seven
+    # divisions per lift, one coset each, for its 18 lifts, and no full
+    # membership
+    group = load_group("g312")
+    calls = {"membership": 0, "divide": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(equivariant, "membership", counting("membership", equivariant.membership))
+    monkeypatch.setattr(
+        equivariant,
+        "divide_by_linear_power",
+        counting("divide", equivariant.divide_by_linear_power),
+    )
+    triples = DimensionTriples(group)
+    assert triples.refused_by is None
+    assert calls == {"membership": 0, "divide": 18 * 7}
 
 
 def duplicate_a_lift(lifts):

@@ -189,6 +189,17 @@ def test_cli_verify_theorem_passes(capsys):
     assert "1" in out and "2" in out
 
 
+def test_cli_marks_a_failed_members_check(capsys):
+    # no member trials: every row agrees, and the members line says what failed
+    code = main([
+        "verify", "theorem", "--group", "z3", "--trials", "0", "--max-degree", "0",
+    ])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "  localized members: 0 trials, 0 failures  FAIL\n" in out
+    assert out.endswith("overall: FAIL\n")
+
+
 def test_cli_verify_lemmas_naive_control(capsys):
     code = main([
         "verify", "lemmas", "--group", "z3",
