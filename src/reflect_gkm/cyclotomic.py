@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 __all__ = [
     "ArithmeticFault",
@@ -603,15 +603,14 @@ _MILLER_RABIN_BOUND = 3317044064679887385961981
 
 def _is_prime(n: int) -> bool:
     """Primality as a proof, not a probabilistic test: strong Miller-Rabin
-    on the bases above, deterministic below their bound, and trial division
-    at or above it."""
+    on the bases above.  n at or above their bound is refused."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin bound")
     if n < 2:
         return False
     for q in _MILLER_RABIN_BASES:
         if n % q == 0:
             return n == q
-    if n >= _MILLER_RABIN_BOUND:
-        return all(n % q for q in range(43, isqrt(n) + 1, 2))
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1

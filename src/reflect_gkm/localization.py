@@ -258,15 +258,9 @@ class DimensionTriples:
           stabilizer of order e_K, a discrete Fourier transform on each of
           its |W|/e_K cosets turns A's rows into sums S_i divisible by
           ell_K^i, so ell_K^a_K divides det A, a_K = |W|(e_K - 1)/2.
-          F_j(x) = x . e_j is equivariant, so this is decided by transport
-          (membership_by_transport): on the coset x<s> of a generator s of
-          the stabilizer, S_i is x . P_i with P_i = sum_l lambda^{-il}
-          s^l . e_j, and the coset's form is a nonzero multiple of
-          x . ell_s.  x is a ring automorphism, so x . ell_s^i divides
-          x . P_i exactly when ell_s^i divides P_i: the identity coset
-          decides every coset, sum_K (e_K - 1) divisions per lift.  The
-          equivariance is itself checked, by exact equality at every x,
-          and a lift that fails it takes the full membership;
+          F_j(x) = x . e_j is equivariant, so membership_by_transport
+          decides it from the identity cosets alone (the proof is in the
+          equivariant module docstring);
       (b) rank: A at a fixed moment-curve point, reduced by PrimeReduction,
           has rank |W| over F_p, so det A is nonzero;
       (c) degrees: the |W| lifts are nonzero and homogeneous, and

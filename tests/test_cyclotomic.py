@@ -249,3 +249,12 @@ def test_is_prime_agrees_with_a_sieve():
 )
 def test_strong_pseudoprimes_are_composite(n):
     assert not _is_prime(n)
+
+
+def test_is_prime_refuses_beyond_the_deterministic_bound():
+    # psi_13 is the first n the 13 bases cannot decide
+    psi13 = 3317044064679887385961981
+    assert _is_prime(psi13 - 2) in (True, False)
+    for n in (psi13, psi13 + 1, 2**89 - 1):
+        with pytest.raises(ValueError, match="beyond"):
+            _is_prime(n)
