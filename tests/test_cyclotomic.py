@@ -252,9 +252,9 @@ def test_strong_pseudoprimes_are_composite(n):
 
 
 def test_is_prime_refuses_beyond_the_deterministic_bound():
-    # psi_13 is the first n the 13 bases cannot decide
+    # psi_13 is the least n the 13 bases cannot decide; psi_13 - 1 is even
     psi13 = 3317044064679887385961981
-    assert _is_prime(psi13 - 2) in (True, False)
+    assert _is_prime(psi13 - 1) is False
     for n in (psi13, psi13 + 1, 2**89 - 1):
         with pytest.raises(ValueError, match="beyond"):
             _is_prime(n)
