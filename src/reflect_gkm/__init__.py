@@ -43,6 +43,7 @@ from .hypergraph import (
     build_hypergraph,
     edge_integral,
     edge_quotients,
+    edge_witness,
     hypergraph_membership,
     integral_identity,
     pairwise_membership,
@@ -112,6 +113,7 @@ __all__ = [
     "dump_group_map",
     "edge_integral",
     "edge_quotients",
+    "edge_witness",
     "hypergraph_membership",
     "integral_identity",
     "invariant_basis",

@@ -24,10 +24,10 @@ minimal conductor, so equal values collide properly in dicts and sets.
 The text form is a polynomial in z with high powers first, for example
 ``1/2*z^2 - 1``; parse_cyc inverts text exactly.
 
-dot_product is the one exact linear combination sum_k x_k y_k: it works on
-the integer numerators and builds a single CycNum for the total, so callers
-that sum many products (polynomial coefficients, matrix entries) pay one
-gcd per result instead of one per product and per partial sum.
+keyed_dot_products is the one kernel for sums of products: it forms
+{key: sum x y} from (key, x, y) triples on the integer numerators, so each
+output (a polynomial coefficient, a matrix entry) costs one gcd instead of
+one per product and partial sum.
 
 PrimeReduction maps values into a prime field F_p by sending z to a root
 of the cyclotomic polynomial modulo p.  It is a ring homomorphism on every
@@ -49,8 +49,8 @@ __all__ = [
     "NotReducible",
     "PrimeReduction",
     "cyclotomic_polynomial",
-    "dot_product",
     "euler_phi",
+    "keyed_dot_products",
     "parse_cyc",
     "root_of_unity",
 ]
@@ -491,37 +491,31 @@ def _sum(x: CycNum, num, den: int) -> CycNum:
     )
 
 
-def dot_product(conductor: int, pairs) -> CycNum:
-    """sum x * y over (x, y) pairs of CycNums at the given conductor.
-
-    Each product is formed on the integer numerators (one integer product
-    when phi(conductor) = 1), the products are added over the lcm of their
-    denominators, and the total is canonicalised once, with one gcd.  The
-    empty sum is zero."""
+def keyed_dot_products(conductor: int, triples) -> dict:
+    """{key: sum x * y} over (key, x, y) triples of CycNums at the given
+    conductor, zero sums dropped.  Products are formed on the integer
+    numerators and added per key over the lcm of their denominators; each
+    total is canonicalised once.  Callers vouch for the operands' conductor
+    (polynomials check it once per polynomial)."""
     m = conductor
-    acc = None
-    den = 1
-    for x, y in pairs:
-        if x.conductor != m or y.conductor != m:
-            raise ConductorMismatch(f"conductor {m} vs {x.conductor}, {y.conductor}")
+    sums: dict = {}
+    for key, x, y in triples:
+        a, b = x.num, y.num
+        prod = [a[0] * b[0]] if len(a) == 1 else _mul_int(m, a, b)
         d = x.den * y.den
-        a = x.num
-        if len(a) == 1:
-            prod = [a[0] * y.num[0]]
-        else:
-            prod = _mul_int(m, a, y.num)
-        if acc is None:
-            acc, den = prod, d
-        elif d == den:
-            acc = [u + v for u, v in zip(acc, prod)]
+        slot = sums.get(key)
+        if slot is None:
+            sums[key] = [prod, d]
+            continue
+        acc, den = slot
+        if d == den:
+            slot[0] = [u + v for u, v in zip(acc, prod)]
         else:
             g = gcd(den, d)
             fa, fp = d // g, den // g
-            acc = [u * fa + v * fp for u, v in zip(acc, prod)]
-            den *= fa
-    if acc is None:
-        return CycNum.zero(m)
-    return _canon(m, acc, den)
+            slot[0] = [u * fa + v * fp for u, v in zip(acc, prod)]
+            slot[1] = den * fa
+    return {key: _canon(m, acc, den) for key, (acc, den) in sums.items() if any(acc)}
 
 
 # ---------------------------------------------------------------------------

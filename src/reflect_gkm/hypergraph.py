@@ -72,6 +72,7 @@ __all__ = [
     "edge_integral",
     "edge_integral_weighted",
     "edge_quotients",
+    "edge_witness",
     "hypergraph_membership",
     "integral_identity",
     "pairwise_graded_dimension",
@@ -110,29 +111,38 @@ class EdgeWitness:
     witness: NotDivisible
 
 
+def _edge_divisions(edge: Orbit, F: GroupMap, orders: range):
+    """(i, h_i / form^i, or NotDivisible) for each order i in turn."""
+    n, m = F.group.dimension, F.group.conductor
+    values = [F.values[p] for p in edge.members]
+    for i in orders:
+        h = weighted_sum(zip(values, edge.vandermonde_inverse[i]), n, m)
+        yield i, divide_by_linear_power(h, edge.form, i)
+
+
 def edge_quotients(edge: Orbit, F: GroupMap):
     """Interpolate F along the edge and divide; the list of quotients
     g_i = h_i / form^i, or an EdgeWitness at the first failure."""
-    n, m = F.group.dimension, F.group.conductor
-    values = [F.values[p] for p in edge.members]
     quotients = []
-    for i, row in enumerate(edge.vandermonde_inverse):
-        h = weighted_sum(zip(values, row), n, m)
-        res = divide_by_linear_power(h, edge.form, i)
+    for i, res in _edge_divisions(edge, F, range(edge.size)):
         if isinstance(res, NotDivisible):
             return EdgeWitness(edge, i, res)
         quotients.append(res)
     return quotients
 
 
+def edge_witness(edge: Orbit, F: GroupMap) -> EdgeWitness | None:
+    """The first failure of edge_quotients, or None; form^0 divides every
+    h_0, so only the orders 1 .. size - 1 are interpolated and divided."""
+    for i, res in _edge_divisions(edge, F, range(1, edge.size)):
+        if isinstance(res, NotDivisible):
+            return EdgeWitness(edge, i, res)
+    return None
+
+
 def hypergraph_membership(H: Hypergraph, F: GroupMap) -> list[EdgeWitness]:
     """Every failed edge of F; empty means F passes the hypergraph."""
-    out = []
-    for edge in H.edges:
-        res = edge_quotients(edge, F)
-        if isinstance(res, EdgeWitness):
-            out.append(res)
-    return out
+    return [w for w in (edge_witness(edge, F) for edge in H.edges) if w]
 
 
 def pairwise_membership(H: Hypergraph, F: GroupMap) -> list[EdgeWitness]:

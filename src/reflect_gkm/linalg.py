@@ -6,9 +6,9 @@ it this way keeps every basis and nullspace deterministic, which the
 verification reports rely on.  Everything accepts CycNum entries; Fractions
 work too since only +, -, *, / and truthiness are used.  The small dense
 matrices (group elements) take CycNum entries only: mat_mul and mat_vec
-sum their products by cyclotomic.dot_product.  rank_mod_p is the
-one exception: it works on integers modulo a prime, for the rank step of
-localization.DimensionTriples' certificate.  rref is the package's
+sum their products in one cyclotomic.keyed_dot_products call.  rank_mod_p
+is the one exception: it works on integers modulo a prime, for the rank
+step of localization.DimensionTriples' certificate.  rref is the package's
 only elimination over Q(zeta_m); cyclotomic._subfield_coords, fraction-free
 over the integers, is the other one outside this module, since cyclotomic
 sits below linalg in the import order.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cyclotomic import CycNum, dot_product
+from .cyclotomic import ConductorMismatch, CycNum, keyed_dot_products
 
 __all__ = [
     "mat_identity",
@@ -120,16 +120,28 @@ def mat_identity(n: int, conductor: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
-
-
-def _dot(row, col):
-    return dot_product(row[0].conductor, zip(row, col))
+    return _products(a, list(zip(*b)))
 
 
 def mat_vec(a: Matrix, v: Sequence) -> tuple:
-    return tuple(_dot(row, v) for row in a)
+    return tuple(row[0] for row in _products(a, [v]))
+
+
+def _products(rows, cols) -> Matrix:
+    """The matrix of row . col, all entries from one keyed_dot_products call;
+    zero entries (most of a monomial matrix) add no product."""
+    m = rows[0][0].conductor
+    triples = []
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            for x, y in zip(row, col):
+                if x.conductor != m or y.conductor != m:
+                    raise ConductorMismatch(f"a matrix entry off conductor {m}")
+                if x and y:
+                    triples.append(((i, j), x, y))
+    sums = keyed_dot_products(m, triples)
+    zero = CycNum.zero(m)
+    return tuple(tuple(sums.get((i, j), zero) for j in range(len(cols))) for i in range(len(rows)))
 
 
 def mat_inv(a: Matrix, conductor: int) -> Matrix:

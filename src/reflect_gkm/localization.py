@@ -44,7 +44,7 @@ from .invariants import (
     graded_count,
 )
 from .linalg import rank, rank_mod_p
-from .polynomials import MultiPoly, graded_monomials
+from .polynomials import MultiPoly, graded_monomials, sum_of_products
 
 __all__ = [
     "DimensionTriples",
@@ -151,10 +151,8 @@ class TensorElement:
 def localize_at(T: TensorElement, x: int) -> MultiPoly:
     """Evaluate the tensor at one group element: sum f . x(g)."""
     g = T.group
-    out = MultiPoly.zero(g.dimension, g.conductor)
-    for f, h in T.summands:
-        out = out + f * g.act(x, h)
-    return out
+    pairs = [(f, g.act(x, h)) for f, h in T.summands]
+    return sum_of_products(pairs, g.dimension, g.conductor)
 
 
 def localize(T: TensorElement) -> GroupMap:

@@ -23,11 +23,11 @@ ell^k repeats the step on the quotient and stops at the first nonzero
 remainder: after v exact steps that remainder is the component of f of
 order exactly v along ell, and ell^v times it is the NotDivisible witness.
 
-weighted_sum is the one kernel for linear combinations sum_k w_k f_k with
-scalar weights.  It collects, per output monomial, the coefficients of the
-f_k there with their weights, and computes each output coefficient as one
-exact dot product (cyclotomic.dot_product), so it builds one CycNum per
-output monomial rather than one per product and per partial sum.
+Linear combinations sum_k w_k f_k (weighted_sum) and sums of products
+sum_k f_k g_k (sum_of_products; a product is its one-pair case) go through
+the one kernel cyclotomic.keyed_dot_products, keyed by output monomial, so
+they build one CycNum per output monomial, not one per product and partial
+sum.  Each operand's variable count and conductor are checked once.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
-from .cyclotomic import ConductorMismatch, CycNum, dot_product, parse_cyc
+from .cyclotomic import ConductorMismatch, CycNum, keyed_dot_products, parse_cyc
 
 __all__ = [
     "LinearForm",
@@ -49,6 +50,7 @@ __all__ = [
     "hyperplane_coordinates",
     "parse_poly",
     "poly_text",
+    "sum_of_products",
     "weighted_sum",
 ]
 
@@ -76,23 +78,15 @@ class MultiPoly:
 
     def __init__(self, nvars: int, conductor: int, terms=None):
         clean: dict[Exponents, CycNum] = {}
-        if terms:
-            for exps, c in (terms.items() if isinstance(terms, dict) else terms):
-                cc = _as_coeff(c, conductor)
-                if not cc:
-                    continue
-                key = tuple(exps)
-                if len(key) != nvars:
-                    raise ValueError(f"exponent tuple {key} does not fit {nvars} variables")
-                prev = clean.get(key)
-                acc = cc if prev is None else prev + cc
-                if acc:
-                    clean[key] = acc
-                else:
-                    clean.pop(key, None)
+        for exps, c in (terms.items() if isinstance(terms, dict) else terms or ()):
+            key, c = tuple(exps), _as_coeff(c, conductor)
+            if len(key) != nvars:
+                raise ValueError(f"exponent tuple {key} does not fit {nvars} variables")
+            prev = clean.get(key)
+            clean[key] = c if prev is None else prev + c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -128,16 +122,12 @@ class MultiPoly:
 
     # -- ring structure --------------------------------------------------
 
-    def _check(self, other: "MultiPoly"):
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials in different variable counts")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):
             other = MultiPoly.constant(self.nvars, self.conductor, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check(other)
+        _check_operand(other, self.nvars, self.conductor)
         out = dict(self.terms)
         for exps, c in other.terms.items():
             acc = out.get(exps)
@@ -175,19 +165,7 @@ class MultiPoly:
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check(other)
-        out: dict[Exponents, CycNum] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc = out.get(key)
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return MultiPoly._make(self.nvars, self.conductor, out)
+        return sum_of_products([(self, other)], self.nvars, self.conductor)
 
     __rmul__ = __mul__
 
@@ -283,26 +261,41 @@ class LinearForm:
 # substitutions and hyperplane coordinates
 
 
+def _check_operand(f, nvars: int, conductor: int) -> None:
+    """A polynomial or linear form must fit the call, once per operand."""
+    if f.nvars != nvars:
+        raise ValueError(f"an operand in {f.nvars} variables, not {nvars}")
+    if f.conductor != conductor:
+        raise ConductorMismatch(f"an operand over conductor {f.conductor}, not {conductor}")
+
+
 def weighted_sum(pairs, nvars: int, conductor: int) -> MultiPoly:
-    """sum_k w_k * f_k over (f_k, w_k) pairs with scalar weights: one
-    dot product per output monomial."""
-    columns: dict[Exponents, list] = {}
-    for f, w in pairs:
-        w = _as_coeff(w, conductor)
-        if not w:
-            continue
-        for e, c in f.terms.items():
-            col = columns.get(e)
-            if col is None:
-                columns[e] = [(c, w)]
-            else:
-                col.append((c, w))
-    out = {}
-    for e, col in columns.items():
-        c = dot_product(conductor, col)
-        if c:
-            out[e] = c
-    return MultiPoly._make(nvars, conductor, out)
+    """sum_k w_k * f_k over (f_k, w_k) pairs with scalar weights: one keyed
+    dot product over all their terms."""
+    def triples():
+        for f, w in pairs:
+            _check_operand(f, nvars, conductor)
+            w = _as_coeff(w, conductor)
+            if w:
+                for e, c in f.terms.items():
+                    yield e, c, w
+
+    return MultiPoly._make(nvars, conductor, keyed_dot_products(conductor, triples()))
+
+
+def sum_of_products(pairs, nvars: int, conductor: int) -> MultiPoly:
+    """sum_k f_k * g_k over (f_k, g_k) pairs of polynomials: one keyed dot
+    product over every pair of terms, keyed by the product monomial."""
+    def triples():
+        for f, g in pairs:
+            _check_operand(f, nvars, conductor)
+            _check_operand(g, nvars, conductor)
+            right = g.terms.items()
+            for e1, c1 in f.terms.items():
+                for e2, c2 in right:
+                    yield tuple(map(add, e1, e2)), c1, c2
+
+    return MultiPoly._make(nvars, conductor, keyed_dot_products(conductor, triples()))
 
 
 class LinearSubstitution:
@@ -398,13 +391,6 @@ def _add_linear_multiple(base: dict, q: dict, linear) -> dict:
     return out
 
 
-def _times_form_power(terms: dict, form: LinearForm, k: int) -> dict:
-    support = [(j, c) for j, c in enumerate(form.coeffs) if c]
-    for _ in range(k):
-        terms = _add_linear_multiple({}, terms, support)
-    return terms
-
-
 def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):
     """f / form^power as a polynomial, or NotDivisible.
 
@@ -414,8 +400,9 @@ def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):
     step per power, stopping at the first nonzero remainder.
     """
     n, m = f.nvars, f.conductor
+    _check_operand(form, n, m)
     if power <= 0:
-        return MultiPoly._make(n, m, _times_form_power(f.terms, form, -power))
+        return f * form.as_poly() ** -power
     if not f:
         return f
     p = form.pivot
@@ -432,8 +419,8 @@ def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):
             carry = quotient[k - 1] = _add_linear_multiple(slices[k], carry, root)
         remainder = _add_linear_multiple(slices[0], carry, root)
         if remainder:
-            witness = _times_form_power(remainder, form, step)
-            return NotDivisible(step, MultiPoly._make(n, m, witness))
+            witness = MultiPoly._make(n, m, remainder) * form.as_poly() ** step
+            return NotDivisible(step, witness)
         slices = quotient
     return MultiPoly._make(
         n,

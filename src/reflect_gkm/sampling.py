@@ -73,21 +73,21 @@ def random_member(rng: random.Random, group: ReflectionGroup, max_degree: int = 
 
 
 def random_nonmember(rng: random.Random, group: ReflectionGroup, max_degree: int = 4) -> GroupMap:
-    """Perturb one value of a random member by a random monomial until the
-    membership certificate fails.  Raises RuntimeError if the group refuses
-    to produce one in _NONMEMBER_ATTEMPTS tries (it will not, for
-    nontrivial reflection groups)."""
+    """Perturb one value of a random member F = localize(T) by a random
+    monomial until the result is not a member.  Members form a module, so
+    F + Delta is a member exactly when the sparse map Delta (the monomial
+    at one element, zero elsewhere) is: each attempt is decided on Delta,
+    and only the map returned localizes its tensor.  Raises RuntimeError
+    if the group refuses to produce one in _NONMEMBER_ATTEMPTS tries (it
+    will not, for nontrivial reflection groups)."""
     n, m = group.dimension, group.conductor
     for _ in range(_NONMEMBER_ATTEMPTS):
-        F = random_member(rng, group, max_degree=max_degree)
+        T = random_tensor(rng, group, max_degree=max_degree)
+        values = [MultiPoly.zero(n, m)] * group.order
         x = rng.randrange(group.order)
-        d = rng.randint(0, max_degree)
-        pool = graded_monomials(n, d)
-        exps = pool[rng.randrange(len(pool))]
-        bump = MultiPoly(n, m, {exps: 1})
-        values = list(F.values)
-        values[x] = values[x] + bump
-        G = GroupMap(group, values)
-        if not membership(G).ok:
-            return G
+        pool = graded_monomials(n, rng.randint(0, max_degree))
+        values[x] = MultiPoly(n, m, {pool[rng.randrange(len(pool))]: 1})
+        delta = GroupMap(group, values)
+        if not membership(delta).ok:
+            return localize(T) + delta
     raise RuntimeError("could not find a nonmember by perturbation")

@@ -16,8 +16,8 @@ import pytest
 from reflect_gkm.cyclotomic import (
     CycNum,
     cyclotomic_polynomial,
-    dot_product,
     euler_phi,
+    keyed_dot_products,
     parse_cyc,
 )
 
@@ -150,18 +150,20 @@ def test_ring_operations_match_the_fraction_reference(m):
         for got, want in ((x * q, [c * q for c in a]), (x + q, [a[0] + q] + a[1:])):
             assert_canonical(got, m)
             assert list(got.coeffs) == want
-    # the dot kernel against per-term CycNum products and sums, on prefixes
-    # of the pairs and on pairs whose products cancel to zero
+    # the product kernel against per-term CycNum products and sums, on
+    # prefixes of the pairs under two keys and on pairs that cancel to zero
     pairs = list(zip(nums, reversed(nums)))
     cancelling = pairs + [(-x, y) for x, y in pairs]
     for case in [pairs[:k] for k in range(len(pairs) + 1)] + [cancelling]:
-        want = CycNum.zero(m)
-        for x, y in case:
-            want = want + x * y
-        got = dot_product(m, case)
-        assert_canonical(got, m)
-        assert (got.num, got.den) == (want.num, want.den)
-    assert not dot_product(m, cancelling)
+        want = {}
+        for k, (x, y) in enumerate(case):
+            want[k % 2] = want.get(k % 2, CycNum.zero(m)) + x * y
+        got = keyed_dot_products(m, ((k % 2, x, y) for k, (x, y) in enumerate(case)))
+        assert set(got) == {key for key, v in want.items() if v}
+        for key, v in got.items():
+            assert_canonical(v, m)
+            assert (v.num, v.den) == (want[key].num, want[key].den)
+    assert keyed_dot_products(m, ((None, x, y) for x, y in cancelling)) == {}
 
 
 @pytest.mark.parametrize("m", CONDUCTORS)

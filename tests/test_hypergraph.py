@@ -9,6 +9,7 @@ import pytest
 
 import reflect_gkm.groups as groups_module
 import reflect_gkm.hypergraph as hypergraph_module
+import reflect_gkm.sampling as sampling_module
 from reflect_gkm.cyclotomic import CycNum
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis
 from reflect_gkm.groups import load_group
@@ -18,6 +19,7 @@ from reflect_gkm.hypergraph import (
     edge_integral,
     edge_integral_weighted,
     edge_quotients,
+    edge_witness,
     hypergraph_membership,
     integral_identity,
     pairwise_graded_dimension,
@@ -28,7 +30,7 @@ from reflect_gkm.hypergraph import (
     to_json_dict,
 )
 from reflect_gkm.localization import TensorElement, localize
-from reflect_gkm.polynomials import MultiPoly, parse_poly
+from reflect_gkm.polynomials import MultiPoly, graded_monomials, parse_poly
 from reflect_gkm.sampling import random_member, random_nonmember
 from reflect_gkm.suite import run_suite
 
@@ -462,3 +464,97 @@ def test_dot_export(z4):
     # the long orbit contributes a clique on four vertices: six pair lines
     assert dot.count(" -- ") == 6 + 1 + 1
     assert 'label="x1"' in dot
+
+
+BUNDLED = ["z2", "z3", "z4", "s3", "b2", "g312"]
+
+
+def perturbation_by_full_check(rng, group, max_degree=4):
+    """The sampler as it was first written: localize every attempt's
+    tensor and decide membership on the perturbed map itself."""
+    n, m = group.dimension, group.conductor
+    while True:
+        F = random_member(rng, group, max_degree=max_degree)
+        x = rng.randrange(group.order)
+        pool = graded_monomials(n, rng.randint(0, max_degree))
+        exps = pool[rng.randrange(len(pool))]
+        values = list(F.values)
+        values[x] = values[x] + MultiPoly(n, m, {exps: 1})
+        G = GroupMap(group, values)
+        if not membership(G).ok:
+            return G
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_random_nonmember_localizes_only_what_it_returns(name, monkeypatch):
+    g = load_group(name)
+    reference = random.Random(f"nonmember:{name}")
+    expected = [perturbation_by_full_check(reference, g) for _ in range(3)]
+    localized, tensors, verdicts = [], [], []
+    names = ("localize", "random_tensor", "membership")
+    originals = {n: getattr(sampling_module, n) for n in names}
+
+    def counting_localize(T):
+        localized.append(T)
+        return originals["localize"](T)
+
+    def recording_tensor(*args, **kwargs):
+        tensors.append(originals["random_tensor"](*args, **kwargs))
+        return tensors[-1]
+
+    def recording_membership(delta):
+        verdicts.append((delta, originals["membership"](delta).ok))
+        return originals["membership"](delta)
+
+    monkeypatch.setattr(sampling_module, "localize", counting_localize)
+    monkeypatch.setattr(sampling_module, "random_tensor", recording_tensor)
+    monkeypatch.setattr(sampling_module, "membership", recording_membership)
+    rng = random.Random(f"nonmember:{name}")
+    for k, want in enumerate(expected, start=1):
+        # the same draws, so the same map as localizing every attempt
+        assert random_nonmember(rng, g) == want
+        assert len(localized) == k
+    assert rng.random() == reference.random()
+    monkeypatch.undo()
+    # on every attempt, the verdict on the perturbation alone is the
+    # verdict on the perturbed member
+    assert len(tensors) == len(verdicts) >= 3
+    for T, (delta, ok) in zip(tensors, verdicts):
+        assert sum(map(bool, delta.values)) == 1
+        assert ok == membership(localize(T) + delta).ok
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_edge_witness_agrees_with_edge_quotients(name, monkeypatch):
+    g = load_group(name)
+    H = build_hypergraph(g)
+    rng = random.Random(f"edge-witness:{name}")
+    maps = [random_member(rng, g) for _ in range(3)]
+    maps += [random_nonmember(rng, g) for _ in range(3)]
+    powers = []
+    original = hypergraph_module.divide_by_linear_power
+
+    def recording(f, form, power):
+        powers.append(power)
+        return original(f, form, power)
+
+    failed = 0
+    for F in maps:
+        for edge in H.edges:
+            full = edge_quotients(edge, F)
+            monkeypatch.setattr(hypergraph_module, "divide_by_linear_power", recording)
+            short = edge_witness(edge, F)
+            monkeypatch.undo()
+            if isinstance(full, EdgeWitness):
+                failed += 1
+                assert short.edge is edge
+                assert (short.power, short.witness.valuation) == (
+                    full.power,
+                    full.witness.valuation,
+                )
+                assert short.witness.witness == full.witness.witness
+            else:
+                assert short is None
+    assert failed > 0
+    # form^0 divides everything, so the verdict never divides at order 0
+    assert powers and 0 not in powers

@@ -3,11 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from reflect_gkm.cyclotomic import CycNum, PrimeReduction, euler_phi, root_of_unity
+from reflect_gkm.cyclotomic import (
+    ConductorMismatch,
+    CycNum,
+    PrimeReduction,
+    euler_phi,
+    root_of_unity,
+)
 from reflect_gkm.linalg import (
     mat_identity,
     mat_inv,
     mat_mul,
+    mat_vec,
     nullspace,
     rank,
     rank_mod_p,
@@ -58,6 +65,32 @@ def test_matrix_inverse_over_cyclotomics():
     inv = mat_inv(a, 3)
     assert mat_mul(a, inv) == mat_identity(2, 3)
     assert mat_mul(inv, a) == mat_identity(2, 3)
+
+
+def test_matrix_products_against_entrywise_sums():
+    rng = random.Random("matrix-products")
+    for m in (1, 3, 4, 5):
+        # about half the entries zero, as in the groups' monomial matrices
+        def entry():
+            coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                      for _ in range(euler_phi(m))]
+            return CycNum(m, coeffs) if rng.random() < 0.5 else CycNum.zero(m)
+
+        a = tuple(tuple(entry() for _ in range(3)) for _ in range(3))
+        b = tuple(tuple(entry() for _ in range(3)) for _ in range(3))
+        v = tuple(entry() for _ in range(3))
+
+        def dot(row, col):
+            total = CycNum.zero(m)
+            for x, y in zip(row, col):
+                total = total + x * y
+            return total
+
+        assert mat_mul(a, b) == tuple(tuple(dot(r, col) for col in zip(*b)) for r in a)
+        assert mat_vec(a, v) == tuple(dot(r, v) for r in a)
+    mixed = ((CycNum.one(3), root_of_unity(4, 1)), (CycNum.zero(3), CycNum.one(3)))
+    with pytest.raises(ConductorMismatch):
+        mat_mul(mixed, mat_identity(2, 3))
 
 
 def test_singular_matrix_raises():

@@ -33,3 +33,67 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _functions(tree):
+    """(qualified name, node) of every function, methods as Class.name."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((prefix + child.name, child))
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+
+    visit(tree, "")
+    return out
+
+
+def _mentions(node, name):
+    return any(
+        (isinstance(n, ast.Name) and n.id == name)
+        or (isinstance(n, ast.Attribute) and n.attr == name)
+        or (isinstance(n, ast.alias) and n.name == name)
+        for n in ast.walk(node)
+    )
+
+
+def _multiplies_denominators(node):
+    """Does a loop in node form x.den * y.den, the denominator of a product
+    it is about to accumulate?"""
+    return any(
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Mult)
+        and all(
+            isinstance(side, ast.Attribute) and side.attr == "den" for side in (n.left, n.right)
+        )
+        for loop in ast.walk(node)
+        if isinstance(loop, (ast.For, ast.While))
+        for n in ast.walk(loop)
+    )
+
+
+def test_one_product_kernel():
+    # integer-numerator products and their accumulation over a common
+    # denominator exist once, in cyclotomic.keyed_dot_products; the rest of
+    # the package reaches them through it
+    mul_int, accumulating = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "cyclotomic.py":
+            assert not _mentions(tree, "_mul_int"), path.name
+        for name, node in _functions(tree):
+            where = f"{path.stem}.{name}"
+            if _mentions(node, "_mul_int") and not name.startswith("_mul_int"):
+                mul_int.add(where)
+            if _multiplies_denominators(node):
+                accumulating.add(where)
+    # the kernel, one product, and the norm of an inverse
+    assert mul_int == {
+        "cyclotomic.keyed_dot_products",
+        "cyclotomic.CycNum.__mul__",
+        "cyclotomic._inverse",
+    }
+    assert accumulating == {"cyclotomic.keyed_dot_products"}

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflect_gkm.cyclotomic import CycNum, euler_phi, root_of_unity
+from reflect_gkm.cyclotomic import ConductorMismatch, CycNum, euler_phi, root_of_unity
 from reflect_gkm.polynomials import (
     LinearForm,
     LinearSubstitution,
@@ -17,6 +17,7 @@ from reflect_gkm.polynomials import (
     hyperplane_coordinates,
     parse_poly,
     poly_text,
+    sum_of_products,
     weighted_sum,
 )
 
@@ -289,3 +290,111 @@ def test_weighted_sum_matches_repeated_addition():
     x, y = xy()
     total = weighted_sum([(x + y, 1), (x - y, -1)], 2, 1)
     assert total == 2 * y and total.terms == {(0, 1): CycNum(1, [2])}
+
+
+def test_kernel_operands_must_fit_the_call():
+    # a 1-variable operand in a 2-variable sum used to come back as a
+    # 2-variable polynomial holding a 1-tuple key
+    two, one = MultiPoly(2, 3, {(1, 0): 1}), MultiPoly(1, 3, {(2,): 1})
+    with pytest.raises(ValueError):
+        weighted_sum([(two, 1), (one, 1)], 2, 3)
+    with pytest.raises(ValueError):
+        sum_of_products([(two, two), (one, one)], 2, 3)
+    with pytest.raises(ValueError):
+        two * MultiPoly(1, 3, {(1,): 1})
+    rational = MultiPoly(2, 1, {(0, 1): 1})
+    with pytest.raises(ConductorMismatch):
+        weighted_sum([(two, 1), (rational, 1)], 2, 3)
+    with pytest.raises(ConductorMismatch):
+        sum_of_products([(two, rational)], 2, 3)
+    with pytest.raises(ConductorMismatch):
+        two + rational
+
+
+def test_division_checks_its_form():
+    f = MultiPoly(1, 3, {(2,): 1})
+    _, wide = LinearForm.normalize([1, 1], 3)
+    # a form with more variables than f used to raise a bare IndexError
+    with pytest.raises(ValueError):
+        divide_by_linear_power(f, wide, 1)
+    # a form over conductor 3 against f over conductor 1: f has no term in
+    # the pivot variable x1, so no coefficient of the two ever meets
+    _, form = LinearForm.normalize([1, root_of_unity(3, 1)], 3)
+    g = MultiPoly(2, 1, {(0, 2): 1})
+    for power in (-1, 0, 1, 2):
+        with pytest.raises(ConductorMismatch):
+            divide_by_linear_power(g, form, power)
+
+
+KERNEL_CONDUCTORS = (1, 2, 3, 4, 5, 12)
+# denominators that share factors, so sums over their lcm cancel partly
+_kernel_den = st.sampled_from((1, 2, 3, 4, 6, 9, 12, 35))
+
+
+@st.composite
+def _kernel_scalar(draw, m):
+    return CycNum(m, [
+        Fraction(draw(st.integers(-6, 6)), draw(_kernel_den)) for _ in range(euler_phi(m))
+    ])
+
+
+@st.composite
+def _kernel_poly(draw, m):
+    # exponents 0..2 in two variables, so products collide on monomials
+    keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=4))
+    return MultiPoly(2, m, {e: draw(_kernel_scalar(m)) for e in keys})
+
+
+@st.composite
+def _kernel_case(draw):
+    m = draw(st.sampled_from(KERNEL_CONDUCTORS))
+    pairs = draw(st.lists(st.tuples(_kernel_poly(m), _kernel_poly(m)), max_size=4))
+    weights = [draw(_kernel_scalar(m)) for _ in pairs]
+    cancel = draw(st.booleans())
+    if cancel:
+        # every pair again with its first factor negated: the totals cancel
+        pairs += [(-f, g) for f, g in pairs]
+        weights += weights
+    return m, pairs, weights, cancel
+
+
+def _naive_sum(m, products):
+    """{monomial: sum of coefficients}, one CycNum sum at a time, zeros
+    dropped."""
+    acc = {}
+    for e, c in products:
+        acc[e] = acc.get(e, CycNum.zero(m)) + c
+    return {e: c for e, c in acc.items() if c}
+
+
+def _naive_products(f, g):
+    return [
+        (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        for e1, c1 in f.terms.items()
+        for e2, c2 in g.terms.items()
+    ]
+
+
+def _assert_kernel_result(got, want, m):
+    assert got.nvars == 2 and got.conductor == m
+    assert got.terms == want
+    for c in got.terms.values():
+        # never a stored zero, always the canonical pair
+        assert c and c.conductor == m and c.den > 0 and gcd(c.den, *c.num) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_case())
+def test_kernel_matches_naive_cycnum_sums(case):
+    m, pairs, weights, cancel = case
+    products = [p for f, g in pairs for p in _naive_products(f, g)]
+    got = sum_of_products(pairs, 2, m)
+    _assert_kernel_result(got, _naive_sum(m, products), m)
+    for f, g in pairs:
+        _assert_kernel_result(f * g, _naive_sum(m, _naive_products(f, g)), m)
+    firsts = [f for f, _ in pairs]
+    scaled = [(e, c * w) for f, w in zip(firsts, weights) for e, c in f.terms.items()]
+    combo = weighted_sum(zip(firsts, weights), 2, m)
+    _assert_kernel_result(combo, _naive_sum(m, scaled), m)
+    if cancel:
+        assert got.terms == {} and combo.terms == {}
