@@ -41,17 +41,18 @@ reflection, over every pseudo-reflection and power, exactly as the
 definition reads; it is built by that full loop when it is first read,
 which only the command line does.
 
-An equivariant map, F(x) = x . e with e = F(1), needs only the identity
-coset <s> of each generator.  Its order-i sum there is P_i = sum_j
-lambda^{-ij} s^j . e, and on the coset x<s> (members x s^j, the same
-weights) it is x . P_i.  That orbit's form is a nonzero multiple of
-x . ell_s, and x acts as a ring automorphism, so x . ell_s^i divides
-x . P_i exactly when ell_s^i divides P_i.  membership_by_transport checks
-equivariance by exact equality at every element and then divides the
-identity cosets alone, sum_K (e_K - 1) divisions instead of |W|/e_K times
-as many; a map that is not equivariant takes membership.  This is step (a)
-of the DimensionTriples certificate, whose lifts x -> x . e_j are
-equivariant by construction.
+An equivariant map, F(x) = x . e, needs only the identity coset <s> of
+each generator.  Its order-i sum there is P_i = sum_j lambda^{-ij} s^j . e,
+and on the coset x<s> (members x s^j, the same weights) it is x . P_i.
+That orbit's form is a nonzero multiple of x . ell_s, and x acts as a ring
+automorphism, so x . ell_s^i divides x . P_i exactly when ell_s^i divides
+P_i.  lift_membership decides the map x -> x . e from e alone this way:
+it forms s^j . e on the identity cosets only and divides there,
+sum_K (e_K - 1) divisions instead of |W|/e_K times as many, and builds
+the map only to list the failures of a refusal.  P_i is e's
+divided_difference, exact for every polynomial, so only a fault in the
+division, the action or the reflection data makes it refuse.  This is step (a) of the
+DimensionTriples certificate, whose lifts e_j localize to x -> x . e_j.
 
 divided_difference is the same weighted average acting on a single
 polynomial through the group action instead of along orbits; values of
@@ -92,10 +93,10 @@ __all__ = [
     "divided_difference",
     "divisibility_conditions",
     "dump_group_map",
+    "lift_membership",
     "load_group_map",
     "membership",
     "membership_basis",
-    "membership_by_transport",
     "orbit_decomposition",
     "orbit_difference",
     "scatter_conditions",
@@ -354,24 +355,19 @@ def membership(F: GroupMap) -> MembershipCertificate:
     return MembershipCertificate(True)
 
 
-def membership_by_transport(F: GroupMap) -> MembershipCertificate:
-    """membership(F), with fewer divisions when F is equivariant.
-
-    If F(x) = x . F(1) for every x, by exact polynomial equality, the
-    identity coset <s> of each hyperplane generator decides every coset
-    (see the module docstring), so only those are divided.  Any other map
-    takes membership itself; the verdict is the same either way.
-    """
-    group = F.group
-    e = F.values[0]
-    if any(F.values[x] != group.act(x, e) for x in range(1, group.order)):
-        return membership(F)
+def lift_membership(group: ReflectionGroup, e: MultiPoly) -> MembershipCertificate:
+    """membership of the map x -> x . e, from the identity coset <s> of
+    each hyperplane generator (see the module docstring)."""
+    n, m = group.dimension, group.conductor
     for s in _hyperplane_generators(group):
+        # the identity coset's members are the powers of s, its form ell_s
+        values = [group.act(x, e) for x in group.cyclic_powers(s.element)]
         for i in range(1, s.order):
-            # the first orbit is the identity coset <s>
-            _, res = next(_orbit_quotients(group, s, i, F))
-            if isinstance(res, NotDivisible):
-                return MembershipCertificate(False, F)
+            acc = weighted_sum(zip(values, s.weights(i)), n, m)
+            if isinstance(divide_by_linear_power(acc, s.coroot, i), NotDivisible):
+                return MembershipCertificate(
+                    False, GroupMap(group, [group.act(x, e) for x in range(group.order)])
+                )
     return MembershipCertificate(True)
 
 

@@ -8,10 +8,11 @@ work too since only +, -, *, / and truthiness are used.  The small dense
 matrices (group elements) take CycNum entries only: mat_mul and mat_vec
 sum their products in one cyclotomic.keyed_dot_products call.  rank_mod_p
 is the one exception: it works on integers modulo a prime, for the rank
-step of localization.DimensionTriples' certificate.  rref is the package's
-only elimination over Q(zeta_m); cyclotomic._subfield_coords, fraction-free
-over the integers, is the other one outside this module, since cyclotomic
-sits below linalg in the import order.
+step of localization.DimensionTriples' certificate, on the matrix that
+localization._lift_matrix_mod_p evaluates from the lifts.  rref is the
+package's only elimination over Q(zeta_m); cyclotomic._subfield_coords,
+fraction-free over the integers, is the other one outside this module,
+since cyclotomic sits below linalg in the import order.
 """
 
 from __future__ import annotations

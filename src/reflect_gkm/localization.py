@@ -18,8 +18,9 @@ compared against the prediction from the fundamental degrees and against
 the divisibility nullspace computed in the equivariant module.
 DimensionTriples proves image = nullspace in every degree at once from one
 determinant certificate on the localized lifts (membership of each lift, a
-full rank modulo a prime at one point, and a degree count), and falls back
-to exact per-degree elimination when the certificate does not close.
+full rank modulo a prime at one point, and a degree count), read off the
+coinvariant lifts, and localizes them for exact per-degree elimination
+only when the certificate does not close.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .cyclotomic import CycNum, NotReducible, PrimeReduction
 from .equivariant import (
     GroupMap,
     divided_difference,
+    lift_membership,
     membership_basis,
-    membership_by_transport,
     orbit_difference,
 )
 from .groups import PseudoReflection, ReflectionGroup
@@ -209,37 +210,44 @@ def image_graded_dimension(
 _MOMENT_T = 65537
 
 
-def _value_mod_p(f: MultiPoly, point: Sequence[int], reduction: PrimeReduction) -> int:
-    """f(point) in F_p, every coefficient sent through reduction."""
-    p = reduction.prime
-    return sum(
-        reduction.reduce(c) * prod(pow(v, k, p) for v, k in zip(point, e))
-        for e, c in f.terms.items()
-    ) % p
-
-
-def _refusal(group: ReflectionGroup, localized: Sequence[GroupMap]) -> str | None:
-    """The first step of the all-degree certificate that fails on the
-    localized lifts, or None when all three hold (see DimensionTriples)."""
-    if not all(membership_by_transport(F).ok for F in localized):
-        return "members"
-    reduction = PrimeReduction.for_conductor(group.conductor)
+def _lift_matrix_mod_p(
+    group: ReflectionGroup, lifts: Sequence[MultiPoly], reduction: PrimeReduction
+) -> list[list[int]]:
+    """A = [(x . e_j)(pt)] mod p at the moment-curve point pt, row x, as
+    e_j(x^-1 . pt): each lift's coefficients and each element's inverse
+    matrix are reduced once, since reduction is a ring map.  Raises
+    NotReducible on a denominator divisible by p."""
     p = reduction.prime
     point = [pow(_MOMENT_T, k, p) for k in range(1, group.dimension + 1)]
+    reduced = [[(e, reduction.reduce(c)) for e, c in f.terms.items()] for f in lifts]
+    monomials = {e for terms in reduced for e, _ in terms}
+    matrix = []
+    for x in range(group.order):
+        inverse = group.elements[group.inv(x)].matrix
+        q = [sum(reduction.reduce(c) * v for c, v in zip(row, point)) % p for row in inverse]
+        # one value per monomial, shared by every lift that has it
+        value = {e: prod(pow(v, a, p) for v, a in zip(q, e)) % p for e in monomials}
+        matrix.append([sum(c * value[e] for e, c in terms) % p for terms in reduced])
+    return matrix
+
+
+def _refusal(group: ReflectionGroup, lifts: Sequence[MultiPoly]) -> str | None:
+    """The first step of the all-degree certificate that fails on the
+    coinvariant lifts, or None when all three hold (see DimensionTriples)."""
+    if not all(lift_membership(group, e).ok for e in lifts):
+        return "members"
+    reduction = PrimeReduction.for_conductor(group.conductor)
     try:
-        matrix = [
-            [_value_mod_p(F.values[x], point, reduction) for F in localized]
-            for x in range(group.order)
-        ]
+        matrix = _lift_matrix_mod_p(group, lifts, reduction)
     except NotReducible:
         return "rank"
-    if rank_mod_p(matrix, p) != group.order:
+    if rank_mod_p(matrix, reduction.prime) != group.order:
         return "rank"
-    degrees = [F.degree() for F in localized]
+    degrees = [e.degree() for e in lifts]
     if (
-        len(localized) != group.order
+        len(lifts) != group.order
         or None in degrees
-        or not all(F.is_homogeneous() for F in localized)
+        or not all(e.is_homogeneous() for e in lifts)
         or 2 * sum(degrees) != group.order * len(group.reflections())
     ):
         return "degrees"
@@ -256,12 +264,14 @@ class DimensionTriples:
           stabilizer of order e_K, a discrete Fourier transform on each of
           its |W|/e_K cosets turns A's rows into sums S_i divisible by
           ell_K^i, so ell_K^a_K divides det A, a_K = |W|(e_K - 1)/2.
-          F_j(x) = x . e_j is equivariant, so membership_by_transport
-          decides it from the identity cosets alone (the proof is in the
+          F_j(x) = x . e_j is equivariant, so lift_membership decides it
+          from e_j on the identity cosets alone (the proof is in the
           equivariant module docstring);
       (b) rank: A at a fixed moment-curve point, reduced by PrimeReduction,
-          has rank |W| over F_p, so det A is nonzero;
-      (c) degrees: the |W| lifts are nonzero and homogeneous, and
+          has rank |W| over F_p, so det A is nonzero; A[x][j] is e_j at
+          x^-1 . point;
+      (c) degrees: the |W| lifts e_j are nonzero and homogeneous (so is
+          F_j, of the same degree: x is a graded automorphism), and
           2 * sum_j deg F_j = |W| * #reflections = 2 * sum_K a_K.
 
     So det A = kappa * prod_K ell_K^a_K, kappa a nonzero constant.  A member
@@ -269,22 +279,23 @@ class DimensionTriples:
     makes G an R-combination of the F_j: members = image, free on the F_j,
     of dimension sum_j dim R_(d - deg F_j) in degree d.  That count is read
     from the lifts, not the fundamental degrees, so it still checks the
-    prediction.  When a step fails, refused_by names it and every row is
-    computed exactly by image_graded_dimension and membership_basis.
+    prediction.  The F_j are built (localized_lifts) only when a step
+    fails: refused_by names it, and every row is computed exactly by
+    image_graded_dimension and membership_basis.
     """
 
     def __init__(self, group: ReflectionGroup):
         self.group = group
         self._predicted = coinvariant_histogram(group.fundamental_degrees())
-        localized = localized_lifts(group)
+        lifts = coinvariant_basis(group).lifts
         # None when the certificate closed, else "members", "rank" or "degrees"
-        self.refused_by = _refusal(group, localized)
+        self.refused_by = _refusal(group, lifts)
         if self.refused_by is None:
             # step (c) made every degree an int
-            self._free = degree_histogram(F.degree() for F in localized)
+            self._free = degree_histogram(e.degree() for e in lifts)
         else:
-            # kept for the exact fallback rows only
-            self._localized = localized
+            # for the exact fallback rows only
+            self._localized = localized_lifts(group)
 
     def triple(self, d: int) -> tuple[int, int, int]:
         """(predicted, localized image, divisibility nullspace) in degree d."""

@@ -20,15 +20,16 @@ from reflect_gkm.equivariant import (
     divided_difference,
     divisibility_conditions,
     dump_group_map,
+    lift_membership,
     load_group_map,
     membership,
     membership_basis,
-    membership_by_transport,
     orbit_decomposition,
     orbit_difference,
     scatter_conditions,
 )
 from reflect_gkm.groups import GroupInvariantViolated, ReflectionGroup, bundled_names, load_group
+from reflect_gkm.invariants import coinvariant_basis
 from reflect_gkm.linalg import rref
 from reflect_gkm.polynomials import (
     MultiPoly,
@@ -468,19 +469,28 @@ def test_g312_verdict_takes_one_generator_per_hyperplane(monkeypatch):
 
 
 @pytest.mark.parametrize("name", bundled_names())
-def test_transport_verdict_equals_membership(name):
+def test_transport_verdict_equals_membership(name, monkeypatch):
+    # lift_membership(e) against membership of the map x -> x . e built in
+    # full: random polynomials and the coinvariant lifts
     g = load_group(name)
     rng = random.Random(f"transport:{name}")
-    f = random_poly(rng, g.dimension, g.conductor, max_degree=3)
-    equivariant = GroupMap(g, [g.act(x, f) for x in range(g.order)])
-    # 1 added at the last element breaks equivariance and membership
-    bumped = list(equivariant.values)
-    bumped[-1] = bumped[-1] + 1
-    maps = [equivariant, GroupMap(g, bumped), random_member(rng, g, max_degree=3)]
-    maps.append(random_nonmember(rng, g, max_degree=3))
-    verdicts = [membership_by_transport(F).ok for F in maps]
-    assert verdicts == [membership(F).ok for F in maps] == [True, False, True, False]
-    assert membership_by_transport(maps[1]).failures == membership(maps[1]).failures
+    lifts = [random_poly(rng, g.dimension, g.conductor, max_degree=3) for _ in range(2)]
+    lifts += coinvariant_basis(g).lifts
+    maps = [GroupMap(g, [g.act(x, e) for x in range(g.order)]) for e in lifts]
+    assert [lift_membership(g, e).ok for e in lifts] == [membership(F).ok for F in maps]
+    assert all(membership(F).ok for F in maps)
+    # every such map is a member, so only a fault refuses one: here every
+    # nonzero dividend fails, which x . P_i does exactly when P_i does
+    original = equivariant_module.divide_by_linear_power
+
+    def faulty(f, form, power):
+        return NotDivisible(0, f) if f and power > 0 else original(f, form, power)
+
+    monkeypatch.setattr(equivariant_module, "divide_by_linear_power", faulty)
+    verdicts = [lift_membership(g, e) for e in lifts]
+    assert [v.ok for v in verdicts] == [membership(F).ok for F in maps]
+    assert {v.ok for v in verdicts} == {True, False}
+    assert [v.failures for v in verdicts] == [membership(F).failures for F in maps]
 
 
 def test_failures_of_a_wrong_verdict_raise():

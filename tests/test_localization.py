@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import json
 import random
+from math import prod
 
 import pytest
 
 from reflect_gkm import equivariant, localization
-from reflect_gkm.cyclotomic import root_of_unity
+from reflect_gkm.cyclotomic import PrimeReduction, root_of_unity
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis, orbit_difference
 from reflect_gkm.groups import bundled_names, load_group
-from reflect_gkm.invariants import coinvariant_basis, reynolds, tensor_hilbert_coefficients
+from reflect_gkm.invariants import (
+    CoinvariantBasis,
+    coinvariant_basis,
+    invariant_basis,
+    reynolds,
+    tensor_hilbert_coefficients,
+)
 from reflect_gkm.localization import (
     DimensionTriples,
     TensorElement,
@@ -21,7 +28,7 @@ from reflect_gkm.localization import (
     localize_at,
     localized_lifts,
 )
-from reflect_gkm.polynomials import MultiPoly, parse_poly
+from reflect_gkm.polynomials import MultiPoly, NotDivisible, parse_poly
 from reflect_gkm.sampling import (
     random_member,
     random_nonmember,
@@ -194,39 +201,35 @@ def test_certified_rows_equal_exact_rows(name):
     assert rows[: exact_up_to + 1] == exact_rows(group, exact_up_to)
 
 
-def edit_localized_lifts(monkeypatch, edit):
-    """Make DimensionTriples (and the exact image) see edit(lifts)."""
-    original = localization.localized_lifts
-    monkeypatch.setattr(localization, "localized_lifts", lambda group: edit(original(group)))
+def edit_lifts(monkeypatch, edit):
+    """Make DimensionTriples (and the exact image) see edit(lifts) as the
+    coinvariant lifts."""
+    original = localization.coinvariant_basis
+
+    def edited(group):
+        lifts = edit(original(group).lifts)
+        return CoinvariantBasis(lifts, [e.degree() for e in lifts])
+
+    monkeypatch.setattr(localization, "coinvariant_basis", edited)
 
 
 def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
-    k = coinvariant_basis(s3).degrees.index(1)
-    zero = MultiPoly.zero(s3.dimension, s3.conductor)
-    nonmember = GroupMap(s3, [P("x1", s3)] + [zero] * (s3.order - 1))
-    assert not membership(nonmember).ok
-    edit_localized_lifts(monkeypatch, lambda lifts: lifts[:k] + [nonmember] + lifts[k + 1 :])
+    # x -> x . e is a member for every e, so only a fault in step (a)'s
+    # divisions can refuse: here one failed division, the first with a
+    # nonzero dividend (the constant lift's sums vanish, so a degree-1
+    # lift's)
+    original = equivariant.divide_by_linear_power
+    faults = []
+
+    def faulty(f, form, power):
+        if not faults and f and power > 0:
+            faults.append(f.degree())
+            return NotDivisible(0, f)
+        return original(f, form, power)
+
+    monkeypatch.setattr(equivariant, "divide_by_linear_power", faulty)
     triples = DimensionTriples(s3)
-    assert triples.refused_by == "members"
-    assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
-
-
-def test_lift_perturbed_off_every_reflection_is_refused_by_members(s3, monkeypatch):
-    # x1 added to a degree-1 lift at a 3-cycle, which lies in no <s>: the
-    # identity cosets still divide, the lift stays homogeneous, and only
-    # the equivariance check sends it to the full membership that refuses it
-    c = next(x for x in range(s3.order) if len(s3.cyclic_powers(x)) == 3)
-    assert all(c not in s3.cyclic_powers(s.element) for s in s3.reflections())
-    k = coinvariant_basis(s3).degrees.index(1)
-
-    def perturb(lifts):
-        values = list(lifts[k].values)
-        values[c] = values[c] + P("x1", s3)
-        return lifts[:k] + [GroupMap(s3, values)] + lifts[k + 1 :]
-
-    assert not membership(perturb(localized_lifts(s3))[k]).ok
-    edit_localized_lifts(monkeypatch, perturb)
-    triples = DimensionTriples(s3)
+    assert faults == [1]
     assert triples.refused_by == "members"
     assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
 
@@ -256,15 +259,71 @@ def test_certificate_divides_identity_cosets_only(monkeypatch):
     assert calls == {"membership": 0, "divide": 18 * 7}
 
 
+def test_closing_certificate_builds_no_map(monkeypatch):
+    group = load_group("g312")
+    # the basis substitutes the file's generators; the certificate comes after
+    coinvariant_basis(group)
+    before = set(group._subs)
+    built, localized = [], []
+    init = GroupMap.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupMap, "__init__", counted_init)
+    monkeypatch.setattr(localization, "localized_lifts", localized.append)
+    triples = DimensionTriples(group)
+    assert triples.refused_by is None
+    assert built == localized == []
+    # only step (a) acts on the lifts, at the identity cosets <s>
+    generators = equivariant._hyperplane_generators(group)
+    identity_cosets = {x for s in generators for x in group.cyclic_powers(s.element)}
+    added = set(group._subs) - before
+    assert added and added <= identity_cosets < set(range(group.order))
+
+
+def value_mod_p(f, point, reduction):
+    """f(point) in F_p, every coefficient reduced: step (b)'s entry by the
+    per-entry route, on the localized lift's value at one element."""
+    p = reduction.prime
+    return sum(
+        reduction.reduce(c) * prod(pow(v, k, p) for v, k in zip(point, e))
+        for e, c in f.terms.items()
+    ) % p
+
+
+@pytest.mark.parametrize("name", bundled_names() + ("g412",))
+def test_lift_matrix_equals_the_per_entry_route(name, tmp_path):
+    # (x . e)(point) = e(x^-1 . point), and reduction is a ring map
+    if name == "g412":
+        path = tmp_path / "g412.json"
+        path.write_text(json.dumps(G412))
+        name = str(path)
+    group = load_group(name)
+    rng = random.Random(f"matrix:{group.name}")
+    lifts = coinvariant_basis(group).lifts
+    # polynomials with several terms and fractional coefficients too
+    lifts += [random_poly(rng, group.dimension, group.conductor, max_degree=4) for _ in range(3)]
+    reduction = PrimeReduction.for_conductor(group.conductor)
+    p = reduction.prime
+    point = [pow(localization._MOMENT_T, k, p) for k in range(1, group.dimension + 1)]
+    localized = [GroupMap(group, [group.act(x, e) for x in range(group.order)]) for e in lifts]
+    want = [
+        [value_mod_p(F.values[x], point, reduction) for F in localized] for x in range(group.order)
+    ]
+    assert localization._lift_matrix_mod_p(group, lifts, reduction) == want
+
+
 def duplicate_a_lift(lifts):
     # one degree-2 lift replaced by a copy of the other: every lift is a
     # member and the degree count holds, but det A vanishes
-    assert [F.degree() for F in lifts[3:5]] == [2, 2]
+    assert [e.degree() for e in lifts[3:5]] == [2, 2]
     return lifts[:3] + [lifts[4]] + lifts[4:]
 
 
 def test_duplicated_lift_falls_back_to_exact(s3, monkeypatch):
-    edit_localized_lifts(monkeypatch, duplicate_a_lift)
+    edit_lifts(monkeypatch, duplicate_a_lift)
     triples = DimensionTriples(s3)
     assert triples.refused_by == "rank"
     rows = [triples.triple(d) for d in range(5)]
@@ -273,26 +332,28 @@ def test_duplicated_lift_falls_back_to_exact(s3, monkeypatch):
 
 
 def test_refused_rows_localize_the_lifts_once(s3, monkeypatch):
+    edit_lifts(monkeypatch, duplicate_a_lift)
     calls = []
+    original = localization.localized_lifts
 
-    def counted(lifts):
-        calls.append(len(lifts))
-        return duplicate_a_lift(lifts)
+    def counted(group):
+        calls.append(group)
+        return original(group)
 
-    edit_localized_lifts(monkeypatch, counted)
+    monkeypatch.setattr(localization, "localized_lifts", counted)
     triples = DimensionTriples(s3)
     assert triples.refused_by == "rank"
     for d in range(5):
         triples.triple(d)
-    assert calls == [s3.order]
+    assert calls == [s3]
 
 
-def test_lift_times_x1_is_refused_by_degrees(s3, monkeypatch):
-    # x1 taken the same at every element keeps the lift a member and, as
-    # x1 is nonzero at the rank step's point, keeps det A nonzero; only the
-    # degree count sees the extra factor
-    x1 = P("x1", s3)
-    edit_localized_lifts(monkeypatch, lambda lifts: [lifts[0] * x1] + lifts[1:])
+def test_lift_times_an_invariant_is_refused_by_degrees(s3, monkeypatch):
+    # f invariant makes x . (f e) = f (x . e): the lift stays a member and
+    # its column of A is scaled by f(point), nonzero mod p, so det A stays
+    # nonzero; only the degree count sees the extra factor
+    f = invariant_basis(s3, min(s3.fundamental_degrees())).vectors[0]
+    edit_lifts(monkeypatch, lambda lifts: [lifts[0] * f] + lifts[1:])
     triples = DimensionTriples(s3)
     assert triples.refused_by == "degrees"
     assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
@@ -300,7 +361,7 @@ def test_lift_times_x1_is_refused_by_degrees(s3, monkeypatch):
 
 def test_certificate_refuses_what_it_cannot_prove(s3, monkeypatch):
     # a dropped lift: A is no longer square, and the image falls short
-    edit_localized_lifts(monkeypatch, lambda lifts: lifts[:-1])
+    edit_lifts(monkeypatch, lambda lifts: lifts[:-1])
     triples = DimensionTriples(s3)
     assert triples.refused_by is not None
     rows = [triples.triple(d) for d in range(5)]
