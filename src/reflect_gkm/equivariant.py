@@ -222,15 +222,6 @@ class GroupMap:
         degs = [v.degree() for v in self.values if v]
         return max(degs) if degs else None
 
-    def is_homogeneous(self, d: int | None = None) -> bool:
-        if d is None:
-            d = self.degree()
-        if d is None:
-            return True
-        return all(
-            (not v) or (v.is_homogeneous() and v.degree() == d) for v in self.values
-        )
-
     def __repr__(self):
         inner = ", ".join(poly_text(v) for v in self.values)
         return f"GroupMap[{inner}]"

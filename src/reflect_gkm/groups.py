@@ -24,8 +24,8 @@ Conventions used throughout the package:
     tau_j = scale * lambda^j.  The table is computed once per (group,
     reflection) and cached on the group.  An Orbit is also a hyperedge of
     the reflection hypergraph.  Every per-coset scalar (scale^-i, the
-    Vandermonde inverse, both edge-integral weight vectors and whether
-    they are equal) is a function of tau, so it is computed on first use
+    Vandermonde inverse, both edge-integral weight vectors and the checks
+    comparing them) is a function of tau, so it is computed on first use
     and kept in a table that all orbits of the group with equal tau share.
 
 The Molien series sum_w 1/det(1 - t w) / |W| is computed as an exact
@@ -177,6 +177,10 @@ class Orbit:
             ("agree", k), lambda: self.lagrange_weights(k) == self.eigenvalue_weights(k)
         )
 
+    def rows_agree(self) -> bool:
+        """Are rows 1 .. size - 1 of the Vandermonde inverse the eigenvalue weights?"""
+        return self._kept("rows", lambda: _rows_agree(self))
+
 
 def _lagrange_weights(orbit: Orbit, k: int) -> tuple[CycNum, ...]:
     # 1 / prod_{l != j} (tau_j - tau_l) is the leading coefficient of the
@@ -191,6 +195,12 @@ def _eigenvalue_weights(orbit: Orbit, k: int) -> tuple[CycNum, ...]:
     i = orbit.size - 1 - k
     base = orbit.inverse_scale_power(i) / orbit.size
     return tuple(base * w for w in orbit.reflection.weights(i))
+
+
+def _rows_agree(orbit: Orbit) -> bool:
+    # order 0 is never divided, so its row is not compared
+    rows, r = orbit.vandermonde_inverse, orbit.size
+    return all(rows[i] == orbit.eigenvalue_weights(r - 1 - i) for i in range(1, r))
 
 
 def _matrix_key(matrix) -> tuple:

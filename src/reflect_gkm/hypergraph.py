@@ -19,10 +19,19 @@ polynomial coefficients: writing the values at the r vertices as
     F(p_j) = sum_i h_i . tau_j^i            (a scalar Vandermonde solve)
 
 the requirement is that the edge's form divides h_i to order i, making
-g_i = h_i / form^i a polynomial for every i.  Summing the interpolation
-against the eigenvalue weights shows this is condition-for-condition the
-same as the orbit-difference membership, which is what the verification
-suite confirms on random maps.
+g_i = h_i / form^i a polynomial for every i.  As tau_j = c . lambda^j,
+row i of the Vandermonde inverse should be c^-i lambda^-ij / r, the
+eigenvalue weights; Orbit.rows_agree checks it exactly, once per tau.
+When it holds on every edge, passing every edge is membership:
+
+  * on each edge, h_i is c^-i / r times the order-i sum of the edge's
+    reflection on its coset, so form^i divides both or neither;
+  * by the deduplication above, each coset x<s> of a hyperplane generator
+    s is the edge of some s^k, gcd(k, e) = 1, whose sums reindex to s's own
+    S_i: passing the edges gives membership(F).ok;
+  * by the Fourier argument in the equivariant module docstring, a
+    member's orbit sums are divisible for every reflection, proper powers
+    included, so by the first point it passes every edge.
 
 The edge integral with insertion exponent k is the Lagrange sum
 
@@ -32,11 +41,9 @@ a rational section with poles only along the edge's form.  Collapsing the
 scalar weights shows it equals g_{r-1-k}, so it is computed by two
 independent routes (Lagrange scalars from the Vandermonde inverse,
 eigenvalue-weighted orbit sums) and compared; both carry the same power
-of the form, so the numerators must agree.  Each route is a scalar-weighted
-sum of the same vertex values, so the identity is linear in F: when the two
-weight vectors are exactly equal it holds for every map, and
-integral_identity decides it once per (tau, k) from the weights alone.  The
-per-map sums run only when the vectors differ, as the exact fallback.
+of the form, so the numerators must agree.  The identity is linear in F,
+so integral_identity decides it once per (tau, k) from the weights alone
+where they are equal, and sums on each map only where they differ.
 
 The pairwise condition (adjacent values congruent modulo the form, first
 order only) is kept as a deliberately weaker control: it agrees with
@@ -217,12 +224,9 @@ def edge_integral_weighted(edge: Orbit, F: GroupMap, k: int) -> EdgeSection:
 
 def integral_identity(edge: Orbit, F: GroupMap, k: int) -> bool:
     """Do the two routes agree as rational sections?  Both carry the power
-    size - 1 - k, so equal sections have equal numerators.
-
-    Both numerators are sums of F's vertex values against scalar weights,
-    so equal weight vectors (Orbit.weights_agree, decided once per tau and
-    k) prove the identity for every F and no sum is formed.  Only when the
-    vectors differ are both routes summed on F and compared."""
+    size - 1 - k, so equal sections have equal numerators.  Equal weight
+    vectors (Orbit.weights_agree) prove it for every F with no sum formed;
+    only when they differ are both routes summed on F and compared."""
     if k < 0:
         raise ValueError("insertion exponent must be nonnegative")
     if edge.weights_agree(k):

@@ -48,7 +48,6 @@ __all__ = [
     "hilbert_ideal_piece",
     "invariant_basis",
     "reynolds",
-    "tensor_hilbert_coefficients",
 ]
 
 
@@ -156,13 +155,6 @@ def graded_count(histogram, nvars: int, d: int) -> int:
     return sum(
         c * comb(d - k + nvars - 1, nvars - 1) for k, c in enumerate(histogram[: d + 1])
     )
-
-
-def tensor_hilbert_coefficients(degrees, nvars: int, dmax: int) -> list[int]:
-    """Coefficients of prod_i (1 + ... + t^{d_i - 1}) / (1 - t)^nvars up to
-    degree dmax: the expected graded dimensions of the equivariant ring."""
-    num = coinvariant_histogram(degrees)
-    return [graded_count(num, nvars, d) for d in range(dmax + 1)]
 
 
 def coinvariant_basis(group: ReflectionGroup) -> CoinvariantBasis:

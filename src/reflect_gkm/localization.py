@@ -192,7 +192,8 @@ def image_graded_dimension(
     rows = []
     for F in localized:
         dl = F.degree()
-        if dl > d:
+        # a zero map spans nothing
+        if dl is None or dl > d:
             continue
         for m in graded_monomials(n, d - dl):
             row = [zero] * (group.order * nmono)

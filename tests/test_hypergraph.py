@@ -10,6 +10,7 @@ import pytest
 import reflect_gkm.groups as groups_module
 import reflect_gkm.hypergraph as hypergraph_module
 import reflect_gkm.sampling as sampling_module
+import reflect_gkm.suite as suite_module
 from reflect_gkm.cyclotomic import CycNum
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis
 from reflect_gkm.groups import load_group
@@ -410,6 +411,88 @@ def test_unequal_weights_fall_back_to_the_sums(monkeypatch):
     report = run_suite(g, trials=2, sections=("hypergraph",))
     assert not report.hypergraph.ok and not report.ok
     assert "FAIL" in report.text()
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3", "b2", "g312"])
+def test_vandermonde_rows_are_the_eigenvalue_weights(name):
+    g = load_group(name)
+    for edge in build_hypergraph(g).edges:
+        assert edge.rows_agree()
+        # row i is scale^-i lambda^-ij / size for every order, 0 included
+        rows = edge.vandermonde_inverse
+        for i in range(edge.size):
+            assert rows[i] == edge.eigenvalue_weights(edge.size - 1 - i)
+
+
+def refuse_edge_witness(monkeypatch):
+    def refused(edge, F):
+        raise AssertionError("edge_witness was called")
+
+    monkeypatch.setattr(suite_module, "edge_witness", refused)
+    monkeypatch.setattr(hypergraph_module, "edge_witness", refused)
+
+
+def count_edge_witness(monkeypatch):
+    calls = []
+    original = suite_module.edge_witness
+
+    def counting(edge, F):
+        calls.append(edge)
+        return original(edge, F)
+
+    monkeypatch.setattr(suite_module, "edge_witness", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["z4", "s3", "g312"])
+def test_agreeing_rows_decide_edges_without_dividing(name, monkeypatch):
+    # the rows route and the per-map route give the same report bytes
+    refuse_edge_witness(monkeypatch)
+    by_rows = run_suite(name, trials=3, sections=("hypergraph",))
+    assert by_rows.ok and by_rows.hypergraph.trials > 0
+    monkeypatch.undo()
+    monkeypatch.setattr(groups_module, "_rows_agree", lambda orbit: False)
+    calls = count_edge_witness(monkeypatch)
+    per_map = run_suite(name, trials=3, sections=("hypergraph",))
+    assert calls
+    assert per_map.to_json() == by_rows.to_json()
+
+
+def test_disagreeing_rows_on_one_edge_divide_on_every_edge(monkeypatch):
+    g = load_group("g312")
+    H = build_hypergraph(g)
+    # the verdict is kept per tau, so it fails on every edge sharing odd's
+    odd = H.edges[-1]
+    original = groups_module._rows_agree
+    monkeypatch.setattr(
+        groups_module,
+        "_rows_agree",
+        lambda orbit: orbit.scalars is not odd.scalars and original(orbit),
+    )
+    calls = count_edge_witness(monkeypatch)
+    report = run_suite(g, trials=1, sections=("hypergraph",))
+    assert report.ok
+    assert not odd.rows_agree()
+    # the member and the non-member: every edge of the member, and the
+    # non-member up to its first failed edge
+    assert len(H.edges) < len(calls) <= 2 * len(H.edges)
+
+
+@pytest.mark.parametrize("name", ["z4", "g312"])
+def test_rows_compared_once_per_tau(name, monkeypatch):
+    g = load_group(name)
+    seen = []
+    original = groups_module._rows_agree
+
+    def counting(orbit):
+        seen.append(id(orbit.scalars))
+        return original(orbit)
+
+    monkeypatch.setattr(groups_module, "_rows_agree", counting)
+    for trials in (2, 3):
+        run_suite(g, trials=trials, sections=("hypergraph",))
+    H = build_hypergraph(g)
+    assert sorted(seen) == sorted({id(edge.scalars) for edge in H.edges})
 
 
 @pytest.mark.parametrize("name, calls", [("g312", 39), ("z3", 1), ("z4", 2)])

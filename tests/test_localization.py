@@ -15,9 +15,10 @@ from reflect_gkm.groups import bundled_names, load_group
 from reflect_gkm.invariants import (
     CoinvariantBasis,
     coinvariant_basis,
+    coinvariant_histogram,
+    graded_count,
     invariant_basis,
     reynolds,
-    tensor_hilbert_coefficients,
 )
 from reflect_gkm.localization import (
     DimensionTriples,
@@ -178,10 +179,17 @@ def test_dimension_triples_agree(z2, z3, s3):
             assert expected == image == null, (group.name, d)
 
 
+def predicted_dimensions(group, dmax):
+    """The expected graded dimensions for d <= dmax, from the fundamental
+    degrees: prod_i (1 + ... + t^{d_i - 1}) / (1 - t)^n."""
+    histogram = coinvariant_histogram(group.fundamental_degrees())
+    return [graded_count(histogram, group.dimension, d) for d in range(dmax + 1)]
+
+
 def exact_rows(group, dmax):
     """(predicted, image, nullspace) for d <= dmax, the last two by exact
     elimination on the localized lifts DimensionTriples sees."""
-    predicted = tensor_hilbert_coefficients(group.fundamental_degrees(), group.dimension, dmax)
+    predicted = predicted_dimensions(group, dmax)
     lifts = localization.localized_lifts(group)
     return [
         (predicted[d], image_graded_dimension(group, lifts, d), len(membership_basis(group, d)))
@@ -331,6 +339,24 @@ def test_duplicated_lift_falls_back_to_exact(s3, monkeypatch):
     assert all(image < expected == null for expected, image, null in rows[2:])
 
 
+def test_zero_lift_spans_nothing_in_the_exact_rows(s3, monkeypatch):
+    # a zero lift leaves a zero column in A, so the certificate refuses, and
+    # the exact rows must count the image of the other lifts
+    zero = MultiPoly.zero(s3.dimension, s3.conductor)
+    edit_lifts(monkeypatch, lambda lifts: lifts[:3] + [zero] + lifts[4:])
+    triples = DimensionTriples(s3)
+    assert triples.refused_by == "rank"
+    nonzero = [F for F in localization.localized_lifts(s3) if F]
+    assert len(nonzero) == s3.order - 1
+    predicted = predicted_dimensions(s3, 4)
+    rows = [triples.triple(d) for d in range(5)]
+    assert rows == [
+        (predicted[d], image_graded_dimension(s3, nonzero, d), len(membership_basis(s3, d)))
+        for d in range(5)
+    ]
+    assert rows[2] == (9, 8, 9)
+
+
 def test_refused_rows_localize_the_lifts_once(s3, monkeypatch):
     edit_lifts(monkeypatch, duplicate_a_lift)
     calls = []
@@ -387,7 +413,7 @@ def test_certificate_closes_on_g412(tmp_path):
     assert triples.refused_by is None
     dmax = default_max_degree(group)
     assert dmax == 13
-    predicted = tensor_hilbert_coefficients(group.fundamental_degrees(), 2, dmax)
+    predicted = predicted_dimensions(group, dmax)
     assert [triples.triple(d) for d in range(dmax + 1)] == [(e, e, e) for e in predicted]
     assert [triples.triple(d) for d in range(4)] == exact_rows(group, 3)
 

@@ -28,6 +28,13 @@ def test_source_has_no_assert_statements(path):
     assert lines == []
 
 
+def test_source_walk_sees_every_module():
+    # an empty walk would pass the assert guard above vacuously
+    assert [f"reflect_gkm.{p.stem}" for p in SOURCES if p.stem != "__init__"] == sorted(
+        MODULES[1:]
+    )
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
