@@ -28,10 +28,13 @@ Conventions used throughout the package:
     comparing them) is a function of tau, so it is computed on first use
     and kept in a table that all orbits of the group with equal tau share.
 
-The Molien series sum_w 1/det(1 - t w) / |W| is computed as an exact
-rational function, one term per distinct det(1 - t w) weighted by how
-many elements share it, and its denominator is factored as prod (1 - t^{d_i});
-the d_i are the fundamental degrees that drive the rest of the package.
+The invariant ring is polynomial exactly when the pseudo-reflections
+generate the group (Chevalley-Shephard-Todd), and then the fundamental
+degrees d_i that drive the rest of the package satisfy sum_w t^{dim V^w}
+= prod_i (t + d_i - 1) (Shephard-Todd 1954; Solomon, Nagoya Math. J. 22,
+1963); reflections() counts dim V^w = n - rank(w - 1) in its one rank
+pass.  The Molien series sum_w 1/det(1 - t w) / |W|, exact, one term per
+distinct det(1 - t w), serves the molien command and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 
 from .cyclotomic import (
@@ -92,8 +96,9 @@ class GroupInvariantViolated(Exception):
 
 
 class NotPolynomialInvariantRing(Exception):
-    """The Molien series does not factor as prod 1/(1 - t^d); the group is
-    not generated by pseudo-reflections."""
+    """The pseudo-reflections do not generate the group, so by
+    Chevalley-Shephard-Todd its invariant ring is not polynomial and it has
+    no fundamental degrees."""
 
 
 @dataclass(frozen=True)
@@ -275,6 +280,9 @@ class ReflectionGroup:
         self._reflections: tuple[PseudoReflection, ...] | None = None
         self._by_element: dict[int, PseudoReflection] = {}
         self._molien: MolienSeries | None = None
+        # fixed[k] counts the elements w with dim V^w = k; set by reflections()
+        self._fixed: list[int] = []
+        self._degrees: tuple[int, ...] | None = None
         self._orbits: dict[int, tuple[Orbit, ...]] = {}
         self._transported: dict[tuple[int, int], tuple[CycNum, LinearForm]] = {}
         self._scalars: dict[tuple, dict] = {}
@@ -366,18 +374,24 @@ class ReflectionGroup:
 
     def reflections(self) -> tuple[PseudoReflection, ...]:
         """All pseudo-reflections (not one per hyperplane: every power of an
-        order-d reflection that still fixes the hyperplane is listed)."""
+        order-d reflection that still fixes the hyperplane is listed).  The
+        same pass counts the elements by fixed-space dimension n - rank(w - 1)
+        for fundamental_degrees."""
         if self._reflections is not None:
             return self._reflections
-        ident = mat_identity(self.dimension, self.conductor)
+        n = self.dimension
+        ident = mat_identity(n, self.conductor)
         hyperplanes: dict[LinearForm, int] = {}
         found = []
+        fixed = [0] * n + [1]
         for el in self.elements[1:]:
             diff = tuple(
                 tuple(a - b for a, b in zip(row, irow))
                 for row, irow in zip(el.matrix, ident)
             )
-            if rank(diff) != 1:
+            r = rank(diff)
+            fixed[n - r] += 1
+            if r != 1:
                 continue
             row = next(r for r in diff if any(r))
             _, coroot = LinearForm.normalize(row, self.conductor)
@@ -400,6 +414,7 @@ class ReflectionGroup:
             found.append(PseudoReflection(el.index, order, coroot, lam, hid, table))
         self._reflections = tuple(found)
         self._by_element = {s.element: s for s in found}
+        self._fixed = fixed
         return self._reflections
 
     def reflection_at(self, element_index: int) -> PseudoReflection:
@@ -408,19 +423,15 @@ class ReflectionGroup:
 
     def generated_by_reflections(self) -> bool:
         gens = [s.element for s in self.reflections()]
-        if not gens:
-            return self.order == 1
+        # the loop reads reached as it appends to it
+        reached = [0]
         seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mult_table[x][g]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        for x in reached:
+            for g in gens:
+                y = self.mult_table[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
         return len(seen) == self.order
 
     def conjugate_reflection(self, s: PseudoReflection, w: int) -> tuple[CycNum, PseudoReflection]:
@@ -441,16 +452,36 @@ class ReflectionGroup:
         return self._molien
 
     def fundamental_degrees(self) -> tuple[int, ...]:
-        degs = self.molien().degrees
-        if degs is None:
-            raise NotPolynomialInvariantRing(
-                f"group {self.name!r}: Molien series does not factor as "
-                "a product of 1/(1 - t^d)"
-            )
-        return degs
+        """The d_i in ascending order, peeled from the fixed-space histogram
+        (module docstring).  Cached on the group."""
+        if self._degrees is None:
+            if not self.generated_by_reflections():
+                raise NotPolynomialInvariantRing(
+                    f"group {self.name!r} is not generated by its pseudo-reflections, "
+                    "so its invariant ring is not polynomial"
+                )
+            self._degrees = _fixed_space_degrees(self._fixed)
+        return self._degrees
 
     def __repr__(self):
         return f"ReflectionGroup({self.name!r}, order={self.order})"
+
+
+def _fixed_space_degrees(fixed: list[int]) -> tuple[int, ...]:
+    """The d_i with sum_k fixed[k] t^k = prod_i (t + d_i - 1), by dividing
+    out t + r for r = 0, 1, ...; each d_i is at most prod_i d_i = |W|."""
+    high, degrees = fixed[::-1], []
+    for r in range(sum(fixed)):
+        while len(high) > 1:
+            # synthetic division by t + r; the last entry is the value at -r
+            quo = list(accumulate(high, lambda acc, c: c - r * acc))
+            if quo[-1]:
+                break
+            high = quo[:-1]
+            degrees.append(r + 1)
+    if high != [1]:
+        raise GroupInvariantViolated(f"fixed-space counts {fixed} do not split as t + d - 1")
+    return tuple(degrees)
 
 
 # ---------------------------------------------------------------------------

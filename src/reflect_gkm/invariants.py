@@ -20,8 +20,8 @@ standard monomials take no elimination of their own.
 
 The basis always runs to the top degree sum_i (d_i - 1), and its degree
 histogram must match the coefficients of prod_i (1 + t + ... + t^{d_i - 1});
-a mismatch means the group is not a pseudo-reflection group (or a bug) and
-is raised as HistogramMismatch.  graded_count turns a degree histogram into
+only a group generated by reflections has degrees, so a mismatch is a bug,
+raised as HistogramMismatch.  graded_count turns a degree histogram into
 the graded dimensions of a free module; the theorem rows count with it.
 """
 
@@ -33,7 +33,7 @@ from math import comb
 from weakref import WeakKeyDictionary
 
 from .cyclotomic import CycNum, upoly_mul
-from .groups import ReflectionGroup
+from .groups import NotPolynomialInvariantRing, ReflectionGroup
 from .linalg import nullspace, rref
 from .polynomials import MultiPoly, graded_monomials
 
@@ -120,13 +120,27 @@ def hilbert_ideal_piece(group: ReflectionGroup, d: int) -> GradedBasis:
     invariants, in reduced row echelon form over reversed graded-lex
     columns (module docstring): J_0 = 0 and J_d is the span of x_k * J_{d-1}
     for every k plus (R^W)_d.  The pieces are built upward from the
-    highest one kept for the group."""
+    highest one kept for the group.
+
+    For a group generated by reflections, (R^W)_d is added only for
+    d <= max d_i.  Proof: R^W = C[f_1, ..., f_n] with deg f_i = d_i
+    (Chevalley-Shephard-Todd), so every positive-degree invariant lies in
+    (f_1, ..., f_n), J is generated by the f_i, and J_d = sum_i R_{d-d_i} f_i.
+    For d > max d_i each d - d_i >= 1, so R_{d-d_i} f_i = sum_k x_k
+    R_{d-1-d_i} f_i lies in sum_k x_k J_{d-1}: the invariants add nothing
+    to the span, and the RREF of a span over fixed columns is unique, so
+    the piece is the same.  Any other group adds them at every degree."""
     pieces = _IDEAL.setdefault(group, [GradedBasis(0, [])])
     n, m = group.dimension, group.conductor
+    try:
+        largest = max(group.fundamental_degrees())
+    except NotPolynomialInvariantRing:
+        largest = d
     while len(pieces) <= d:
         k = len(pieces)
         reverse = graded_monomials(n, k)[::-1]
-        rows = [_coeff_row(v.terms, reverse, m) for v in invariant_basis(group, k).vectors]
+        invariants = invariant_basis(group, k).vectors if k <= largest else []
+        rows = [_coeff_row(v.terms, reverse, m) for v in invariants]
         for v in pieces[-1].vectors:
             for i in range(n):
                 shifted = {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in v.terms.items()}

@@ -4,13 +4,17 @@ from importlib import resources
 
 import pytest
 
+from reflect_gkm import build_hypergraph, coinvariant_basis, run_suite
+from reflect_gkm import groups as groups_module
 from reflect_gkm.cli import main
 from reflect_gkm.cyclotomic import CycNum, parse_cyc, root_of_unity
 from reflect_gkm.groups import (
     CapExceeded,
     GroupFileError,
+    GroupInvariantViolated,
     NotPolynomialInvariantRing,
     SingularGenerator,
+    _fixed_space_degrees,
     bundled_names,
     group_closure,
     load_group,
@@ -244,6 +248,63 @@ def test_molien_coefficients(groups):
     assert s3.molien().coefficients(6) == [1, 0, 1, 1, 1, 1, 2]
     z4 = groups["z4"]
     assert z4.molien().coefficients(8) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+
+# the identity alone, and <-I, swap>: two reflections of order 2 (swap and
+# -swap) whose product is -I, which is not a reflection
+TRIVIAL2 = {
+    "name": "trivial2",
+    "dimension": 2,
+    "conductor": 1,
+    "variables": ["x1", "x2"],
+    "generators": [["1", "0", "0", "1"]],
+}
+TWO_MIRRORS = {
+    "name": "two_mirrors",
+    "dimension": 2,
+    "conductor": 1,
+    "variables": ["x1", "x2"],
+    "generators": [["-1", "0", "0", "-1"], ["0", "1", "1", "0"]],
+}
+
+
+@pytest.mark.parametrize("name", SEVEN + ["trivial2", "two_mirrors"])
+def test_fixed_space_degrees_match_molien(name, tmp_path):
+    extra = {"trivial2": TRIVIAL2, "two_mirrors": TWO_MIRRORS}
+    g = parse_group_dict(extra[name]) if name in extra else load_seven(name, tmp_path)
+    degrees = g.fundamental_degrees()
+    assert degrees == g.molien().degrees
+    assert len(degrees) == g.dimension
+    prod = 1
+    for d in degrees:
+        prod *= d
+    assert prod == g.order
+    assert sum(d - 1 for d in degrees) == len(g.reflections())
+    if name in extra:
+        assert degrees == {"trivial2": (1, 1), "two_mirrors": (2, 2)}[name]
+
+
+def test_fixed_space_counts_that_do_not_split_are_a_library_bug():
+    # t^2 + 2t + 2 has no integer root
+    with pytest.raises(GroupInvariantViolated, match="do not split"):
+        _fixed_space_degrees([2, 2, 1])
+    assert _fixed_space_degrees([10, 7, 1]) == (3, 6)
+
+
+@pytest.mark.parametrize("name", ["z3", "g312"])
+def test_set_up_and_verify_never_compute_the_molien_series(name, monkeypatch):
+    def refuse(group):
+        raise AssertionError("the Molien series is not on the set-up or verify path")
+
+    monkeypatch.setattr(groups_module, "_molien_series", refuse)
+    g = load_group(name)
+    assert g.fundamental_degrees() == EXPECTED[name][2]
+    assert coinvariant_basis(g).size == g.order
+    build_hypergraph(g)
+    report = run_suite(g, dmax=4, trials=2, seed=0, sections=("theorem", "hypergraph"))
+    assert report.ok
+    with pytest.raises(AssertionError, match="Molien"):
+        g.molien()
 
 
 def test_scalar_group_is_not_a_reflection_group():

@@ -204,6 +204,25 @@ def test_hilbert_ideal_equals_span_of_invariant_products(name):
         assert hilbert_ideal_piece(g, d).vectors == products_ideal(g, d), (name, d)
 
 
+def invariants_at_every_degree(group, dmax):
+    """J_0 .. J_dmax, with (R^W)_d added to x_k J_(d-1) at every degree."""
+    n, m = group.dimension, group.conductor
+    pieces = [[]]
+    for d in range(1, dmax + 1):
+        shifted = [v * MultiPoly.variable(n, m, k) for v in pieces[-1] for k in range(n)]
+        pieces.append(_span_rref(group, invariant_basis(group, d).vectors + shifted, d))
+    return pieces
+
+
+@pytest.mark.parametrize("name", list(bundled_names()) + ["g412", "scalar3"])
+def test_hilbert_ideal_skips_invariants_above_the_largest_degree(name):
+    g = parse_group_dict(SCALAR3) if name == "scalar3" else oracle_group(name)
+    # scalar3 has no degrees, so it keeps every invariant; check it to g312's top
+    top = 7 if name == "scalar3" else sum(d - 1 for d in g.fundamental_degrees())
+    want = invariants_at_every_degree(g, top + 2)
+    assert [hilbert_ideal_piece(g, d).vectors for d in range(top + 3)] == want
+
+
 def test_invariants_come_from_the_generators_not_the_reflections():
     # scalar3 has no reflections, so each R_d would be fixed by all of them
     g = parse_group_dict(SCALAR3)
@@ -257,10 +276,13 @@ def test_coinvariant_basis_eliminates_once_per_degree(name, monkeypatch):
     monkeypatch.setattr(invariants, "nullspace", counting("nullspace", invariants.nullspace))
     monkeypatch.setattr(invariants, "rref", counting("rref", invariants.rref))
     g = load_group(name)
-    top = sum(d - 1 for d in g.fundamental_degrees())
+    degrees = g.fundamental_degrees()
+    top = sum(d - 1 for d in degrees)
     coinvariant_basis(g)
-    # per degree 1..top: one kernel for (R^W)_d, one reduction of J_d
-    assert calls == ["nullspace", "rref"] * top
+    # per degree 1..top: one kernel for (R^W)_d up to the largest degree,
+    # one reduction of J_d
+    want = ["nullspace", "rref"] * max(degrees) + ["rref"] * (top - max(degrees))
+    assert calls == want
     calls.clear()
     coinvariant_basis(g)
     assert calls == []

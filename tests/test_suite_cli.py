@@ -409,6 +409,59 @@ def test_cli_group_info_json(capsys):
     assert data["degrees"] == [3, 6]
 
 
+# two groups that their pseudo-reflections do not generate: z * id over
+# Q(zeta_3), with none, and <diag(-1, 1, 1), -I>, with one
+SCALAR3 = {
+    "name": "scalar3",
+    "dimension": 2,
+    "conductor": 3,
+    "variables": ["x1", "x2"],
+    "generators": [["z", "0", "0", "z"]],
+}
+MIRROR3 = {
+    "name": "mirror3",
+    "dimension": 3,
+    "conductor": 1,
+    "variables": ["x1", "x2", "x3"],
+    "generators": [
+        ["-1", "0", "0", "0", "1", "0", "0", "0", "1"],
+        ["-1", "0", "0", "0", "-1", "0", "0", "0", "-1"],
+    ],
+}
+
+
+@pytest.mark.parametrize("data, order, nrefl", [(SCALAR3, 3, 0), (MIRROR3, 4, 1)])
+def test_cli_group_info_without_degrees_is_pinned(data, order, nrefl, tmp_path, capsys):
+    path = tmp_path / f"{data['name']}.json"
+    path.write_text(json.dumps(data))
+    n, m = data["dimension"], data["conductor"]
+    assert main(["group", "info", "--group", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        f"group {data['name']}: order {order}, dimension {n}, conductor {m}\n"
+        f"  variables: {', '.join(data['variables'])}\n"
+        f"  pseudo-reflections: {nrefl}\n"
+        "  generated by reflections: False\n"
+        "  fundamental degrees: none (invariants not polynomial)\n"
+    )
+    assert main(["group", "info", "--group", str(path), "--json"]) == 0
+    payload = {
+        "conductor": m,
+        "degrees": None,
+        "dimension": n,
+        "generated_by_reflections": False,
+        "name": data["name"],
+        "order": order,
+        "reflections": nrefl,
+        "variables": data["variables"],
+    }
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    assert main(["coinvariants", "--group", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: group {data['name']!r} is not generated by its pseudo-reflections, "
+        "so its invariant ring is not polynomial\n"
+    )
+
+
 def test_cli_molien_text(capsys):
     assert main(["molien", "--group", "z3"]) == 0
     out = capsys.readouterr().out
