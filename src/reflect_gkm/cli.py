@@ -144,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         vp.add_argument("--max-degree", type=int, default=None, metavar="D")
         vp.add_argument("--trials", type=int, default=100, metavar="N")
         vp.add_argument("--seed", type=int, default=0, metavar="S")
-        vp.add_argument("--force", action="store_true",
-                        help="run even if reflections do not generate")
         if name == "lemmas":
             vp.add_argument("--naive-control", action="store_true",
                             help="compare against pairwise first-power divisibility")
@@ -171,13 +169,17 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand bodies; each returns the process exit status
 
 
+def _degrees_or_none(g) -> list | None:
+    try:
+        return list(g.fundamental_degrees())
+    except NotPolynomialInvariantRing:
+        return None
+
+
 def _cmd_group_info(args) -> int:
     g = load_group(args.group)
     refl = g.reflections()
-    try:
-        degrees: list | None = list(g.fundamental_degrees())
-    except NotPolynomialInvariantRing:
-        degrees = None
+    degrees = _degrees_or_none(g)
     payload = {
         "name": g.name,
         "dimension": g.dimension,
@@ -240,16 +242,12 @@ def _default_dmax(g, given: int | None) -> int:
 def _cmd_molien(args) -> int:
     g = load_group(args.group)
     dmax = _default_dmax(g, args.max_degree)
-    series = g.molien()
-    coeffs = series.coefficients(dmax)
-    payload = {
-        "group": g.name,
-        "degrees": None if series.degrees is None else list(series.degrees),
-        "coefficients": coeffs,
-    }
+    degrees = _degrees_or_none(g)
+    coeffs = g.molien().coefficients(dmax)
+    payload = {"group": g.name, "degrees": degrees, "coefficients": coeffs}
     lines = [f"group {g.name}: invariant dimensions by degree"]
-    if series.degrees is not None:
-        lines.append(f"  fundamental degrees: {list(series.degrees)}")
+    if degrees is not None:
+        lines.append(f"  fundamental degrees: {degrees}")
     else:
         lines.append("  invariant ring is not polynomial")
     lines.append("  " + " ".join(f"{d}:{c}" for d, c in enumerate(coeffs)))
@@ -325,7 +323,6 @@ def _cmd_verify(args) -> int:
         trials=args.trials,
         seed=args.seed,
         naive_control=getattr(args, "naive_control", False),
-        force=args.force,
         sections=sections,
     )
     _emit(args, report.to_json_dict(), report.text())

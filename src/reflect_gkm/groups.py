@@ -34,7 +34,9 @@ degrees d_i that drive the rest of the package satisfy sum_w t^{dim V^w}
 = prod_i (t + d_i - 1) (Shephard-Todd 1954; Solomon, Nagoya Math. J. 22,
 1963); reflections() counts dim V^w = n - rank(w - 1) in its one rank
 pass.  The Molien series sum_w 1/det(1 - t w) / |W|, exact, one term per
-distinct det(1 - t w), serves the molien command and the tests' oracle.
+distinct det(1 - t w), is the invariant Hilbert series: the molien command
+prints its coefficients, and the tests check it against 1 / prod_i
+(1 - t^{d_i}).
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .polynomials import LinearForm, LinearSubstitution, MultiPoly
 
 __all__ = [
     "CapExceeded",
-    "GroupElement",
     "GroupFileError",
     "GroupInvariantViolated",
     "MolienSeries",
@@ -99,12 +100,6 @@ class NotPolynomialInvariantRing(Exception):
     """The pseudo-reflections do not generate the group, so by
     Chevalley-Shephard-Todd its invariant ring is not polynomial and it has
     no fundamental degrees."""
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    index: int
-    matrix: tuple[tuple[CycNum, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -264,6 +259,9 @@ def group_closure(matrices, conductor: int, cap: int = 10000):
 
 
 class ReflectionGroup:
+    """A finite matrix group; elements[i] is the n x n matrix of element i,
+    in the BFS order of group_closure, so the identity is elements[0]."""
+
     def __init__(
         self, name, dimension, conductor, variables, elements, mult_table, inverse_table, generators
     ):
@@ -271,7 +269,7 @@ class ReflectionGroup:
         self.dimension = dimension
         self.conductor = conductor
         self.variables = list(variables)
-        self.elements = [GroupElement(i, m) for i, m in enumerate(elements)]
+        self.elements = list(elements)
         self.mult_table = mult_table
         self.inverse_table = inverse_table
         # element indices of the file's generators, in file order
@@ -354,7 +352,7 @@ class ReflectionGroup:
     def _substitution(self, i: int) -> LinearSubstitution:
         got = self._subs.get(i)
         if got is None:
-            inv_matrix = self.elements[self.inverse_table[i]].matrix
+            inv_matrix = self.elements[self.inverse_table[i]]
             got = self._subs[i] = LinearSubstitution(inv_matrix, self.conductor)
         return got
 
@@ -366,7 +364,7 @@ class ReflectionGroup:
 
     def act_linear(self, i: int, form: LinearForm) -> tuple[CycNum, LinearForm]:
         """w . form, split as (scale, normalized form)."""
-        inv_matrix = self.elements[self.inverse_table[i]].matrix
+        inv_matrix = self.elements[self.inverse_table[i]]
         coeffs = mat_vec(tuple(zip(*inv_matrix)), form.coeffs)
         return LinearForm.normalize(coeffs, self.conductor)
 
@@ -384,10 +382,10 @@ class ReflectionGroup:
         hyperplanes: dict[LinearForm, int] = {}
         found = []
         fixed = [0] * n + [1]
-        for el in self.elements[1:]:
+        for w in range(1, self.order):
             diff = tuple(
                 tuple(a - b for a, b in zip(row, irow))
-                for row, irow in zip(el.matrix, ident)
+                for row, irow in zip(self.elements[w], ident)
             )
             r = rank(diff)
             fixed[n - r] += 1
@@ -395,15 +393,13 @@ class ReflectionGroup:
                 continue
             row = next(r for r in diff if any(r))
             _, coroot = LinearForm.normalize(row, self.conductor)
-            lam, image = self.act_linear(el.index, coroot)
+            lam, image = self.act_linear(w, coroot)
             if image != coroot:
-                raise GroupInvariantViolated(
-                    f"element {el.index}: co-root is not an eigenvector"
-                )
-            order = len(self.cyclic_powers(el.index))
+                raise GroupInvariantViolated(f"element {w}: co-root is not an eigenvector")
+            order = len(self.cyclic_powers(w))
             if lam**order != 1 or any(lam**k == 1 for k in range(1, order)):
                 raise GroupInvariantViolated(
-                    f"element {el.index}: eigenvalue is not a primitive "
+                    f"element {w}: eigenvalue is not a primitive "
                     f"root of unity of order {order}"
                 )
             hid = hyperplanes.setdefault(coroot, len(hyperplanes))
@@ -411,7 +407,7 @@ class ReflectionGroup:
             table = tuple(
                 tuple(down[i * j % order] for j in range(order)) for i in range(order)
             )
-            found.append(PseudoReflection(el.index, order, coroot, lam, hid, table))
+            found.append(PseudoReflection(w, order, coroot, lam, hid, table))
         self._reflections = tuple(found)
         self._by_element = {s.element: s for s in found}
         self._fixed = fixed
@@ -509,12 +505,11 @@ def _u_det(mat):
 @dataclass
 class MolienSeries:
     """The invariant Hilbert series as a reduced fraction num/den with
-    den(0) = 1, plus the factored degrees when den = prod (1 - t^{d_i})
-    and num = 1."""
+    den(0) = 1.  For a group generated by reflections, num = 1 and den =
+    prod_i (1 - t^{d_i}) over ReflectionGroup.fundamental_degrees()."""
 
     num: tuple[Fraction, ...]
     den: tuple[Fraction, ...]
-    degrees: tuple[int, ...] | None
 
     def coefficients(self, dmax: int) -> list[int]:
         """Power series coefficients (invariant dimensions) up to dmax."""
@@ -536,10 +531,10 @@ def _molien_series(group: ReflectionGroup) -> MolienSeries:
     # det(1 - tw) is a class function: count the elements per exact
     # polynomial, then add count / det once per distinct one
     classes: dict[tuple, list] = {}
-    for el in group.elements:
+    for matrix in group.elements:
         entries = [
             [
-                upoly_trim([(one if i == j else zero), -el.matrix[i][j]])
+                upoly_trim([(one if i == j else zero), -matrix[i][j]])
                 for j in range(group.dimension)
             ]
             for i in range(group.dimension)
@@ -570,28 +565,7 @@ def _molien_series(group: ReflectionGroup) -> MolienSeries:
     den = [c * scale for c in den]
     num_q = tuple(c.as_fraction() for c in num)
     den_q = tuple(c.as_fraction() for c in den)
-    degrees = _peel_degrees(list(den_q), group.dimension) if num_q == (Fraction(1),) else None
-    return MolienSeries(num_q, den_q, degrees)
-
-
-def _peel_degrees(den: list[Fraction], nvars: int) -> tuple[int, ...] | None:
-    """Factor den as prod over nvars factors (1 - t^d); the smallest positive
-    exponent present must be one of the d's, so peel it and repeat."""
-    cur = den
-    degs: list[int] = []
-    for _ in range(nvars):
-        e = next((k for k in range(1, len(cur)) if cur[k]), None)
-        if e is None:
-            return None
-        factor = [Fraction(1)] + [Fraction(0)] * (e - 1) + [Fraction(-1)]
-        quo, rem = upoly_divmod(cur, factor)
-        if rem:
-            return None
-        cur = quo
-        degs.append(e)
-    if cur != [Fraction(1)]:
-        return None
-    return tuple(degs)
+    return MolienSeries(num_q, den_q)
 
 
 # ---------------------------------------------------------------------------

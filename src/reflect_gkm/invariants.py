@@ -84,8 +84,8 @@ class CoinvariantBasis:
 def reynolds(group: ReflectionGroup, f: MultiPoly) -> MultiPoly:
     """The averaging projector (1/|W|) sum_w w . f onto invariants."""
     acc = MultiPoly.zero(group.dimension, group.conductor)
-    for el in group.elements:
-        acc = acc + group.act(el.index, f)
+    for w in range(group.order):
+        acc = acc + group.act(w, f)
     return acc / group.order
 
 

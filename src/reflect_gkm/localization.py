@@ -224,7 +224,7 @@ def _lift_matrix_mod_p(
     monomials = {e for terms in reduced for e, _ in terms}
     matrix = []
     for x in range(group.order):
-        inverse = group.elements[group.inv(x)].matrix
+        inverse = group.elements[group.inv(x)]
         q = [sum(reduction.reduce(c) * v for c, v in zip(row, point)) % p for row in inverse]
         # one value per monomial, shared by every lift that has it
         value = {e: prod(pow(v, a, p) for v, a in zip(q, e)) % p for e in monomials}

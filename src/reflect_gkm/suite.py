@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .equivariant import GroupMap, coroot_map, membership, orbit_difference
-from .groups import ReflectionGroup, load_group
+from .groups import NotPolynomialInvariantRing, ReflectionGroup, load_group
 from .hypergraph import (
     build_hypergraph,
     edge_witness,
@@ -59,8 +59,9 @@ ALL_SECTIONS = ("theorem", "lemmas", "hypergraph")
 
 
 class NotReflectionGenerated(Exception):
-    """The group is not generated by its pseudo-reflections, so the claims
-    under test do not apply; pass force=True to run anyway."""
+    """The group is not generated by its pseudo-reflections, so it has no
+    fundamental degrees (Chevalley-Shephard-Todd) and the claims under test
+    do not apply."""
 
 
 class NoPseudoReflections(Exception):
@@ -195,50 +196,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VerificationReport":
-        rows = ()
-        image_members = None
-        theorem = data.get("theorem")
-        if theorem:
-            rows = tuple(
-                DegreeRow(r["degree"], r["predicted"], r["image"], r["nullspace"])
-                for r in theorem["rows"]
-            )
-            if theorem.get("members"):
-                image_members = LemmaResult(
-                    "localized_members",
-                    theorem["members"]["trials"],
-                    theorem["members"]["failures"],
-                )
-        lemmas = tuple(
-            LemmaResult(r["name"], r["trials"], r["failures"])
-            for r in data.get("lemmas", [])
-        )
-        hyper = None
-        if data.get("hypergraph"):
-            h = data["hypergraph"]
-            hyper = LemmaResult("hypergraph_equivalence", h["trials"], h["failures"])
-        control = None
-        if data.get("control"):
-            c = data["control"]
-            control = ControlResult(
-                tuple(c["pairwise"]), tuple(c["membership"]), c["all_order_two"]
-            )
-        return cls(
-            group=data["group"],
-            order=data["order"],
-            degrees=tuple(data["degrees"]),
-            dmax=data["dmax"],
-            trials=data["trials"],
-            seed=data["seed"],
-            rows=rows,
-            image_members=image_members,
-            lemmas=lemmas,
-            hypergraph=hyper,
-            control=control,
-        )
 
     def text(self) -> str:
         lines = [
@@ -463,7 +420,6 @@ def run_suite(
     trials: int = 100,
     seed: int = 0,
     naive_control: bool = False,
-    force: bool = False,
     sections=ALL_SECTIONS,
 ) -> VerificationReport:
     unknown = [s for s in sections if s not in ALL_SECTIONS]
@@ -473,16 +429,17 @@ def run_suite(
         raise ValueError(f"dmax and trials must be nonnegative, got {dmax} and {trials}")
     if not isinstance(group, ReflectionGroup):
         group = load_group(group)
-    if not group.generated_by_reflections() and not force:
+    try:
+        degrees = group.fundamental_degrees()
+    except NotPolynomialInvariantRing:
         raise NotReflectionGenerated(
             f"group {group.name!r} is not generated by pseudo-reflections; "
-            "the verified claims do not apply (use force to run regardless)"
-        )
+            "the verified claims do not apply"
+        ) from None
     if "hypergraph" in sections and not group.reflections():
         raise NoPseudoReflections(
             f"group {group.name!r} has no pseudo-reflections, so no map is a non-member"
         )
-    degrees = group.fundamental_degrees()
     if dmax is None:
         dmax = default_max_degree(group)
     timings: dict[str, float] = {}

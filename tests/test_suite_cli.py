@@ -13,7 +13,6 @@ from reflect_gkm.cli import main
 from reflect_gkm.suite import (
     NoPseudoReflections,
     NotReflectionGenerated,
-    VerificationReport,
     run_suite,
 )
 
@@ -55,15 +54,6 @@ def test_report_byte_identical_across_runs():
     # a different seed really does change the sampled data, not the verdict
     c = run_suite("z3", dmax=3, trials=4, seed=12)
     assert c.ok and c.to_json() != ""
-
-
-def test_report_json_round_trip():
-    report = run_suite("z3", dmax=3, trials=2, seed=0, naive_control=True)
-    blob = report.to_json()
-    back = VerificationReport.from_json_dict(json.loads(blob))
-    assert back == report
-    assert back.to_json() == blob
-    assert back.timings == {}
 
 
 def test_run_suite_rejects_negative_bounds():
@@ -387,6 +377,13 @@ def test_cli_refusal_without_force(tmp_path, capsys):
     assert "not generated by pseudo-reflections" in err
 
 
+def test_cli_verify_has_no_force_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "theorem", "--group", "s3", "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
 def test_cli_hypergraph_export(tmp_path, capsys):
     dot = tmp_path / "g.dot"
     assert main([
@@ -460,6 +457,56 @@ def test_cli_group_info_without_degrees_is_pinned(data, order, nrefl, tmp_path, 
         f"error: group {data['name']!r} is not generated by its pseudo-reflections, "
         "so its invariant ring is not polynomial\n"
     )
+
+
+@pytest.mark.parametrize("data", [MINUS_IDENTITY, MIRROR3])
+def test_refusal_names_no_way_round_it(data, tmp_path, capsys):
+    path = tmp_path / f"{data['name']}.json"
+    path.write_text(json.dumps(data))
+    for section in ("theorem", "lemmas", "hypergraph"):
+        with pytest.raises(NotReflectionGenerated) as exc:
+            run_suite(str(path), dmax=2, trials=1, sections=(section,))
+        assert "force" not in str(exc.value)
+    assert main(["verify", "theorem", "--group", str(path), "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "not generated by pseudo-reflections" in err and "force" not in err
+
+
+# (degrees, invariant dimensions up to the default max degree) of the
+# molien command; the bundled groups' degrees are the Molien series' own
+# factors, and the rest have no degrees
+MOLIEN_ROWS = {
+    "z2": ([2], [1, 0, 1, 0, 1]),
+    "z3": ([3], [1, 0, 0, 1, 0, 0]),
+    "z4": ([4], [1, 0, 0, 0, 1, 0, 0]),
+    "s3": ([2, 3], [1, 0, 1, 1, 1, 1, 2]),
+    "b2": ([2, 4], [1, 0, 1, 0, 2, 0, 2, 0]),
+    "g312": ([3, 6], [1, 0, 0, 1, 0, 0, 2, 0, 0, 2, 0]),
+    "scalar3": (None, [1, 0, 0, 4, 0, 0, 7, 0, 0]),
+    "mirror3": (None, [1, 0, 4, 0, 9, 0, 16, 0, 25]),
+    "center2": (None, [1, 0, 3, 0, 5, 0, 7, 0, 9]),
+}
+
+
+@pytest.mark.parametrize("name", MOLIEN_ROWS)
+def test_cli_molien_is_pinned(name, tmp_path, capsys):
+    data = {"scalar3": SCALAR3, "mirror3": MIRROR3, "center2": MINUS_IDENTITY}.get(name)
+    source = name
+    if data is not None:
+        source = str(tmp_path / f"{name}.json")
+        Path(source).write_text(json.dumps(data))
+    degrees, coeffs = MOLIEN_ROWS[name]
+    kind = f"fundamental degrees: {degrees}" if degrees else "invariant ring is not polynomial"
+    series = " ".join(f"{d}:{c}" for d, c in enumerate(coeffs))
+    assert main(["molien", "--group", source]) == 0
+    assert capsys.readouterr().out == (
+        f"group {name}: invariant dimensions by degree\n  {kind}\n  {series}\n"
+    )
+    assert main(["molien", "--group", source, "--json"]) == 0
+    payload = {"coefficients": coeffs, "degrees": degrees, "group": name}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    assert main(["group", "info", "--group", source, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["degrees"] == degrees
 
 
 def test_cli_molien_text(capsys):
