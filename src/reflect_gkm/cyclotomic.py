@@ -27,7 +27,9 @@ The text form is a polynomial in z with high powers first, for example
 keyed_dot_products is the one kernel for sums of products: it forms
 {key: sum x y} from (key, x, y) triples on the integer numerators, so each
 output (a polynomial coefficient, a matrix entry) costs one gcd instead of
-one per product and partial sum.
+one per product and partial sum.  numerator_dot_products is its twin on
+bare integer numerators, for callers that keep one common denominator
+themselves; from_numerators turns such a vector back into a CycNum.
 
 PrimeReduction maps values into a prime field F_p by sending z to a root
 of the cyclotomic polynomial modulo p.  It is a ring homomorphism on every
@@ -50,7 +52,9 @@ __all__ = [
     "PrimeReduction",
     "cyclotomic_polynomial",
     "euler_phi",
+    "from_numerators",
     "keyed_dot_products",
+    "numerator_dot_products",
     "parse_cyc",
     "root_of_unity",
 ]
@@ -516,6 +520,27 @@ def keyed_dot_products(conductor: int, triples) -> dict:
             slot[0] = [u * fa + v * fp for u, v in zip(acc, prod)]
             slot[1] = den * fa
     return {key: _canon(m, acc, den) for key, (acc, den) in sums.items() if any(acc)}
+
+
+def numerator_dot_products(conductor: int, triples, start: dict) -> dict:
+    """{key: start[key] + sum a * b} over (key, a, b) triples of integer
+    coefficient vectors at the conductor, zero sums dropped; nothing is
+    canonicalised."""
+    m = conductor
+    sums = dict(start)
+    for key, a, b in triples:
+        prod = [a[0] * b[0]] if len(a) == 1 else _mul_int(m, a, b)
+        acc = sums.get(key)
+        sums[key] = prod if acc is None else [u + v for u, v in zip(acc, prod)]
+    return {key: acc for key, acc in sums.items() if any(acc)}
+
+
+def from_numerators(conductor: int, num, den: int) -> CycNum:
+    """The CycNum num/den at the conductor, for an integer vector num of
+    length phi(conductor) and an integer den > 0."""
+    if den <= 0:
+        raise ValueError("a common denominator must be positive")
+    return _canon(conductor, num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,28 @@ reflection, over every pseudo-reflection and power, exactly as the
 definition reads; it is built by that full loop when it is first read,
 which only the command line does.
 
+The verdict runs on integer numerators, with no CycNum canonicalised and
+no quotient built.  membership writes the values of F once as integer
+coefficient vectors over one common denominator L, the lcm of all their
+coefficient denominators (integral_numerators), so it holds L F(x).  The
+weights lambda^{-ij} are roots of unity (reflections() checks the
+eigenvalue), hence algebraic integers with integer coordinates in the
+power basis, and L S_i is an integer combination of those vectors; a zero
+sum is skipped.  ell^i | S_i is decided by i Horner steps along the
+orbit's form ell = x_p + a(x') (linear_power_divides).  Let D be the lcm of
+the coefficient denominators of a, so r = -D a has integer coefficients,
+and top the x_p-degree of S_i.  Substituting y = D x_p and scaling the
+slice of x_p^k by D^(top - k) gives
+
+    g(y, x') = L D^top S_i(y / D, x'),    D ell = y - r(x'),
+
+with g integral.  x_p -> y / D is an invertible change of variables and
+L D^top and D are nonzero scalars, so ell^i divides S_i exactly when
+(y - r)^i divides g, and each Horner step on g adds integer products
+only.  lift_membership does the same with its values s^j . e, and
+divide_by_linear_power runs the same steps and scales the quotient or the
+witness back.
+
 An equivariant map, F(x) = x . e, needs only the identity coset <s> of
 each generator.  Its order-i sum there is P_i = sum_j lambda^{-ij} s^j . e,
 and on the coset x<s> (members x s^j, the same weights) it is x . P_i.
@@ -66,7 +88,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, numerator_dot_products
 from .groups import GroupInvariantViolated, PseudoReflection, ReflectionGroup
 from .linalg import nullspace
 from .polynomials import (
@@ -76,6 +98,8 @@ from .polynomials import (
     divide_by_linear_power,
     graded_monomials,
     hyperplane_coordinates,
+    integral_numerators,
+    linear_power_divides,
     parse_poly,
     poly_text,
     weighted_sum,
@@ -293,24 +317,16 @@ def divided_difference(group: ReflectionGroup, s: PseudoReflection, i: int, f: M
     return res
 
 
-def _orbit_quotients(group: ReflectionGroup, s: PseudoReflection, i: int, F: GroupMap):
-    """(orbit, weighted orbit sum / form^i) for each orbit of s in turn,
-    the identity coset first; the quotient is NotDivisible where the
-    division fails."""
-    n, m = group.dimension, group.conductor
-    for orbit in group.orbits(s):
-        values = (F.values[x] for x in orbit.members)
-        acc = weighted_sum(zip(values, s.weights(i)), n, m)
-        yield orbit, divide_by_linear_power(acc, orbit.form, i)
-
-
 def orbit_difference(group: ReflectionGroup, s: PseudoReflection, i: int, F: GroupMap):
     """The order-i weighted difference of F along right <s>-orbits; returns
     the certificate of failed divisibilities instead of a map when F is not
     smooth enough."""
+    n, m = group.dimension, group.conductor
     values: list[MultiPoly | None] = [None] * group.order
     failures: list[MembershipFailure] = []
-    for orbit, res in _orbit_quotients(group, s, i, F):
+    for orbit in group.orbits(s):
+        acc = weighted_sum(zip((F.values[x] for x in orbit.members), s.weights(i)), n, m)
+        res = divide_by_linear_power(acc, orbit.form, i)
         if isinstance(res, NotDivisible):
             failures.append(MembershipFailure(orbit.rep, s, i, res))
             continue
@@ -320,6 +336,25 @@ def orbit_difference(group: ReflectionGroup, s: PseudoReflection, i: int, F: Gro
     if failures:
         return MembershipCertificate(False, failures=failures)
     return GroupMap(group, values)
+
+
+def _integral_sum(m: int, values, weights) -> dict:
+    """sum_j weights[j] * values[j] on integer numerator dicts.  The
+    weights are powers lambda^{-ij} of a root of unity (reflections()
+    checks it), so their numerators over denominator 1 are exact, and the
+    first is 1."""
+    pairs = zip(values[1:], weights[1:])
+    return numerator_dot_products(
+        m, ((e, w.num, c) for v, w in pairs for e, c in v.items()), values[0]
+    )
+
+
+def _orbit_sums(group: ReflectionGroup, s: PseudoReflection, i: int, values):
+    """(orbit, order-i weighted orbit sum) for each orbit of s in turn, the
+    identity coset first, on integral values (integral_numerators of F)."""
+    m, weights = group.conductor, s.weights(i)
+    for orbit in group.orbits(s):
+        yield orbit, _integral_sum(m, [values[x] for x in orbit.members], weights)
 
 
 def _hyperplane_generators(group: ReflectionGroup) -> list[PseudoReflection]:
@@ -334,14 +369,16 @@ def _hyperplane_generators(group: ReflectionGroup) -> list[PseudoReflection]:
 
 
 def membership(F: GroupMap) -> MembershipCertificate:
-    """Is F a member?  Decided from one generator per hyperplane (see the
-    module docstring), stopping at the first failed division; the
-    certificate lists the failures over all pseudo-reflections on read."""
+    """Is F a member?  Decided from one generator per hyperplane on the
+    integer numerators of F's values (see the module docstring), stopping
+    at the first failed division; the certificate lists the failures over
+    all pseudo-reflections on read."""
     group = F.group
+    values, _ = integral_numerators(F.values, group.dimension, group.conductor)
     for s in _hyperplane_generators(group):
         for i in range(1, s.order):
-            for _, res in _orbit_quotients(group, s, i, F):
-                if isinstance(res, NotDivisible):
+            for orbit, acc in _orbit_sums(group, s, i, values):
+                if not linear_power_divides(acc, orbit.form, i):
                     return MembershipCertificate(False, F)
     return MembershipCertificate(True)
 
@@ -352,10 +389,11 @@ def lift_membership(group: ReflectionGroup, e: MultiPoly) -> MembershipCertifica
     n, m = group.dimension, group.conductor
     for s in _hyperplane_generators(group):
         # the identity coset's members are the powers of s, its form ell_s
-        values = [group.act(x, e) for x in group.cyclic_powers(s.element)]
+        moved = [group.act(x, e) for x in group.cyclic_powers(s.element)]
+        values, _ = integral_numerators(moved, n, m)
         for i in range(1, s.order):
-            acc = weighted_sum(zip(values, s.weights(i)), n, m)
-            if isinstance(divide_by_linear_power(acc, s.coroot, i), NotDivisible):
+            acc = _integral_sum(m, values, s.weights(i))
+            if not linear_power_divides(acc, s.coroot, i):
                 return MembershipCertificate(
                     False, GroupMap(group, [group.act(x, e) for x in range(group.order)])
                 )

@@ -23,6 +23,15 @@ ell^k repeats the step on the quotient and stops at the first nonzero
 remainder: after v exact steps that remainder is the component of f of
 order exactly v along ell, and ell^v times it is the NotDivisible witness.
 
+The steps run fraction-free, on integer numerators (_horner): f comes as
+integer coefficient vectors over a common denominator L, D is the lcm of
+the form's coefficient denominators (integral_root, cached per form), the
+pivot is replaced by y = D x_p and the slice of x_p^k is scaled by
+D^(top - k), so every step adds integer products only.  Why that keeps
+divisibility is proved once, in the equivariant module docstring.
+linear_power_divides reads only the verdict; divide_by_linear_power scales
+each coefficient of the quotient or the witness back once.
+
 Linear combinations sum_k w_k f_k (weighted_sum) and sums of products
 sum_k f_k g_k (sum_of_products; a product is its one-pair case) go through
 the one kernel cyclotomic.keyed_dot_products, keyed by output monomial, so
@@ -34,11 +43,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from operator import add
 from typing import Sequence
 
-from .cyclotomic import ConductorMismatch, CycNum, keyed_dot_products, parse_cyc
+from .cyclotomic import (
+    ConductorMismatch,
+    CycNum,
+    from_numerators,
+    keyed_dot_products,
+    numerator_dot_products,
+    parse_cyc,
+)
 
 __all__ = [
     "LinearForm",
@@ -48,6 +65,8 @@ __all__ = [
     "divide_by_linear_power",
     "graded_monomials",
     "hyperplane_coordinates",
+    "integral_numerators",
+    "linear_power_divides",
     "parse_poly",
     "poly_text",
     "sum_of_products",
@@ -237,9 +256,22 @@ class LinearForm:
         inv = scale.inverse()
         return scale, cls(len(vec), conductor, tuple(c * inv for c in vec))
 
-    @property
+    @cached_property
     def pivot(self) -> int:
         return next(k for k, c in enumerate(self.coeffs) if c)
+
+    @cached_property
+    def integral_root(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+        """(D, [(j, r_j)]): on form = 0 the pivot variable is the root
+        -(sum_{j != p} c_j x_j), and D times it, sum_j r_j x_j, has integer
+        numerators r_j; D is the lcm of the coefficient denominators."""
+        p = self.pivot
+        D = lcm(*(c.den for c in self.coeffs))
+        return D, tuple(
+            (j, tuple(-x * (D // c.den) for x in c.num))
+            for j, c in enumerate(self.coeffs)
+            if c and j != p
+        )
 
     def as_poly(self) -> MultiPoly:
         n = self.nvars
@@ -374,21 +406,73 @@ class NotDivisible:
     witness: MultiPoly
 
 
-def _add_linear_multiple(base: dict, q: dict, linear) -> dict:
-    """base + (sum_j c_j x_j) * q on term dicts, for linear = [(j, c_j)]."""
-    out = dict(base)
-    for e, c in q.items():
-        for j, cj in linear:
-            key = e[:j] + (e[j] + 1,) + e[j + 1 :]
-            v = c * cj
-            prev = out.get(key)
-            if prev is not None:
-                v = prev + v
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
+def integral_numerators(polys, nvars: int, conductor: int) -> tuple[list[dict], int]:
+    """The coefficients of the polynomials as integer vectors over one
+    common denominator L, the lcm of all their coefficient denominators:
+    ([{exponents: numerators}] in input order, L).  Each value must be a
+    MultiPoly in nvars variables over the conductor."""
+    polys = list(polys)
+    for f in polys:
+        if not isinstance(f, MultiPoly):
+            raise TypeError(f"a polynomial is required, not {type(f).__name__}")
+        _check_operand(f, nvars, conductor)
+    den = lcm(1, *(c.den for f in polys for c in f.terms.values()))
+    return [
+        {
+            e: c.num if c.den == den else [x * (den // c.den) for x in c.num]
+            for e, c in f.terms.items()
+        }
+        for f in polys
+    ], den
+
+
+def _plus_root_multiple(m: int, base: dict, q: dict, root) -> dict:
+    """base + (sum_j r_j x_j) * q on integer numerator dicts, for root =
+    [(j, r_j)]."""
+    if not q:
+        return base
+    shifted = (
+        (e[:j] + (e[j] + 1,) + e[j + 1 :], r, c) for e, c in q.items() for j, r in root
+    )
+    return numerator_dot_products(m, shifted, base)
+
+
+def _horner(terms: dict, form: LinearForm, power: int):
+    """Divide the nonzero polynomial with integer numerators terms by
+    form^power, fraction-free (see the module docstring), stopping at the
+    first nonzero remainder.
+
+    Returns (steps, top, pieces), top the x_p-degree of the dividend.
+    When steps == power, pieces are the slices of the quotient in y = D x_p
+    (slice k the integer coefficient of y^k); otherwise pieces is the
+    nonzero remainder of step number steps, a polynomial in x' alone."""
+    m, p = form.conductor, form.pivot
+    D, root = form.integral_root
+    top = max(e[p] for e in terms)
+    slices: list[dict] = [{} for _ in range(top + 1)]
+    for e, c in terms.items():
+        k = e[p]
+        if D != 1 and k < top:
+            scale = D ** (top - k)
+            c = [x * scale for x in c]
+        slices[k][e[:p] + (0,) + e[p + 1 :]] = c
+    for step in range(power):
+        quotient: list[dict] = [{} for _ in range(len(slices) - 1)]
+        carry: dict = {}
+        for k in range(len(slices) - 1, 0, -1):
+            carry = quotient[k - 1] = _plus_root_multiple(m, slices[k], carry, root)
+        remainder = _plus_root_multiple(m, slices[0], carry, root)
+        if remainder:
+            return step, top, remainder
+        slices = quotient
+    return power, top, slices
+
+
+def linear_power_divides(terms: dict, form: LinearForm, power: int) -> bool:
+    """Does form^power divide the polynomial whose coefficients are the
+    integer vectors terms, over any common denominator?  Decided by the
+    Horner steps alone, with no quotient built."""
+    return not terms or _horner(terms, form, power)[0] == power
 
 
 def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):
@@ -396,8 +480,10 @@ def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):
 
     power <= 0 multiplies by the |power|-th power of the form, so the
     result is always a polynomial in that range.  Otherwise f is divided by
-    Horner's rule in the pivot variable (see the module docstring), one
-    step per power, stopping at the first nonzero remainder.
+    the fraction-free Horner steps in the pivot variable (see the module
+    docstring), one step per power, stopping at the first nonzero
+    remainder; each coefficient of the quotient or witness is scaled back
+    once.
     """
     n, m = f.nvars, f.conductor
     _check_operand(form, n, m)
@@ -405,29 +491,23 @@ def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):
         return f * form.as_poly() ** -power
     if not f:
         return f
-    p = form.pivot
-    # on form = 0 the pivot variable is root = -(the other terms of form)
-    root = [(j, -c) for j, c in enumerate(form.coeffs) if c and j != p]
-    # slices[k]: the coefficient of x_p^k, with the x_p exponent set to 0
-    slices: list[dict] = [{} for _ in range(1 + max(e[p] for e in f.terms))]
-    for e, c in f.terms.items():
-        slices[e[p]][e[:p] + (0,) + e[p + 1 :]] = c
-    for step in range(power):
-        quotient: list[dict] = [{} for _ in range(len(slices) - 1)]
-        carry: dict = {}
-        for k in range(len(slices) - 1, 0, -1):
-            carry = quotient[k - 1] = _add_linear_multiple(slices[k], carry, root)
-        remainder = _add_linear_multiple(slices[0], carry, root)
-        if remainder:
-            witness = MultiPoly._make(n, m, remainder) * form.as_poly() ** step
-            return NotDivisible(step, witness)
-        slices = quotient
+    (terms,), den = integral_numerators([f], n, m)
+    steps, top, pieces = _horner(terms, form, power)
+    D, p = form.integral_root[0], form.pivot
+    if steps < power:
+        # f / form^steps at x_p = root is D^(steps - top) / den times pieces
+        scale = den * D ** (top - steps)
+        remainder = {e: from_numerators(m, c, scale) for e, c in pieces.items()}
+        witness = MultiPoly._make(n, m, remainder) * form.as_poly() ** steps
+        return NotDivisible(steps, witness)
+    # the x_p^k coefficient of the quotient is D^(power - top + k) / den
+    # times slice k, and k <= top - power
     return MultiPoly._make(
         n,
         m,
         {
-            e[:p] + (k,) + e[p + 1 :]: c
-            for k, piece in enumerate(slices)
+            e[:p] + (k,) + e[p + 1 :]: from_numerators(m, c, den * D ** (top - power - k))
+            for k, piece in enumerate(pieces)
             for e, c in piece.items()
         },
     )

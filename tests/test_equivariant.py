@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import reflect_gkm.equivariant as equivariant_module
-from reflect_gkm.cyclotomic import CycNum, root_of_unity
+import reflect_gkm.polynomials as polynomials_module
+from reflect_gkm.cyclotomic import ConductorMismatch, CycNum, root_of_unity
 from reflect_gkm.equivariant import (
     GroupMap,
     MapFileError,
@@ -28,7 +30,13 @@ from reflect_gkm.equivariant import (
     orbit_difference,
     scatter_conditions,
 )
-from reflect_gkm.groups import GroupInvariantViolated, ReflectionGroup, bundled_names, load_group
+from reflect_gkm.groups import (
+    GroupInvariantViolated,
+    ReflectionGroup,
+    bundled_names,
+    load_group,
+    parse_group_dict,
+)
 from reflect_gkm.invariants import coinvariant_basis
 from reflect_gkm.linalg import rref
 from reflect_gkm.polynomials import (
@@ -460,13 +468,13 @@ def test_g312_verdict_takes_one_generator_per_hyperplane(monkeypatch):
     g = load_group("g312")
     member = random_member(random.Random(8), g)
     passes = []
-    original = equivariant_module._orbit_quotients
+    original = equivariant_module._orbit_sums
 
-    def counting(group, s, i, F):
+    def counting(group, s, i, values):
         passes.append((s.element, i))
-        return original(group, s, i, F)
+        return original(group, s, i, values)
 
-    monkeypatch.setattr(equivariant_module, "_orbit_quotients", counting)
+    monkeypatch.setattr(equivariant_module, "_orbit_sums", counting)
     assert membership(member).ok
     # 7 (reflection, power) passes against 11 for every reflection: the
     # order-3 hyperplanes are checked through one of their two generators
@@ -484,14 +492,10 @@ def test_transport_verdict_equals_membership(name, monkeypatch):
     maps = [GroupMap(g, [g.act(x, e) for x in range(g.order)]) for e in lifts]
     assert [lift_membership(g, e).ok for e in lifts] == [membership(F).ok for F in maps]
     assert all(membership(F).ok for F in maps)
-    # every such map is a member, so only a fault refuses one: here every
-    # nonzero dividend fails, which x . P_i does exactly when P_i does
-    original = equivariant_module.divide_by_linear_power
-
-    def faulty(f, form, power):
-        return NotDivisible(0, f) if f and power > 0 else original(f, form, power)
-
-    monkeypatch.setattr(equivariant_module, "divide_by_linear_power", faulty)
+    # every such map is a member, so only a fault refuses one: here the one
+    # Horner routine fails every nonzero dividend at step 0, with the
+    # dividend as its witness, which x . P_i does exactly when P_i does
+    monkeypatch.setattr(polynomials_module, "_horner", lambda terms, form, power: (0, 0, terms))
     verdicts = [lift_membership(g, e) for e in lifts]
     assert [v.ok for v in verdicts] == [membership(F).ok for F in maps]
     assert {v.ok for v in verdicts} == {True, False}
@@ -504,6 +508,73 @@ def test_failures_of_a_wrong_verdict_raise():
     assert membership(member).failures == []
     with pytest.raises(MembershipRuleViolated):
         MembershipCertificate(False, member).failures
+
+
+# ---------------------------------------------------------------------------
+# the verdict on integer numerators
+
+G412 = {
+    "name": "g412",
+    "dimension": 2,
+    "conductor": 4,
+    "variables": ["x1", "x2"],
+    "generators": [["0", "1", "1", "0"], ["z", "0", "0", "1"]],
+}
+
+
+def one_point_map(rng, group, d, scale):
+    """scale times a random degree-d monomial at one random element, zero
+    elsewhere."""
+    n, m = group.dimension, group.conductor
+    values = [MultiPoly.zero(n, m)] * group.order
+    pool = graded_monomials(n, d)
+    values[rng.randrange(group.order)] = MultiPoly(n, m, {pool[rng.randrange(len(pool))]: scale})
+    return GroupMap(group, values)
+
+
+def value_denominators(F):
+    return {lcm(1, *(c.den for c in v.terms.values())) for v in F.values if v}
+
+
+@pytest.mark.parametrize("name", list(bundled_names()) + ["g412"])
+def test_integral_verdict_equals_the_failure_loop(name):
+    # the verdict decides on integer numerators; the failure list divides
+    # CycNum sums through orbit_difference, every reflection and power
+    g = parse_group_dict(G412) if name == "g412" else load_group(name)
+    rng = random.Random(f"integral:{name}")
+    maps = [random_member(rng, g, max_degree=4) for _ in range(3)]
+    maps += [random_nonmember(rng, g) for _ in range(3)]
+    for d in range(5):
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        maps += [one_point_map(rng, g, d, scale) for _ in range(2)]
+    # mixed denominators across values: a member over 2 plus the product of
+    # every ell_K^(e_K - 1) at the identity over 3 and at another element
+    # over 5 (members, since W permutes the hyperplanes), alone and plus a
+    # one-point map over 7 (a member exactly when that map is)
+    point = map_failing_only_at_hyperplane(g, None)
+    mixed = []
+    for d in range(5):
+        y = rng.randrange(1, g.order)
+        A = random_member(rng, g, max_degree=4) / 2 + point / 3 + point.act(y) / 5
+        mixed += [A, A + one_point_map(rng, g, d, Fraction(1, 7))]
+    assert all(len(value_denominators(F)) > 1 for F in mixed)
+    verdicts = []
+    for F in maps + mixed:
+        ok = membership(F).ok
+        verdicts.append(ok)
+        assert ok == (not equivariant_module._all_failures(F))
+    assert set(verdicts) == {True, False}
+    assert all(verdicts[len(maps) :: 2])
+
+
+def test_membership_rejects_malformed_values(z2):
+    x1 = P("x1", z2)
+    with pytest.raises(TypeError, match="a polynomial is required, not int"):
+        membership(GroupMap(z2, [1, 2]))
+    with pytest.raises(ValueError, match="an operand in 2 variables, not 1"):
+        membership(GroupMap(z2, [x1, MultiPoly(2, 2, {(1, 0): 1})]))
+    with pytest.raises(ConductorMismatch, match="an operand over conductor 3, not 2"):
+        membership(GroupMap(z2, [x1, MultiPoly(1, 3, {(1,): 1})]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from math import prod
 
 import pytest
 
-from reflect_gkm import equivariant, localization
+from reflect_gkm import equivariant, localization, polynomials
 from reflect_gkm.cyclotomic import PrimeReduction, root_of_unity
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis, orbit_difference
 from reflect_gkm.groups import bundled_names, load_group
@@ -29,7 +29,7 @@ from reflect_gkm.localization import (
     localize_at,
     localized_lifts,
 )
-from reflect_gkm.polynomials import MultiPoly, NotDivisible, parse_poly
+from reflect_gkm.polynomials import MultiPoly, parse_poly
 from reflect_gkm.sampling import (
     random_member,
     random_nonmember,
@@ -223,19 +223,19 @@ def edit_lifts(monkeypatch, edit):
 
 def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
     # x -> x . e is a member for every e, so only a fault in step (a)'s
-    # divisions can refuse: here one failed division, the first with a
-    # nonzero dividend (the constant lift's sums vanish, so a degree-1
-    # lift's)
-    original = equivariant.divide_by_linear_power
+    # divisions can refuse: here one failed Horner division, the first,
+    # which has a nonzero dividend (the constant lift's sums vanish and are
+    # skipped, so it is a degree-1 lift's)
+    original = polynomials._horner
     faults = []
 
-    def faulty(f, form, power):
-        if not faults and f and power > 0:
-            faults.append(f.degree())
-            return NotDivisible(0, f)
-        return original(f, form, power)
+    def faulty(terms, form, power):
+        if not faults:
+            faults.append(max(sum(e) for e in terms))
+            return 0, 0, terms
+        return original(terms, form, power)
 
-    monkeypatch.setattr(equivariant, "divide_by_linear_power", faulty)
+    monkeypatch.setattr(polynomials, "_horner", faulty)
     triples = DimensionTriples(s3)
     assert faults == [1]
     assert triples.refused_by == "members"
@@ -244,10 +244,10 @@ def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
 
 def test_certificate_divides_identity_cosets_only(monkeypatch):
     # g312's hyperplane generators have orders 3, 3, 2, 2, 2: seven
-    # divisions per lift, one coset each, for its 18 lifts, and no full
-    # membership
+    # divisibility verdicts per lift, one coset each, for its 18 lifts, no
+    # full membership and no quotient
     group = load_group("g312")
-    calls = {"membership": 0, "divide": 0}
+    calls = {"membership": 0, "verdict": 0, "divide": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -259,12 +259,17 @@ def test_certificate_divides_identity_cosets_only(monkeypatch):
     monkeypatch.setattr(equivariant, "membership", counting("membership", equivariant.membership))
     monkeypatch.setattr(
         equivariant,
+        "linear_power_divides",
+        counting("verdict", equivariant.linear_power_divides),
+    )
+    monkeypatch.setattr(
+        equivariant,
         "divide_by_linear_power",
         counting("divide", equivariant.divide_by_linear_power),
     )
     triples = DimensionTriples(group)
     assert triples.refused_by is None
-    assert calls == {"membership": 0, "divide": 18 * 7}
+    assert calls == {"membership": 0, "verdict": 18 * 7, "divide": 0}
 
 
 def test_closing_certificate_builds_no_map(monkeypatch):

@@ -83,9 +83,11 @@ def _multiplies_denominators(node):
 
 
 def test_one_product_kernel():
-    # integer-numerator products and their accumulation over a common
-    # denominator exist once, in cyclotomic.keyed_dot_products; the rest of
-    # the package reaches them through it
+    # integer-numerator products exist only in cyclotomic, and their
+    # accumulation over a common denominator once, in
+    # cyclotomic.keyed_dot_products; the rest of the package reaches them
+    # through it or, for the membership verdict's fraction-free sums over a
+    # denominator the caller keeps, through numerator_dot_products
     mul_int, accumulating = set(), set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -97,9 +99,10 @@ def test_one_product_kernel():
                 mul_int.add(where)
             if _multiplies_denominators(node):
                 accumulating.add(where)
-    # the kernel, one product, and the norm of an inverse
+    # the two kernels, one product, and the norm of an inverse
     assert mul_int == {
         "cyclotomic.keyed_dot_products",
+        "cyclotomic.numerator_dot_products",
         "cyclotomic.CycNum.__mul__",
         "cyclotomic._inverse",
     }

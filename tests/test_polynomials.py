@@ -250,6 +250,71 @@ def test_horner_division_equals_coordinate_route():
     assert pivots == {0, 1}
 
 
+def cycnum_horner_division(f, form, power):
+    """Horner division with every coefficient a canonical CycNum, one
+    linear-form product at a time: the route the integer steps replaced,
+    kept here as the oracle."""
+    n, m, p = f.nvars, f.conductor, form.pivot
+    root = [(j, -c) for j, c in enumerate(form.coeffs) if c and j != p]
+
+    def plus_root_multiple(base, q):
+        out = dict(base)
+        for e, c in q.items():
+            for j, cj in root:
+                key = e[:j] + (e[j] + 1,) + e[j + 1 :]
+                v = out[key] + c * cj if key in out else c * cj
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        return out
+
+    slices = [{} for _ in range(1 + max(e[p] for e in f.terms))]
+    for e, c in f.terms.items():
+        slices[e[p]][e[:p] + (0,) + e[p + 1 :]] = c
+    for step in range(power):
+        quotient = [{} for _ in range(len(slices) - 1)]
+        carry = {}
+        for k in range(len(slices) - 1, 0, -1):
+            carry = quotient[k - 1] = plus_root_multiple(slices[k], carry)
+        remainder = plus_root_multiple(slices[0], carry)
+        if remainder:
+            return NotDivisible(step, MultiPoly(n, m, remainder) * form.as_poly() ** step)
+        slices = quotient
+    return MultiPoly(
+        n, m, {e[:p] + (k,) + e[p + 1 :]: c for k, piece in enumerate(slices) for e, c in piece.items()}
+    )
+
+
+def test_integer_horner_equals_cycnum_horner():
+    # forms with coefficient denominators (D > 1) take the scaled branch;
+    # dividends carry mixed coefficient denominators
+    rng = random.Random(21)
+    cases = [(f, form) for f, form in _division_cases() if f]
+    for m in (1, 3, 4):
+        for _ in range(6):
+            _, form = LinearForm.normalize(
+                [_random_scalar(rng, m) or 1, Fraction(rng.randint(-5, 5), rng.randint(1, 6))], m
+            )
+            for a in range(5):
+                cases.append((_random_poly(rng, 2, m, terms=5) * form.as_poly() ** a, form))
+    scaled = divided = witnessed = 0
+    for f, form in cases:
+        scaled += form.integral_root[0] > 1
+        for power in range(1, 6):
+            mine = divide_by_linear_power(f, form, power)
+            oracle = cycnum_horner_division(f, form, power)
+            assert type(mine) is type(oracle), (f, form, power)
+            if isinstance(oracle, NotDivisible):
+                witnessed += 1
+                assert mine.valuation == oracle.valuation
+                assert mine.witness.terms == oracle.witness.terms
+            else:
+                divided += 1
+                assert mine.terms == oracle.terms
+    assert scaled > 20 and divided > 100 and witnessed > 100
+
+
 def test_division_by_a_single_variable_shifts():
     x, y = xy(3)
     _, form = LinearForm.normalize([0, 2], 3)

@@ -78,9 +78,12 @@ def test_a_run_without_checks_never_passes():
 
 def test_report_unchanged_under_optimized_python():
     # python -O strips assert statements; every guard must still hold
+    # s3 has transported co-roots with denominator 2, so its verdicts take
+    # the scaled branch of the integer Horner steps
     code = (
         "from reflect_gkm.suite import run_suite; import sys; "
-        "sys.stdout.write(run_suite('z3', dmax=3, trials=1).to_json())"
+        "sys.stdout.write(run_suite('z3', dmax=3, trials=1).to_json()); "
+        "sys.stdout.write(run_suite('s3', dmax=3, trials=1).to_json())"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -89,8 +92,11 @@ def test_report_unchanged_under_optimized_python():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == run_suite("z3", dmax=3, trials=1).to_json()
-    assert json.loads(proc.stdout)["pass"] is True
+    z3 = run_suite("z3", dmax=3, trials=1).to_json()
+    s3 = run_suite("s3", dmax=3, trials=1).to_json()
+    assert proc.stdout == z3 + s3
+    assert json.loads(z3)["pass"] is True
+    assert json.loads(s3)["pass"] is True
 
 
 def test_naive_control_differs_for_order_three():
