@@ -60,8 +60,9 @@ with g integral.  x_p -> y / D is an invertible change of variables and
 L D^top and D are nonzero scalars, so ell^i divides S_i exactly when
 (y - r)^i divides g, and each Horner step on g adds integer products
 only.  lift_membership does the same with its values s^j . e, and
-divide_by_linear_power runs the same steps and scales the quotient or the
-witness back.
+orbit_difference and divided_difference form their sums the same way;
+divide_numerators runs the same steps for their quotients and scales the
+quotient or the witness back once per coefficient.
 
 An equivariant map, F(x) = x . e, needs only the identity coset <s> of
 each generator.  Its order-i sum there is P_i = sum_j lambda^{-ij} s^j . e,
@@ -95,14 +96,13 @@ from .polynomials import (
     LinearForm,
     MultiPoly,
     NotDivisible,
-    divide_by_linear_power,
+    divide_numerators,
     graded_monomials,
     hyperplane_coordinates,
     integral_numerators,
     linear_power_divides,
     parse_poly,
     poly_text,
-    weighted_sum,
 )
 
 __all__ = [
@@ -307,9 +307,10 @@ def divided_difference(group: ReflectionGroup, s: PseudoReflection, i: int, f: M
     library bug and raises GroupInvariantViolated); beyond that the result
     may genuinely be non-polynomial and NotDivisible is returned as data.
     """
-    moved = (group.act(p, f) for p in group.cyclic_powers(s.element))
-    acc = weighted_sum(zip(moved, s.weights(i)), group.dimension, group.conductor)
-    res = divide_by_linear_power(acc, s.coroot, i)
+    moved = [group.act(p, f) for p in group.cyclic_powers(s.element)]
+    values, den = integral_numerators(moved, group.dimension, group.conductor)
+    acc = _integral_sum(group.conductor, values, s.weights(i))
+    res = divide_numerators(acc, den, s.coroot, i)
     if isinstance(res, NotDivisible) and i <= s.order - 1:
         raise GroupInvariantViolated(
             "inexact division in a range where it is guaranteed exact"
@@ -321,12 +322,11 @@ def orbit_difference(group: ReflectionGroup, s: PseudoReflection, i: int, F: Gro
     """The order-i weighted difference of F along right <s>-orbits; returns
     the certificate of failed divisibilities instead of a map when F is not
     smooth enough."""
-    n, m = group.dimension, group.conductor
+    numerators, den = integral_numerators(F.values, group.dimension, group.conductor)
     values: list[MultiPoly | None] = [None] * group.order
     failures: list[MembershipFailure] = []
-    for orbit in group.orbits(s):
-        acc = weighted_sum(zip((F.values[x] for x in orbit.members), s.weights(i)), n, m)
-        res = divide_by_linear_power(acc, orbit.form, i)
+    for orbit, acc in _orbit_sums(group, s, i, numerators):
+        res = divide_numerators(acc, den, orbit.form, i)
         if isinstance(res, NotDivisible):
             failures.append(MembershipFailure(orbit.rep, s, i, res))
             continue

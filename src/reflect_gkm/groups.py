@@ -291,9 +291,6 @@ class ReflectionGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def mul(self, i: int, j: int) -> int:
         return self.mult_table[i][j]
 

@@ -29,8 +29,9 @@ the form's coefficient denominators (integral_root, cached per form), the
 pivot is replaced by y = D x_p and the slice of x_p^k is scaled by
 D^(top - k), so every step adds integer products only.  Why that keeps
 divisibility is proved once, in the equivariant module docstring.
-linear_power_divides reads only the verdict; divide_by_linear_power scales
-each coefficient of the quotient or the witness back once.
+linear_power_divides reads only the verdict; divide_numerators scales each
+coefficient of the quotient or the witness back once, and
+divide_by_linear_power is it on the numerators of one MultiPoly.
 
 Linear combinations sum_k w_k f_k (weighted_sum) and sums of products
 sum_k f_k g_k (sum_of_products; a product is its one-pair case) go through
@@ -63,6 +64,7 @@ __all__ = [
     "LinearSubstitution",
     "NotDivisible",
     "divide_by_linear_power",
+    "divide_numerators",
     "graded_monomials",
     "hyperplane_coordinates",
     "integral_numerators",
@@ -476,7 +478,17 @@ def linear_power_divides(terms: dict, form: LinearForm, power: int) -> bool:
 
 
 def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):
-    """f / form^power as a polynomial, or NotDivisible.
+    """f / form^power as a polynomial, or NotDivisible: divide_numerators
+    on the integer numerators of f."""
+    n, m = f.nvars, f.conductor
+    _check_operand(form, n, m)
+    (terms,), den = integral_numerators([f], n, m)
+    return divide_numerators(terms, den, form, power)
+
+
+def divide_numerators(terms: dict, den: int, form: LinearForm, power: int):
+    """f / form^power as a polynomial, or NotDivisible, for the f with
+    integer coefficient vectors terms over the common denominator den.
 
     power <= 0 multiplies by the |power|-th power of the form, so the
     result is always a polynomial in that range.  Otherwise f is divided by
@@ -485,13 +497,10 @@ def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):
     remainder; each coefficient of the quotient or witness is scaled back
     once.
     """
-    n, m = f.nvars, f.conductor
-    _check_operand(form, n, m)
-    if power <= 0:
-        return f * form.as_poly() ** -power
-    if not f:
-        return f
-    (terms,), den = integral_numerators([f], n, m)
+    n, m = form.nvars, form.conductor
+    if power <= 0 or not terms:
+        f = MultiPoly._make(n, m, {e: from_numerators(m, c, den) for e, c in terms.items()})
+        return f * form.as_poly() ** -power if power <= 0 else f
     steps, top, pieces = _horner(terms, form, power)
     D, p = form.integral_root[0], form.pivot
     if steps < power:

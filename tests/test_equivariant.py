@@ -169,7 +169,9 @@ def test_inexact_guaranteed_division_is_a_library_bug(z3, monkeypatch):
     s = z3.reflections()[0]
     x1 = P("x1", z3)
     monkeypatch.setattr(
-        equivariant_module, "divide_by_linear_power", lambda f, form, power: NotDivisible(0, f)
+        equivariant_module,
+        "divide_numerators",
+        lambda terms, den, form, power: NotDivisible(0, x1),
     )
     with pytest.raises(GroupInvariantViolated):
         divided_difference(z3, s, 1, x1)
@@ -198,21 +200,101 @@ def test_orbit_difference_failure_certificate(z2):
     assert fail.witness.witness == P("1", z2)
 
 
+def assert_matches_oracle(group, F, orders):
+    """orbit_difference(s, i, F) against the per-element oracle for every
+    reflection s and every i in orders(s); returns whether every division
+    was exact."""
+    exact = True
+    for s in group.reflections():
+        for i in orders(s):
+            mine = orbit_difference(group, s, i, F)
+            oracle = orbit_difference_oracle(group, s, i, F)
+            if oracle is None:
+                assert isinstance(mine, MembershipCertificate) and not mine.ok
+                exact = False
+            else:
+                assert mine == oracle, (group.name, s.element, i)
+    return exact
+
+
+def mixed_denominator_map(rng, group):
+    """Random values over denominators up to 35, every third one zero."""
+    n, m = group.dimension, group.conductor
+    zero = MultiPoly.zero(n, m)
+    return GroupMap(group, [
+        random_poly(rng, n, m, max_degree=3) / rng.choice([5, 7, 35]) if x % 3 else zero
+        for x in range(group.order)
+    ])
+
+
 def test_orbit_difference_matches_per_element_oracle(s3, b2, z3):
+    z4, g312 = load_group("z4"), load_group("g312")
+    rng = random.Random("oracle")
     cases = [
         (s3, gmap(s3, "x1^2", "x2^2", "x1*x2", "0", "x1^2 + x2", "x1 - x2")),
         (b2, gmap(b2, "x1", "x2", "x1 + x2", "0", "x1^2", "x2^2", "x1*x2", "1")),
         (z3, gmap(z3, "x1^2", "z*x1^2", "x1")),
+        (z4, gmap(z4, "1/2*x1^2", "0", "1/3*z*x1^3", "x1 + 1/5")),
+        (z4, random_member(rng, z4, max_degree=4) / 3),
+        (g312, random_member(rng, g312, max_degree=3)),
     ]
-    for group, F in cases:
-        for s in group.reflections():
-            for i in range(0, s.order):
-                mine = orbit_difference(group, s, i, F)
-                oracle = orbit_difference_oracle(group, s, i, F)
-                if oracle is None:
-                    assert isinstance(mine, MembershipCertificate)
+    groups = (s3, b2, z4, g312)
+    mixed = [mixed_denominator_map(rng, g) for g in groups]
+    # they really mix denominators, and fail somewhere
+    assert all(len(value_denominators(F)) > 1 and not membership(F).ok for F in mixed)
+    for group, F in cases + list(zip(groups, mixed)):
+        assert assert_matches_oracle(group, F, lambda s: range(-1, s.order)) == membership(F).ok
+
+
+def test_orbit_difference_converts_once_and_sums_on_numerators(monkeypatch):
+    # one integral_numerators call per operator call, its sums formed by
+    # _integral_sum on integer numerators, never by weighted_sum on CycNums
+    g = load_group("g312")
+    F = random_member(random.Random(3), g)
+    calls = {"integral_numerators": 0, "weighted_sum": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    # every binding of each name: equivariant's own imports and the
+    # polynomials module's, which divide_by_linear_power calls
+    for module in (equivariant_module, polynomials_module):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for s in g.reflections():
+        calls.update(integral_numerators=0, weighted_sum=0)
+        assert isinstance(orbit_difference(g, s, s.order - 1, F), GroupMap)
+        assert calls == {"integral_numerators": 1, "weighted_sum": 0}
+
+
+@pytest.mark.parametrize("name", ["b2", "g312"])
+def test_divided_difference_matches_the_cyclotomic_formula(name):
+    # ell_s^-i sum_j lambda^{-ij} s^j(f), the sum formed in CycNums
+    g = load_group(name)
+    n, m = g.dimension, g.conductor
+    rng = random.Random(f"divided:{name}")
+    polys = [random_poly(rng, n, m, max_degree=4) / rng.choice([1, 5, 7]) for _ in range(4)]
+    for s in g.reflections():
+        form = s.coroot.as_poly()
+        for f in polys:
+            for i in range(-1, s.order + 1):
+                w = s.eigenvalue ** (-i)
+                acc = MultiPoly.zero(n, m)
+                for j, p in enumerate(g.cyclic_powers(s.element)):
+                    acc = acc + g.act(p, f) * w**j
+                mine = divided_difference(g, s, i, f)
+                if i <= 0:
+                    assert mine == acc * form ** (-i)
+                elif isinstance(mine, NotDivisible):
+                    assert i == s.order
+                    assert mine == divide_by_linear_power(acc, s.coroot, i)
                 else:
-                    assert mine == oracle
+                    assert mine * form**i == acc
 
 
 def test_coroot_map(z2, z3):
@@ -563,6 +645,8 @@ def test_integral_verdict_equals_the_failure_loop(name):
         ok = membership(F).ok
         verdicts.append(ok)
         assert ok == (not equivariant_module._all_failures(F))
+        # _all_failures shares the integer sums; the oracle sums CycNums
+        assert ok == assert_matches_oracle(g, F, lambda s: range(1, s.order))
     assert set(verdicts) == {True, False}
     assert all(verdicts[len(maps) :: 2])
 

@@ -264,8 +264,8 @@ def test_certificate_divides_identity_cosets_only(monkeypatch):
     )
     monkeypatch.setattr(
         equivariant,
-        "divide_by_linear_power",
-        counting("divide", equivariant.divide_by_linear_power),
+        "divide_numerators",
+        counting("divide", equivariant.divide_numerators),
     )
     triples = DimensionTriples(group)
     assert triples.refused_by is None
