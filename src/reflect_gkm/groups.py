@@ -23,10 +23,11 @@ Conventions used throughout the package:
     scale * form with form normalized.  Member j sees tau_j * form with
     tau_j = scale * lambda^j.  The table is computed once per (group,
     reflection) and cached on the group.  An Orbit is also a hyperedge of
-    the reflection hypergraph.  Every per-coset scalar (scale^-i, the
-    Vandermonde inverse, both edge-integral weight vectors and the checks
-    comparing them) is a function of tau, so it is computed on first use
-    and kept in a table that all orbits of the group with equal tau share.
+    the reflection hypergraph.  Every per-coset scalar (scale^-i, both
+    edge-integral weight vectors, and the Vandermonde inverse with its
+    exact certificate) is a function of tau, so it is computed on first
+    use and kept in a table that all orbits of the group with equal tau
+    share.
 
 The invariant ring is polynomial exactly when the pseudo-reflections
 generate the group (Chevalley-Shephard-Todd), and then the fundamental
@@ -149,37 +150,36 @@ class Orbit:
 
     @property
     def vandermonde_inverse(self):
-        """Inverse of the Vandermonde matrix [tau_j^i]."""
-
-        def invert():
-            V = [[t**i for i in range(self.size)] for t in self.tau]
-            return mat_inv(V, self.form.conductor)
-
-        return self._kept("vandermonde", invert)
+        """The matrix D with row i = eigenvalue_weights(size - 1 - i),
+        returned once V . D = I is checked exactly for V = [tau_j^i]; what
+        that proves is in the hypergraph module docstring.  Raises
+        GroupInvariantViolated, naming the orbit's members and reflection,
+        when the check fails."""
+        return self._kept("vandermonde", lambda: _certified_inverse(self))
 
     def inverse_scale_power(self, i: int) -> CycNum:
         """scale^-i, which turns (rep . ell_s)^i into form^i."""
         return self._kept(("scale", i), lambda: self.scale ** (-i))
 
     def lagrange_weights(self, k: int) -> tuple[CycNum, ...]:
-        """tau_j^k / prod_{l != j} (tau_j - tau_l) for each member j."""
+        """tau_j^k / prod_{l != j} (tau_j - tau_l) per member j, = eigenvalue_weights(k)."""
         return self._kept(("lagrange", k), lambda: _lagrange_weights(self, k))
 
     def eigenvalue_weights(self, k: int) -> tuple[CycNum, ...]:
         """scale^-i lambda^{-ij} / size for each member j, i = size - 1 - k."""
         return self._kept(("eigenvalue", k), lambda: _eigenvalue_weights(self, k))
 
-    def weights_agree(self, k: int) -> bool:
-        """Are the two weight vectors above exactly equal?  The edge
-        integrals are linear in the vertex values, so equal vectors make
-        the two routes agree on every map."""
-        return self._kept(
-            ("agree", k), lambda: self.lagrange_weights(k) == self.eigenvalue_weights(k)
-        )
 
-    def rows_agree(self) -> bool:
-        """Are rows 1 .. size - 1 of the Vandermonde inverse the eigenvalue weights?"""
-        return self._kept("rows", lambda: _rows_agree(self))
+def _certified_inverse(orbit: Orbit) -> tuple[tuple[CycNum, ...], ...]:
+    r = orbit.size
+    inverse = tuple(orbit.eigenvalue_weights(r - 1 - i) for i in range(r))
+    V = tuple(tuple(t**i for i in range(r)) for t in orbit.tau)
+    if mat_mul(V, inverse) != mat_identity(r, orbit.form.conductor):
+        raise GroupInvariantViolated(
+            f"edge {list(orbit.members)} of reflection {orbit.reflection.element}: "
+            "its eigenvalue weights do not invert the Vandermonde matrix of its tau"
+        )
+    return inverse
 
 
 def _lagrange_weights(orbit: Orbit, k: int) -> tuple[CycNum, ...]:
@@ -195,12 +195,6 @@ def _eigenvalue_weights(orbit: Orbit, k: int) -> tuple[CycNum, ...]:
     i = orbit.size - 1 - k
     base = orbit.inverse_scale_power(i) / orbit.size
     return tuple(base * w for w in orbit.reflection.weights(i))
-
-
-def _rows_agree(orbit: Orbit) -> bool:
-    # order 0 is never divided, so its row is not compared
-    rows, r = orbit.vandermonde_inverse, orbit.size
-    return all(rows[i] == orbit.eigenvalue_weights(r - 1 - i) for i in range(1, r))
 
 
 def _matrix_key(matrix) -> tuple:

@@ -19,31 +19,39 @@ polynomial coefficients: writing the values at the r vertices as
     F(p_j) = sum_i h_i . tau_j^i            (a scalar Vandermonde solve)
 
 the requirement is that the edge's form divides h_i to order i, making
-g_i = h_i / form^i a polynomial for every i.  As tau_j = c . lambda^j,
-row i of the Vandermonde inverse should be c^-i lambda^-ij / r, the
-eigenvalue weights; Orbit.rows_agree checks it exactly, once per tau.
-When it holds on every edge, passing every edge is membership:
-
-  * on each edge, h_i is c^-i / r times the order-i sum of the edge's
-    reflection on its coset, so form^i divides both or neither;
-  * by the deduplication above, each coset x<s> of a hyperplane generator
-    s is the edge of some s^k, gcd(k, e) = 1, whose sums reindex to s's own
-    S_i: passing the edges gives membership(F).ok;
-  * by the Fourier argument in the equivariant module docstring, a
-    member's orbit sums are divisible for every reflection, proper powers
-    included, so by the first point it passes every edge.
-
-The edge integral with insertion exponent k is the Lagrange sum
+g_i = h_i / form^i a polynomial for every i.  The edge integral with
+insertion exponent k is the Lagrange sum
 
     sum_p F(p) tau(p)^k / prod_{q != p} (tau(p) - tau(q)),
 
-a rational section with poles only along the edge's form.  Collapsing the
-scalar weights shows it equals g_{r-1-k}, so it is computed by two
-independent routes (Lagrange scalars from the Vandermonde inverse,
-eigenvalue-weighted orbit sums) and compared; both carry the same power
-of the form, so the numerators must agree.  The identity is linear in F,
-so integral_identity decides it once per (tau, k) from the weights alone
-where they are equal, and sums on each map only where they differ.
+a rational section with poles only along the edge's form, of power
+r - 1 - k.
+
+One exact check proves, for every map, that passing the edges is
+membership and that the integral is g_{r-1-k}.  Let c = tau_0, lambda
+the eigenvalue of the edge's reflection s (a primitive r-th root of
+unity), and D the matrix whose row i is the eigenvalue weights
+c^-i lambda^-ij / r (Orbit.eigenvalue_weights(r - 1 - i)).
+Orbit.vandermonde_inverse checks V . D = I exactly for V = [tau_j^i],
+once per distinct tau, and raises GroupInvariantViolated naming the
+edge's members and reflection when it fails.  W = [(c . lambda^j)^i]
+has W . D = I (sum_i lambda^{i(j - l)} = r [j = l]), so V . D = I forces
+V = W = D^-1, that is tau_j = c . lambda^j.  Then:
+
+  (i) h_i = sum_j D[i][j] F(p_j) is c^-i / r times the order-i sum
+      S_i = sum_j lambda^-ij F(rep . s^j), so form^i divides both or
+      neither.  By the deduplication above, each coset x<s> of a
+      hyperplane generator s is the edge of some s^k, gcd(k, e) = 1,
+      whose sums reindex to s's own S_i, so passing the edges gives
+      membership(F).ok; by the Fourier argument in the equivariant
+      module docstring, a member's sums are divisible for every
+      reflection, proper powers included, so it passes every edge.
+  (ii) the last row of V^-1 is 1 / prod_{l != j}(tau_j - tau_l), so the
+      Lagrange weights tau_j^k D[r-1][j] are c^-i lambda^-ij / r with
+      i = r - 1 - k (lambda^r = 1 covers k >= r): the eigenvalue weights,
+      for every k >= 0.  Both integral routes sum these weights against
+      the values of F, so they agree on every F, and for k < r the
+      integral is h_{r-1-k} / form^{r-1-k} = g_{r-1-k}.
 
 The pairwise condition (adjacent values congruent modulo the form, first
 order only) is kept as a deliberately weaker control: it agrees with
@@ -223,15 +231,15 @@ def edge_integral_weighted(edge: Orbit, F: GroupMap, k: int) -> EdgeSection:
 
 
 def integral_identity(edge: Orbit, F: GroupMap, k: int) -> bool:
-    """Do the two routes agree as rational sections?  Both carry the power
-    size - 1 - k, so equal sections have equal numerators.  Equal weight
-    vectors (Orbit.weights_agree) prove it for every F with no sum formed;
-    only when they differ are both routes summed on F and compared."""
+    """Do the two routes agree as rational sections on F?  Both sum weight
+    vectors against F's values, and the edge's certified Vandermonde
+    inverse proves the vectors equal (module docstring, (ii)), so F is
+    never summed: this certifies the edge and returns True, or raises
+    GroupInvariantViolated when the certificate fails."""
     if k < 0:
         raise ValueError("insertion exponent must be nonnegative")
-    if edge.weights_agree(k):
-        return True
-    return edge_integral(edge, F, k) == edge_integral_weighted(edge, F, k)
+    edge.vandermonde_inverse  # certified once per tau, or raises
+    return True
 
 
 # ---------------------------------------------------------------------------

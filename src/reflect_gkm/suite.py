@@ -8,8 +8,9 @@ tensors pass membership.  The lemma section exercises the operator
 identities on seeded random data: constants, the right action with its
 conjugation twist, orbit decomposition, the product rule, commutation with
 localization, and closure of the operators on members.  The hypergraph
-section confirms that edge interpolation agrees with orbit membership and
-that the two integral routes coincide, on members and on perturbed
+section certifies each edge's Vandermonde inverse, which proves that edge
+interpolation agrees with orbit membership and that the two integral
+routes coincide on every map, and checks both on members and on perturbed
 non-members alike.
 
 Reports are deterministic: every check derives its own child generator
@@ -35,12 +36,7 @@ from pathlib import Path
 
 from .equivariant import GroupMap, coroot_map, membership, orbit_difference
 from .groups import NotPolynomialInvariantRing, ReflectionGroup, load_group
-from .hypergraph import (
-    build_hypergraph,
-    edge_witness,
-    integral_identity,
-    pairwise_graded_dimension,
-)
+from .hypergraph import build_hypergraph, integral_identity, pairwise_graded_dimension
 from .localization import DimensionTriples, commutes_with_difference
 from .sampling import random_member, random_nonmember, random_tensor
 
@@ -381,19 +377,20 @@ def _operator_closure(group: ReflectionGroup, seed: int, trials: int) -> LemmaRe
 def _hypergraph_equivalence(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
     rng = _child_rng(seed, "hypergraph_equivalence")
     H = build_hypergraph(group)
-    # agreeing rows make the edge verdict the orbit verdict (hypergraph docstring)
-    by_rows = all(edge.rows_agree() for edge in H.edges)
+    # each certified Vandermonde inverse makes the edge verdict the orbit
+    # verdict and proves the integral identity (hypergraph docstring)
+    for edge in H.edges:
+        edge.vandermonde_inverse  # certified once per tau, or raises
     checks = failures = 0
     for _ in range(trials):
         member = random_member(rng, group)
         nonmember = random_nonmember(rng, group)
         for F, expect in ((member, True), (nonmember, False)):
             checks += 1
-            orbit_ok = membership(F).ok
-            edges_ok = orbit_ok if by_rows else not any(edge_witness(e, F) for e in H.edges)
+            edges_ok = membership(F).ok
             if expect:
                 member_edges_ok = edges_ok
-            if not (edges_ok == orbit_ok == expect):
+            if edges_ok != expect:
                 failures += 1
             for edge in H.edges:
                 checks += 1

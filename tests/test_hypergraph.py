@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -13,9 +15,10 @@ import reflect_gkm.sampling as sampling_module
 import reflect_gkm.suite as suite_module
 from reflect_gkm.cyclotomic import CycNum
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis
-from reflect_gkm.groups import load_group
+from reflect_gkm.groups import GroupInvariantViolated, load_group
 from reflect_gkm.hypergraph import (
     EdgeWitness,
+    Hypergraph,
     build_hypergraph,
     edge_integral,
     edge_integral_weighted,
@@ -30,6 +33,7 @@ from reflect_gkm.hypergraph import (
     to_json,
     to_json_dict,
 )
+from reflect_gkm.linalg import mat_inv
 from reflect_gkm.localization import TensorElement, localize
 from reflect_gkm.polynomials import MultiPoly, graded_monomials, parse_poly
 from reflect_gkm.sampling import random_member, random_nonmember
@@ -293,29 +297,30 @@ def test_pairwise_dimensions_on_higher_order_groups(name, pairwise, members):
     assert [len(membership_basis(g, d)) for d in range(4)] == members
 
 
-def count_mat_inv(monkeypatch):
-    """Record the size of every matrix the orbit records invert."""
+def count_certificates(monkeypatch):
+    """Record the shared scalar table of every Vandermonde inverse certified."""
     calls = []
-    original = groups_module.mat_inv
+    original = groups_module._certified_inverse
 
-    def counting(a, conductor):
-        calls.append(len(a))
-        return original(a, conductor)
+    def counting(orbit):
+        calls.append(id(orbit.scalars))
+        return original(orbit)
 
-    monkeypatch.setattr(groups_module, "mat_inv", counting)
+    monkeypatch.setattr(groups_module, "_certified_inverse", counting)
     return calls
 
 
 def test_vandermonde_inverse_once_per_edge(monkeypatch):
     g = load_group("z4")
-    calls = count_mat_inv(monkeypatch)
+    calls = count_certificates(monkeypatch)
     H = build_hypergraph(g)
     rng = random.Random(3)
     maps = [random_member(rng, g) for _ in range(3)]
     maps += [random_nonmember(rng, g) for _ in range(3)]
     for F in maps:
         hypergraph_membership(H, F)
-    # every edge is interpolated for every map, but inverted once
+    # every edge is interpolated for every map, but certified once per tau
+    assert sorted(calls) == sorted({id(edge.scalars) for edge in H.edges})
     assert len(calls) == len(H.edges)
 
 
@@ -331,13 +336,13 @@ def test_edges_are_the_groups_orbit_records(name):
 
 def test_rebuilt_hypergraph_inverts_nothing_again(monkeypatch):
     g = load_group("g312")
-    calls = count_mat_inv(monkeypatch)
+    calls = count_certificates(monkeypatch)
     rng = random.Random(7)
     maps = (random_member(rng, g), random_nonmember(rng, g))
     for F in maps:
         hypergraph_membership(build_hypergraph(g), F)
     first = len(calls)
-    # edges with equal tau share their scalars, the inverse included
+    # edges with equal tau share their scalars, the certified inverse included
     assert first == len({id(edge.scalars) for edge in build_hypergraph(g).edges})
     # the orbit records, and the inverses kept on them, belong to the group
     for F in maps:
@@ -382,113 +387,86 @@ def test_integral_weights_once_per_tau_and_insertion(name, monkeypatch):
         for edge in H.edges:
             for k in range(edge.size):
                 assert integral_identity(edge, F, k)
-    # once per (edge, k), or fewer: edges with equal tau share the result
+    # the certificate reads each row of eigenvalue weights once per (edge, k),
+    # or fewer: edges with equal tau share the result
     wanted = sorted({(id(edge.scalars), k) for edge in H.edges for k in range(edge.size)})
-    assert sorted(built["lagrange"]) == wanted
     assert sorted(built["eigenvalue"]) == wanted
-    # the weight vectors are equal, which proves the identity for every map
-    # without summing any of them
-    assert all(edge.weights_agree(k) for edge in H.edges for k in range(edge.size))
+    # it proves the two weight vectors equal for every map, so neither the
+    # Lagrange weights nor any sum on a map is formed
+    assert built["lagrange"] == []
     assert summed == []
 
 
-def test_unequal_weights_fall_back_to_the_sums(monkeypatch):
-    # the eigenvalue route without its 1/size: the vectors differ, so the
-    # identity is decided on each map, and fails on a nonzero member
-    def scaled(orbit, k):
+def unscaled_eigenvalue_weights(monkeypatch, edges):
+    """Fault: the eigenvalue weights without their 1/size, so the rows of D
+    are size times the Vandermonde inverse on every edge."""
+
+    def unscaled(orbit, k):
         i = orbit.size - 1 - k
         base = orbit.inverse_scale_power(i)
         return tuple(base * w for w in orbit.reflection.weights(i))
 
-    monkeypatch.setattr(groups_module, "_eigenvalue_weights", scaled)
-    g = load_group("z3")
-    (edge,) = build_hypergraph(g).edges
-    summed = count_weighted_sums(monkeypatch)
-    one = GroupMap.constant(g, 1)
-    assert not edge.weights_agree(edge.size - 1)
-    assert not integral_identity(edge, one, edge.size - 1)
-    assert len(summed) == 2
-    report = run_suite(g, trials=2, sections=("hypergraph",))
-    assert not report.hypergraph.ok and not report.ok
-    assert "FAIL" in report.text()
+    monkeypatch.setattr(groups_module, "_eigenvalue_weights", unscaled)
+    return edges[0]
+
+
+def wrong_tau_on_one_edge(monkeypatch, edges):
+    """Fault: the last edge's last tau doubled, in a scalar table of its own;
+    the suite builds the hypergraph with that edge in its place."""
+    bad = dataclasses.replace(
+        edges[-1], tau=edges[-1].tau[:-1] + (edges[-1].tau[-1] * 2,), scalars={}
+    )
+    monkeypatch.setattr(
+        suite_module, "build_hypergraph", lambda group: Hypergraph(group, edges[:-1] + (bad,))
+    )
+    return bad
+
+
+@pytest.mark.parametrize("fault", [unscaled_eigenvalue_weights, wrong_tau_on_one_edge])
+@pytest.mark.parametrize("name", ["z3", "z4", "s3", "g312"])
+def test_faulty_edge_is_refused_by_name(name, fault, monkeypatch):
+    g = load_group(name)
+    rng = random.Random(f"refusal:{name}")
+    member, nonmember = random_member(rng, g), random_nonmember(rng, g)
+    # the fault-free control: edge divisions agree with the suite's verdict
+    H = build_hypergraph(g)
+    assert hypergraph_membership(H, member) == []
+    assert hypergraph_membership(H, nonmember) != []
+    assert run_suite(name, trials=2, sections=("hypergraph",)).ok
+    # a fresh group: the first one keeps the certificates the control made
+    g = load_group(name)
+    bad = fault(monkeypatch, build_hypergraph(g).edges)
+    named = rf"edge {re.escape(str(list(bad.members)))} of reflection {bad.reflection.element}:"
+    for F in (member, nonmember):
+        with pytest.raises(GroupInvariantViolated, match=named):
+            edge_quotients(bad, F)
+        with pytest.raises(GroupInvariantViolated, match=named):
+            edge_witness(bad, F)
+        with pytest.raises(GroupInvariantViolated, match=named):
+            integral_identity(bad, F, 0)
+    # the suite certifies every edge before it reads any verdict, and the
+    # first edge to fail is the bad one
+    with pytest.raises(GroupInvariantViolated, match=named):
+        run_suite(g, trials=2, sections=("hypergraph",))
 
 
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3", "b2", "g312"])
 def test_vandermonde_rows_are_the_eigenvalue_weights(name):
     g = load_group(name)
     for edge in build_hypergraph(g).edges:
-        assert edge.rows_agree()
+        # the elimination is the oracle for the certified inverse
+        V = [[t**i for i in range(edge.size)] for t in edge.tau]
+        rows = mat_inv(V, g.conductor)
         # row i is scale^-i lambda^-ij / size for every order, 0 included
-        rows = edge.vandermonde_inverse
         for i in range(edge.size):
+            assert edge.vandermonde_inverse[i] == rows[i]
             assert rows[i] == edge.eigenvalue_weights(edge.size - 1 - i)
-
-
-def refuse_edge_witness(monkeypatch):
-    def refused(edge, F):
-        raise AssertionError("edge_witness was called")
-
-    monkeypatch.setattr(suite_module, "edge_witness", refused)
-    monkeypatch.setattr(hypergraph_module, "edge_witness", refused)
-
-
-def count_edge_witness(monkeypatch):
-    calls = []
-    original = suite_module.edge_witness
-
-    def counting(edge, F):
-        calls.append(edge)
-        return original(edge, F)
-
-    monkeypatch.setattr(suite_module, "edge_witness", counting)
-    return calls
-
-
-@pytest.mark.parametrize("name", ["z4", "s3", "g312"])
-def test_agreeing_rows_decide_edges_without_dividing(name, monkeypatch):
-    # the rows route and the per-map route give the same report bytes
-    refuse_edge_witness(monkeypatch)
-    by_rows = run_suite(name, trials=3, sections=("hypergraph",))
-    assert by_rows.ok and by_rows.hypergraph.trials > 0
-    monkeypatch.undo()
-    monkeypatch.setattr(groups_module, "_rows_agree", lambda orbit: False)
-    calls = count_edge_witness(monkeypatch)
-    per_map = run_suite(name, trials=3, sections=("hypergraph",))
-    assert calls
-    assert per_map.to_json() == by_rows.to_json()
-
-
-def test_disagreeing_rows_on_one_edge_divide_on_every_edge(monkeypatch):
-    g = load_group("g312")
-    H = build_hypergraph(g)
-    # the verdict is kept per tau, so it fails on every edge sharing odd's
-    odd = H.edges[-1]
-    original = groups_module._rows_agree
-    monkeypatch.setattr(
-        groups_module,
-        "_rows_agree",
-        lambda orbit: orbit.scalars is not odd.scalars and original(orbit),
-    )
-    calls = count_edge_witness(monkeypatch)
-    report = run_suite(g, trials=1, sections=("hypergraph",))
-    assert report.ok
-    assert not odd.rows_agree()
-    # the member and the non-member: every edge of the member, and the
-    # non-member up to its first failed edge
-    assert len(H.edges) < len(calls) <= 2 * len(H.edges)
 
 
 @pytest.mark.parametrize("name", ["z4", "g312"])
 def test_rows_compared_once_per_tau(name, monkeypatch):
     g = load_group(name)
-    seen = []
-    original = groups_module._rows_agree
-
-    def counting(orbit):
-        seen.append(id(orbit.scalars))
-        return original(orbit)
-
-    monkeypatch.setattr(groups_module, "_rows_agree", counting)
+    seen = count_certificates(monkeypatch)
     for trials in (2, 3):
         run_suite(g, trials=trials, sections=("hypergraph",))
     H = build_hypergraph(g)

@@ -107,3 +107,22 @@ def test_one_product_kernel():
         "cyclotomic._inverse",
     }
     assert accumulating == {"cyclotomic.keyed_dot_products"}
+
+
+def test_mat_inv_only_in_linalg_and_group_closure():
+    # a group generator's singularity is the only inverse the package
+    # eliminates for; an orbit's Vandermonde inverse is built from its
+    # eigenvalue weights and certified by one product, never eliminated
+    users = set()
+    for path in SOURCES:
+        if path.stem == "linalg":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        users.update(
+            f"{path.stem}.{name}"
+            for name, node in _functions(tree)
+            if _mentions(node, "mat_inv")
+        )
+        if path.stem != "groups":
+            assert not _mentions(tree, "mat_inv"), path.name
+    assert users == {"groups.group_closure"}
