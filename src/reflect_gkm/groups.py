@@ -23,11 +23,11 @@ Conventions used throughout the package:
     scale * form with form normalized.  Member j sees tau_j * form with
     tau_j = scale * lambda^j.  The table is computed once per (group,
     reflection) and cached on the group.  An Orbit is also a hyperedge of
-    the reflection hypergraph.  Every per-coset scalar (scale^-i, both
-    edge-integral weight vectors, and the Vandermonde inverse with its
-    exact certificate) is a function of tau, so it is computed on first
-    use and kept in a table that all orbits of the group with equal tau
-    share.
+    the reflection hypergraph.  Every per-coset scalar (scale^-i, the
+    eigenvalue weights that are also the edge integral's weights, and
+    the Vandermonde inverse with its exact certificate) is a function of
+    tau, so it is computed on first use and kept in a table that all
+    orbits of the group with equal tau share.
 
 The invariant ring is polynomial exactly when the pseudo-reflections
 generate the group (Chevalley-Shephard-Todd), and then the fundamental
@@ -161,10 +161,6 @@ class Orbit:
         """scale^-i, which turns (rep . ell_s)^i into form^i."""
         return self._kept(("scale", i), lambda: self.scale ** (-i))
 
-    def lagrange_weights(self, k: int) -> tuple[CycNum, ...]:
-        """tau_j^k / prod_{l != j} (tau_j - tau_l) per member j, = eigenvalue_weights(k)."""
-        return self._kept(("lagrange", k), lambda: _lagrange_weights(self, k))
-
     def eigenvalue_weights(self, k: int) -> tuple[CycNum, ...]:
         """scale^-i lambda^{-ij} / size for each member j, i = size - 1 - k."""
         return self._kept(("eigenvalue", k), lambda: _eigenvalue_weights(self, k))
@@ -180,13 +176,6 @@ def _certified_inverse(orbit: Orbit) -> tuple[tuple[CycNum, ...], ...]:
             "its eigenvalue weights do not invert the Vandermonde matrix of its tau"
         )
     return inverse
-
-
-def _lagrange_weights(orbit: Orbit, k: int) -> tuple[CycNum, ...]:
-    # 1 / prod_{l != j} (tau_j - tau_l) is the leading coefficient of the
-    # j-th Lagrange basis polynomial: the last row of the Vandermonde inverse
-    leading = orbit.vandermonde_inverse[orbit.size - 1]
-    return tuple(t**k * lead for t, lead in zip(orbit.tau, leading))
 
 
 def _eigenvalue_weights(orbit: Orbit, k: int) -> tuple[CycNum, ...]:

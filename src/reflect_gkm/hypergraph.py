@@ -49,9 +49,10 @@ V = W = D^-1, that is tau_j = c . lambda^j.  Then:
   (ii) the last row of V^-1 is 1 / prod_{l != j}(tau_j - tau_l), so the
       Lagrange weights tau_j^k D[r-1][j] are c^-i lambda^-ij / r with
       i = r - 1 - k (lambda^r = 1 covers k >= r): the eigenvalue weights,
-      for every k >= 0.  Both integral routes sum these weights against
-      the values of F, so they agree on every F, and for k < r the
-      integral is h_{r-1-k} / form^{r-1-k} = g_{r-1-k}.
+      for every k >= 0.  So edge_integral sums the eigenvalue weights
+      against the values of F, and for k < r the integral is
+      h_{r-1-k} / form^{r-1-k} = g_{r-1-k}: an edge's divisions are its
+      integrals made polynomial.
 
 The pairwise condition (adjacent values congruent modulo the form, first
 order only) is kept as a deliberately weaker control: it agrees with
@@ -85,7 +86,6 @@ __all__ = [
     "Hypergraph",
     "build_hypergraph",
     "edge_integral",
-    "edge_integral_weighted",
     "edge_quotients",
     "edge_witness",
     "hypergraph_membership",
@@ -94,6 +94,7 @@ __all__ = [
     "pairwise_membership",
     "section_polynomial",
     "to_dot",
+    "to_json",
     "to_json_dict",
 ]
 
@@ -113,6 +114,49 @@ def build_hypergraph(group: ReflectionGroup) -> Hypergraph:
 
 
 # ---------------------------------------------------------------------------
+# edge integrals
+
+
+@dataclass(frozen=True)
+class EdgeSection:
+    """A rational section along an edge: poly / form^power."""
+
+    poly: MultiPoly
+    power: int
+
+
+def section_polynomial(section: EdgeSection, form: LinearForm):
+    """The section as a polynomial, or NotDivisible when it has a pole."""
+    return divide_by_linear_power(section.poly, form, section.power)
+
+
+def edge_integral(edge: Orbit, F: GroupMap, k: int) -> EdgeSection:
+    """The Lagrange sum of F over the edge with insertion exponent k.  Once
+    the edge is certified (GroupInvariantViolated if that fails), its
+    Lagrange weights are its eigenvalue weights (module docstring, (ii)),
+    and those are summed against the vertex values.  For k >= size - 1
+    the section power is nonpositive: the result is a polynomial."""
+    if k < 0:
+        raise ValueError("insertion exponent must be nonnegative")
+    edge.vandermonde_inverse  # certified once per tau, or raises
+    pairs = zip((F.values[x] for x in edge.members), edge.eigenvalue_weights(k))
+    total = weighted_sum(pairs, F.group.dimension, F.group.conductor)
+    return EdgeSection(total, edge.size - 1 - k)
+
+
+def integral_identity(edge: Orbit, F: GroupMap, k: int) -> bool:
+    """Is edge_integral(edge, F, k) the Lagrange sum for every F?  The
+    edge's certified Vandermonde inverse proves its weights are the
+    Lagrange weights (module docstring, (ii)), so F is never summed: this
+    certifies the edge and returns True, or raises GroupInvariantViolated
+    when the certificate fails."""
+    if k < 0:
+        raise ValueError("insertion exponent must be nonnegative")
+    edge.vandermonde_inverse  # certified once per tau, or raises
+    return True
+
+
+# ---------------------------------------------------------------------------
 # membership along edges
 
 
@@ -127,12 +171,10 @@ class EdgeWitness:
 
 
 def _edge_divisions(edge: Orbit, F: GroupMap, orders: range):
-    """(i, h_i / form^i, or NotDivisible) for each order i in turn."""
-    n, m = F.group.dimension, F.group.conductor
-    values = [F.values[p] for p in edge.members]
+    """(i, h_i / form^i, or NotDivisible) for each order i in turn: h_i is
+    the integral with insertion size - 1 - i (module docstring, (ii))."""
     for i in orders:
-        h = weighted_sum(zip(values, edge.vandermonde_inverse[i]), n, m)
-        yield i, divide_by_linear_power(h, edge.form, i)
+        yield i, section_polynomial(edge_integral(edge, F, edge.size - 1 - i), edge.form)
 
 
 def edge_quotients(edge: Orbit, F: GroupMap):
@@ -188,58 +230,6 @@ def pairwise_graded_dimension(hyper: Hypergraph, d: int) -> int:
     ncols = group.order * nmono
     zero = CycNum.zero(m)
     return ncols - rank([[row.get(j, zero) for j in range(ncols)] for row in rows])
-
-
-# ---------------------------------------------------------------------------
-# edge integrals
-
-
-@dataclass(frozen=True)
-class EdgeSection:
-    """A rational section along an edge: poly / form^power."""
-
-    poly: MultiPoly
-    power: int
-
-
-def section_polynomial(section: EdgeSection, form: LinearForm):
-    """The section as a polynomial, or NotDivisible when it has a pole."""
-    return divide_by_linear_power(section.poly, form, section.power)
-
-
-def _integral(edge: Orbit, F: GroupMap, weights_for, k: int) -> EdgeSection:
-    if k < 0:
-        raise ValueError("insertion exponent must be nonnegative")
-    pairs = zip((F.values[x] for x in edge.members), weights_for(k))
-    total = weighted_sum(pairs, F.group.dimension, F.group.conductor)
-    return EdgeSection(total, edge.size - 1 - k)
-
-
-def edge_integral(edge: Orbit, F: GroupMap, k: int) -> EdgeSection:
-    """Lagrange route: scalar weights tau_j^k / prod_{l != j}(tau_j - tau_l),
-    summed against the vertex values (Orbit.lagrange_weights).  For
-    k >= size - 1 the section power is nonpositive and the result is
-    automatically polynomial."""
-    return _integral(edge, F, edge.lagrange_weights, k)
-
-
-def edge_integral_weighted(edge: Orbit, F: GroupMap, k: int) -> EdgeSection:
-    """Eigenvalue route: the lambda-weighted orbit sum of matching order,
-    scaled back by the representative's transport factor
-    (Orbit.eigenvalue_weights)."""
-    return _integral(edge, F, edge.eigenvalue_weights, k)
-
-
-def integral_identity(edge: Orbit, F: GroupMap, k: int) -> bool:
-    """Do the two routes agree as rational sections on F?  Both sum weight
-    vectors against F's values, and the edge's certified Vandermonde
-    inverse proves the vectors equal (module docstring, (ii)), so F is
-    never summed: this certifies the edge and returns True, or raises
-    GroupInvariantViolated when the certificate fails."""
-    if k < 0:
-        raise ValueError("insertion exponent must be nonnegative")
-    edge.vandermonde_inverse  # certified once per tau, or raises
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ sum.  Each operand's variable count and conductor are checked once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -647,9 +648,7 @@ def _split_factors(s: str) -> list[str]:
     return [p for p in out if p != ""]
 
 
-import re as _re
-
-_SCALAR_RE = _re.compile(r"^(?:\d+(?:/\d+)?|z(?:\^\d+)?)$")
+_SCALAR_RE = re.compile(r"^(?:\d+(?:/\d+)?|z(?:\^\d+)?)$")
 
 
 def parse_poly(
@@ -674,7 +673,7 @@ def parse_poly(
             elif _SCALAR_RE.match(factor):
                 coeff = coeff * parse_cyc(factor, conductor)
             else:
-                m = _re.match(r"^(.*?)(?:\^(\d+))?$", factor)
+                m = re.match(r"^(.*?)(?:\^(\d+))?$", factor)
                 name, exp = m.group(1), int(m.group(2) or 1)
                 if name not in index:
                     raise ValueError(f"unknown factor {factor!r} in {text!r}")

@@ -9,9 +9,9 @@ identities on seeded random data: constants, the right action with its
 conjugation twist, orbit decomposition, the product rule, commutation with
 localization, and closure of the operators on members.  The hypergraph
 section certifies each edge's Vandermonde inverse, which proves that edge
-interpolation agrees with orbit membership and that the two integral
-routes coincide on every map, and checks both on members and on perturbed
-non-members alike.
+interpolation agrees with orbit membership and that the edge integral is
+the Lagrange sum on every map, and checks both on members and on
+perturbed non-members alike.
 
 Reports are deterministic: every check derives its own child generator
 from the suite seed and its name, so a fixed (group, dmax, trials, seed)

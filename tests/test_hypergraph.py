@@ -21,7 +21,6 @@ from reflect_gkm.hypergraph import (
     Hypergraph,
     build_hypergraph,
     edge_integral,
-    edge_integral_weighted,
     edge_quotients,
     edge_witness,
     hypergraph_membership,
@@ -42,15 +41,6 @@ from reflect_gkm.suite import run_suite
 
 def P(text, group):
     return parse_poly(text, group.dimension, group.conductor, names=group.variables)
-
-
-def sections_equal(a, b, form):
-    """Equality of two edge sections after clearing the common power of the
-    edge's form."""
-    q = min(a.power, b.power)
-    lhs = a.poly * form.as_poly() ** (b.power - q)
-    rhs = b.poly * form.as_poly() ** (a.power - q)
-    return lhs == rhs
 
 
 @pytest.fixture(scope="module")
@@ -161,20 +151,6 @@ def test_integral_constants(z2, z3, z4, s3):
                 )
 
 
-def test_integral_dual_routes_agree(z3, z4, s3, b2):
-    rng = random.Random(37)
-    for group in (z3, z4, s3, b2):
-        H = build_hypergraph(group)
-        for _ in range(3):
-            F = random_member(rng, group, max_degree=4)
-            for edge in H.edges:
-                for k in range(edge.size):
-                    assert integral_identity(edge, F, k)
-                    a = edge_integral(edge, F, k)
-                    b = edge_integral_weighted(edge, F, k)
-                    assert sections_equal(a, b, edge.form)
-
-
 def test_integral_polynomiality_tracks_membership(z3):
     (edge,) = build_hypergraph(z3).edges
     good = localize(TensorElement.pure(z3, 1, P("x1^2", z3)))
@@ -208,8 +184,8 @@ def test_integral_large_insertion_is_polynomial(z2, z3):
 
 
 def _lagrange_product_integral(edge, F, k):
-    # the Lagrange weights from the explicit products, as edge_integral
-    # computed them before it read the Vandermonde inverse
+    # the Lagrange weights from the explicit products, independent of the
+    # eigenvalue weights and of the certified inverse built from them
     m = F.group.conductor
     total = MultiPoly.zero(F.group.dimension, m)
     for j in range(edge.size):
@@ -223,12 +199,16 @@ def _lagrange_product_integral(edge, F, k):
 
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3", "b2", "g312"])
 def test_edge_integral_matches_lagrange_products(name):
+    # the one Lagrange oracle: edge_integral against the explicit products,
+    # members and non-members, past k = size so that the eigenvalue weights
+    # wrap round lambda^size = 1
     group = load_group(name)
     rng = random.Random(59)
     maps = (random_member(rng, group, max_degree=3), random_nonmember(rng, group))
     for edge in build_hypergraph(group).edges:
         for F in maps:
-            for k in range(edge.size + 1):
+            for k in range(edge.size + 3):
+                assert integral_identity(edge, F, k)
                 sec = edge_integral(edge, F, k)
                 assert sec.power == edge.size - 1 - k
                 assert sec.poly == _lagrange_product_integral(edge, F, k)
@@ -366,15 +346,14 @@ def count_weighted_sums(monkeypatch):
 @pytest.mark.parametrize("name", ["z4", "g312"])
 def test_integral_weights_once_per_tau_and_insertion(name, monkeypatch):
     g = load_group(name)
-    built = {"lagrange": [], "eigenvalue": []}
-    for route in built:
-        original = getattr(groups_module, f"_{route}_weights")
+    built = []
+    original = groups_module._eigenvalue_weights
 
-        def counting(orbit, k, original=original, seen=built[route]):
-            seen.append((id(orbit.scalars), k))
-            return original(orbit, k)
+    def counting(orbit, k):
+        built.append((id(orbit.scalars), k))
+        return original(orbit, k)
 
-        monkeypatch.setattr(groups_module, f"_{route}_weights", counting)
+    monkeypatch.setattr(groups_module, "_eigenvalue_weights", counting)
     H = build_hypergraph(g)
     rng = random.Random(11)
     maps = [random_member(rng, g), random_nonmember(rng, g), random_member(rng, g)]
@@ -390,10 +369,9 @@ def test_integral_weights_once_per_tau_and_insertion(name, monkeypatch):
     # the certificate reads each row of eigenvalue weights once per (edge, k),
     # or fewer: edges with equal tau share the result
     wanted = sorted({(id(edge.scalars), k) for edge in H.edges for k in range(edge.size)})
-    assert sorted(built["eigenvalue"]) == wanted
-    # it proves the two weight vectors equal for every map, so neither the
-    # Lagrange weights nor any sum on a map is formed
-    assert built["lagrange"] == []
+    assert sorted(built) == wanted
+    # it proves the edge integral is the Lagrange sum for every map, so no
+    # sum on a map is formed
     assert summed == []
 
 
@@ -444,6 +422,10 @@ def test_faulty_edge_is_refused_by_name(name, fault, monkeypatch):
             edge_witness(bad, F)
         with pytest.raises(GroupInvariantViolated, match=named):
             integral_identity(bad, F, 0)
+        with pytest.raises(GroupInvariantViolated, match=named):
+            edge_integral(bad, F, bad.size - 1)
+        with pytest.raises(GroupInvariantViolated, match=named):
+            hypergraph_membership(Hypergraph(g, (bad,)), F)
     # the suite certifies every edge before it reads any verdict, and the
     # first edge to fail is the bad one
     with pytest.raises(GroupInvariantViolated, match=named):

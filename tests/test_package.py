@@ -126,3 +126,18 @@ def test_mat_inv_only_in_linalg_and_group_closure():
         if path.stem != "groups":
             assert not _mentions(tree, "mat_inv"), path.name
     assert users == {"groups.group_closure"}
+
+
+def test_one_sum_over_a_hypergraph_edge():
+    # the certified Vandermonde inverse makes an edge's Lagrange weights its
+    # eigenvalue weights, so edge_integral is the one sum over an edge and
+    # no second weight table exists
+    summing = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not _mentions(tree, "lagrange_weights"), path.name
+        if path.stem == "hypergraph":
+            summing.update(
+                name for name, node in _functions(tree) if _mentions(node, "weighted_sum")
+            )
+    assert summing == {"edge_integral"}
