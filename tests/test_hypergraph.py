@@ -214,6 +214,22 @@ def test_edge_integral_matches_lagrange_products(name):
                 assert sec.poly == _lagrange_product_integral(edge, F, k)
 
 
+def test_integral_dual_routes_agree(z3, z4, s3, b2):
+    # the two routes to an edge integral, eigenvalue weights (edge_integral)
+    # and explicit Lagrange products, agree on higher-degree members
+    rng = random.Random(37)
+    for group in (z3, z4, s3, b2):
+        H = build_hypergraph(group)
+        for _ in range(3):
+            F = random_member(rng, group, max_degree=4)
+            for edge in H.edges:
+                for k in range(edge.size):
+                    assert integral_identity(edge, F, k)
+                    sec = edge_integral(edge, F, k)
+                    assert sec.power == edge.size - 1 - k
+                    assert sec.poly == _lagrange_product_integral(edge, F, k)
+
+
 def test_lagrange_normalization_constant(z2, z3, z4, s3):
     # the product prod_{a != j}(1 - lambda^a / lambda^j) collapses to the
     # orbit size, for every vertex of every edge
