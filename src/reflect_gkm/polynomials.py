@@ -561,18 +561,14 @@ def _monomial_text(exps: Exponents, names: Sequence[str]) -> str:
 
 
 def _coeff_pieces(c: CycNum) -> tuple[int, str | None]:
-    """(sign, body) for a coefficient; body None means a bare 1."""
-    nz = [k for k, v in enumerate(c.coeffs) if v]
-    if len(nz) > 1:
-        return 1, "(" + c.text() + ")"
-    k = nz[0]
-    v = c.coeffs[k]
-    sign = 1 if v > 0 else -1
-    mag = abs(v)
-    if k == 0:
-        return sign, None if mag == 1 else str(mag)
-    zpow = "z" if k == 1 else f"z^{k}"
-    return sign, zpow if mag == 1 else f"{mag}*{zpow}"
+    """(sign, body) for a coefficient, read off its own text; body None
+    means a bare 1, and a sum of several terms keeps its parentheses."""
+    body = c.text()
+    if " " in body:
+        return 1, f"({body})"
+    sign = -1 if body.startswith("-") else 1
+    body = body.removeprefix("-")
+    return sign, None if body == "1" else body
 
 
 def poly_text(f: MultiPoly, names: Sequence[str] | None = None) -> str:
@@ -630,7 +626,7 @@ def _split_top_level(s: str) -> list[tuple[int, str]]:
 
 
 def _split_factors(s: str) -> list[str]:
-    """Split a term on top-level '*'."""
+    """Split a term on top-level '*'; an empty factor is an error."""
     out = []
     depth = 0
     cur: list[str] = []
@@ -645,7 +641,9 @@ def _split_factors(s: str) -> list[str]:
         else:
             cur.append(ch)
     out.append("".join(cur))
-    return [p for p in out if p != ""]
+    if "" in out:
+        raise ValueError(f"empty factor in {s!r}")
+    return out
 
 
 _SCALAR_RE = re.compile(r"^(?:\d+(?:/\d+)?|z(?:\^\d+)?)$")

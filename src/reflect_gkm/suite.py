@@ -13,10 +13,13 @@ interpolation agrees with orbit membership and that the edge integral is
 the Lagrange sum on every map, and checks both on members and on
 perturbed non-members alike.
 
-Reports are deterministic: every check derives its own child generator
-from the suite seed and its name, so a fixed (group, dmax, trials, seed)
-reproduces the same JSON byte for byte.  Wall-clock timings are collected
-for the human-readable rendering only and never enter the JSON.
+Each check runner yields one outcome per check, and one tally turns an
+outcome stream into its count of checks and failures.  Reports are
+deterministic: every runner draws from a child generator labelled with
+the suite seed and the name it reports under, so a fixed (group, dmax,
+trials, seed) reproduces the same JSON byte for byte.  Wall-clock timings
+are collected for the human-readable rendering only and never enter the
+JSON.
 
 The optional pairwise control computes the graded dimensions cut out by
 the classical adjacent-difference condition alone.  It is expected to
@@ -238,81 +241,67 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# lemma runners
+# check runners: each yields one outcome per check, True when it held
 
 
-def _child_rng(seed: int, name: str) -> random.Random:
-    return random.Random(f"{seed}:{name}")
+def _tally(name: str, outcomes) -> LemmaResult:
+    """One check per outcome, one failure per False outcome."""
+    verdicts = list(outcomes)
+    return LemmaResult(name, len(verdicts), sum(not ok for ok in verdicts))
 
 
-def _constant_maps(group: ReflectionGroup) -> LemmaResult:
-    checks = failures = 0
+def _localized_members(group: ReflectionGroup, rng: random.Random, trials: int):
+    for _ in range(trials):
+        yield membership(random_member(rng, group)).ok
+
+
+def _constant_maps(group: ReflectionGroup, rng: random.Random, trials: int):
     one = GroupMap.constant(group, 1)
     for s in group.reflections():
         for i in range(1, s.order):
-            checks += 1
             out = orbit_difference(group, s, i, one)
-            if not (isinstance(out, GroupMap) and not out):
-                failures += 1
-    checks += 1
-    if not membership(one).ok:
-        failures += 1
-    return LemmaResult("constant_maps", checks, failures)
+            yield isinstance(out, GroupMap) and not out
+    yield membership(one).ok
 
 
-def _action_closure(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
-    rng = _child_rng(seed, "action_closure")
+def _action_closure(group: ReflectionGroup, rng: random.Random, trials: int):
     refl = group.reflections()
-    checks = failures = 0
     for _ in range(trials):
         F = random_member(rng, group)
         for w in range(group.order):
-            checks += 1
-            if not membership(F.act(w)).ok:
-                failures += 1
+            yield membership(F.act(w)).ok
         w = rng.randrange(group.order)
         Fw = F.act(w)
         for s in refl:
             c, conj = group.conjugate_reflection(s, w)
             for i in range(1, s.order):
-                checks += 1
                 lhs = orbit_difference(group, s, i, Fw)
                 rhs = orbit_difference(group, conj, i, F)
-                good = (
+                yield (
                     isinstance(lhs, GroupMap)
                     and isinstance(rhs, GroupMap)
                     and lhs == rhs.act(w) * c ** (-i)
                 )
-                if not good:
-                    failures += 1
-    return LemmaResult("action_closure", checks, failures)
 
 
-def _orbit_decomposition(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
-    rng = _child_rng(seed, "orbit_decomposition")
+def _orbit_decomposition(group: ReflectionGroup, rng: random.Random, trials: int):
     coroots = {s.element: coroot_map(group, s) for s in group.reflections()}
-    checks = failures = 0
     for _ in range(trials):
         F = random_member(rng, group)
         for s in group.reflections():
-            checks += 1
             parts = [orbit_difference(group, s, j, F) for j in range(s.order)]
             if not all(isinstance(p, GroupMap) for p in parts):
-                failures += 1
+                yield False
                 continue
             L = coroots[s.element]
             rebuilt = GroupMap.zero(group)
             for j, part in enumerate(parts):
                 rebuilt = rebuilt + part * L ** j
-            if rebuilt / s.order != F:
-                failures += 1
-    return LemmaResult("orbit_decomposition", checks, failures)
+            yield rebuilt / s.order == F
 
 
-def _leibniz(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
-    rng = _child_rng(seed, "leibniz")
+def _leibniz(group: ReflectionGroup, rng: random.Random, trials: int):
     coroots = {s.element: coroot_map(group, s) for s in group.reflections()}
-    checks = failures = 0
     for _ in range(trials):
         F = random_member(rng, group, max_degree=3)
         G = random_member(rng, group, max_degree=3)
@@ -323,11 +312,10 @@ def _leibniz(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
             ops_F = [orbit_difference(group, s, a, F) for a in range(r)]
             ops_G = [orbit_difference(group, s, a, G) for a in range(r)]
             if not all(isinstance(p, GroupMap) for p in ops_F + ops_G):
-                checks += r
-                failures += r
+                # every one of the r identities at s is left unproved
+                yield from [False] * r
                 continue
             for i in range(r):
-                checks += 1
                 lhs = orbit_difference(group, s, i, FG)
                 rhs = GroupMap.zero(group)
                 for a in range(r):
@@ -337,70 +325,58 @@ def _leibniz(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
                     if wrap:
                         term = term * L ** wrap
                     rhs = rhs + term
-                if not (isinstance(lhs, GroupMap) and lhs == rhs / r):
-                    failures += 1
-    return LemmaResult("leibniz", checks, failures)
+                yield isinstance(lhs, GroupMap) and lhs == rhs / r
 
 
-def _localization_commutes(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
-    rng = _child_rng(seed, "localization_commutes")
-    checks = failures = 0
+def _localization_commutes(group: ReflectionGroup, rng: random.Random, trials: int):
     for _ in range(trials):
         T = random_tensor(rng, group, max_summands=1)
         for s in group.reflections():
             for i in range(1, s.order):
-                checks += 1
-                if not commutes_with_difference(group, s, i, T):
-                    failures += 1
-    return LemmaResult("localization_commutes", checks, failures)
+                yield commutes_with_difference(group, s, i, T)
 
 
-def _operator_closure(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
-    rng = _child_rng(seed, "operator_closure")
-    checks = failures = 0
+def _operator_closure(group: ReflectionGroup, rng: random.Random, trials: int):
     for _ in range(trials):
         F = random_member(rng, group)
         for s in group.reflections():
             for i in range(1, s.order):
-                checks += 1
                 out = orbit_difference(group, s, i, F)
-                good = (
+                yield (
                     isinstance(out, GroupMap)
                     and out.act(s.element) == out
                     and membership(out).ok
                 )
-                if not good:
-                    failures += 1
-    return LemmaResult("operator_closure", checks, failures)
 
 
-def _hypergraph_equivalence(group: ReflectionGroup, seed: int, trials: int) -> LemmaResult:
-    rng = _child_rng(seed, "hypergraph_equivalence")
+def _hypergraph_equivalence(group: ReflectionGroup, rng: random.Random, trials: int):
     H = build_hypergraph(group)
     # each certified Vandermonde inverse makes the edge verdict the orbit
     # verdict and proves the integral identity (hypergraph docstring)
     for edge in H.edges:
         edge.vandermonde_inverse  # certified once per tau, or raises
-    checks = failures = 0
     for _ in range(trials):
         member = random_member(rng, group)
         nonmember = random_nonmember(rng, group)
         for F, expect in ((member, True), (nonmember, False)):
-            checks += 1
             edges_ok = membership(F).ok
             if expect:
                 member_edges_ok = edges_ok
-            if edges_ok != expect:
-                failures += 1
+            yield edges_ok == expect
             for edge in H.edges:
-                checks += 1
-                if not all(integral_identity(edge, F, k) for k in range(edge.size)):
-                    failures += 1
+                yield all(integral_identity(edge, F, k) for k in range(edge.size))
         # interpolation succeeds edge by edge exactly where membership says
-        checks += 1
-        if not member_edges_ok:
-            failures += 1
-    return LemmaResult("hypergraph_equivalence", checks, failures)
+        yield member_edges_ok
+
+
+_LEMMAS = (
+    ("constant_maps", _constant_maps),
+    ("action_closure", _action_closure),
+    ("orbit_decomposition", _orbit_decomposition),
+    ("leibniz", _leibniz),
+    ("localization_commutes", _localization_commutes),
+    ("operator_closure", _operator_closure),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +417,10 @@ def run_suite(
         dmax = default_max_degree(group)
     timings: dict[str, float] = {}
 
+    def run(name, runner) -> LemmaResult:
+        # the child generator is labelled with the reported name
+        return _tally(name, runner(group, random.Random(f"{seed}:{name}"), trials))
+
     rows: tuple[DegreeRow, ...] = ()
     image_members = None
     if "theorem" in sections:
@@ -448,29 +428,19 @@ def run_suite(
         triples = DimensionTriples(group)
         rows = tuple(DegreeRow(d, *triples.triple(d)) for d in range(dmax + 1))
 
-        rng = _child_rng(seed, "localized_members")
-        fails = 0
-        for _ in range(trials):
-            if not membership(random_member(rng, group)).ok:
-                fails += 1
-        image_members = LemmaResult("localized_members", trials, fails)
+        image_members = run("localized_members", _localized_members)
         timings["theorem"] = time.perf_counter() - t0
 
-    lemmas: list[LemmaResult] = []
+    lemmas: tuple[LemmaResult, ...] = ()
     if "lemmas" in sections:
         t0 = time.perf_counter()
-        lemmas.append(_constant_maps(group))
-        lemmas.append(_action_closure(group, seed, trials))
-        lemmas.append(_orbit_decomposition(group, seed, trials))
-        lemmas.append(_leibniz(group, seed, trials))
-        lemmas.append(_localization_commutes(group, seed, trials))
-        lemmas.append(_operator_closure(group, seed, trials))
+        lemmas = tuple(run(name, runner) for name, runner in _LEMMAS)
         timings["lemmas"] = time.perf_counter() - t0
 
     hyper = None
     if "hypergraph" in sections:
         t0 = time.perf_counter()
-        hyper = _hypergraph_equivalence(group, seed, trials)
+        hyper = run("hypergraph_equivalence", _hypergraph_equivalence)
         timings["hypergraph"] = time.perf_counter() - t0
 
     control = None
@@ -496,7 +466,7 @@ def run_suite(
         seed=seed,
         rows=rows,
         image_members=image_members,
-        lemmas=tuple(lemmas),
+        lemmas=lemmas,
         hypergraph=hyper,
         control=control,
         timings=timings,

@@ -141,3 +141,26 @@ def test_one_sum_over_a_hypergraph_edge():
                 name for name, node in _functions(tree) if _mentions(node, "weighted_sum")
             )
     assert summing == {"edge_integral"}
+
+
+def test_suite_counts_checks_only_in_its_tally():
+    # every runner yields outcomes, and _tally alone turns them into the
+    # checks and failures of a LemmaResult
+    tree = ast.parse((Path(reflect_gkm.__file__).parent / "suite.py").read_text())
+    counters = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.target, ast.Name)
+        and node.target.id in ("checks", "failures")
+    ]
+    assert counters == []
+    constructing = {
+        name
+        for name, node in _functions(tree)
+        if any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "LemmaResult"
+            for n in ast.walk(node)
+        )
+    }
+    assert constructing == {"_tally"}

@@ -99,6 +99,13 @@ def test_parse_rejects_unknown_names():
         parse_poly("(z + 1*x1", 2, 3)
 
 
+@pytest.mark.parametrize("text", ["x1**2", "*x1", "x1*", "(z)*", "2**x1", "x1 + *x2"])
+def test_parse_rejects_empty_factors(text):
+    # x1**2 once read as 2*x1
+    with pytest.raises(ValueError, match="empty factor"):
+        parse_poly(text, 2, 3)
+
+
 def test_divide_exact_example():
     # (2x - y)^2 (x + y) divided by the normalized form of 2x - y, squared
     x, y = xy()

@@ -173,6 +173,49 @@ def test_lemma_sections_pass_everywhere_small():
         assert report.hypergraph is not None and report.hypergraph.ok
 
 
+# (checks, failures) of localized_members, the six lemmas in report order and
+# hypergraph_equivalence, at dmax=1, trials=2, seed=0, with one operator
+# broken: orbit_difference fails every order-1 difference, or membership
+# flips every verdict.  Recorded before the suite counted in one place.
+FAULT_COUNTS = {
+    ("orbit_difference", "z3"):
+        [(2, 0), (5, 2), (14, 4), (4, 4), (12, 12), (8, 0), (8, 4), (10, 0)],
+    ("orbit_difference", "s3"):
+        [(2, 0), (4, 3), (18, 6), (6, 6), (12, 12), (6, 0), (6, 6), (42, 0)],
+    ("orbit_difference", "g312"):
+        [(2, 0), (12, 7), (58, 14), (14, 14), (36, 36), (22, 0), (22, 14), (162, 0)],
+    ("membership", "z3"):
+        [(2, 2), (5, 1), (14, 6), (4, 0), (12, 0), (8, 0), (8, 8), (10, 6)],
+    ("membership", "s3"):
+        [(2, 2), (4, 1), (18, 12), (6, 0), (12, 0), (6, 0), (6, 6), (42, 6)],
+    ("membership", "g312"):
+        [(2, 2), (12, 1), (58, 36), (14, 0), (36, 0), (22, 0), (22, 22), (162, 6)],
+}
+
+
+@pytest.mark.parametrize("fault, name", sorted(FAULT_COUNTS))
+def test_failure_counts_are_pinned(fault, name, monkeypatch):
+    import reflect_gkm.suite as suite_module
+    from reflect_gkm.equivariant import MembershipCertificate
+
+    original = getattr(suite_module, fault)
+
+    def broken_difference(group, s, i, F):
+        if i == 1:
+            return MembershipCertificate(False, failures=[])
+        return original(group, s, i, F)
+
+    def flipped_membership(F):
+        return MembershipCertificate(not original(F).ok)
+
+    broken = broken_difference if fault == "orbit_difference" else flipped_membership
+    monkeypatch.setattr(suite_module, fault, broken)
+    report = run_suite(name, dmax=1, trials=2, seed=0)
+    results = (report.image_members, *report.lemmas, report.hypergraph)
+    assert [(r.trials, r.failures) for r in results] == FAULT_COUNTS[fault, name]
+    assert not report.ok
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -330,6 +373,16 @@ def test_cli_zero_denominator_is_a_usage_error(tmp_path, capsys):
     bad_group.write_text(json.dumps({**MINUS_IDENTITY, "generators": [["1/0", "0", "0", "1"]]}))
     assert main(["group", "info", "--group", str(bad_group)]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_cli_empty_factor_is_a_usage_error(tmp_path, capsys):
+    # x1**2 once parsed as 2*x1, which z3 reports as a non-member
+    bad_map = tmp_path / "map.json"
+    bad_map.write_text(json.dumps({"values": {"0": "x1**2"}}))
+    assert main(["member", "--group", "z3", "--input", str(bad_map)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty factor in 'x1**2'" in captured.err
 
 
 def test_cli_unreadable_and_unwritable_paths(tmp_path, capsys):
