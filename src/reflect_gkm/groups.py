@@ -61,7 +61,7 @@ from .cyclotomic import (
     upoly_trim,
 )
 from .linalg import mat_identity, mat_inv, mat_mul, mat_vec, rank
-from .polynomials import LinearForm, LinearSubstitution, MultiPoly
+from .polynomials import Exponents, LinearForm, LinearSubstitution, MultiPoly
 
 __all__ = [
     "CapExceeded",
@@ -341,6 +341,10 @@ class ReflectionGroup:
         if i == 0:
             return f
         return self._substitution(i).apply(f)
+
+    def monomial_image(self, i: int, exps: Exponents) -> MultiPoly:
+        """w . x^exps for w the element at index i, memoized on the group."""
+        return self._substitution(i).monomial_image(exps)
 
     def act_linear(self, i: int, form: LinearForm) -> tuple[CycNum, LinearForm]:
         """w . form, split as (scale, normalized form)."""

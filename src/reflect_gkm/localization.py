@@ -6,7 +6,11 @@ group:
 
     localize(T)(x) = sum f . (x applied to g),
 
-one polynomial per element, which is exactly the GroupMap picture.  The
+one polynomial per element, which is exactly the GroupMap picture.  It is
+computed in collected form: the first legs are gathered once per tensor by
+second-leg monomial, F_e = sum_k c_{k,e} f_k for g_k = sum_e c_{k,e} x^e,
+and each value is sum_e F_e . x(x^e) over the group's memoized monomial
+images, so no polynomial is substituted per element.  The
 tensor product over invariants has no canonical normal form worth
 maintaining at this scale, so equality of tensors is extensional: two
 tensors are equal when their localizations agree everywhere.
@@ -45,7 +49,13 @@ from .invariants import (
     graded_count,
 )
 from .linalg import rank, rank_mod_p
-from .polynomials import MultiPoly, graded_monomials, sum_of_products
+from .polynomials import (
+    MultiPoly,
+    _check_operand,
+    graded_monomials,
+    sum_of_products,
+    weighted_sum,
+)
 
 __all__ = [
     "DimensionTriples",
@@ -149,16 +159,38 @@ class TensorElement:
 # the localization map
 
 
+def _localized_values(T: TensorElement, elements) -> list[MultiPoly]:
+    """localize(T)(x) for each x in elements, through the collected first
+    legs F_e; each leg of T is checked once, whatever the elements."""
+    group = T.group
+    n, m = group.dimension, group.conductor
+    by_monomial = {}
+    for f, g in T.summands:
+        _check_operand(g, n, m)
+        for e, c in g.terms.items():
+            by_monomial.setdefault(e, []).append((f, c))
+    collected = [(e, weighted_sum(pairs, n, m)) for e, pairs in by_monomial.items()]
+    collected = [(e, F) for e, F in collected if F]
+    return [
+        sum_of_products(((F, group.monomial_image(x, e)) for e, F in collected), n, m)
+        for x in elements
+    ]
+
+
 def localize_at(T: TensorElement, x: int) -> MultiPoly:
-    """Evaluate the tensor at one group element: sum f . x(g)."""
-    g = T.group
-    pairs = [(f, g.act(x, h)) for f, h in T.summands]
-    return sum_of_products(pairs, g.dimension, g.conductor)
+    """Evaluate the tensor at one group element: sum_k f_k . x(g_k).
+
+    Computed as sum_e F_e . x(x^e) with F_e = sum_k c_{k,e} f_k collected
+    over the monomials of the second legs g_k = sum_e c_{k,e} x^e.  The two
+    agree because x acts linearly, x(g_k) = sum_e c_{k,e} x(x^e), and the
+    product is bilinear; as exact canonical polynomials they are equal, not
+    merely close."""
+    return _localized_values(T, (x,))[0]
 
 
 def localize(T: TensorElement) -> GroupMap:
     g = T.group
-    return GroupMap(g, [localize_at(T, x) for x in range(g.order)])
+    return GroupMap(g, _localized_values(T, range(g.order)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +201,7 @@ def localized_lifts(group: ReflectionGroup) -> list[GroupMap]:
     """localize(1 (x) e), the map x -> x . e, for each lift e of
     coinvariant_basis(group), in order."""
     lifts = coinvariant_basis(group).lifts
-    return [GroupMap(group, [group.act(x, e) for x in range(group.order)]) for e in lifts]
+    return [localize(TensorElement.pure(group, 1, e)) for e in lifts]
 
 
 def image_graded_dimension(

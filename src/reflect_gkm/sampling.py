@@ -23,6 +23,7 @@ __all__ = [
     "random_tensor",
 ]
 
+_NUMERATORS = tuple(n for n in range(-9, 10) if n)
 _DENOMS = (1, 2, 3)
 _NONMEMBER_ATTEMPTS = 50
 
@@ -42,7 +43,7 @@ def random_poly(
         d = homogeneous if homogeneous is not None else rng.randint(0, max_degree)
         pool = graded_monomials(nvars, d)
         exps = pool[rng.randrange(len(pool))]
-        num = rng.choice([n for n in range(-9, 10) if n])
+        num = rng.choice(_NUMERATORS)
         c = Fraction(num, rng.choice(_DENOMS))
         terms[exps] = terms.get(exps, 0) + c
     return MultiPoly(nvars, conductor, terms)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 from math import prod
 
 import pytest
 
 from reflect_gkm import equivariant, localization, polynomials
-from reflect_gkm.cyclotomic import PrimeReduction, root_of_unity
+from reflect_gkm.cyclotomic import ConductorMismatch, PrimeReduction, root_of_unity
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis, orbit_difference
 from reflect_gkm.groups import bundled_names, load_group
 from reflect_gkm.invariants import (
@@ -82,6 +83,96 @@ def test_localize_examples(z2, z3):
     # left leg evaluates untouched, right leg moves
     V = TensorElement.pure(z2, P("x1", z2), 1) + TensorElement.pure(z2, 1, P("x1", z2))
     assert localize(V) == GroupMap(z2, [P("2*x1", z2), MultiPoly.zero(1, 2)])
+
+
+def _localize_by_definition(T):
+    """The oracle: x -> sum_k f_k * x(g_k), from plain products and sums."""
+    group = T.group
+    values = []
+    for x in range(group.order):
+        value = MultiPoly.zero(group.dimension, group.conductor)
+        for f, g in T.summands:
+            value = value + f * group.act(x, g)
+        values.append(value)
+    return GroupMap(group, values)
+
+
+def _assert_localizes_by_definition(T):
+    F = localize(T)
+    assert F == _localize_by_definition(T)
+    assert [localize_at(T, x) for x in range(T.group.order)] == list(F.values)
+    return F
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_collected_localization_equals_the_definition(name):
+    group = load_group(name)
+    rng = random.Random(23)
+    for _ in range(6):
+        _assert_localizes_by_definition(random_tensor(rng, group, max_degree=4))
+
+
+def test_collected_localization_hand_built_cases(s3):
+    f, g = P("x1^2 - 3*x2", s3), P("x1*x2 + 1/2", s3)
+    zero_map = GroupMap.zero(s3)
+
+    # the collected first leg of x1 is f - f = 0, and only f (x) x2 is left
+    T = TensorElement(s3, [(f, P("x1 + x2", s3)), (-f, P("x1", s3))])
+    assert len(T.summands) == 2
+    assert _assert_localizes_by_definition(T) == localize(TensorElement.pure(s3, f, P("x2", s3)))
+
+    # every collected first leg cancels
+    U = TensorElement(s3, [(f, P("x1 - x2^2", s3)), (-f, P("x1 - x2^2", s3))])
+    assert len(U.summands) == 2
+    assert _assert_localizes_by_definition(U) == zero_map
+
+    # a constant second leg localizes to a constant map
+    V = TensorElement(s3, [(f, 3), (g, P("x2", s3))]) + TensorElement.pure(s3, g, P("-1/2", s3))
+    W = _assert_localizes_by_definition(V)
+    assert W == GroupMap.constant(s3, f * 3 - g * Fraction(1, 2)) + localize(
+        TensorElement.pure(s3, g, P("x2", s3))
+    )
+
+    assert _assert_localizes_by_definition(TensorElement.zero(s3)) == zero_map
+
+
+def test_malformed_legs_are_refused(z3):
+    good = P("x1", z3)
+    wide = MultiPoly(2, 3, {(1, 0): 1})
+    other = MultiPoly(1, 1, {(1,): 1})
+    cases = [
+        ([(good, wide)], ValueError, "an operand in 2 variables, not 1"),
+        ([(wide, good)], ValueError, "an operand in 2 variables, not 1"),
+        ([(good, other)], ConductorMismatch, "an operand over conductor 1, not 3"),
+        ([(other, good)], ConductorMismatch, "an operand over conductor 1, not 3"),
+    ]
+    for summands, error, message in cases:
+        T = TensorElement(z3, summands)
+        with pytest.raises(error, match=message):
+            localize(T)
+        for x in range(z3.order):
+            with pytest.raises(error, match=message):
+                localize_at(T, x)
+
+
+def test_localize_applies_no_substitution(monkeypatch):
+    group = load_group("g312")
+    T = TensorElement.pure(group, P("x1 - x2", group), P("x1^2*x2 + 2*x2^3", group))
+    T = T + random_tensor(random.Random(29), group, max_degree=4)
+    applied = []
+    apply = polynomials.LinearSubstitution.apply
+
+    def counted(self, f):
+        applied.append(f)
+        return apply(self, f)
+
+    monkeypatch.setattr(polynomials.LinearSubstitution, "apply", counted)
+    F = localize(T)
+    values = [localize_at(T, x) for x in range(group.order)]
+    assert applied == []
+    monkeypatch.undo()
+    assert F == _localize_by_definition(T)
+    assert values == list(F.values)
 
 
 def test_localize_is_ring_map(s3):
