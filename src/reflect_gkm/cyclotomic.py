@@ -21,8 +21,14 @@ mathematical rather than representational: values held at different
 conductors are compared inside the compositum, and hashes go through the
 minimal conductor, so equal values collide properly in dicts and sets.
 
-The text form is a polynomial in z with high powers first, for example
-``1/2*z^2 - 1``; parse_cyc inverts text exactly.
+The text form of every exact literal is defined here, once.  CycNum.text
+writes a polynomial in z with high powers first, for example
+``1/2*z^2 - 1``, and it and polynomials.poly_text join signed terms
+through join_terms.  parse_terms reads both: signed terms at top-level +
+and -, factors at top-level * in any order, each a rational, z or z^k, a
+parenthesized literal or a variable name with an optional ^k, whitespace
+ignored.  parse_cyc is its case with no variables, so a group-file entry
+and a map-file coefficient follow one grammar.
 
 keyed_dot_products is the one kernel for sums of products: it forms
 {key: sum x y} from (key, x, y) triples on the integer numerators, so each
@@ -30,16 +36,10 @@ output (a polynomial coefficient, a matrix entry) costs one gcd instead of
 one per product and partial sum.  numerator_dot_products is its twin on
 bare integer numerators, for callers that keep one common denominator
 themselves; from_numerators turns such a vector back into a CycNum.
-
-PrimeReduction maps values into a prime field F_p by sending z to a root
-of the cyclotomic polynomial modulo p.  It is a ring homomorphism on every
-value whose common denominator is prime to p, and refuses any other value,
-so a rank computed from reduced entries never exceeds the exact one.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -48,14 +48,14 @@ __all__ = [
     "ArithmeticFault",
     "ConductorMismatch",
     "CycNum",
-    "NotReducible",
-    "PrimeReduction",
     "cyclotomic_polynomial",
     "euler_phi",
     "from_numerators",
+    "join_terms",
     "keyed_dot_products",
     "numerator_dot_products",
     "parse_cyc",
+    "parse_terms",
     "root_of_unity",
 ]
 
@@ -67,11 +67,6 @@ class ConductorMismatch(Exception):
 class ArithmeticFault(ArithmeticError):
     """An identity that exact arithmetic relies on failed to hold; this is
     a library bug, never a property of the input."""
-
-
-class NotReducible(ArithmeticError):
-    """A value has a coefficient denominator divisible by the prime, so it
-    has no image in F_p."""
 
 
 # ---------------------------------------------------------------------------
@@ -428,25 +423,17 @@ class CycNum:
     # -- text --------------------------------------------------------------
 
     def text(self) -> str:
-        parts: list[str] = []
-        coeffs = self.coeffs
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if not c:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                zpow = "z" if k == 1 else f"z^{k}"
-                body = zpow if mag == 1 else f"{mag}*{zpow}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        if not parts:
-            return "0"
-        return " ".join(parts)
+        def terms():
+            coeffs = self.coeffs
+            for k in range(len(coeffs) - 1, -1, -1):
+                c = coeffs[k]
+                if c:
+                    mag = abs(c)
+                    zpow = "z" if k == 1 else f"z^{k}"
+                    body = str(mag) if k == 0 else zpow if mag == 1 else f"{mag}*{zpow}"
+                    yield c, body
+
+        return join_terms(terms())
 
     __str__ = text
 
@@ -609,101 +596,6 @@ def _subfield_coords(m: int, d: int, num: tuple) -> tuple[list[int], int] | None
 
 
 # ---------------------------------------------------------------------------
-# reduction into a prime field
-
-
-# The first 13 primes as strong-probable-prime bases decide primality for
-# every n below _MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86,
-# 2017); the first 12 do not: psi_12 = 318665857834031151167461 is composite
-# and passes all of them.
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MILLER_RABIN_BOUND = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Primality as a proof, not a probabilistic test: strong Miller-Rabin
-    on the bases above.  n at or above their bound is refused."""
-    if n >= _MILLER_RABIN_BOUND:
-        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin bound")
-    if n < 2:
-        return False
-    for q in _MILLER_RABIN_BASES:
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _cyclotomic_value_mod(m: int, x: int, p: int) -> int:
-    """Phi_m(x) modulo p."""
-    return sum(c * pow(x, k, p) for k, c in enumerate(cyclotomic_polynomial(m))) % p
-
-
-# A rank drops modulo p only when p divides every maximal nonzero minor, so
-# a large p makes that rare, while residues near 2^30 keep products cheap.
-_PRIME_FLOOR = 2**30
-
-
-class PrimeReduction:
-    """The ring map Z_(p)[zeta_m] -> F_p sending z to a root r of Phi_m mod p.
-
-    Z_(p) is the rationals whose denominators are prime to p.  Every minor
-    of a matrix over that ring reduces to the matching minor of the reduced
-    matrix, so rank over F_p never exceeds rank over Q(zeta_m).  A value
-    outside the ring raises NotReducible instead of being mapped.
-    """
-
-    __slots__ = ("conductor", "prime", "root", "_powers")
-
-    def __init__(self, conductor: int, prime: int, root: int):
-        if not _is_prime(prime):
-            raise ValueError(f"{prime} is not prime")
-        if _cyclotomic_value_mod(conductor, root, prime):
-            raise ValueError(f"{root} is not a root of Phi_{conductor} modulo {prime}")
-        self.conductor = conductor
-        self.prime = prime
-        self.root = root % prime
-        self._powers = tuple(pow(root, k, prime) for k in range(euler_phi(conductor)))
-
-    @classmethod
-    def for_conductor(cls, conductor: int) -> "PrimeReduction":
-        """The smallest prime p = 1 (mod m) above 2^30, with the first
-        a^((p-1)/m), a = 2, 3, ..., that is a root of Phi_m mod p."""
-        m = conductor
-        p = (_PRIME_FLOOR // m + 1) * m + 1
-        while not _is_prime(p):
-            p += m
-        # F_p^* is cyclic of order divisible by m, so some a works
-        a = 2
-        while _cyclotomic_value_mod(m, pow(a, (p - 1) // m, p), p):
-            a += 1
-        return cls(m, p, pow(a, (p - 1) // m, p))
-
-    def reduce(self, x: CycNum) -> int:
-        """The image of x in F_p, as an integer in [0, p)."""
-        if x.conductor != self.conductor:
-            raise ConductorMismatch(f"conductor {self.conductor} vs {x.conductor}")
-        p = self.prime
-        den = x.den
-        if den % p == 0:
-            raise NotReducible(f"{x.text()} has a denominator divisible by {p}")
-        acc = sum(c * rk for c, rk in zip(x.num, self._powers) if c)
-        return acc % p if den == 1 else acc * pow(den, -1, p) % p
-
-
-# ---------------------------------------------------------------------------
 
 
 def root_of_unity(m: int, k: int) -> CycNum:
@@ -715,38 +607,83 @@ def root_of_unity(m: int, k: int) -> CycNum:
     return _make(m // g, _zeta_power(m // g, k // g), 1)
 
 
-_TERM_RE = re.compile(
-    r"^(?:(?P<rat>\d+(?:/\d+)?)(?:\*(?P<pz>z(?:\^\d+)?))?|(?P<z>z(?:\^\d+)?))$"
-)
+def join_terms(terms) -> str:
+    """The text of a sum of (sign, body) terms, as in ``a - b + c``; "0"
+    when there are none.  CycNum.text and poly_text both write through it."""
+    out = ""
+    for sign, body in terms:
+        if out:
+            out += " - " if sign < 0 else " + "
+        elif sign < 0:
+            out = "-"
+        out += body
+    return out or "0"
+
+
+def _split_top_level(s: str, seps: str) -> list[tuple[str, str]]:
+    """(separator, piece) pairs of s cut at the characters of seps outside
+    parentheses; the first piece's separator is ""."""
+    out, depth, sep, start = [], 0, "", 0
+    for i, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            raise ValueError("unbalanced parentheses")
+        if ch in seps and not depth:
+            out.append((sep, s[start:i]))
+            sep, start = ch, i + 1
+    if depth:
+        raise ValueError("unbalanced parentheses")
+    return out + [(sep, s[start:])]
+
+
+def parse_terms(text: str, conductor: int, names=()) -> dict[tuple[int, ...], CycNum]:
+    """{exponents of names: coefficient} of an exact literal; the one
+    grammar behind parse_cyc (no names, so the one key is ()) and
+    polynomials.parse_poly.
+
+    Whitespace is ignored.  A literal is signed terms split at top-level
+    + and -, and a term is factors split at top-level *.  A factor is a
+    rational a or a/b, z or z^k (z^m = 1), a parenthesized literal with no
+    names, or one of names with an optional ^k."""
+    s = "".join(text.split())
+    if not s:
+        raise ValueError("empty literal")
+    # the exponent of z rides in the last slot; z is the root even if named
+    index = {name: k for k, name in enumerate([*names, "z"])}
+    out: dict = {}
+    # a leading sign leaves an empty first piece
+    for sep, chunk in _split_top_level(s, "+-")[s[0] in "+-" :]:
+        factors = [f for _, f in _split_top_level(chunk, "*")]
+        if "" in factors:
+            raise ValueError(
+                f"empty factor in {chunk!r}" if chunk else f"dangling sign in {text!r}"
+            )
+        num, den, exps, scalars = -1 if sep == "-" else 1, 1, [0] * (len(names) + 1), []
+        for factor in factors:
+            base, hat, power = factor.partition("^")
+            top, slash, bottom = base.partition("/")
+            if factor[0] == "(" and factor[-1] == ")":
+                scalars.append(parse_cyc(factor[1:-1], conductor))
+            elif hat and not power.isdecimal():
+                raise ValueError(f"bad exponent in {factor!r}")
+            elif base in index:
+                exps[index[base]] += int(power or 1)
+            elif not hat and top.isdecimal() and (bottom.isdecimal() or not slash):
+                num, den = num * int(top), den * int(bottom or 1)
+            else:
+                raise ValueError(f"unknown factor {factor!r} in {text!r}")
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        # _zeta_power reduces the exponent mod m
+        term = _canon(conductor, [num * e for e in _zeta_power(conductor, exps.pop())], den)
+        for c in scalars:
+            term = term * c
+        key = tuple(exps)
+        out[key] = out[key] + term if key in out else term
+    return out
 
 
 def parse_cyc(text: str, conductor: int) -> CycNum:
-    """Parse the text form produced by CycNum.text (rationals, z-powers,
-    signs); exponents at or above phi(conductor) are reduced."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty cyclotomic literal")
-    if s[0] not in "+-":
-        s = "+" + s
-    pieces = re.findall(r"[+-][^+-]+", s)
-    if sum(len(p) for p in pieces) != len(s):
-        raise ValueError(f"cannot parse cyclotomic literal {text!r}")
-    acc = CycNum.zero(conductor)
-    for piece in pieces:
-        sign = -1 if piece[0] == "-" else 1
-        m = _TERM_RE.match(piece[1:])
-        if m is None:
-            raise ValueError(f"bad term {piece!r} in cyclotomic literal {text!r}")
-        try:
-            coeff = Fraction(m.group("rat") or 1)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in cyclotomic literal {text!r}") from None
-        zpart = m.group("pz") or m.group("z")
-        exp = 0
-        if zpart:
-            exp = 1 if zpart == "z" else int(zpart[2:])
-        # z^m = 1, so _zeta_power reduces the exponent mod m first
-        q = sign * coeff
-        term = [q.numerator * e for e in _zeta_power(conductor, exp)]
-        acc = acc + _canon(conductor, term, q.denominator)
-    return acc
+    """The value of a literal with no names, such as CycNum.text writes
+    (parse_terms); exponents of z are reduced mod the conductor."""
+    return parse_terms(text, conductor)[()]

@@ -84,13 +84,12 @@ orbit differences of members are where it shows up downstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .cyclotomic import CycNum, numerator_dot_products
-from .groups import GroupInvariantViolated, PseudoReflection, ReflectionGroup
+from .groups import GroupInvariantViolated, PseudoReflection, ReflectionGroup, _read_json
 from .linalg import nullspace
 from .polynomials import (
     LinearForm,
@@ -532,15 +531,7 @@ def load_group_map(source, group: ReflectionGroup) -> GroupMap:
     """Read the JSON form {"group": name, "values": {"<index>": "<poly>"}};
     an index is written in decimal without leading zeros, and missing
     indices mean zero."""
-    if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text())
-        except OSError as exc:
-            raise MapFileError(f"cannot read {source}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise MapFileError(f"{source}: invalid JSON ({exc})") from None
-    else:
-        data = source
+    data = _read_json(source, MapFileError) if isinstance(source, (str, Path)) else source
     if not isinstance(data, dict) or "values" not in data:
         raise MapFileError("map file must be an object with a 'values' field")
     declared = data.get("group")

@@ -61,7 +61,7 @@ from .cyclotomic import (
     upoly_trim,
 )
 from .linalg import mat_identity, mat_inv, mat_mul, mat_vec, rank
-from .polynomials import Exponents, LinearForm, LinearSubstitution, MultiPoly
+from .polynomials import Exponents, LinearForm, LinearSubstitution, MultiPoly, _check_operand
 
 __all__ = [
     "CapExceeded",
@@ -338,6 +338,7 @@ class ReflectionGroup:
 
     def act(self, i: int, f: MultiPoly) -> MultiPoly:
         """(w . f)(v) = f(w^-1 v) for w the element at index i."""
+        _check_operand(f, self.dimension, self.conductor)
         if i == 0:
             return f
         return self._substitution(i).apply(f)
@@ -622,13 +623,17 @@ def load_group(source) -> ReflectionGroup:
             resources.files("reflect_gkm").joinpath(f"groups/{source}.json").read_text()
         )
         return parse_group_dict(json.loads(text))
-    path = Path(source)
-    if not path.exists():
+    if not Path(source).exists():
         raise GroupFileError(f"no such group file or bundled name: {source}")
+    return parse_group_dict(_read_json(source, GroupFileError))
+
+
+def _read_json(path, error: type[Exception]):
+    """The JSON value in the UTF-8 file at path; a file that cannot be read
+    or decoded, or is not JSON, raises error, the caller's file error."""
     try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise GroupFileError(f"cannot read {source}: {exc}") from None
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise GroupFileError(f"{path}: invalid JSON ({exc})") from None
-    return parse_group_dict(data)
+        raise error(f"{path}: invalid JSON ({exc})") from None

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .cyclotomic import CycNum, NotReducible, PrimeReduction
+from .cyclotomic import CycNum
 from .equivariant import (
     GroupMap,
     divided_difference,
@@ -48,7 +48,7 @@ from .invariants import (
     degree_histogram,
     graded_count,
 )
-from .linalg import rank, rank_mod_p
+from .linalg import NotReducible, PrimeReduction, rank, rank_mod_p
 from .polynomials import (
     MultiPoly,
     _check_operand,

@@ -8,7 +8,8 @@ coefficient is ever stored.
 The text form writes terms in graded-lexicographic order, highest degree
 first, for example ``z*x1^2*x2 - 1/3*x2^3``.  A coefficient that needs more
 than one power of z is parenthesized, ``(z + 1)*x1``.  parse_poly inverts
-poly_text bit-exactly.
+poly_text bit-exactly; the grammar is defined once, in cyclotomic
+(parse_terms), and parse_poly reads it over the variable names.
 
 The workhorse for everything downstream is exact division by a power of a
 linear form.  A normalized form is ell = x_p + a(x') with pivot variable
@@ -42,7 +43,6 @@ sum.  Each operand's variable count and conductor are checked once.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -54,9 +54,10 @@ from .cyclotomic import (
     ConductorMismatch,
     CycNum,
     from_numerators,
+    join_terms,
     keyed_dot_products,
     numerator_dot_products,
-    parse_cyc,
+    parse_terms,
 )
 
 __all__ = [
@@ -362,6 +363,8 @@ class LinearSubstitution:
         got = self._memo.get(exps)
         if got is not None:
             return got
+        if len(exps) != self.nvars:
+            raise ValueError(f"exponents {exps} do not fit {self.nvars} variables")
         k = next(i for i, e in enumerate(exps) if e)
         smaller = tuple(e - 1 if i == k else e for i, e in enumerate(exps))
         img = self.monomial_image(smaller) * self._row_polys[k]
@@ -546,8 +549,12 @@ def graded_monomials(nvars: int, d: int) -> tuple[Exponents, ...]:
 # text form
 
 
-def _default_names(nvars: int) -> list[str]:
-    return [f"x{k + 1}" for k in range(nvars)]
+def _names(names: Sequence[str] | None, nvars: int) -> list[str]:
+    """The given variable names, or x1, x2, ...; there must be nvars."""
+    names = list(names) if names else [f"x{k + 1}" for k in range(nvars)]
+    if len(names) != nvars:
+        raise ValueError("wrong number of variable names")
+    return names
 
 
 def _monomial_text(exps: Exponents, names: Sequence[str]) -> str:
@@ -574,79 +581,19 @@ def _coeff_pieces(c: CycNum) -> tuple[int, str | None]:
 def poly_text(f: MultiPoly, names: Sequence[str] | None = None) -> str:
     if not f.terms:
         return "0"
-    names = list(names) if names else _default_names(f.nvars)
-    if len(names) != f.nvars:
-        raise ValueError("wrong number of variable names")
+    names = _names(names, f.nvars)
     keys = sorted(f.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-    parts = []
-    for e in keys:
-        sign, body = _coeff_pieces(f.terms[e])
-        mono = _monomial_text(e, names)
-        if body is None:
-            text = mono if mono else "1"
-        elif mono:
-            text = f"{body}*{mono}"
-        else:
-            text = body
-        if not parts:
-            parts.append(text if sign > 0 else "-" + text)
-        else:
-            parts.append(("+ " if sign > 0 else "- ") + text)
-    return " ".join(parts)
 
+    def terms():
+        for e in keys:
+            sign, body = _coeff_pieces(f.terms[e])
+            mono = _monomial_text(e, names)
+            if body is None:
+                yield sign, mono or "1"
+            else:
+                yield sign, f"{body}*{mono}" if mono else body
 
-def _split_top_level(s: str) -> list[tuple[int, str]]:
-    """Split on top-level + and - (outside parentheses) into signed chunks."""
-    out = []
-    depth = 0
-    sign = 1
-    cur: list[str] = []
-    if not s:
-        raise ValueError("empty polynomial text")
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        s = s[1:]
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parentheses")
-        if ch in "+-" and depth == 0:
-            out.append((sign, "".join(cur)))
-            sign = -1 if ch == "-" else 1
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ValueError("unbalanced parentheses")
-    out.append((sign, "".join(cur)))
-    return out
-
-
-def _split_factors(s: str) -> list[str]:
-    """Split a term on top-level '*'; an empty factor is an error."""
-    out = []
-    depth = 0
-    cur: list[str] = []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    if "" in out:
-        raise ValueError(f"empty factor in {s!r}")
-    return out
-
-
-_SCALAR_RE = re.compile(r"^(?:\d+(?:/\d+)?|z(?:\^\d+)?)$")
+    return join_terms(terms())
 
 
 def parse_poly(
@@ -655,26 +602,6 @@ def parse_poly(
     conductor: int,
     names: Sequence[str] | None = None,
 ) -> MultiPoly:
-    """Parse the format emitted by poly_text, exactly."""
-    names = list(names) if names else _default_names(nvars)
-    index = {name: k for k, name in enumerate(names)}
-    s = "".join(text.split())
-    terms: list[tuple[Exponents, CycNum]] = []
-    for sign, chunk in _split_top_level(s):
-        if not chunk:
-            raise ValueError(f"dangling sign in {text!r}")
-        coeff = CycNum.one(conductor)
-        exps = [0] * nvars
-        for factor in _split_factors(chunk):
-            if factor.startswith("(") and factor.endswith(")"):
-                coeff = coeff * parse_cyc(factor[1:-1], conductor)
-            elif _SCALAR_RE.match(factor):
-                coeff = coeff * parse_cyc(factor, conductor)
-            else:
-                m = re.match(r"^(.*?)(?:\^(\d+))?$", factor)
-                name, exp = m.group(1), int(m.group(2) or 1)
-                if name not in index:
-                    raise ValueError(f"unknown factor {factor!r} in {text!r}")
-                exps[index[name]] += exp
-        terms.append((tuple(exps), coeff * sign))
-    return MultiPoly(nvars, conductor, terms)
+    """Parse the format emitted by poly_text, exactly: cyclotomic.parse_terms
+    over the variable names."""
+    return MultiPoly(nvars, conductor, parse_terms(text, conductor, _names(names, nvars)))

@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 from reflect_gkm.cyclotomic import (
     ConductorMismatch,
     CycNum,
-    NotReducible,
-    PrimeReduction,
-    _is_prime,
     cyclotomic_polynomial,
     euler_phi,
     parse_cyc,
@@ -19,6 +16,7 @@ from reflect_gkm.cyclotomic import (
     upoly_gcd,
     upoly_mul,
 )
+from reflect_gkm.linalg import NotReducible, PrimeReduction, _is_prime
 
 
 def test_cyclotomic_polynomial_table():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -381,12 +382,29 @@ def test_map_json_round_trip(s3, tmp_path):
     assert back == F
 
     path = tmp_path / "map.json"
-    import json
-
     path.write_text(json.dumps({"group": "s3", "values": {"2": "x1*x2"}}))
     sparse = load_group_map(path, s3)
     assert sparse.values[2] == P("x1*x2", s3)
     assert sparse.values[0] == MultiPoly.zero(2, 1)
+
+
+def test_map_round_trip_with_non_ascii_names(tmp_path):
+    greek = parse_group_dict(
+        {
+            "name": "s3-greek",
+            "dimension": 2,
+            "conductor": 1,
+            "variables": ["α", "β"],
+            "generators": [["-1", "1", "0", "1"], ["1", "0", "1", "-1"]],
+        }
+    )
+    F = gmap(greek, "α^2 - β", "0", "α*β", "1/3*β", "α", "(2)*β^3")
+    blob = dump_group_map(F)
+    assert blob["values"]["0"] == "α^2 - β"
+    assert load_group_map(blob, greek) == F
+    path = tmp_path / "map.json"
+    path.write_bytes(json.dumps(blob, ensure_ascii=False).encode("utf-8"))
+    assert load_group_map(path, greek) == F
 
 
 def test_map_json_errors(s3, z2, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from reflect_gkm import build_hypergraph, coinvariant_basis, run_suite
 from reflect_gkm import groups as groups_module
 from reflect_gkm.cli import main
-from reflect_gkm.cyclotomic import CycNum, parse_cyc, root_of_unity
+from reflect_gkm.cyclotomic import ConductorMismatch, CycNum, parse_cyc, root_of_unity
 from reflect_gkm.groups import (
     CapExceeded,
     GroupFileError,
@@ -421,6 +421,33 @@ def test_variable_names_read_back(groups):
     text = poly_text(f, renamed.variables)
     assert text == "-2*u*v_2^2 + u"
     assert parse_poly(text, 2, 2, names=renamed.variables) == f
+
+
+def test_group_file_entries_read_in_any_factor_order(groups):
+    # generator entries follow the one literal grammar that map files use
+    written = [["(z)", "0", "0", "1"], ["0", "1", "1", "0"]]
+    g312 = parse_group_dict({**seven_group_data("g312"), "generators": written})
+    assert g312.elements == groups["g312"].elements
+    swap = {"name": "swap", "dimension": 2, "conductor": 3, "variables": ["x1", "x2"]}
+    plain = parse_group_dict({**swap, "generators": [["0", "2*z", "1/2*z^2", "0"]]})
+    swapped = parse_group_dict({**swap, "generators": [["0", "z*2", "(1/2)*z^2", "0"]]})
+    assert plain.order == 2
+    assert swapped.elements == plain.elements
+
+
+def test_action_checks_its_operand(groups):
+    # at every element, the identity included; a wrong variable count once
+    # escaped as StopIteration and a wrong conductor was named backwards
+    z3 = groups["z3"]
+    wide = MultiPoly.variable(2, 3, 0)
+    rational = MultiPoly.variable(1, 1, 0)
+    for i in range(z3.order):
+        with pytest.raises(ValueError, match="an operand in 2 variables, not 1"):
+            z3.act(i, wide)
+        with pytest.raises(ConductorMismatch, match="an operand over conductor 1, not 3"):
+            z3.act(i, rational)
+    with pytest.raises(ValueError, match=r"exponents \(1, 1\) do not fit 1 variables"):
+        z3.monomial_image(1, (1, 1))
 
 
 def test_closure_cap():

@@ -6,11 +6,11 @@ import pytest
 from reflect_gkm.cyclotomic import (
     ConductorMismatch,
     CycNum,
-    PrimeReduction,
     euler_phi,
     root_of_unity,
 )
 from reflect_gkm.linalg import (
+    PrimeReduction,
     mat_identity,
     mat_inv,
     mat_mul,

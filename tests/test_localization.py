@@ -10,7 +10,7 @@ from math import prod
 import pytest
 
 from reflect_gkm import equivariant, localization, polynomials
-from reflect_gkm.cyclotomic import ConductorMismatch, PrimeReduction, root_of_unity
+from reflect_gkm.cyclotomic import ConductorMismatch, root_of_unity
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis, orbit_difference
 from reflect_gkm.groups import bundled_names, load_group
 from reflect_gkm.invariants import (
@@ -21,6 +21,7 @@ from reflect_gkm.invariants import (
     invariant_basis,
     reynolds,
 )
+from reflect_gkm.linalg import PrimeReduction
 from reflect_gkm.localization import (
     DimensionTriples,
     TensorElement,
@@ -153,6 +154,19 @@ def test_malformed_legs_are_refused(z3):
         for x in range(z3.order):
             with pytest.raises(error, match=message):
                 localize_at(T, x)
+
+
+def test_tensor_action_refuses_malformed_second_legs(z3):
+    good = P("x1", z3)
+    cases = [
+        (MultiPoly(2, 3, {(1, 0): 1}), ValueError, "an operand in 2 variables, not 1"),
+        (MultiPoly(1, 1, {(1,): 1}), ConductorMismatch, "an operand over conductor 1, not 3"),
+    ]
+    for leg, error, message in cases:
+        T = TensorElement(z3, [(good, leg)])
+        for w in range(z3.order):
+            with pytest.raises(error, match=message):
+                T.act(w)
 
 
 def test_localize_applies_no_substitution(monkeypatch):

@@ -164,3 +164,23 @@ def test_suite_counts_checks_only_in_its_tally():
         )
     }
     assert constructing == {"_tally"}
+
+
+def test_one_grammar_reads_every_literal():
+    # the text form of exact literals is parsed in cyclotomic alone:
+    # polynomials imports no re and splits nothing itself, and parse_cyc and
+    # parse_poly both read through cyclotomic.parse_terms
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    for stem in ("cyclotomic", "polynomials"):
+        assert not _mentions(trees[stem], "re"), stem
+    splitters, readers = set(), set()
+    for stem, tree in trees.items():
+        for name, node in _functions(tree):
+            if "split" in name:
+                splitters.add(f"{stem}.{name}")
+            if any(
+                isinstance(n, ast.Call) and _mentions(n.func, "parse_terms") for n in ast.walk(node)
+            ):
+                readers.add(f"{stem}.{name}")
+    assert splitters == {"cyclotomic._split_top_level"}
+    assert readers == {"cyclotomic.parse_cyc", "polynomials.parse_poly"}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflect_gkm.cyclotomic import ConductorMismatch, CycNum, euler_phi, root_of_unity
+from reflect_gkm.cyclotomic import ConductorMismatch, CycNum, euler_phi, parse_cyc, root_of_unity
 from reflect_gkm.polynomials import (
     LinearForm,
     LinearSubstitution,
@@ -104,6 +104,45 @@ def test_parse_rejects_empty_factors(text):
     # x1**2 once read as 2*x1
     with pytest.raises(ValueError, match="empty factor"):
         parse_poly(text, 2, 3)
+
+
+# (literal, its value as a function of z)
+SCALAR_LITERALS = [
+    ("2*z", lambda z: 2 * z),
+    ("(z)", lambda z: z),
+    ("z*2", lambda z: 2 * z),
+    ("((z))", lambda z: z),
+    ("z\t+ 1", lambda z: z + 1),
+    ("-z^3 + 2", lambda z: 2 - z**3),
+    ("z^1000000000001", lambda z: z ** (1000000000001 % z.conductor)),
+]
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 12])
+@pytest.mark.parametrize("text, value", SCALAR_LITERALS, ids=[t for t, _ in SCALAR_LITERALS])
+def test_group_entries_and_map_coefficients_share_one_grammar(text, value, m):
+    expected = value(root_of_unity(m, 1).embed(m))
+    assert parse_cyc(text, m) == expected
+    assert parse_poly(f"({text})*x1", 1, m) == MultiPoly(1, m, {(1,): expected})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("z^", "bad exponent"),
+        ("2**z", "empty factor"),
+        ("", "empty literal"),
+        ("x1**2", "empty factor"),
+        ("(z + 1*x1", "unbalanced parentheses"),
+        ("x1 + ", "dangling sign"),
+        ("1/0", "zero denominator"),
+    ],
+)
+def test_both_parsers_refuse_malformed_literals(text, message):
+    with pytest.raises(ValueError):
+        parse_cyc(text, 3)
+    with pytest.raises(ValueError, match=message):
+        parse_poly(text, 1, 3)
 
 
 def test_divide_exact_example():

@@ -385,6 +385,21 @@ def test_cli_empty_factor_is_a_usage_error(tmp_path, capsys):
     assert "empty factor in 'x1**2'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["group", "info", "--group", "{path}"], ["member", "--group", "z3", "--input", "{path}"]],
+    ids=["group-info", "member"],
+)
+def test_cli_non_utf8_file_is_a_usage_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main([a.format(path=bad) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {bad}: ")
+    assert "utf-8" in captured.err
+
+
 def test_cli_unreadable_and_unwritable_paths(tmp_path, capsys):
     assert main(["group", "info", "--group", str(tmp_path)]) == 2
     assert "cannot read" in capsys.readouterr().err
