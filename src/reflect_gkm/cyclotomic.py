@@ -187,15 +187,11 @@ def _phi_terms(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return len(mod) - 1, tuple((j, c) for j, c in enumerate(mod[:-1]) if c)
 
 
-@lru_cache(maxsize=None)
-def _zeta_powers(m: int) -> tuple[tuple[int, ...], ...]:
-    """z^e reduced into the power basis of Q(zeta_m), for e = 0 .. m-1."""
-    return tuple(tuple(_reduce_mod(m, [0] * e + [1])) for e in range(m))
-
-
+@lru_cache(maxsize=4096)
 def _zeta_power(m: int, e: int) -> tuple[int, ...]:
-    """z^e reduced into the power basis of Q(zeta_m); z^m = 1."""
-    return _zeta_powers(m)[e % m]
+    """z^e reduced into the power basis of Q(zeta_m); z^m = 1, so only
+    e mod m is reduced."""
+    return tuple(_reduce_mod(m, [0] * (e % m) + [1]))
 
 
 def _mul_int(m: int, a, b) -> list[int]:
@@ -663,7 +659,10 @@ def parse_terms(text: str, conductor: int, names=()) -> dict[tuple[int, ...], Cy
             base, hat, power = factor.partition("^")
             top, slash, bottom = base.partition("/")
             if factor[0] == "(" and factor[-1] == ")":
-                scalars.append(parse_cyc(factor[1:-1], conductor))
+                try:
+                    scalars.append(parse_cyc(factor[1:-1], conductor))
+                except RecursionError:
+                    raise ValueError(f"parentheses nested too deeply in {text[:40]!r}") from None
             elif hat and not power.isdecimal():
                 raise ValueError(f"bad exponent in {factor!r}")
             elif base in index:

@@ -59,23 +59,26 @@ slice of x_p^k by D^(top - k) gives
 with g integral.  x_p -> y / D is an invertible change of variables and
 L D^top and D are nonzero scalars, so ell^i divides S_i exactly when
 (y - r)^i divides g, and each Horner step on g adds integer products
-only.  lift_membership does the same with its values s^j . e, and
-orbit_difference and divided_difference form their sums the same way;
-divide_numerators runs the same steps for their quotients and scales the
-quotient or the witness back once per coefficient.
+only.  One routine, _orbit_sum, forms S_i from an Orbit record for
+membership, lift_membership, orbit_difference and divided_difference;
+divide_numerators runs the same steps for the last two's quotients and
+scales the quotient or the witness back once per coefficient.
 
 An equivariant map, F(x) = x . e, needs only the identity coset <s> of
-each generator.  Its order-i sum there is P_i = sum_j lambda^{-ij} s^j . e,
-and on the coset x<s> (members x s^j, the same weights) it is x . P_i.
-That orbit's form is a nonzero multiple of x . ell_s, and x acts as a ring
-automorphism, so x . ell_s^i divides x . P_i exactly when ell_s^i divides
-P_i.  lift_membership decides the map x -> x . e from e alone this way:
-it forms s^j . e on the identity cosets only and divides there,
+each generator, the first record of its orbit table, group.orbits(s)[0]:
+its members are the powers of s and its form is ell_s.  Its order-i sum
+there is P_i = sum_j lambda^{-ij} s^j . e, and on the coset x<s>
+(members x s^j, the same weights) it is x . P_i.  That orbit's form is a
+nonzero multiple of x . ell_s, and x acts as a ring automorphism, so
+x . ell_s^i divides x . P_i exactly when ell_s^i divides P_i.
+lift_membership decides the map x -> x . e from e alone this way: it
+forms s^j . e on the identity cosets only and divides there,
 sum_K (e_K - 1) divisions instead of |W|/e_K times as many, and builds
 the map only to list the failures of a refusal.  P_i is e's
 divided_difference, exact for every polynomial, so only a fault in the
-division, the action or the reflection data makes it refuse.  This is step (a) of the
-DimensionTriples certificate, whose lifts e_j localize to x -> x . e_j.
+division, the action or the reflection data makes it refuse.  This is
+step (a) of the DimensionTriples certificate, whose lifts e_j localize
+to x -> x . e_j.
 
 divided_difference is the same weighted average acting on a single
 polynomial through the group action instead of along orbits; values of
@@ -89,7 +92,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cyclotomic import CycNum, numerator_dot_products
-from .groups import GroupInvariantViolated, PseudoReflection, ReflectionGroup, _read_json
+from .groups import GroupInvariantViolated, Orbit, PseudoReflection, ReflectionGroup, _read_json
 from .linalg import nullspace
 from .polynomials import (
     LinearForm,
@@ -306,10 +309,11 @@ def divided_difference(group: ReflectionGroup, s: PseudoReflection, i: int, f: M
     library bug and raises GroupInvariantViolated); beyond that the result
     may genuinely be non-polynomial and NotDivisible is returned as data.
     """
-    moved = [group.act(p, f) for p in group.cyclic_powers(s.element)]
+    identity = group.orbits(s)[0]
+    moved = [group.act(x, f) for x in identity.members]
     values, den = integral_numerators(moved, group.dimension, group.conductor)
-    acc = _integral_sum(group.conductor, values, s.weights(i))
-    res = divide_numerators(acc, den, s.coroot, i)
+    acc = _orbit_sum(identity, i, dict(zip(identity.members, values)))
+    res = divide_numerators(acc, den, identity.form, i)
     if isinstance(res, NotDivisible) and i <= s.order - 1:
         raise GroupInvariantViolated(
             "inexact division in a range where it is guaranteed exact"
@@ -324,8 +328,8 @@ def orbit_difference(group: ReflectionGroup, s: PseudoReflection, i: int, F: Gro
     numerators, den = integral_numerators(F.values, group.dimension, group.conductor)
     values: list[MultiPoly | None] = [None] * group.order
     failures: list[MembershipFailure] = []
-    for orbit, acc in _orbit_sums(group, s, i, numerators):
-        res = divide_numerators(acc, den, orbit.form, i)
+    for orbit in group.orbits(s):
+        res = divide_numerators(_orbit_sum(orbit, i, numerators), den, orbit.form, i)
         if isinstance(res, NotDivisible):
             failures.append(MembershipFailure(orbit.rep, s, i, res))
             continue
@@ -337,23 +341,17 @@ def orbit_difference(group: ReflectionGroup, s: PseudoReflection, i: int, F: Gro
     return GroupMap(group, values)
 
 
-def _integral_sum(m: int, values, weights) -> dict:
-    """sum_j weights[j] * values[j] on integer numerator dicts.  The
-    weights are powers lambda^{-ij} of a root of unity (reflections()
+def _orbit_sum(orbit: Orbit, i: int, values) -> dict:
+    """S_i = sum_j lambda^{-ij} F(x s^j) on the orbit x<s>, from values[y],
+    the integer numerator dict of F(y) (integral_numerators), at each
+    member y.  The weights are powers of a root of unity (reflections()
     checks it), so their numerators over denominator 1 are exact, and the
     first is 1."""
-    pairs = zip(values[1:], weights[1:])
+    first, *rest = (values[x] for x in orbit.members)
+    pairs = zip(rest, orbit.reflection.weights(i)[1:])
     return numerator_dot_products(
-        m, ((e, w.num, c) for v, w in pairs for e, c in v.items()), values[0]
+        orbit.form.conductor, ((e, w.num, c) for v, w in pairs for e, c in v.items()), first
     )
-
-
-def _orbit_sums(group: ReflectionGroup, s: PseudoReflection, i: int, values):
-    """(orbit, order-i weighted orbit sum) for each orbit of s in turn, the
-    identity coset first, on integral values (integral_numerators of F)."""
-    m, weights = group.conductor, s.weights(i)
-    for orbit in group.orbits(s):
-        yield orbit, _integral_sum(m, [values[x] for x in orbit.members], weights)
 
 
 def _hyperplane_generators(group: ReflectionGroup) -> list[PseudoReflection]:
@@ -376,8 +374,8 @@ def membership(F: GroupMap) -> MembershipCertificate:
     values, _ = integral_numerators(F.values, group.dimension, group.conductor)
     for s in _hyperplane_generators(group):
         for i in range(1, s.order):
-            for orbit, acc in _orbit_sums(group, s, i, values):
-                if not linear_power_divides(acc, orbit.form, i):
+            for orbit in group.orbits(s):
+                if not linear_power_divides(_orbit_sum(orbit, i, values), orbit.form, i):
                     return MembershipCertificate(False, F)
     return MembershipCertificate(True)
 
@@ -385,14 +383,13 @@ def membership(F: GroupMap) -> MembershipCertificate:
 def lift_membership(group: ReflectionGroup, e: MultiPoly) -> MembershipCertificate:
     """membership of the map x -> x . e, from the identity coset <s> of
     each hyperplane generator (see the module docstring)."""
-    n, m = group.dimension, group.conductor
     for s in _hyperplane_generators(group):
-        # the identity coset's members are the powers of s, its form ell_s
-        moved = [group.act(x, e) for x in group.cyclic_powers(s.element)]
-        values, _ = integral_numerators(moved, n, m)
+        identity = group.orbits(s)[0]
+        moved = [group.act(x, e) for x in identity.members]
+        values, _ = integral_numerators(moved, group.dimension, group.conductor)
+        values = dict(zip(identity.members, values))
         for i in range(1, s.order):
-            acc = _integral_sum(m, values, s.weights(i))
-            if not linear_power_divides(acc, s.coroot, i):
+            if not linear_power_divides(_orbit_sum(identity, i, values), identity.form, i):
                 return MembershipCertificate(
                     False, GroupMap(group, [group.act(x, e) for x in range(group.order)])
                 )
@@ -543,13 +540,19 @@ def load_group_map(source, group: ReflectionGroup) -> GroupMap:
     if not isinstance(raw, dict):
         raise MapFileError("'values' must map element indices to polynomials")
     values = [MultiPoly.zero(group.dimension, group.conductor)] * group.order
+    width = len(str(group.order - 1))
     for key, text in raw.items():
         # only the canonical decimal spelling is an index, so no two keys
-        # name the same element
-        idx = int(key) if isinstance(key, str) and key.isdecimal() else None
-        if idx is None or key != str(idx):
+        # name the same element; a key longer than the largest index is
+        # out of range before int() reads it
+        if not (isinstance(key, str) and key.isascii() and key.isdecimal()) or (
+            key[0] == "0" and key != "0"
+        ):
             raise MapFileError(f"bad element index {key!r}: not a decimal without leading zeros")
-        if not 0 <= idx < group.order:
+        if len(key) > width:
+            raise MapFileError(f"element index of {len(key)} digits out of range")
+        idx = int(key)
+        if idx >= group.order:
             raise MapFileError(f"element index {idx} out of range")
         try:
             values[idx] = parse_poly(

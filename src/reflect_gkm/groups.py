@@ -37,7 +37,9 @@ degrees d_i that drive the rest of the package satisfy sum_w t^{dim V^w}
 pass.  The Molien series sum_w 1/det(1 - t w) / |W|, exact, one term per
 distinct det(1 - t w), is the invariant Hilbert series: the molien command
 prints its coefficients, and the tests check it against 1 / prod_i
-(1 - t^{d_i}).
+(1 - t^{d_i}).  det(1 - t w) comes from the traces of w, w^2, ..., w^n,
+read along w's powers in the multiplication table, by Newton's
+identities; no determinant is expanded.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .cyclotomic import (
     upoly_divmod,
     upoly_gcd,
     upoly_mul,
-    upoly_trim,
 )
 from .linalg import mat_identity, mat_inv, mat_mul, mat_vec, rank
 from .polynomials import Exponents, LinearForm, LinearSubstitution, MultiPoly, _check_operand
@@ -470,21 +471,22 @@ def _fixed_space_degrees(fixed: list[int]) -> tuple[int, ...]:
 # cyclotomic), coefficient lists low degree first
 
 
-def _u_det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = []
-    for j in range(n):
-        entry = mat[0][j]
-        if not entry:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = upoly_mul(entry, _u_det(minor))
-        if j % 2:
-            term = [-c for c in term]
-        acc = upoly_add(acc, term)
-    return acc
+def _det_one_minus_tw(group: ReflectionGroup, w: int) -> list:
+    """det(1 - t w) = sum_k (-1)^k e_k t^k, e_k the elementary symmetric
+    functions of w's eigenvalues, from their power sums p_i = tr(w^i)
+    along w's powers in the multiplication table.  Newton's identities
+    k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i} p_i say that c_k = (-1)^k e_k
+    has k c_k = -sum_{i<=k} c_{k-i} p_i."""
+    n = group.dimension
+    traces, x = [], w
+    for _ in range(n):
+        matrix = group.elements[x]
+        traces.append(sum(matrix[k][k] for k in range(n)))
+        x = group.mul(x, w)
+    coeffs = [CycNum.one(group.conductor)]
+    for k in range(1, n + 1):
+        coeffs.append(-sum(coeffs[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
+    return coeffs
 
 
 @dataclass
@@ -510,29 +512,14 @@ class MolienSeries:
 
 
 def _molien_series(group: ReflectionGroup) -> MolienSeries:
-    m = group.conductor
-    zero = CycNum.zero(m)
-    one = CycNum.one(m)
     # det(1 - tw) is a class function: count the elements per exact
     # polynomial, then add count / det once per distinct one
     classes: dict[tuple, list] = {}
-    for matrix in group.elements:
-        entries = [
-            [
-                upoly_trim([(one if i == j else zero), -matrix[i][j]])
-                for j in range(group.dimension)
-            ]
-            for i in range(group.dimension)
-        ]
-        dw = _u_det(entries)
-        key = tuple((c.num, c.den) for c in dw)
-        got = classes.get(key)
-        if got is None:
-            classes[key] = [dw, 1]
-        else:
-            got[1] += 1
+    for w in range(group.order):
+        dw = _det_one_minus_tw(group, w)
+        classes.setdefault(tuple((c.num, c.den) for c in dw), [dw, 0])[1] += 1
     num: list = []
-    den = [one]
+    den = [CycNum.one(group.conductor)]
     for dw, count in classes.values():
         num = upoly_add(upoly_mul(num, dw), [c * count for c in den])
         den = upoly_mul(den, dw)
@@ -630,10 +617,12 @@ def load_group(source) -> ReflectionGroup:
 
 def _read_json(path, error: type[Exception]):
     """The JSON value in the UTF-8 file at path; a file that cannot be read
-    or decoded, or is not JSON, raises error, the caller's file error."""
+    or decoded, or is not JSON that Python reads (an integer past its digit
+    limit, arrays nested past its recursion limit), raises error, the
+    caller's file error."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: invalid JSON ({exc})") from None

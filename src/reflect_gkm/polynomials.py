@@ -105,6 +105,8 @@ class MultiPoly:
             key, c = tuple(exps), _as_coeff(c, conductor)
             if len(key) != nvars:
                 raise ValueError(f"exponent tuple {key} does not fit {nvars} variables")
+            if not all(type(e) is int and e >= 0 for e in key):
+                raise ValueError(f"exponent tuple {key} has an entry that is not a nonnegative int")
             prev = clean.get(key)
             clean[key] = c if prev is None else prev + c
         object.__setattr__(self, "nvars", nvars)
@@ -365,6 +367,8 @@ class LinearSubstitution:
             return got
         if len(exps) != self.nvars:
             raise ValueError(f"exponents {exps} do not fit {self.nvars} variables")
+        if min(exps) < 0:
+            raise ValueError(f"exponents {exps} include a negative one")
         k = next(i for i, e in enumerate(exps) if e)
         smaller = tuple(e - 1 if i == k else e for i, e in enumerate(exps))
         img = self.monomial_image(smaller) * self._row_polys[k]

@@ -293,22 +293,24 @@ def _orbit_decomposition(group: ReflectionGroup, rng: random.Random, trials: int
             if not all(isinstance(p, GroupMap) for p in parts):
                 yield False
                 continue
+            # sum_j part_j * L^j by Horner's rule
             L = coroots[s.element]
             rebuilt = GroupMap.zero(group)
-            for j, part in enumerate(parts):
-                rebuilt = rebuilt + part * L ** j
+            for part in reversed(parts):
+                rebuilt = rebuilt * L + part
             yield rebuilt / s.order == F
 
 
 def _leibniz(group: ReflectionGroup, rng: random.Random, trials: int):
-    coroots = {s.element: coroot_map(group, s) for s in group.reflections()}
+    # the product of the order-a and order-b parts carries L^(a + b - i),
+    # and a + b - i is 0, or r exactly when a > i
+    wraps = {s.element: coroot_map(group, s) ** s.order for s in group.reflections()}
     for _ in range(trials):
         F = random_member(rng, group, max_degree=3)
         G = random_member(rng, group, max_degree=3)
         FG = F * G
         for s in group.reflections():
-            r = s.order
-            L = coroots[s.element]
+            r, Lr = s.order, wraps[s.element]
             ops_F = [orbit_difference(group, s, a, F) for a in range(r)]
             ops_G = [orbit_difference(group, s, a, G) for a in range(r)]
             if not all(isinstance(p, GroupMap) for p in ops_F + ops_G):
@@ -319,12 +321,8 @@ def _leibniz(group: ReflectionGroup, rng: random.Random, trials: int):
                 lhs = orbit_difference(group, s, i, FG)
                 rhs = GroupMap.zero(group)
                 for a in range(r):
-                    b = (i - a) % r
-                    term = ops_F[a] * ops_G[b]
-                    wrap = a + b - i
-                    if wrap:
-                        term = term * L ** wrap
-                    rhs = rhs + term
+                    term = ops_F[a] * ops_G[(i - a) % r]
+                    rhs = rhs + (term * Lr if a > i else term)
                 yield isinstance(lhs, GroupMap) and lhs == rhs / r
 
 

@@ -249,7 +249,7 @@ def test_orbit_difference_matches_per_element_oracle(s3, b2, z3):
 
 def test_orbit_difference_converts_once_and_sums_on_numerators(monkeypatch):
     # one integral_numerators call per operator call, its sums formed by
-    # _integral_sum on integer numerators, never by weighted_sum on CycNums
+    # _orbit_sum on integer numerators, never by weighted_sum on CycNums
     g = load_group("g312")
     F = random_member(random.Random(3), g)
     calls = {"integral_numerators": 0, "weighted_sum": 0}
@@ -568,17 +568,23 @@ def test_g312_verdict_takes_one_generator_per_hyperplane(monkeypatch):
     g = load_group("g312")
     member = random_member(random.Random(8), g)
     passes = []
-    original = equivariant_module._orbit_sums
+    original = equivariant_module._orbit_sum
 
-    def counting(group, s, i, values):
-        passes.append((s.element, i))
-        return original(group, s, i, values)
+    def counting(orbit, i, values):
+        passes.append((orbit.reflection.element, i))
+        return original(orbit, i, values)
 
-    monkeypatch.setattr(equivariant_module, "_orbit_sums", counting)
+    monkeypatch.setattr(equivariant_module, "_orbit_sum", counting)
     assert membership(member).ok
     # 7 (reflection, power) passes against 11 for every reflection: the
-    # order-3 hyperplanes are checked through one of their two generators
-    assert passes == [(1, 1), (1, 2), (2, 1), (9, 1), (9, 2), (10, 1), (11, 1)]
+    # order-3 hyperplanes are checked through one of their two generators,
+    # each pass summing over every orbit of its reflection
+    assert list(dict.fromkeys(passes)) == [
+        (1, 1), (1, 2), (2, 1), (9, 1), (9, 2), (10, 1), (11, 1)
+    ]
+    assert len(passes) == sum(
+        len(g.orbits(g.reflection_at(element))) for element, _ in dict.fromkeys(passes)
+    )
 
 
 @pytest.mark.parametrize("name", bundled_names())

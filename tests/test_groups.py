@@ -7,7 +7,15 @@ import pytest
 from reflect_gkm import build_hypergraph, coinvariant_basis, run_suite
 from reflect_gkm import groups as groups_module
 from reflect_gkm.cli import main
-from reflect_gkm.cyclotomic import ConductorMismatch, CycNum, parse_cyc, root_of_unity
+from reflect_gkm.cyclotomic import (
+    ConductorMismatch,
+    CycNum,
+    parse_cyc,
+    root_of_unity,
+    upoly_add,
+    upoly_mul,
+    upoly_trim,
+)
 from reflect_gkm.groups import (
     CapExceeded,
     GroupFileError,
@@ -154,6 +162,49 @@ def test_molien_series_is_pinned(name, tmp_path):
         tuple(Fraction(c) for c in den),
     )
     assert all(type(c) is Fraction for c in series.num + series.den)
+
+
+def cofactor_det(mat):
+    """The determinant of a matrix of univariate polynomials (coefficient
+    lists, low degree first) by cofactor expansion along the first row."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    acc = []
+    for j in range(n):
+        entry = mat[0][j]
+        if not entry:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        term = upoly_mul(entry, cofactor_det(minor))
+        if j % 2:
+            term = [-c for c in term]
+        acc = upoly_add(acc, term)
+    return acc
+
+
+SCALAR3 = {
+    "name": "scalar3",
+    "dimension": 2,
+    "conductor": 3,
+    "variables": ["x1", "x2"],
+    "generators": [["z", "0", "0", "z"]],
+}
+
+
+@pytest.mark.parametrize("name", SEVEN + ["scalar3"])
+def test_newton_determinant_equals_the_cofactor_expansion(name, tmp_path):
+    # det(1 - t w) from the traces of w's powers, against the expansion of
+    # the matrix 1 - t w by cofactors, at every element
+    g = parse_group_dict(SCALAR3) if name == "scalar3" else load_seven(name, tmp_path)
+    n, m = g.dimension, g.conductor
+    one, zero = CycNum.one(m), CycNum.zero(m)
+    for w, matrix in enumerate(g.elements):
+        entries = [
+            [upoly_trim([one if i == j else zero, -matrix[i][j]]) for j in range(n)]
+            for i in range(n)
+        ]
+        assert groups_module._det_one_minus_tw(g, w) == cofactor_det(entries), (name, w)
 
 
 def test_bfs_order_is_deterministic(groups):
@@ -314,14 +365,7 @@ def test_set_up_and_verify_never_compute_the_molien_series(name, monkeypatch):
 
 
 def test_scalar_group_is_not_a_reflection_group():
-    data = {
-        "name": "scalar3",
-        "dimension": 2,
-        "conductor": 3,
-        "variables": ["x1", "x2"],
-        "generators": [["z", "0", "0", "z"]],
-    }
-    g = parse_group_dict(data)
+    g = parse_group_dict(SCALAR3)
     assert g.order == 3
     assert g.reflections() == ()
     assert not g.generated_by_reflections()
@@ -448,6 +492,17 @@ def test_action_checks_its_operand(groups):
             z3.act(i, rational)
     with pytest.raises(ValueError, match=r"exponents \(1, 1\) do not fit 1 variables"):
         z3.monomial_image(1, (1, 1))
+
+
+def test_negative_exponents_are_refused_before_any_recursion(groups):
+    # monomial_image(1, (-1,)) on z3 used to recurse to RecursionError,
+    # and so did act on a polynomial holding that exponent
+    z3 = groups["z3"]
+    with pytest.raises(ValueError, match=r"exponents \(-1,\) include a negative one"):
+        z3.monomial_image(1, (-1,))
+    with pytest.raises(ValueError, match="not a nonnegative int"):
+        z3.act(1, MultiPoly(1, 3, {(-1,): 1}))
+    assert z3.monomial_image(1, (2,)) == z3.act(1, MultiPoly(1, 3, {(2,): 1}))
 
 
 def test_closure_cap():

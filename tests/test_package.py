@@ -184,3 +184,20 @@ def test_one_grammar_reads_every_literal():
                 readers.add(f"{stem}.{name}")
     assert splitters == {"cyclotomic._split_top_level"}
     assert readers == {"cyclotomic.parse_cyc", "polynomials.parse_poly"}
+
+
+def test_orbit_sums_are_read_from_orbit_records():
+    # every weighted orbit sum of the operators is formed by _orbit_sum from
+    # an Orbit record, and the identity coset is the first record of the
+    # orbit table, never rebuilt from the powers of s
+    tree = ast.parse((Path(reflect_gkm.__file__).parent / "equivariant.py").read_text())
+    summing = {
+        name
+        for name, node in _functions(tree)
+        if any(
+            isinstance(n, ast.Call) and _mentions(n.func, "numerator_dot_products")
+            for n in ast.walk(node)
+        )
+    }
+    assert summing == {"_orbit_sum"}
+    assert not _mentions(tree, "cyclic_powers")

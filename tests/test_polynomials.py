@@ -422,6 +422,16 @@ def test_kernel_operands_must_fit_the_call():
         two + rational
 
 
+@pytest.mark.parametrize("exponent", [-1, 1.5, True, Fraction(1)])
+def test_exponents_must_be_nonnegative_ints(exponent):
+    # x1^-1 once built and printed as "1", and x1^1.5 printed as text that
+    # parse_poly refuses
+    with pytest.raises(ValueError, match="not a nonnegative int"):
+        MultiPoly(1, 3, {(exponent,): 1})
+    with pytest.raises(ValueError, match="not a nonnegative int"):
+        MultiPoly(2, 3, [((2, exponent), 1)])
+
+
 def test_division_checks_its_form():
     f = MultiPoly(1, 3, {(2,): 1})
     _, wide = LinearForm.normalize([1, 1], 3)

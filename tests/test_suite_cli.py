@@ -151,6 +151,15 @@ def test_report_bytes_are_pinned(name):
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_DIGESTS[name]
 
 
+def test_lemma_runner_bytes_are_pinned():
+    # no gated benchmark workload runs the lemma runners, so their report
+    # is pinned here, to the lemmas-g312 workload's seed-0 digest
+    blob = run_suite("g312", sections=("lemmas",), trials=11, seed=0).to_json()
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "2e2fbd8d34e2d8f24f770546b6dad6f8a0bb8864acc4d323887506c08c229bd6"
+    )
+
+
 def test_refuses_group_not_generated_by_reflections(tmp_path):
     path = tmp_path / "center2.json"
     path.write_text(json.dumps(MINUS_IDENTITY))
@@ -398,6 +407,53 @@ def test_cli_non_utf8_file_is_a_usage_error(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read {bad}: ")
     assert "utf-8" in captured.err
+
+
+CYCLIC2 = {**MINUS_IDENTITY, "name": "c2", "dimension": 1, "variables": ["x1"],
+           "generators": [["-1"]]}
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        # past Python's digit limit for int(), json.loads raises ValueError
+        ("group", json.dumps(CYCLIC2)[:-1] + ', "cap": ' + "9" * 5000 + "}", "invalid JSON"),
+        ("member", '{"values": {"0": ' + "1" * 5000 + "}}", "invalid JSON"),
+        # past the recursion limit, json.loads raises RecursionError
+        ("group", "[" * 1000 + "]" * 1000, "invalid JSON"),
+        ("member", '{"values": ' + "[" * 1000 + "]" * 1000 + "}", "invalid JSON"),
+        # a key longer than the largest index never reaches int()
+        ("member", json.dumps({"values": {"1" * 5000: "x1"}}), "index of 5000 digits"),
+        # and a literal nested past the recursion limit
+        (
+            "group",
+            json.dumps({**CYCLIC2, "generators": [["(" * 1000 + "-1" + ")" * 1000]]}),
+            "generator 0: parentheses nested too deeply",
+        ),
+        (
+            "member",
+            json.dumps({"values": {"0": "(" * 1000 + "1" + ")" * 1000 + "*x1"}}),
+            "value at index 0: parentheses nested too deeply",
+        ),
+    ],
+    ids=["group-digits", "map-digits", "group-depth", "map-depth", "map-key", "group-literal",
+         "map-literal"],
+)
+def test_cli_malformed_file_is_a_usage_error(command, text, message, tmp_path, capsys):
+    path = tmp_path / "file.json"
+    path.write_text(text)
+    argv = (
+        ["group", "info", "--group", str(path)]
+        if command == "group"
+        else ["member", "--group", "z3", "--input", str(path)]
+    )
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    if message == "invalid JSON":
+        assert line.startswith(f"error: {path}: ")
 
 
 def test_cli_unreadable_and_unwritable_paths(tmp_path, capsys):
