@@ -69,10 +69,15 @@ class ArithmeticFault(ArithmeticError):
     a library bug, never a property of the input."""
 
 
+class NonUnitDivisor(ValueError):
+    """A power-series divisor whose constant term is not 1 or -1."""
+
+
 # ---------------------------------------------------------------------------
-# univariate polynomials over a field (Fraction or CycNum coefficients),
-# as coefficient lists low degree first; the one set of these helpers in the
-# package (the Molien series in groups.py uses them too)
+# univariate polynomials over int or CycNum coefficients, as coefficient
+# lists low degree first; the one set of these helpers in the package.
+# Nothing here divides: a quotient is a power series by a divisor with
+# constant term 1 or -1 (Phi_m below, the Molien series in groups.py).
 
 
 def upoly_trim(p: list) -> list:
@@ -80,15 +85,6 @@ def upoly_trim(p: list) -> list:
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def upoly_add(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, y in enumerate(b):
-        out[k] = out[k] + y
-    return upoly_trim(out)
 
 
 def upoly_mul(a: list, b: list) -> list:
@@ -104,35 +100,27 @@ def upoly_mul(a: list, b: list) -> list:
     return upoly_trim(out)
 
 
-def _reciprocal(x):
-    # an int is made a Fraction first, so int inputs never divide to a float
-    return 1 / (Fraction(x) if isinstance(x, int) else x)
-
-
-def upoly_divmod(a: list, b: list) -> tuple[list, list]:
-    """(quotient, remainder) of a by the trimmed nonzero b."""
-    rem = list(a)
-    inv = _reciprocal(b[-1])
-    quo = []
-    for k in range(len(rem) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] * inv
-        quo.append(c)
-        if c:
-            for j, y in enumerate(b):
-                rem[k + j] = rem[k + j] - c * y
-    quo.reverse()
-    return upoly_trim(quo), upoly_trim(rem[: len(b) - 1])
-
-
-def upoly_gcd(a: list, b: list) -> list:
-    """The monic greatest common divisor; [] when both are zero."""
-    a, b = upoly_trim(list(a)), upoly_trim(list(b))
-    while b:
-        a, b = b, upoly_divmod(a, b)[1]
-    if a:
-        inv = _reciprocal(a[-1])
-        a = [c * inv for c in a]
-    return a
+def upoly_series_quotient(a: list, b: list, k: int) -> list:
+    """The first k coefficients of the power series a / b, for b whose
+    constant term b_0 is 1 or -1 (an int or a CycNum); any other b raises
+    NonUnitDivisor.  Then 1 / b_0 = b_0, so q_d = b_0 (a_d - sum_{j>=1}
+    b_j q_{d-j}) never divides, ints stay ints, and b's zero terms are
+    skipped."""
+    if not b or not (b[0] == 1 or b[0] == -1):
+        lead = b[0] if b else 0
+        raise NonUnitDivisor(f"a power-series divisor has constant term {lead}, not 1 or -1")
+    negate = b[0] != 1
+    terms = [(j, c) for j, c in enumerate(b) if j and c]
+    zero = b[0] - b[0]
+    out = []
+    for d in range(k):
+        acc = a[d] if d < len(a) else zero
+        for j, c in terms:
+            if j > d:
+                break
+            acc = acc - c * out[d - j]
+        out.append(-acc if negate else acc)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -143,19 +131,29 @@ def _divisors(m: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of the m-th cyclotomic polynomial, low degree
-    first, by exact division of x^m - 1 by the product over proper divisors."""
+    first: the power series (x^m - 1) / b for b the product of Phi_d over
+    the proper divisors d of m, whose constant term is -1 (Phi_1 = x - 1)
+    or 1 (m = 1), cut after degree phi(m) = m - deg b.
+
+    Coefficients phi(m) + 1, ..., m of the series must vanish, and that
+    proves the division exact.  Write x^m - 1 = q b + r with deg q = phi(m)
+    and deg r < deg b, so the series is q + r / b and its coefficients past
+    phi(m) are those of s = r / b.  From degree deg b on, b s = r says b_0
+    s_k = -sum_{j>=1} b_j s_{k-j}: each coefficient is fixed by the deg b
+    before it.  So the deg b = m - phi(m) zeros checked here make every
+    later one zero, and s is a polynomial.  Then r = b s has degree at
+    least deg b unless s = 0, so s = 0 and r = 0.  A nonzero coefficient
+    there raises ArithmeticFault."""
     if m < 1:
         raise ValueError("conductor must be a positive integer")
-    if m == 1:
-        return (-1, 1)
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
-    den = [Fraction(1)]
+    den = [1]
     for d in _divisors(m)[:-1]:
-        den = upoly_mul(den, [Fraction(c) for c in cyclotomic_polynomial(d)])
-    quo, rem = upoly_divmod(num, den)
-    if rem or any(c.denominator != 1 for c in quo):
+        den = upoly_mul(den, list(cyclotomic_polynomial(d)))
+    phi = m + 1 - len(den)
+    series = upoly_series_quotient([-1] + [0] * (m - 1) + [1], den, m + 1)
+    if any(series[phi + 1 :]):
         raise ArithmeticFault(f"cyclotomic division left a remainder at m={m}")
-    return tuple(int(c) for c in quo)
+    return tuple(series[: phi + 1])
 
 
 def euler_phi(m: int) -> int:

@@ -34,12 +34,14 @@ generate the group (Chevalley-Shephard-Todd), and then the fundamental
 degrees d_i that drive the rest of the package satisfy sum_w t^{dim V^w}
 = prod_i (t + d_i - 1) (Shephard-Todd 1954; Solomon, Nagoya Math. J. 22,
 1963); reflections() counts dim V^w = n - rank(w - 1) in its one rank
-pass.  The Molien series sum_w 1/det(1 - t w) / |W|, exact, one term per
-distinct det(1 - t w), is the invariant Hilbert series: the molien command
-prints its coefficients, and the tests check it against 1 / prod_i
-(1 - t^{d_i}).  det(1 - t w) comes from the traces of w, w^2, ..., w^n,
-read along w's powers in the multiplication table, by Newton's
-identities; no determinant is expanded.
+pass.  The Molien series sum_w 1/det(1 - t w) / |W| is the invariant
+Hilbert series: the molien command prints its coefficients, and the tests
+check it against 1 / prod_i (1 - t^{d_i}).  det(1 - t w) comes from the
+traces of w, w^2, ..., w^n, read along w's powers in the multiplication
+table, by Newton's identities; no determinant is expanded.  Its constant
+term is 1, so each distinct det(1 - t w) gives an exact power series
+1/det(1 - t w) without division, weighted by its element count; no
+fraction is reduced and no gcd of polynomials is taken.
 """
 
 from __future__ import annotations
@@ -47,20 +49,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 from itertools import accumulate
 from pathlib import Path
 
-from .cyclotomic import (
-    ConductorMismatch,
-    CycNum,
-    parse_cyc,
-    upoly_add,
-    upoly_divmod,
-    upoly_gcd,
-    upoly_mul,
-)
+from .cyclotomic import ConductorMismatch, CycNum, parse_cyc, upoly_series_quotient
 from .linalg import mat_identity, mat_inv, mat_mul, mat_vec, rank
 from .polynomials import Exponents, LinearForm, LinearSubstitution, MultiPoly, _check_operand
 
@@ -467,8 +460,7 @@ def _fixed_space_degrees(fixed: list[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Molien series: univariate polynomials over CycNum (the upoly_* helpers of
-# cyclotomic), coefficient lists low degree first
+# Molien series: det(1 - t w) as a CycNum coefficient list, low degree first
 
 
 def _det_one_minus_tw(group: ReflectionGroup, w: int) -> list:
@@ -489,55 +481,36 @@ def _det_one_minus_tw(group: ReflectionGroup, w: int) -> list:
     return coeffs
 
 
-@dataclass
+@dataclass(frozen=True)
 class MolienSeries:
-    """The invariant Hilbert series as a reduced fraction num/den with
-    den(0) = 1.  For a group generated by reflections, num = 1 and den =
-    prod_i (1 - t^{d_i}) over ReflectionGroup.fundamental_degrees()."""
+    """The invariant Hilbert series (1/|W|) sum_c n_c / det_c, where n_c
+    elements w have det(1 - t w) = det_c.  For a group generated by
+    reflections it is 1 / prod_i (1 - t^{d_i}) over
+    ReflectionGroup.fundamental_degrees()."""
 
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
+    order: int
+    classes: tuple[tuple[tuple[CycNum, ...], int], ...]
 
     def coefficients(self, dmax: int) -> list[int]:
-        """Power series coefficients (invariant dimensions) up to dmax."""
-        out: list[Fraction] = []
-        for d in range(dmax + 1):
-            acc = self.num[d] if d < len(self.num) else Fraction(0)
-            for k in range(1, min(d, len(self.den) - 1) + 1):
-                acc -= self.den[k] * out[d - k]
-            out.append(acc)
-        if any(a.denominator != 1 for a in out):
+        """Power series coefficients (invariant dimensions) up to dmax.
+        Each det_c has constant term 1, so 1 / det_c is an exact power
+        series (cyclotomic.upoly_series_quotient)."""
+        total = [0] * (dmax + 1)
+        for det, count in self.classes:
+            for d, c in enumerate(upoly_series_quotient(det[:1], det, dmax + 1)):
+                total[d] = total[d] + count * c
+        if not all(c.is_rational() and c.den == 1 and c.num[0] % self.order == 0 for c in total):
             raise GroupInvariantViolated("Molien series has a non-integral coefficient")
-        return [int(a) for a in out]
+        return [c.num[0] // self.order for c in total]
 
 
 def _molien_series(group: ReflectionGroup) -> MolienSeries:
-    # det(1 - tw) is a class function: count the elements per exact
-    # polynomial, then add count / det once per distinct one
+    # det(1 - tw) is a class function: count the elements per exact polynomial
     classes: dict[tuple, list] = {}
     for w in range(group.order):
         dw = _det_one_minus_tw(group, w)
         classes.setdefault(tuple((c.num, c.den) for c in dw), [dw, 0])[1] += 1
-    num: list = []
-    den = [CycNum.one(group.conductor)]
-    for dw, count in classes.values():
-        num = upoly_add(upoly_mul(num, dw), [c * count for c in den])
-        den = upoly_mul(den, dw)
-        g = upoly_gcd(num, den)
-        if len(g) > 1:
-            num = upoly_divmod(num, g)[0]
-            den = upoly_divmod(den, g)[0]
-    den = [c * group.order for c in den]
-    g = upoly_gcd(num, den)
-    if len(g) > 1:
-        num = upoly_divmod(num, g)[0]
-        den = upoly_divmod(den, g)[0]
-    scale = den[0].inverse()
-    num = [c * scale for c in num]
-    den = [c * scale for c in den]
-    num_q = tuple(c.as_fraction() for c in num)
-    den_q = tuple(c.as_fraction() for c in den)
-    return MolienSeries(num_q, den_q)
+    return MolienSeries(group.order, tuple((tuple(dw), count) for dw, count in classes.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,11 @@ class DimensionTriples:
     G put in place of any column keeps the bound of (a), so Cramer's rule
     makes G an R-combination of the F_j: members = image, free on the F_j,
     of dimension sum_j dim R_(d - deg F_j) in degree d.  That count is read
-    from the lifts, not the fundamental degrees, so it still checks the
-    prediction.  The F_j are built (localized_lifts) only when a step
+    from the lifts, but coinvariant_basis raises HistogramMismatch unless
+    the lifts' degree histogram is the predicted one, so when the
+    certificate closes the rows restate that check; they compare the
+    prediction independently only on the exact fallback (or under edited
+    lifts).  The F_j are built (localized_lifts) only when a step
     fails: refused_by names it, and every row is computed exactly by
     image_graded_dimension and membership_basis.
     """

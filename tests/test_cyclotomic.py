@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reflect_gkm import cyclotomic
 from reflect_gkm.cyclotomic import (
+    ArithmeticFault,
     ConductorMismatch,
     CycNum,
+    NonUnitDivisor,
     cyclotomic_polynomial,
     euler_phi,
     parse_cyc,
     root_of_unity,
-    upoly_add,
-    upoly_divmod,
-    upoly_gcd,
     upoly_mul,
+    upoly_series_quotient,
 )
 from reflect_gkm.linalg import NotReducible, PrimeReduction, _is_prime
 
@@ -28,38 +29,52 @@ def test_cyclotomic_polynomial_table():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
-def _int_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def test_cyclotomic_polynomials_are_integral_and_factor_x_m_minus_1():
-    for m in range(1, 31):
+    # an oracle that never divides: prod_{d | m} Phi_d = x^m - 1
+    for m in range(1, 1001):
         assert all(type(c) is int for c in cyclotomic_polynomial(m))
         prod = [1]
         for d in range(1, m + 1):
             if m % d == 0:
-                prod = _int_mul(prod, list(cyclotomic_polynomial(d)))
+                prod = upoly_mul(prod, list(cyclotomic_polynomial(d)))
         assert prod == [-1] + [0] * (m - 1) + [1], m
 
 
+def test_cyclotomic_division_checks_its_tail(monkeypatch):
+    # a nonzero coefficient past phi(m) is a remainder, however it arose;
+    # the divisors' polynomials are cached first, so only m = 12 sees it
+    want = cyclotomic_polynomial(12)
+    original = cyclotomic.upoly_series_quotient
+
+    def faulty(a, b, k):
+        out = original(a, b, k)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(cyclotomic, "upoly_series_quotient", faulty)
+    with pytest.raises(ArithmeticFault, match="remainder at m=12"):
+        cyclotomic_polynomial.__wrapped__(12)
+    monkeypatch.undo()
+    assert cyclotomic_polynomial.__wrapped__(12) == want == (1, 0, -1, 0, 1)
+
+
 def test_univariate_helpers_stay_exact():
-    # int inputs divide to Fractions, never to floats
-    q, r = upoly_divmod([1, 0, 1], [2, 2])
-    assert all(isinstance(c, Fraction) for c in q + r)
-    assert q == [Fraction(-1, 2), Fraction(1, 2)] and r == [2]
-    assert upoly_add(upoly_mul(q, [2, 2]), r) == [1, 0, 1]
-    g = upoly_gcd([2, 2], [4, 4])
-    assert g == [1, 1] and all(isinstance(c, Fraction) for c in g)
-    # the gcd over Q(zeta_3) is monic
+    # int inputs give ints, never Fractions or floats
+    q = upoly_series_quotient([1], [1, -1], 4)
+    assert q == [1, 1, 1, 1] and all(type(c) is int for c in q)
+    # a constant term of -1 negates; zero terms of the divisor are skipped
+    assert upoly_series_quotient([1, 2], [-1, 0, 0, 1], 7) == [-1, -2, 0, -1, -2, 0, -1]
+    assert upoly_mul([-1, 0, 0, 1], [-1, -2, 0, -1, -2, 0, -1])[:7] == [1, 2, 0, 0, 0, 0, 0]
+    # over Q(zeta_3): 1 / (1 - z t) = sum_k z^k t^k
     one, z = CycNum.one(3), root_of_unity(3, 1)
-    a = upoly_mul([-z, one], [-one, one])
-    b = upoly_mul([-z, one], [one, one])
-    assert upoly_gcd(a, b) == [-z, one]
-    assert upoly_gcd(upoly_mul(a, [2 * one]), []) == a
+    assert upoly_series_quotient([one], [one, -z], 4) == [z**k for k in range(4)]
+    assert upoly_mul([-z, one], [one, one]) == [-z, one - z, one]
+
+
+@pytest.mark.parametrize("den", [[2, 1], [0, 1], [], [root_of_unity(3, 1)]])
+def test_series_quotient_refuses_a_non_unit_constant_term(den):
+    with pytest.raises(NonUnitDivisor, match="not 1 or -1"):
+        upoly_series_quotient([1], den, 3)
 
 
 def test_euler_phi():

@@ -1,6 +1,6 @@
 import json
-from fractions import Fraction
 from importlib import resources
+from itertools import zip_longest
 
 import pytest
 
@@ -12,7 +12,6 @@ from reflect_gkm.cyclotomic import (
     CycNum,
     parse_cyc,
     root_of_unity,
-    upoly_add,
     upoly_mul,
     upoly_trim,
 )
@@ -29,7 +28,7 @@ from reflect_gkm.groups import (
     parse_group_dict,
 )
 from reflect_gkm.linalg import mat_identity, mat_mul
-from reflect_gkm.polynomials import MultiPoly, parse_poly, poly_text
+from reflect_gkm.polynomials import LinearForm, MultiPoly, parse_poly, poly_text
 
 
 EXPECTED = {
@@ -153,15 +152,36 @@ MOLIEN = {
 }
 
 
+def series_of(num, den, dmax):
+    """The power series num / den through degree dmax, for den(0) = 1."""
+    out = []
+    for d in range(dmax + 1):
+        acc = num[d] if d < len(num) else 0
+        acc -= sum(den[k] * out[d - k] for k in range(1, min(d, len(den) - 1) + 1))
+        out.append(acc)
+    return out
+
+
+def deciding_degree(group, den_degree):
+    """A degree through which equal series coefficients decide that the
+    Molien series equals a fraction p / q with deg p < deg q = den_degree
+    and q(0) = 1.  Each of the |W| terms 1 / det(1 - t w) is proper with a
+    denominator of degree n, so the series is P / D with deg P < deg D =
+    n |W| and D(0) = 1.  P q - p D has degree below n |W| + den_degree,
+    and it is D q times the difference of the two series, with D q(0) = 1:
+    when the difference vanishes through that degree, so does every
+    coefficient of P q - p D, and the two fractions are equal."""
+    return group.dimension * group.order + den_degree
+
+
 @pytest.mark.parametrize("name", SEVEN)
 def test_molien_series_is_pinned(name, tmp_path):
-    series = load_seven(name, tmp_path).molien()
+    g = load_seven(name, tmp_path)
     num, den = MOLIEN[name]
-    assert (series.num, series.den) == (
-        tuple(Fraction(c) for c in num),
-        tuple(Fraction(c) for c in den),
-    )
-    assert all(type(c) is Fraction for c in series.num + series.den)
+    dmax = deciding_degree(g, len(den) - 1)
+    coeffs = g.molien().coefficients(dmax)
+    assert coeffs == series_of(num, den, dmax)
+    assert all(type(c) is int for c in coeffs)
 
 
 def cofactor_det(mat):
@@ -179,7 +199,7 @@ def cofactor_det(mat):
         term = upoly_mul(entry, cofactor_det(minor))
         if j % 2:
             term = [-c for c in term]
-        acc = upoly_add(acc, term)
+        acc = upoly_trim([a + b for a, b in zip_longest(acc, term, fillvalue=0)])
     return acc
 
 
@@ -328,9 +348,8 @@ def test_fixed_space_degrees_match_molien(name, tmp_path):
     den = [1]
     for d in degrees:
         den = [a - b for a, b in zip(den + [0] * d, [0] * d + den)]
-    series = g.molien()
-    assert series.num == (1,)
-    assert series.den == tuple(den)
+    dmax = deciding_degree(g, sum(degrees))
+    assert g.molien().coefficients(dmax) == series_of((1,), den, dmax)
     assert len(degrees) == g.dimension
     prod = 1
     for d in degrees:
@@ -369,10 +388,86 @@ def test_scalar_group_is_not_a_reflection_group():
     assert g.order == 3
     assert g.reflections() == ()
     assert not g.generated_by_reflections()
-    assert g.molien().num != (1,)
     with pytest.raises(NotPolynomialInvariantRing):
         g.fundamental_degrees()
     assert g.molien().coefficients(3) == [1, 0, 0, 4]
+    # the series is (1 + 2t^3) / (1 - t^3)^2, whose numerator is not 1
+    dmax = deciding_degree(g, 6)
+    coeffs = [1, 0, 0, 4, 0, 0, 7, 0, 0, 10, 0, 0, 13]
+    assert g.molien().coefficients(dmax) == coeffs
+    assert coeffs == series_of((1, 0, 0, 2), (1, 0, 0, -2, 0, 0, 1), dmax)
+
+
+# G(12,1,2): the first Molien series here at a conductor above 4
+G1212 = {
+    "name": "g1212",
+    "dimension": 2,
+    "conductor": 12,
+    "variables": ["x1", "x2"],
+    "generators": [["0", "1", "1", "0"], ["z", "0", "0", "1"]],
+}
+
+
+def test_molien_series_at_conductor_12():
+    g = parse_group_dict(G1212)
+    assert g.order == 288
+    assert g.fundamental_degrees() == (12, 24)
+    dmax = deciding_degree(g, 36)
+    den = upoly_mul([1] + [0] * 11 + [-1], [1] + [0] * 23 + [-1])
+    assert g.molien().coefficients(dmax) == series_of((1,), den, dmax)
+
+
+def test_molien_guard_refuses_a_non_integral_coefficient(monkeypatch):
+    # 1/2 (1 / (1 - t) + 1 / (1 - 2t)) has t-coefficient 3/2
+    original = groups_module._det_one_minus_tw
+
+    def doubled(group, w):
+        det = original(group, w)
+        return [det[0], 2 * det[1]] if w else det
+
+    monkeypatch.setattr(groups_module, "_det_one_minus_tw", doubled)
+    g = load_group("z2")
+    with pytest.raises(GroupInvariantViolated, match="Molien series has a non-integral coefficient"):
+        g.molien().coefficients(1)
+
+
+def _faulty_act_linear(monkeypatch, g, fault):
+    """Make g.act_linear return fault(scale, form) of the true image."""
+    original = g.act_linear
+    monkeypatch.setattr(g, "act_linear", lambda w, form: fault(*original(w, form)))
+
+
+def test_reflections_refuse_a_coroot_that_is_not_an_eigenvector(monkeypatch):
+    g = load_group("s3")
+    m = g.conductor
+
+    def turned(c, form):
+        # the form with its last coefficient moved by 1
+        return c, LinearForm.normalize([*form.coeffs[:-1], form.coeffs[-1] + 1], m)[1]
+
+    _faulty_act_linear(monkeypatch, g, turned)
+    with pytest.raises(GroupInvariantViolated, match="co-root is not an eigenvector"):
+        g.reflections()
+
+
+def test_reflections_refuse_an_eigenvalue_that_is_not_primitive(monkeypatch):
+    g = load_group("s3")
+    _faulty_act_linear(monkeypatch, g, lambda c, form: (CycNum.one(g.conductor), form))
+    with pytest.raises(
+        GroupInvariantViolated,
+        match="eigenvalue is not a primitive root of unity of order 2",
+    ):
+        g.reflections()
+
+
+def test_conjugate_reflection_refuses_a_hyperplane_mismatch(monkeypatch):
+    g = load_group("g312")
+    s = g.reflection_at(1)
+    _, conj = g.conjugate_reflection(s, 2)
+    other = next(r.coroot for r in g.reflections() if r.coroot != conj.coroot)
+    _faulty_act_linear(monkeypatch, g, lambda c, form: (c, other))
+    with pytest.raises(GroupInvariantViolated, match="conjugated hyperplane mismatch"):
+        g.conjugate_reflection(s, 2)
 
 
 def test_group_file_faults(tmp_path):

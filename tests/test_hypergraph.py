@@ -183,6 +183,12 @@ def test_integral_large_insertion_is_polynomial(z2, z3):
         edge_integral(build_hypergraph(z2).edges[0], GroupMap.constant(z2, 1), -1)
 
 
+def test_integral_identity_refuses_a_negative_insertion(z2):
+    edge = build_hypergraph(z2).edges[0]
+    with pytest.raises(ValueError, match="insertion exponent must be nonnegative"):
+        integral_identity(edge, GroupMap.constant(z2, 1), -1)
+
+
 def _lagrange_product_integral(edge, F, k):
     # the Lagrange weights from the explicit products, independent of the
     # eigenvalue weights and of the certified inverse built from them

@@ -347,6 +347,17 @@ def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
     assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
 
 
+def test_unreducible_lift_is_refused_by_rank(s3, monkeypatch):
+    # a lift scaled by 1/p is still a member and the lifts still span, but
+    # step (b) cannot reduce its coefficients mod p, so the rows come from
+    # exact elimination
+    p = PrimeReduction.for_conductor(s3.conductor).prime
+    edit_lifts(monkeypatch, lambda lifts: [lifts[0], lifts[1] * Fraction(1, p), *lifts[2:]])
+    triples = DimensionTriples(s3)
+    assert triples.refused_by == "rank"
+    assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
+
+
 def test_certificate_divides_identity_cosets_only(monkeypatch):
     # g312's hyperplane generators have orders 3, 3, 2, 2, 2: seven
     # divisibility verdicts per lift, one coset each, for its 18 lifts, no

@@ -201,3 +201,38 @@ def test_orbit_sums_are_read_from_orbit_records():
     }
     assert summing == {"_orbit_sum"}
     assert not _mentions(tree, "cyclic_powers")
+
+
+def _euclid_steps(node):
+    """Lines of a, b = b, ... inside a while loop: the step of Euclid's
+    algorithm, whatever a and b are."""
+    return [
+        n.lineno
+        for loop in ast.walk(node)
+        if isinstance(loop, ast.While)
+        for n in ast.walk(loop)
+        if isinstance(n, ast.Assign)
+        and isinstance(n.targets[0], ast.Tuple)
+        and isinstance(n.value, ast.Tuple)
+        and len(n.targets[0].elts) == len(n.value.elts) == 2
+        and ast.unparse(n.value.elts[0]) == ast.unparse(n.targets[0].elts[1])
+    ]
+
+
+def test_no_polynomial_euclid():
+    # Phi_m and the Molien series are exact power series by divisors with
+    # constant term 1 or -1, so no polynomial is divided with a remainder
+    # and no gcd of polynomials is taken
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    helpers = {name for name, _ in _functions(trees["cyclotomic"]) if name.startswith("upoly_")}
+    assert helpers == {"upoly_trim", "upoly_mul", "upoly_series_quotient"}
+    quotients = set()
+    for stem, tree in trees.items():
+        for name in ("divmod", "upoly_divmod", "upoly_gcd", "upoly_add", "_reciprocal"):
+            assert not _mentions(tree, name), (stem, name)
+        assert _euclid_steps(tree) == [], stem
+        for name, node in _functions(tree):
+            assert "gcd" not in name and "divmod" not in name, (stem, name)
+            if _mentions(node, "upoly_series_quotient") and name != "upoly_series_quotient":
+                quotients.add(f"{stem}.{name}")
+    assert quotients == {"cyclotomic.cyclotomic_polynomial", "groups.MolienSeries.coefficients"}
