@@ -542,6 +542,17 @@ def parse_group_dict(data: dict) -> ReflectionGroup:
         raise GroupFileError("dimension must be a positive integer")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise GroupFileError("conductor must be a positive integer")
+    cap = data.get("cap", 10000)
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        raise GroupFileError("cap must be a positive integer")
+    # a group of order <= cap has exponent e <= cap, and by Brauer's theorem
+    # it is realized over Q(zeta_e); so no group the closure accepts needs a
+    # larger conductor, and one is refused before any arithmetic at it
+    if m > cap:
+        raise GroupFileError(
+            f"conductor {m} exceeds the closure cap {cap}: a group of order at most "
+            f"{cap} is realized over Q(zeta_e) for its exponent e <= {cap}"
+        )
     # names must read back through parse_poly: identifiers, distinct, and
     # not z, the root of unity
     if (
@@ -566,9 +577,6 @@ def parse_group_dict(data: dict) -> ReflectionGroup:
         matrices.append(
             tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
         )
-    cap = data.get("cap", 10000)
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise GroupFileError("cap must be a positive integer")
     elements, mult, inverse = group_closure(matrices, m, cap)
     # the BFS reaches each generator from the identity, among the first elements
     generators = tuple(elements.index(g) for g in matrices)

@@ -9,8 +9,10 @@ group:
 one polynomial per element, which is exactly the GroupMap picture.  It is
 computed in collected form: the first legs are gathered once per tensor by
 second-leg monomial, F_e = sum_k c_{k,e} f_k for g_k = sum_e c_{k,e} x^e,
-and each value is sum_e F_e . x(x^e) over the group's memoized monomial
-images, so no polynomial is substituted per element.  The
+and every value sum_e F_e . x(x^e) comes out of one keyed dot product
+(cyclotomic.keyed_dot_products) keyed by (element, monomial), over the
+group's memoized monomial images, so no polynomial is substituted per
+element and one CycNum is built per term of the result.  The
 tensor product over invariants has no canonical normal form worth
 maintaining at this scale, so equality of tensors is extensional: two
 tensors are equal when their localizations agree everywhere.
@@ -31,9 +33,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
+from operator import add
 from typing import Sequence
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, keyed_dot_products
 from .equivariant import (
     GroupMap,
     divided_difference,
@@ -53,7 +56,6 @@ from .polynomials import (
     MultiPoly,
     _check_operand,
     graded_monomials,
-    sum_of_products,
     weighted_sum,
 )
 
@@ -160,8 +162,11 @@ class TensorElement:
 
 
 def _localized_values(T: TensorElement, elements) -> list[MultiPoly]:
-    """localize(T)(x) for each x in elements, through the collected first
-    legs F_e; each leg of T is checked once, whatever the elements."""
+    """localize(T)(x) for each x in elements: the first legs are collected
+    into F_e once, then one keyed dot product forms every value, keyed by
+    (x, monomial), over the products of F_e's terms with those of the
+    group's memoized x(x^e).  Each leg of T is checked once, whatever the
+    elements."""
     group = T.group
     n, m = group.dimension, group.conductor
     by_monomial = {}
@@ -170,11 +175,21 @@ def _localized_values(T: TensorElement, elements) -> list[MultiPoly]:
         for e, c in g.terms.items():
             by_monomial.setdefault(e, []).append((f, c))
     collected = [(e, weighted_sum(pairs, n, m)) for e, pairs in by_monomial.items()]
-    collected = [(e, F) for e, F in collected if F]
-    return [
-        sum_of_products(((F, group.monomial_image(x, e)) for e, F in collected), n, m)
-        for x in elements
-    ]
+    collected = [(e, F.terms.items()) for e, F in collected if F]
+    elements = tuple(elements)
+
+    def triples():
+        for x in elements:
+            for e, F in collected:
+                image = group.monomial_image(x, e).terms.items()
+                for e1, c1 in F:
+                    for e2, c2 in image:
+                        yield (x, tuple(map(add, e1, e2))), c1, c2
+
+    values = {x: {} for x in elements}
+    for (x, e), c in keyed_dot_products(m, triples()).items():
+        values[x][e] = c
+    return [MultiPoly._make(n, m, values[x]) for x in elements]
 
 
 def localize_at(T: TensorElement, x: int) -> MultiPoly:

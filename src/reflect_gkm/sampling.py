@@ -4,13 +4,17 @@ Everything funnels through one random.Random instance supplied by the
 caller, so a fixed seed reproduces every trial bit for bit.  Coefficients
 are kept small on purpose (single-digit numerators, denominators 1 to 3):
 the checks are exact, so magnitude adds cost without adding coverage.
+random_poly adds the draws for one monomial as an integer pair (num, den)
+and builds each rational coefficient once from its numerators; the
+exponents come from graded_monomials, so the polynomial is assembled
+without re-validating them.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
+from .cyclotomic import euler_phi, from_numerators
 from .equivariant import GroupMap, membership
 from .groups import ReflectionGroup
 from .localization import TensorElement, localize
@@ -44,9 +48,15 @@ def random_poly(
         pool = graded_monomials(nvars, d)
         exps = pool[rng.randrange(len(pool))]
         num = rng.choice(_NUMERATORS)
-        c = Fraction(num, rng.choice(_DENOMS))
-        terms[exps] = terms.get(exps, 0) + c
-    return MultiPoly(nvars, conductor, terms)
+        den = rng.choice(_DENOMS)
+        prev = terms.get(exps)
+        terms[exps] = (num, den) if prev is None else (prev[0] * den + num * prev[1], prev[1] * den)
+    pad = [0] * (euler_phi(conductor) - 1)
+    return MultiPoly._make(
+        nvars,
+        conductor,
+        {e: from_numerators(conductor, [a, *pad], b) for e, (a, b) in terms.items() if a},
+    )
 
 
 def random_tensor(

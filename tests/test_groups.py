@@ -628,6 +628,20 @@ def test_group_file_cap_must_be_a_positive_int(cap, tmp_path, capsys):
     assert parse_group_dict({**data, "cap": 2}).order == 2
 
 
+def test_group_file_conductor_must_not_exceed_the_cap():
+    data = {
+        "name": "flip",
+        "dimension": 1,
+        "conductor": 3,
+        "variables": ["x1"],
+        "generators": [["-1"]],
+        "cap": 2,
+    }
+    with pytest.raises(GroupFileError, match="conductor 3 exceeds the closure cap 2"):
+        parse_group_dict(data)
+    assert parse_group_dict({**data, "conductor": 2}).order == 2
+
+
 def test_orbit_table_matches_cosets_and_action(groups):
     for g in groups.values():
         for s in g.reflections():

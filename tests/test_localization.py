@@ -12,7 +12,7 @@ import pytest
 from reflect_gkm import equivariant, localization, polynomials
 from reflect_gkm.cyclotomic import ConductorMismatch, root_of_unity
 from reflect_gkm.equivariant import GroupMap, membership, membership_basis, orbit_difference
-from reflect_gkm.groups import bundled_names, load_group
+from reflect_gkm.groups import bundled_names, load_group, parse_group_dict
 from reflect_gkm.invariants import (
     CoinvariantBasis,
     coinvariant_basis,
@@ -31,7 +31,7 @@ from reflect_gkm.localization import (
     localize_at,
     localized_lifts,
 )
-from reflect_gkm.polynomials import MultiPoly, parse_poly
+from reflect_gkm.polynomials import MultiPoly, parse_poly, sum_of_products, weighted_sum
 from reflect_gkm.sampling import (
     random_member,
     random_nonmember,
@@ -135,6 +135,67 @@ def test_collected_localization_hand_built_cases(s3):
     )
 
     assert _assert_localizes_by_definition(TensorElement.zero(s3)) == zero_map
+
+
+# groups beyond the bundled six: G(4,1,2)'s index-2 subgroup over Q(i), and
+# the scalars z * id over Q(zeta_3), which hold no reflection
+G412 = {
+    "name": "g412",
+    "dimension": 2,
+    "conductor": 4,
+    "variables": ["x1", "x2"],
+    "generators": [["0", "1", "1", "0"], ["z", "0", "0", "1"]],
+}
+SCALAR3 = {
+    "name": "scalar3",
+    "dimension": 2,
+    "conductor": 3,
+    "variables": ["x1", "x2"],
+    "generators": [["z", "0", "0", "z"]],
+}
+
+
+def _value_by_products(T, x):
+    """The per-element route: one sum_of_products over (F_e, x(x^e)), with
+    F_e the first legs collected by second-leg monomial."""
+    group = T.group
+    n, m = group.dimension, group.conductor
+    by_monomial = {}
+    for f, g in T.summands:
+        for e, c in g.terms.items():
+            by_monomial.setdefault(e, []).append((f, c))
+    return sum_of_products(
+        (
+            (weighted_sum(pairs, n, m), group.monomial_image(x, e))
+            for e, pairs in by_monomial.items()
+        ),
+        n,
+        m,
+    )
+
+
+@pytest.mark.parametrize("name", list(bundled_names()) + ["g412", "scalar3"])
+def test_keyed_localization_equals_the_per_element_products(name):
+    extra = {"g412": G412, "scalar3": SCALAR3}
+    group = parse_group_dict(extra[name]) if name in extra else load_group(name)
+    n, m = group.dimension, group.conductor
+    xs = [MultiPoly.variable(n, m, k) for k in range(n)]
+    # s3 moves x1 to -x1 + x2, so its products of two-term factors meet a
+    # monomial first in an order that depends on which factor is walked first
+    tensors = [TensorElement.pure(group, sum(x * x for x in xs), sum(xs))]
+    rng = random.Random(f"keyed:{name}")
+    for _ in range(4):
+        T = random_tensor(rng, group, max_degree=4) + random_tensor(rng, group, max_degree=4)
+        assert len(T.summands) >= 2
+        tensors.append(T)
+    for T in tensors:
+        F = localize(T)
+        for x in range(group.order):
+            expected = _value_by_products(T, x)
+            assert F.values[x] == expected == localize_at(T, x)
+            # the same terms in the same order, so nothing downstream that
+            # walks a value's terms sees a different sequence
+            assert list(F.values[x].terms) == list(expected.terms)
 
 
 def test_malformed_legs_are_refused(z3):
