@@ -83,7 +83,7 @@ class SingularGenerator(Exception):
 
 
 class CapExceeded(Exception):
-    """Closure passed the configured element cap without terminating."""
+    """Closure passed _CAP elements without terminating."""
 
 
 class GroupInvariantViolated(Exception):
@@ -186,7 +186,13 @@ def _matrix_key(matrix) -> tuple:
     return tuple((x.num, x.den) for row in matrix for x in row)
 
 
-def group_closure(matrices, conductor: int, cap: int = 10000):
+# The largest group order the closure accepts.  A group of order at most
+# _CAP has exponent e <= _CAP and, by Brauer's theorem, is realized over
+# Q(zeta_e), so no accepted group needs a conductor above _CAP either.
+_CAP = 10000
+
+
+def group_closure(matrices, conductor: int):
     """BFS closure of a generator list; returns (elements, mult_table,
     inverse_table).  Deterministic: the identity is element 0 and products
     are explored in generator file order.
@@ -217,8 +223,8 @@ def group_closure(matrices, conductor: int, cap: int = 10000):
             key = _matrix_key(prod)
             j = index.get(key)
             if j is None:
-                if len(elements) >= cap:
-                    raise CapExceeded(f"group order exceeds cap {cap}")
+                if len(elements) >= _CAP:
+                    raise CapExceeded(f"group order exceeds cap {_CAP}")
                 j = index[key] = len(elements)
                 elements.append(prod)
                 words.append((x, g))
@@ -542,16 +548,11 @@ def parse_group_dict(data: dict) -> ReflectionGroup:
         raise GroupFileError("dimension must be a positive integer")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise GroupFileError("conductor must be a positive integer")
-    cap = data.get("cap", 10000)
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise GroupFileError("cap must be a positive integer")
-    # a group of order <= cap has exponent e <= cap, and by Brauer's theorem
-    # it is realized over Q(zeta_e); so no group the closure accepts needs a
-    # larger conductor, and one is refused before any arithmetic at it
-    if m > cap:
+    # no accepted group needs a larger conductor (see _CAP): refuse it first
+    if m > _CAP:
         raise GroupFileError(
-            f"conductor {m} exceeds the closure cap {cap}: a group of order at most "
-            f"{cap} is realized over Q(zeta_e) for its exponent e <= {cap}"
+            f"conductor {m} exceeds the closure cap {_CAP}: a group of order at most "
+            f"{_CAP} is realized over Q(zeta_e) for its exponent e <= {_CAP}"
         )
     # names must read back through parse_poly: identifiers, distinct, and
     # not z, the root of unity
@@ -577,7 +578,7 @@ def parse_group_dict(data: dict) -> ReflectionGroup:
         matrices.append(
             tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
         )
-    elements, mult, inverse = group_closure(matrices, m, cap)
+    elements, mult, inverse = group_closure(matrices, m)
     # the BFS reaches each generator from the identity, among the first elements
     generators = tuple(elements.index(g) for g in matrices)
     return ReflectionGroup(name, n, m, variables, elements, mult, inverse, generators)

@@ -161,12 +161,16 @@ class TensorElement:
 # the localization map
 
 
-def _localized_values(T: TensorElement, elements) -> list[MultiPoly]:
-    """localize(T)(x) for each x in elements: the first legs are collected
-    into F_e once, then one keyed dot product forms every value, keyed by
+def localize(T: TensorElement) -> GroupMap:
+    """The map x -> sum_k f_k . x(g_k), one polynomial per group element.
+
+    Computed as sum_e F_e . x(x^e) with F_e = sum_k c_{k,e} f_k collected
+    over the monomials of the second legs g_k = sum_e c_{k,e} x^e.  The two
+    agree because x acts linearly, x(g_k) = sum_e c_{k,e} x(x^e), and the
+    product is bilinear; as exact canonical polynomials they are equal, not
+    merely close.  One keyed dot product forms every value, keyed by
     (x, monomial), over the products of F_e's terms with those of the
-    group's memoized x(x^e).  Each leg of T is checked once, whatever the
-    elements."""
+    group's memoized x(x^e).  Each leg of T is checked once."""
     group = T.group
     n, m = group.dimension, group.conductor
     by_monomial = {}
@@ -176,7 +180,7 @@ def _localized_values(T: TensorElement, elements) -> list[MultiPoly]:
             by_monomial.setdefault(e, []).append((f, c))
     collected = [(e, weighted_sum(pairs, n, m)) for e, pairs in by_monomial.items()]
     collected = [(e, F.terms.items()) for e, F in collected if F]
-    elements = tuple(elements)
+    elements = range(group.order)
 
     def triples():
         for x in elements:
@@ -186,26 +190,15 @@ def _localized_values(T: TensorElement, elements) -> list[MultiPoly]:
                     for e2, c2 in image:
                         yield (x, tuple(map(add, e1, e2))), c1, c2
 
-    values = {x: {} for x in elements}
+    values = [{} for _ in elements]
     for (x, e), c in keyed_dot_products(m, triples()).items():
         values[x][e] = c
-    return [MultiPoly._make(n, m, values[x]) for x in elements]
+    return GroupMap(group, [MultiPoly._make(n, m, v) for v in values])
 
 
 def localize_at(T: TensorElement, x: int) -> MultiPoly:
-    """Evaluate the tensor at one group element: sum_k f_k . x(g_k).
-
-    Computed as sum_e F_e . x(x^e) with F_e = sum_k c_{k,e} f_k collected
-    over the monomials of the second legs g_k = sum_e c_{k,e} x^e.  The two
-    agree because x acts linearly, x(g_k) = sum_e c_{k,e} x(x^e), and the
-    product is bilinear; as exact canonical polynomials they are equal, not
-    merely close."""
-    return _localized_values(T, (x,))[0]
-
-
-def localize(T: TensorElement) -> GroupMap:
-    g = T.group
-    return GroupMap(g, _localized_values(T, range(g.order)))
+    """localize(T) read at the group element x."""
+    return localize(T).values[x]
 
 
 # ---------------------------------------------------------------------------

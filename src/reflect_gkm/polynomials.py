@@ -94,6 +94,15 @@ def _as_coeff(value, conductor: int) -> CycNum:
     return CycNum.rational(conductor, value)
 
 
+def _linear_poly(nvars: int, conductor: int, coeffs: Sequence) -> MultiPoly:
+    """sum_k coeffs[k] * x_k."""
+    return MultiPoly(
+        nvars,
+        conductor,
+        {tuple(int(j == k) for j in range(nvars)): c for k, c in enumerate(coeffs) if c},
+    )
+
+
 class MultiPoly:
     """Exact sparse polynomial in nvars variables over Q(zeta_conductor)."""
 
@@ -142,8 +151,7 @@ class MultiPoly:
     def variable(cls, nvars: int, conductor: int, k: int) -> "MultiPoly":
         if not 0 <= k < nvars:
             raise ValueError(f"variable index {k} out of range")
-        exps = tuple(1 if j == k else 0 for j in range(nvars))
-        return cls(nvars, conductor, {exps: 1})
+        return _linear_poly(nvars, conductor, [int(j == k) for j in range(nvars)])
 
     # -- ring structure --------------------------------------------------
 
@@ -280,16 +288,7 @@ class LinearForm:
         )
 
     def as_poly(self) -> MultiPoly:
-        n = self.nvars
-        return MultiPoly(
-            n,
-            self.conductor,
-            {
-                tuple(1 if j == k else 0 for j in range(n)): c
-                for k, c in enumerate(self.coeffs)
-                if c
-            },
-        )
+        return _linear_poly(self.nvars, self.conductor, self.coeffs)
 
     def __str__(self):
         return poly_text(self.as_poly())
@@ -345,18 +344,7 @@ class LinearSubstitution:
         self.conductor = conductor
         self.rows = tuple(tuple(r) for r in rows)
         n = self.nvars
-        self._row_polys = [
-            MultiPoly(
-                n,
-                conductor,
-                {
-                    tuple(1 if j == i else 0 for j in range(n)): c
-                    for i, c in enumerate(row)
-                    if c
-                },
-            )
-            for row in self.rows
-        ]
+        self._row_polys = [_linear_poly(n, conductor, row) for row in self.rows]
         self._memo: dict[Exponents, MultiPoly] = {
             (0,) * n: MultiPoly.one(n, conductor)
         }
@@ -534,7 +522,7 @@ def divide_numerators(terms: dict, den: int, form: LinearForm, power: int):
 # monomial enumeration
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def graded_monomials(nvars: int, d: int) -> tuple[Exponents, ...]:
     """All exponent tuples of total degree d, in descending lexicographic
     order (so x1^d comes first)."""

@@ -600,46 +600,35 @@ def test_negative_exponents_are_refused_before_any_recursion(groups):
     assert z3.monomial_image(1, (2,)) == z3.act(1, MultiPoly(1, 3, {(2,): 1}))
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
     one = CycNum.one(1)
     zero = CycNum.zero(1)
     swap = ((zero, one), (one, zero))
     neg = ((-one, zero), (zero, one))
-    with pytest.raises(CapExceeded):
-        group_closure([swap, neg], 1, cap=3)
-
-
-@pytest.mark.parametrize("cap", ["abc", None, True, 0, -3, 2.5])
-def test_group_file_cap_must_be_a_positive_int(cap, tmp_path, capsys):
-    data = {
-        "name": "flip",
-        "dimension": 1,
-        "conductor": 1,
-        "variables": ["x1"],
-        "generators": [["-1"]],
-        "cap": cap,
-    }
-    with pytest.raises(GroupFileError, match="cap"):
-        parse_group_dict(data)
-    path = tmp_path / "flip.json"
-    path.write_text(json.dumps(data))
-    assert main(["group", "info", "--group", str(path)]) == 2
-    assert "cap must be a positive integer" in capsys.readouterr().err
-    assert parse_group_dict({**data, "cap": 2}).order == 2
+    monkeypatch.setattr(groups_module, "_CAP", 3)
+    with pytest.raises(CapExceeded, match="group order exceeds cap 3"):
+        group_closure([swap, neg], 1)
+    # they generate the 8 signed permutations, which fill a cap of 8
+    monkeypatch.setattr(groups_module, "_CAP", 8)
+    assert len(group_closure([swap, neg], 1)[0]) == 8
 
 
 def test_group_file_conductor_must_not_exceed_the_cap():
     data = {
         "name": "flip",
         "dimension": 1,
-        "conductor": 3,
+        "conductor": groups_module._CAP + 1,
         "variables": ["x1"],
         "generators": [["-1"]],
-        "cap": 2,
     }
-    with pytest.raises(GroupFileError, match="conductor 3 exceeds the closure cap 2"):
+    message = f"conductor {groups_module._CAP + 1} exceeds the closure cap {groups_module._CAP}"
+    with pytest.raises(GroupFileError, match=message):
         parse_group_dict(data)
-    assert parse_group_dict({**data, "conductor": 2}).order == 2
+    # the cap is not part of the schema: a "cap" key is ignored like any
+    # other unknown key, and cannot raise it
+    with pytest.raises(GroupFileError, match=message):
+        parse_group_dict({**data, "cap": 10**6})
+    assert parse_group_dict({**data, "conductor": 2, "cap": 1}).order == 2
 
 
 def test_orbit_table_matches_cosets_and_action(groups):

@@ -236,3 +236,53 @@ def test_no_polynomial_euclid():
             if _mentions(node, "upoly_series_quotient") and name != "upoly_series_quotient":
                 quotients.add(f"{stem}.{name}")
     assert quotients == {"cyclotomic.cyclotomic_polynomial", "groups.MolienSeries.coefficients"}
+
+
+def _cache_maxsize(decorator):
+    """The maxsize of a functools cache decorator: None for an unbounded
+    one, a number for a bounded one, False for any other decorator."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    func = call.func if call else decorator
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "cache":
+        return None
+    if name != "lru_cache":
+        return False
+    given = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args if call else []
+    return ast.literal_eval(given[0]) if given else 128
+
+
+def test_caches_are_bounded_or_keyed_by_the_conductor():
+    # a cache keyed by input sizes (degrees, exponents, forms) is bounded;
+    # only a table of the conductor alone is not, and a group file cannot
+    # take a conductor above groups._CAP
+    unbounded = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, node in _functions(tree):
+            for decorator in node.decorator_list:
+                if _cache_maxsize(decorator) is None:
+                    unbounded[f"{path.stem}.{name}"] = [a.arg for a in node.args.args]
+    assert unbounded == {
+        "cyclotomic._divisors": ["m"],
+        "cyclotomic.cyclotomic_polynomial": ["m"],
+        "cyclotomic._phi_terms": ["m"],
+    }
+
+
+def test_one_localization_routine():
+    # localize forms every value in one keyed dot product; localize_at is
+    # localize read at one element
+    tree = ast.parse((Path(reflect_gkm.__file__).parent / "localization.py").read_text())
+    functions = dict(_functions(tree))
+    callers = {name for name, node in functions.items() if _mentions(node, "keyed_dot_products")}
+    assert callers == {"localize"}
+    assert _mentions(functions["localize_at"], "localize")
+
+
+def test_one_linear_polynomial_builder():
+    # sum_k c_k x_k, a variable and a linear form's polynomial among them,
+    # is built in one place
+    tree = ast.parse((Path(reflect_gkm.__file__).parent / "polynomials.py").read_text())
+    builders = {name for name, node in _functions(tree) if _mentions(node, "_linear_poly")}
+    assert builders == {"LinearForm.as_poly", "LinearSubstitution.__init__", "MultiPoly.variable"}

@@ -458,20 +458,22 @@ def test_cli_malformed_file_is_a_usage_error(command, text, message, tmp_path, c
 
 def test_cli_conductor_above_the_cap_is_refused_at_once(tmp_path):
     # in a fresh process with a wall budget: a run past it fails the test
-    # instead of hanging it
-    path = tmp_path / "zbig.json"
-    path.write_text(json.dumps({**CYCLIC2, "name": "zbig", "conductor": 100000,
-                                "generators": [["z"]]}))
+    # instead of hanging it.  The cap is fixed: a "cap" key in the file is
+    # ignored like any key outside the schema, so it cannot raise the cap
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys; from reflect_gkm.cli import main; sys.exit(main(sys.argv[1:]))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "group", "info", "--group", str(path)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=10,
-    )
-    assert proc.returncode == 2 and proc.stdout == ""
-    (line,) = proc.stderr.splitlines()
-    assert line.startswith("error: conductor 100000 exceeds the closure cap 10000")
+    for extra in ({}, {"cap": 1000000}):
+        path = tmp_path / "zbig.json"
+        path.write_text(json.dumps({**CYCLIC2, "name": "zbig", "conductor": 100000,
+                                    "generators": [["z"]], **extra}))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "group", "info", "--group", str(path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: conductor 100000 exceeds the closure cap 10000")
 
 
 def test_cli_unreadable_and_unwritable_paths(tmp_path, capsys):
