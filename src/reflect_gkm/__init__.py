@@ -52,7 +52,6 @@ from .invariants import (
     CoinvariantBasis,
     coinvariant_basis,
     invariant_basis,
-    reynolds,
 )
 from .localization import (
     TensorElement,
@@ -130,7 +129,6 @@ __all__ = [
     "parse_group_dict",
     "parse_poly",
     "poly_text",
-    "reynolds",
     "root_of_unity",
     "run_suite",
 ]

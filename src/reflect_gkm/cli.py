@@ -411,7 +411,3 @@ def main(argv=None) -> int:
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -47,12 +47,14 @@ coefficient vectors over one common denominator L, the lcm of all their
 coefficient denominators (integral_numerators), so it holds L F(x).  The
 weights lambda^{-ij} are roots of unity (reflections() checks the
 eigenvalue), hence algebraic integers with integer coordinates in the
-power basis, and L S_i is an integer combination of those vectors; a zero
-sum is skipped.  ell^i | S_i is decided by i Horner steps along the
-orbit's form ell = x_p + a(x') (linear_power_divides).  Let D be the lcm of
-the coefficient denominators of a, so r = -D a has integer coefficients,
-and top the x_p-degree of S_i.  Substituting y = D x_p and scaling the
-slice of x_p^k by D^(top - k) gives
+power basis, and L S_i is an integer combination of those vectors.  A
+coset where F is zero, whose S_i are 0, and a zero sum are skipped.  A
+coordinate form x_p divides S_i to order i exactly when every term has
+x_p-exponent at least i (linear_power_divides reads the exponents); any
+other form ell = x_p + a(x') decides ell^i | S_i by i Horner steps.  Let
+D be the lcm of the coefficient denominators of a, so r = -D a has
+integer coefficients, and top the x_p-degree of S_i.  Substituting
+y = D x_p and scaling the slice of x_p^k by D^(top - k) gives
 
     g(y, x') = L D^top S_i(y / D, x'),    D ell = y - r(x'),
 
@@ -98,11 +100,11 @@ from .polynomials import (
     LinearForm,
     MultiPoly,
     NotDivisible,
+    _horner,
     divide_numerators,
     graded_monomials,
     hyperplane_coordinates,
     integral_numerators,
-    linear_power_divides,
     parse_poly,
     poly_text,
 )
@@ -354,6 +356,14 @@ def _orbit_sum(orbit: Orbit, i: int, values) -> dict:
     )
 
 
+def linear_power_divides(terms: dict, form: LinearForm, power: int) -> bool:
+    """Does form^power divide the polynomial with integer coefficient vectors
+    terms?  Read off the exponents or by Horner steps (module docstring)."""
+    if not terms or not form.integral_root[1]:
+        return all(e[form.pivot] >= power for e in terms)
+    return _horner(terms, form, power)[0] == power
+
+
 def _hyperplane_generators(group: ReflectionGroup) -> list[PseudoReflection]:
     """One reflection of maximal order per hyperplane, the first such in
     reflections() order."""
@@ -366,15 +376,16 @@ def _hyperplane_generators(group: ReflectionGroup) -> list[PseudoReflection]:
 
 
 def membership(F: GroupMap) -> MembershipCertificate:
-    """Is F a member?  Decided from one generator per hyperplane on the
-    integer numerators of F's values (see the module docstring), stopping
-    at the first failed division; the certificate lists the failures over
-    all pseudo-reflections on read."""
+    """Is F a member?  Decided as the module docstring says, one generator
+    per hyperplane, stopping at the first failed division; the certificate
+    lists the failures over all pseudo-reflections on read."""
     group = F.group
     values, _ = integral_numerators(F.values, group.dimension, group.conductor)
+    zero = {x for x, v in enumerate(values) if not v}
     for s in _hyperplane_generators(group):
+        orbits = [o for o in group.orbits(s) if not zero.issuperset(o.members)]
         for i in range(1, s.order):
-            for orbit in group.orbits(s):
+            for orbit in orbits:
                 if not linear_power_divides(_orbit_sum(orbit, i, values), orbit.form, i):
                     return MembershipCertificate(False, F)
     return MembershipCertificate(True)

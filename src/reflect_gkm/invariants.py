@@ -4,19 +4,18 @@ No Groebner machinery and no average over the group: at desk scale every
 question reduces to the rank of an exact coefficient matrix over graded
 monomials, built from the group file's generators.  The degree-d
 invariants (R^W)_d are the common kernel on R_d of g - 1 over the
-generators g (not the reflections: a group they do not generate has fewer
-invariants than they fix).  The Hilbert ideal J is generated by
+generators g (not the reflections: a group they do not generate has
+fewer invariants than they fix).  The Hilbert ideal J is generated by
 positive-degree invariants, so J_0 = 0 and J_d = x_1 J_{d-1} + ... +
-x_n J_{d-1} + (R^W)_d, built upward.  reynolds, the average
-(1/|W|) sum_w w . f, stays public as the tests' oracle for both.  The
-coinvariant ring R / J is presented by greedy standard monomials in
-graded-lex order so bases are reproducible run to run.  Every basis here
-is in reduced row echelon form over columns in reversed graded-lex order:
-each vector ends at its own monomial, with coefficient 1, which the other
-vectors lack.  linalg.nullspace gives the invariants in this form (listed
-in reverse) and J_d takes one linalg.rref over the reversed columns, so a
-degree-d monomial is standard exactly when it ends no J_d vector: the
-standard monomials take no elimination of their own.
+x_n J_{d-1} + (R^W)_d, built upward.  The coinvariant ring R / J is
+presented by greedy standard monomials in graded-lex order so bases are
+reproducible run to run.  Every basis here is in reduced row echelon
+form over columns in reversed graded-lex order: each vector ends at its
+own monomial, with coefficient 1, which the other vectors lack.
+linalg.nullspace gives the invariants in this form (listed in reverse)
+and J_d takes one linalg.rref over the reversed columns, so a degree-d
+monomial is standard exactly when it ends no J_d vector: the standard
+monomials take no elimination of their own.
 
 The basis always runs to the top degree sum_i (d_i - 1), and its degree
 histogram must match the coefficients of prod_i (1 + t + ... + t^{d_i - 1});
@@ -47,7 +46,6 @@ __all__ = [
     "graded_count",
     "hilbert_ideal_piece",
     "invariant_basis",
-    "reynolds",
 ]
 
 
@@ -79,14 +77,6 @@ class CoinvariantBasis:
 
 
 # ---------------------------------------------------------------------------
-
-
-def reynolds(group: ReflectionGroup, f: MultiPoly) -> MultiPoly:
-    """The averaging projector (1/|W|) sum_w w . f onto invariants."""
-    acc = MultiPoly.zero(group.dimension, group.conductor)
-    for w in range(group.order):
-        acc = acc + group.act(w, f)
-    return acc / group.order
 
 
 def _coeff_row(terms: dict, monomials, conductor: int) -> list[CycNum]:

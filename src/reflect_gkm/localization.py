@@ -197,7 +197,9 @@ def localize(T: TensorElement) -> GroupMap:
 
 
 def localize_at(T: TensorElement, x: int) -> MultiPoly:
-    """localize(T) read at the group element x."""
+    """localize(T) read at the group element x, an index in range(order)."""
+    if x not in range(T.group.order):
+        raise ValueError(f"element index {x!r} not in range({T.group.order})")
     return localize(T).values[x]
 
 

@@ -29,9 +29,9 @@ integer coefficient vectors over a common denominator L, D is the lcm of
 the form's coefficient denominators (integral_root, cached per form), the
 pivot is replaced by y = D x_p and the slice of x_p^k is scaled by
 D^(top - k), so every step adds integer products only.  Why that keeps
-divisibility is proved once, in the equivariant module docstring.
-linear_power_divides reads only the verdict; divide_numerators scales each
-coefficient of the quotient or the witness back once, and
+divisibility is proved once, in the equivariant module docstring, where
+the membership verdict counts the steps alone; divide_numerators scales
+each coefficient of the quotient or the witness back once, and
 divide_by_linear_power is it on the numerators of one MultiPoly.
 
 Linear combinations sum_k w_k f_k (weighted_sum) and sums of products
@@ -70,7 +70,6 @@ __all__ = [
     "graded_monomials",
     "hyperplane_coordinates",
     "integral_numerators",
-    "linear_power_divides",
     "parse_poly",
     "poly_text",
     "sum_of_products",
@@ -364,6 +363,11 @@ class LinearSubstitution:
         return img
 
     def apply(self, f: MultiPoly) -> MultiPoly:
+        # x^e is its memoized image itself: nothing mutates a polynomial
+        if len(f.terms) == 1 and f.conductor == self.conductor:
+            ((e, c),) = f.terms.items()
+            if c == 1:
+                return self.monomial_image(e)
         return weighted_sum(
             ((self.monomial_image(e), c) for e, c in f.terms.items()),
             f.nvars,
@@ -464,13 +468,6 @@ def _horner(terms: dict, form: LinearForm, power: int):
             return step, top, remainder
         slices = quotient
     return power, top, slices
-
-
-def linear_power_divides(terms: dict, form: LinearForm, power: int) -> bool:
-    """Does form^power divide the polynomial whose coefficients are the
-    integer vectors terms, over any common denominator?  Decided by the
-    Horner steps alone, with no quotient built."""
-    return not terms or _horner(terms, form, power)[0] == power
 
 
 def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):

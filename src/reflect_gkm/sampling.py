@@ -88,9 +88,10 @@ def random_nonmember(rng: random.Random, group: ReflectionGroup, max_degree: int
     monomial until the result is not a member.  Members form a module, so
     F + Delta is a member exactly when the sparse map Delta (the monomial
     at one element, zero elsewhere) is: each attempt is decided on Delta,
-    and only the map returned localizes its tensor.  Raises RuntimeError
-    if the group refuses to produce one in _NONMEMBER_ATTEMPTS tries (it
-    will not, for nontrivial reflection groups)."""
+    on the cosets through that element, and only the map returned
+    localizes its tensor and adds Delta there.  Raises RuntimeError if the
+    group refuses to produce one in _NONMEMBER_ATTEMPTS tries (it will
+    not, for nontrivial reflection groups)."""
     n, m = group.dimension, group.conductor
     for _ in range(_NONMEMBER_ATTEMPTS):
         T = random_tensor(rng, group, max_degree=max_degree)
@@ -98,7 +99,8 @@ def random_nonmember(rng: random.Random, group: ReflectionGroup, max_degree: int
         x = rng.randrange(group.order)
         pool = graded_monomials(n, rng.randint(0, max_degree))
         values[x] = MultiPoly(n, m, {pool[rng.randrange(len(pool))]: 1})
-        delta = GroupMap(group, values)
-        if not membership(delta).ok:
-            return localize(T) + delta
+        if not membership(GroupMap(group, values)).ok:
+            perturbed = list(localize(T).values)
+            perturbed[x] += values[x]
+            return GroupMap(group, perturbed)
     raise RuntimeError("could not find a nonmember by perturbation")

@@ -41,10 +41,12 @@ from reflect_gkm.groups import (
 from reflect_gkm.invariants import coinvariant_basis
 from reflect_gkm.linalg import rref
 from reflect_gkm.polynomials import (
+    LinearForm,
     MultiPoly,
     NotDivisible,
     divide_by_linear_power,
     graded_monomials,
+    integral_numerators,
     parse_poly,
     poly_text,
     weighted_sum,
@@ -598,9 +600,11 @@ def test_transport_verdict_equals_membership(name, monkeypatch):
     maps = [GroupMap(g, [g.act(x, e) for x in range(g.order)]) for e in lifts]
     assert [lift_membership(g, e).ok for e in lifts] == [membership(F).ok for F in maps]
     assert all(membership(F).ok for F in maps)
-    # every such map is a member, so only a fault refuses one: here the one
-    # Horner routine fails every nonzero dividend at step 0, with the
-    # dividend as its witness, which x . P_i does exactly when P_i does
+    # every such map is a member, so only a fault refuses one: here the
+    # verdict refuses every nonzero dividend, which x . P_i is exactly when
+    # P_i is, and the Horner routine behind the failures list fails it at
+    # step 0 with the dividend as its witness
+    monkeypatch.setattr(equivariant_module, "linear_power_divides", lambda terms, form, power: not terms)
     monkeypatch.setattr(polynomials_module, "_horner", lambda terms, form, power: (0, 0, terms))
     verdicts = [lift_membership(g, e) for e in lifts]
     assert [v.ok for v in verdicts] == [membership(F).ok for F in maps]
@@ -673,6 +677,53 @@ def test_integral_verdict_equals_the_failure_loop(name):
         assert ok == assert_matches_oracle(g, F, lambda s: range(1, s.order))
     assert set(verdicts) == {True, False}
     assert all(verdicts[len(maps) :: 2])
+
+
+def test_coordinate_verdict_equals_the_horner_verdict():
+    # a coordinate form x_p divides to order i exactly when every term has
+    # x_p-exponent at least i; the verdict reads that off the exponents,
+    # where Horner steps run through every power of x_p up to the degree
+    rng = random.Random("coordinate")
+    verdicts = set()
+    for n, m in ((1, 3), (2, 1), (2, 4), (3, 3)):
+        for p in range(n):
+            _, form = LinearForm.normalize([int(j == p) for j in range(n)], m)
+            assert form.integral_root[1] == ()
+            for _ in range(12):
+                pivot_power = MultiPoly.variable(n, m, p) ** rng.randint(0, 3)
+                f = random_poly(rng, n, m, max_degree=4) * pivot_power
+                (terms,), _ = integral_numerators([f], n, m)
+                for power in range(1, (f.degree() or 0) + 3):
+                    mine = equivariant_module.linear_power_divides(terms, form, power)
+                    horner = not terms or polynomials_module._horner(terms, form, power)[0] == power
+                    assert mine == horner, (f, p, power)
+                    verdicts.add(mine)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", list(bundled_names()) + ["g412"])
+def test_one_value_map_sums_only_the_cosets_through_its_element(name, monkeypatch):
+    # membership skips the cosets where the map is zero, so a one-value
+    # member sums one coset per hyperplane generator s and order i < e_s
+    g = parse_group_dict(G412) if name == "g412" else load_group(name)
+    point = map_failing_only_at_hyperplane(g, None)
+    orders = {}
+    for s in g.reflections():
+        orders[s.hyperplane] = max(orders.get(s.hyperplane, 1), s.order)
+    summed = []
+    original = equivariant_module._orbit_sum
+
+    def counting(orbit, i, values):
+        summed.append(orbit.members)
+        return original(orbit, i, values)
+
+    monkeypatch.setattr(equivariant_module, "_orbit_sum", counting)
+    for y in (0, g.order - 1):
+        summed.clear()
+        # the value sits at y: (F . y)(x) = F(x y^-1)
+        assert membership(point.act(y)).ok
+        assert len(summed) == sum(e - 1 for e in orders.values())
+        assert all(y in members for members in summed)
 
 
 def test_membership_rejects_malformed_values(z2):

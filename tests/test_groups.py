@@ -600,6 +600,18 @@ def test_negative_exponents_are_refused_before_any_recursion(groups):
     assert z3.monomial_image(1, (2,)) == z3.act(1, MultiPoly(1, 3, {(2,): 1}))
 
 
+def test_a_unit_monomial_acts_as_its_memoized_image(groups):
+    # x^e with coefficient 1 is the group's memoized image itself, shared
+    # as act(0, f) shares f; any other coefficient is a new polynomial
+    g = groups["g312"]
+    for e in ((0, 0), (2, 1), (0, 3)):
+        f = MultiPoly(g.dimension, g.conductor, {e: 1})
+        assert g.act(0, f) is f
+        for x in range(1, g.order):
+            assert g.act(x, f) is g.monomial_image(x, e)
+            assert g.act(x, f * 3) == g.monomial_image(x, e) * 3
+
+
 def test_closure_cap(monkeypatch):
     one = CycNum.one(1)
     zero = CycNum.zero(1)

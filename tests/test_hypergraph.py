@@ -477,6 +477,30 @@ def test_rows_compared_once_per_tau(name, monkeypatch):
     assert sorted(seen) == sorted({id(edge.scalars) for edge in H.edges})
 
 
+def test_suite_reads_each_edge_identity_once_per_run(monkeypatch):
+    # the identity never reads the map, so the section reads it once per
+    # (edge, insertion), whatever the trial count, and counts its verdict
+    # once per edge for each sampled map
+    calls = []
+    original = suite_module.integral_identity
+
+    def counting(edge, F, k):
+        calls.append((edge, k))
+        return original(edge, F, k)
+
+    monkeypatch.setattr(suite_module, "integral_identity", counting)
+    reads = 0
+    for name in BUNDLED:
+        edges = build_hypergraph(load_group(name)).edges
+        reads += sum(edge.size for edge in edges)
+        for trials in (1, 3):
+            calls.clear()
+            result = run_suite(name, trials=trials, sections=("hypergraph",)).hypergraph
+            assert len(calls) == sum(edge.size for edge in edges), (name, trials)
+            assert result.ok and result.trials == trials * (2 * (1 + len(edges)) + 1)
+    assert reads == 153
+
+
 @pytest.mark.parametrize("name, calls", [("g312", 39), ("z3", 1), ("z4", 2)])
 def test_orbit_tables_transport_each_coroot_once(name, calls, monkeypatch):
     # the powers of a reflection share its co-root, so a fresh group acts

@@ -4,7 +4,7 @@ import pytest
 
 from reflect_gkm import invariants
 from reflect_gkm.cyclotomic import CycNum
-from reflect_gkm.groups import bundled_names, load_group, parse_group_dict
+from reflect_gkm.groups import ReflectionGroup, bundled_names, load_group, parse_group_dict
 from reflect_gkm.invariants import (
     GradedBasis,
     HistogramMismatch,
@@ -14,10 +14,10 @@ from reflect_gkm.invariants import (
     graded_count,
     hilbert_ideal_piece,
     invariant_basis,
-    reynolds,
 )
 from reflect_gkm.linalg import rref
 from reflect_gkm.polynomials import MultiPoly, graded_monomials, poly_text
+from oracles import reynolds
 
 G412 = {
     "name": "g412",
@@ -249,17 +249,21 @@ def test_a_missing_invariant_is_a_histogram_mismatch(monkeypatch):
 
 
 def test_coinvariant_basis_never_averages(monkeypatch):
-    calls = []
-    real = invariants.reynolds
+    # an average over the group acts by every element; the basis acts by
+    # the group file's generators alone
+    acting = []
+    real = ReflectionGroup.act
 
-    def counting(group, f):
-        calls.append(f)
-        return real(group, f)
+    def recording(group, i, f):
+        acting.append((group, i))
+        return real(group, i, f)
 
-    monkeypatch.setattr(invariants, "reynolds", counting)
-    for name in bundled_names():
-        coinvariant_basis(load_group(name))
-    assert calls == []
+    monkeypatch.setattr(ReflectionGroup, "act", recording)
+    groups = [load_group(name) for name in bundled_names()]
+    for g in groups:
+        coinvariant_basis(g)
+    assert acting
+    assert all(i in group.generators for group, i in acting)
 
 
 @pytest.mark.parametrize("name", ["s3", "g312"])

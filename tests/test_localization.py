@@ -19,7 +19,6 @@ from reflect_gkm.invariants import (
     coinvariant_histogram,
     graded_count,
     invariant_basis,
-    reynolds,
 )
 from reflect_gkm.linalg import PrimeReduction
 from reflect_gkm.localization import (
@@ -39,6 +38,7 @@ from reflect_gkm.sampling import (
     random_tensor,
 )
 from reflect_gkm.suite import default_max_degree
+from oracles import reynolds
 
 
 def P(text, group):
@@ -84,6 +84,14 @@ def test_localize_examples(z2, z3):
     # left leg evaluates untouched, right leg moves
     V = TensorElement.pure(z2, P("x1", z2), 1) + TensorElement.pure(z2, 1, P("x1", z2))
     assert localize(V) == GroupMap(z2, [P("2*x1", z2), MultiPoly.zero(1, 2)])
+
+
+@pytest.mark.parametrize("x", [-1, 3])
+def test_localize_at_refuses_an_element_out_of_range(z3, x):
+    # -1 would read the last element's value, and the order is no index
+    T = TensorElement.pure(z3, 1, P("x1", z3))
+    with pytest.raises(ValueError, match=r"element index -?\d+ not in range\(3\)"):
+        localize_at(T, x)
 
 
 def _localize_by_definition(T):
@@ -389,19 +397,19 @@ def edit_lifts(monkeypatch, edit):
 
 def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
     # x -> x . e is a member for every e, so only a fault in step (a)'s
-    # divisions can refuse: here one failed Horner division, the first,
-    # which has a nonzero dividend (the constant lift's sums vanish and are
-    # skipped, so it is a degree-1 lift's)
-    original = polynomials._horner
+    # divisibility verdicts can refuse: here one failed verdict, the first,
+    # on a nonzero dividend (the constant lift's sums vanish, so it is a
+    # degree-1 lift's)
+    original = equivariant.linear_power_divides
     faults = []
 
     def faulty(terms, form, power):
-        if not faults:
+        if terms and not faults:
             faults.append(max(sum(e) for e in terms))
-            return 0, 0, terms
+            return False
         return original(terms, form, power)
 
-    monkeypatch.setattr(polynomials, "_horner", faulty)
+    monkeypatch.setattr(equivariant, "linear_power_divides", faulty)
     triples = DimensionTriples(s3)
     assert faults == [1]
     assert triples.refused_by == "members"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -474,6 +475,40 @@ def test_cli_conductor_above_the_cap_is_refused_at_once(tmp_path):
         assert proc.returncode == 2 and proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: conductor 100000 exceeds the closure cap 10000")
+
+
+def _over_budget(signum, frame):
+    raise TimeoutError("past the wall-clock budget")
+
+
+def test_cli_member_reads_a_coordinate_power_off_its_exponent(tmp_path, capsys):
+    # z3's hyperplane is the coordinate x1, so x1^100000000 is a member by
+    # its exponent alone, with no Horner step per power of x1.  The budget
+    # is an interval timer in this process: a run past it raises instead
+    # of hanging the suite
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"values": {"0": "x1^100000000"}}))
+    previous = signal.signal(signal.SIGALRM, _over_budget)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = main(["member", "--group", "z3", "--input", str(path)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert "member (all divisibility conditions hold)" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["group", "info", "--group", "z2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "reflect_gkm", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 == main(argv)
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_cli_unreadable_and_unwritable_paths(tmp_path, capsys):
