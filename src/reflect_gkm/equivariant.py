@@ -18,12 +18,12 @@ A map is a *member* when every such division is exact, over every
 pseudo-reflection s (all of them, including proper powers sharing a
 hyperplane) and every 1 <= i <= order(s) - 1.  Members are exactly the
 localization images of tensors, which DimensionTriples establishes for
-every degree at once; this module provides the verdict it rests on and
-the graded nullspace its exact fallback and the tests compare against.
+every degree at once; this module gives the verdict it rests on, and
+membership_basis, the exact nullspace the tests check it against.
 
-membership decides the verdict from one reflection per hyperplane K: a
-generator s of the cyclic stabilizer W_K, of maximal order e = e_K, taken
-first in reflections() order.  Write S_c(x) = sum_{j<e} lambda^{-cj}
+membership decides the verdict from one reflection per hyperplane K,
+group.hyperplane_generators(): a generator s of the cyclic stabilizer W_K,
+of maximal order e = e_K.  Write S_c(x) = sum_{j<e} lambda^{-cj}
 F(x s^j) for its weighted sums on the coset x<s>.  The other reflections
 with hyperplane K are the powers s^k, and they add nothing:
 
@@ -364,17 +364,6 @@ def linear_power_divides(terms: dict, form: LinearForm, power: int) -> bool:
     return _horner(terms, form, power)[0] == power
 
 
-def _hyperplane_generators(group: ReflectionGroup) -> list[PseudoReflection]:
-    """One reflection of maximal order per hyperplane, the first such in
-    reflections() order."""
-    best: dict[int, PseudoReflection] = {}
-    for s in group.reflections():
-        got = best.get(s.hyperplane)
-        if got is None or s.order > got.order:
-            best[s.hyperplane] = s
-    return list(best.values())
-
-
 def membership(F: GroupMap) -> MembershipCertificate:
     """Is F a member?  Decided as the module docstring says, one generator
     per hyperplane, stopping at the first failed division; the certificate
@@ -382,7 +371,7 @@ def membership(F: GroupMap) -> MembershipCertificate:
     group = F.group
     values, _ = integral_numerators(F.values, group.dimension, group.conductor)
     zero = {x for x, v in enumerate(values) if not v}
-    for s in _hyperplane_generators(group):
+    for s in group.hyperplane_generators():
         orbits = [o for o in group.orbits(s) if not zero.issuperset(o.members)]
         for i in range(1, s.order):
             for orbit in orbits:
@@ -394,7 +383,7 @@ def membership(F: GroupMap) -> MembershipCertificate:
 def lift_membership(group: ReflectionGroup, e: MultiPoly) -> MembershipCertificate:
     """membership of the map x -> x . e, from the identity coset <s> of
     each hyperplane generator (see the module docstring)."""
-    for s in _hyperplane_generators(group):
+    for s in group.hyperplane_generators():
         identity = group.orbits(s)[0]
         moved = [group.act(x, e) for x in identity.members]
         values, _ = integral_numerators(moved, group.dimension, group.conductor)
@@ -482,7 +471,7 @@ def divisibility_conditions(group: ReflectionGroup, d: int) -> list[dict[int, Cy
     """
     nmono = len(graded_monomials(group.dimension, d))
     rows: list[dict[int, CycNum]] = []
-    for s in _hyperplane_generators(group):
+    for s in group.hyperplane_generators():
         for i in range(1, s.order):
             weights = s.weights(i)
             # orbits sharing a transported co-root share their entries

@@ -12,22 +12,19 @@ Conventions used throughout the package:
   * a pseudo-reflection is a non-identity element with rank(s - id) = 1; its
     co-root is the normalized linear form cutting out the fixed hyperplane,
     read off the first nonzero row of s - id;
-  * the eigenvalue lambda of s is defined by s . ell = lambda ell for the
-    co-root ell (contragredient action); it is a primitive |s|-th root of
-    unity;
+  * the eigenvalue lambda of s, s . ell = lambda ell for the co-root ell
+    (contragredient action), is a primitive |s|-th root of unity;
   * reflections() builds each s with its eigenvalue weights lambda^{-ij},
-    i, j < |s|; s.weights(i) reads row i mod |s|, since lambda^|s| = 1;
-  * the orbit table of s, ReflectionGroup.orbits(s), holds one Orbit per
-    right coset x<s>, in right_cosets order: s, the members [x, xs, xs^2,
-    ...], and the co-root transported to the representative, x . ell =
-    scale * form with form normalized.  Member j sees tau_j * form with
-    tau_j = scale * lambda^j.  The table is computed once per (group,
-    reflection) and cached on the group.  An Orbit is also a hyperedge of
-    the reflection hypergraph.  Every per-coset scalar (scale^-i, the
-    eigenvalue weights that are also the edge integral's weights, and
-    the Vandermonde inverse with its exact certificate) is a function of
-    tau, so it is computed on first use and kept in a table that all
-    orbits of the group with equal tau share.
+    i, j < |s|; s.weights(i) reads row i mod |s|, since lambda^|s| = 1.
+    hyperplane_generators() keeps each hyperplane's first of maximal order:
+    it generates the stabilizer, so the others there are its powers;
+  * the orbit table of s, ReflectionGroup.orbits(s), cached on the group,
+    holds one Orbit (a hypergraph edge) per right coset x<s>, in
+    right_cosets order: s, the members [x, xs, ...], and x . ell = scale *
+    form, form normalized, so member j sees tau_j * form, tau_j = scale *
+    lambda^j.  Each per-coset scalar (scale^-i, the eigenvalue weights,
+    also the edge integral's, and the certified Vandermonde inverse) is a
+    function of tau, built on first use and shared by equal-tau orbits.
 
 The invariant ring is polynomial exactly when the pseudo-reflections
 generate the group (Chevalley-Shephard-Todd), and then the fundamental
@@ -37,11 +34,9 @@ degrees d_i that drive the rest of the package satisfy sum_w t^{dim V^w}
 pass.  The Molien series sum_w 1/det(1 - t w) / |W| is the invariant
 Hilbert series: the molien command prints its coefficients, and the tests
 check it against 1 / prod_i (1 - t^{d_i}).  det(1 - t w) comes from the
-traces of w, w^2, ..., w^n, read along w's powers in the multiplication
-table, by Newton's identities; no determinant is expanded.  Its constant
-term is 1, so each distinct det(1 - t w) gives an exact power series
-1/det(1 - t w) without division, weighted by its element count; no
-fraction is reduced and no gcd of polynomials is taken.
+traces of w's powers by Newton's identities, and its constant term is 1,
+so each distinct one inverts as an exact power series: no determinant is
+expanded, no fraction reduced and no gcd of polynomials taken.
 """
 
 from __future__ import annotations
@@ -113,10 +108,9 @@ class PseudoReflection:
 
 @dataclass(frozen=True)
 class Orbit:
-    """One right coset x<s> with the co-root of s transported to it:
-    member j (= rep s^j) sees tau[j] * form, so rep . ell_s = scale * form.
-    It is also the hyperedge of s through x.  Its scalars below depend on
-    tau alone, so orbits with equal tau share one table of them."""
+    """One right coset x<s>, the hyperedge of s through x: member j
+    (= rep s^j) sees tau[j] * form, so rep . ell_s = scale * form.  Its
+    scalars depend on tau alone, so orbits with equal tau share them."""
 
     reflection: PseudoReflection
     members: tuple[int, ...]
@@ -144,11 +138,10 @@ class Orbit:
 
     @property
     def vandermonde_inverse(self):
-        """The matrix D with row i = eigenvalue_weights(size - 1 - i),
-        returned once V . D = I is checked exactly for V = [tau_j^i]; what
-        that proves is in the hypergraph module docstring.  Raises
-        GroupInvariantViolated, naming the orbit's members and reflection,
-        when the check fails."""
+        """The matrix D with row i = eigenvalue_weights(size - 1 - i), once
+        V . D = I is checked exactly for V = [tau_j^i] (what that proves is
+        in the hypergraph module docstring); else GroupInvariantViolated,
+        naming the orbit's members and reflection."""
         return self._kept("vandermonde", lambda: _certified_inverse(self))
 
     def inverse_scale_power(self, i: int) -> CycNum:
@@ -199,9 +192,8 @@ def group_closure(matrices, conductor: int):
 
     The BFS records right[x][g], the index of x * gen_g, and for each
     element b > 0 the word (parent, g) that first reached it, b = parent *
-    gen_g, with parent < b.  So a * b = (a * parent) * gen_g, and the Cayley
-    table is filled row by row from integer lookups: |W| * #generators
-    matrix products in all."""
+    gen_g, parent < b.  So a * b = (a * parent) * gen_g fills the Cayley
+    table by integer lookups: |W| * #generators matrix products in all."""
     n = len(matrices[0])
     for k, g in enumerate(matrices):
         if len(g) != n or any(len(row) != n for row in g):
@@ -259,10 +251,11 @@ class ReflectionGroup:
         self.generators = tuple(generators)
         self._subs: dict[int, LinearSubstitution] = {}
         self._reflections: tuple[PseudoReflection, ...] | None = None
+        # set by reflections(); fixed[k] counts the w with dim V^w = k
         self._by_element: dict[int, PseudoReflection] = {}
-        self._molien: MolienSeries | None = None
-        # fixed[k] counts the elements w with dim V^w = k; set by reflections()
+        self._stabilizer_generators: tuple[PseudoReflection, ...] = ()
         self._fixed: list[int] = []
+        self._molien: MolienSeries | None = None
         self._degrees: tuple[int, ...] | None = None
         self._orbits: dict[int, tuple[Orbit, ...]] = {}
         self._transported: dict[tuple[int, int], tuple[CycNum, LinearForm]] = {}
@@ -356,16 +349,15 @@ class ReflectionGroup:
     # -- reflections -------------------------------------------------------
 
     def reflections(self) -> tuple[PseudoReflection, ...]:
-        """All pseudo-reflections (not one per hyperplane: every power of an
-        order-d reflection that still fixes the hyperplane is listed).  The
-        same pass counts the elements by fixed-space dimension n - rank(w - 1)
-        for fundamental_degrees."""
+        """All pseudo-reflections, each power of one that still fixes its
+        hyperplane included.  The same pass counts the elements by
+        fixed-space dimension n - rank(w - 1) for fundamental_degrees."""
         if self._reflections is not None:
             return self._reflections
         n = self.dimension
         ident = mat_identity(n, self.conductor)
         hyperplanes: dict[LinearForm, int] = {}
-        found = []
+        found, best = [], {}
         fixed = [0] * n + [1]
         for w in range(1, self.order):
             diff = tuple(
@@ -393,10 +385,18 @@ class ReflectionGroup:
                 tuple(down[i * j % order] for j in range(order)) for i in range(order)
             )
             found.append(PseudoReflection(w, order, coroot, lam, hid, table))
+            if hid not in best or order > best[hid].order:
+                best[hid] = found[-1]
         self._reflections = tuple(found)
         self._by_element = {s.element: s for s in found}
+        self._stabilizer_generators = tuple(best.values())
         self._fixed = fixed
         return self._reflections
+
+    def hyperplane_generators(self) -> tuple[PseudoReflection, ...]:
+        """One generator per hyperplane stabilizer (module docstring)."""
+        self.reflections()
+        return self._stabilizer_generators
 
     def reflection_at(self, element_index: int) -> PseudoReflection:
         self.reflections()

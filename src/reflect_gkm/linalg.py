@@ -177,11 +177,11 @@ class PrimeReduction:
         self._powers = tuple(pow(root, k, prime) for k in range(euler_phi(conductor)))
 
     @classmethod
-    def for_conductor(cls, conductor: int) -> "PrimeReduction":
-        """The smallest prime p = 1 (mod m) above 2^30, with the first
-        a^((p-1)/m), a = 2, 3, ..., that is a root of Phi_m mod p."""
+    def for_conductor(cls, conductor: int, above: int = _PRIME_FLOOR) -> "PrimeReduction":
+        """The least prime p = 1 (mod m) above 2^30, or above a prime it gave
+        before, with the first a^((p-1)/m), a = 2, 3, ..., a root of Phi_m."""
         m = conductor
-        p = (_PRIME_FLOOR // m + 1) * m + 1
+        p = (above // m + 1) * m + 1
         while not _is_prime(p):
             p += m
         # F_p^* is cyclic of order divisible by m, so some a works

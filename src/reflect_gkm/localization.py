@@ -17,16 +17,13 @@ tensor product over invariants has no canonical normal form worth
 maintaining at this scale, so equality of tensors is extensional: two
 tensors are equal when their localizations agree everywhere.
 
-The graded comparison driving the verification suite happens here too,
-from the group alone: for each degree d the dimension of the localized
-image (spanned by monomial multiples of localized coinvariant lifts) is
-compared against the prediction from the fundamental degrees and against
-the divisibility nullspace computed in the equivariant module.
-DimensionTriples proves image = nullspace in every degree at once from one
-determinant certificate on the localized lifts (membership of each lift, a
-full rank modulo a prime at one point, and a degree count), read off the
-coinvariant lifts, and localizes them for exact per-degree elimination
-only when the certificate does not close.
+The theorem rows of the verification suite come from here too, from the
+group alone: DimensionTriples proves localized image = members in every
+degree at once, by one determinant certificate on the localized
+coinvariant lifts (membership of each lift, a degree count, a full rank
+modulo a prime at one point), read off the lifts.  It is the only route:
+a step that fails raises GroupInvariantViolated, naming itself.  Exact
+per-degree elimination (image_graded_dimension) is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -37,27 +34,11 @@ from operator import add
 from typing import Sequence
 
 from .cyclotomic import CycNum, keyed_dot_products
-from .equivariant import (
-    GroupMap,
-    divided_difference,
-    lift_membership,
-    membership_basis,
-    orbit_difference,
-)
-from .groups import PseudoReflection, ReflectionGroup
-from .invariants import (
-    coinvariant_basis,
-    coinvariant_histogram,
-    degree_histogram,
-    graded_count,
-)
+from .equivariant import GroupMap, divided_difference, lift_membership, orbit_difference
+from .groups import GroupInvariantViolated, PseudoReflection, ReflectionGroup
+from .invariants import coinvariant_basis, coinvariant_histogram, degree_histogram, graded_count
 from .linalg import NotReducible, PrimeReduction, rank, rank_mod_p
-from .polynomials import (
-    MultiPoly,
-    _check_operand,
-    graded_monomials,
-    weighted_sum,
-)
+from .polynomials import MultiPoly, _check_operand, graded_monomials, poly_text, weighted_sum
 
 __all__ = [
     "DimensionTriples",
@@ -66,7 +47,6 @@ __all__ = [
     "image_graded_dimension",
     "localize",
     "localize_at",
-    "localized_lifts",
 ]
 
 
@@ -207,24 +187,16 @@ def localize_at(T: TensorElement, x: int) -> MultiPoly:
 # graded comparison
 
 
-def localized_lifts(group: ReflectionGroup) -> list[GroupMap]:
-    """localize(1 (x) e), the map x -> x . e, for each lift e of
-    coinvariant_basis(group), in order."""
-    lifts = coinvariant_basis(group).lifts
-    return [localize(TensorElement.pure(group, 1, e)) for e in lifts]
-
-
 def image_graded_dimension(
     group: ReflectionGroup, localized: Sequence[GroupMap], d: int
 ) -> int:
-    """Dimension of the degree-d piece of the localized image, by exact
-    elimination.
+    """Dimension of the degree-d part of the span of the maps localized, by
+    exact elimination: the tests' oracle for DimensionTriples, on the maps
+    x -> x . e of the lifts.  No program path calls it.
 
-    The image is spanned by m * F, for F one of the localized lifts
-    localize(1 (x) e) (see localized_lifts) of degree at most d and m a
-    monomial filling the degree, each a row in the (element, monomial)
-    coordinates of divisibility_conditions.  m is the same at every
-    element, so its row is the row of F with every exponent shifted by m.
+    The span is of m * F, F a map of degree at most d and m a monomial
+    filling the degree, each a row in the (element, monomial) coordinates
+    of divisibility_conditions: F's row with every exponent shifted by m.
     """
     n = group.dimension
     monomials = graded_monomials(n, d)
@@ -247,10 +219,13 @@ def image_graded_dimension(
 
 
 # t of the rank step's moment-curve point (t, t^2, ..., t^n) mod p.  det A
-# vanishes on every reflecting hyperplane, so a point on one mod p refuses
-# (safe, but every row then takes the exact path); a fixed t keeps the
-# verdict deterministic.
+# vanishes on every reflecting hyperplane, so a point on one mod p drops
+# the rank; a fixed t keeps the verdict deterministic.
 _MOMENT_T = 65537
+
+# primes step (b) tries, each skipped (it divides a denominator) or
+# dropped (rank below |W| modulo it), before it refuses
+_RANK_PRIMES = 3
 
 
 def _lift_matrix_mod_p(
@@ -274,27 +249,50 @@ def _lift_matrix_mod_p(
     return matrix
 
 
-def _refusal(group: ReflectionGroup, lifts: Sequence[MultiPoly]) -> str | None:
-    """The first step of the all-degree certificate that fails on the
-    coinvariant lifts, or None when all three hold (see DimensionTriples)."""
-    if not all(lift_membership(group, e).ok for e in lifts):
-        return "members"
+def _certify(group: ReflectionGroup, lifts: Sequence[MultiPoly]) -> None:
+    """Steps (c), (a), (b) of DimensionTriples' certificate, in this order
+    so primes are retried only on |W| homogeneous lifts of the right degree
+    sum.  The coinvariant lifts pass every step, so the first that fails is
+    a program fault: GroupInvariantViolated, naming the step and the lift
+    or the primes."""
+    order = group.order
+
+    def lift(j):
+        return f"lift {j}, {poly_text(lifts[j], names=group.variables)},"
+
+    if len(lifts) != order:
+        raise GroupInvariantViolated(
+            f"certificate step (c): {len(lifts)} lifts for a group of order {order}"
+        )
+    for j, e in enumerate(lifts):
+        if not e.is_homogeneous():
+            raise GroupInvariantViolated(f"certificate step (c): {lift(j)} is not homogeneous")
+    # a zero lift counts 0 here; it leaves a zero column, which (b) refuses
+    twice = 2 * sum(e.degree() or 0 for e in lifts)
+    if twice != order * len(group.reflections()):
+        raise GroupInvariantViolated(
+            f"certificate step (c): 2 * sum of lift degrees is {twice}, not |W| * #reflections"
+        )
+    for j, e in enumerate(lifts):
+        if not lift_membership(group, e).ok:
+            raise GroupInvariantViolated(f"certificate step (a): {lift(j)} is not a member")
+    notes = []
     reduction = PrimeReduction.for_conductor(group.conductor)
-    try:
-        matrix = _lift_matrix_mod_p(group, lifts, reduction)
-    except NotReducible:
-        return "rank"
-    if rank_mod_p(matrix, reduction.prime) != group.order:
-        return "rank"
-    degrees = [e.degree() for e in lifts]
-    if (
-        len(lifts) != group.order
-        or None in degrees
-        or not all(e.is_homogeneous() for e in lifts)
-        or 2 * sum(degrees) != group.order * len(group.reflections())
-    ):
-        return "degrees"
-    return None
+    while True:
+        p = reduction.prime
+        try:
+            r = rank_mod_p(_lift_matrix_mod_p(group, lifts, reduction), p)
+        except NotReducible:
+            notes.append(f"{p} divides a denominator")
+        else:
+            if r == order:
+                return
+            notes.append(f"rank {r} modulo {p}")
+        if len(notes) == _RANK_PRIMES:
+            raise GroupInvariantViolated(
+                f"certificate step (b): no prime gives rank {order}: " + "; ".join(notes)
+            )
+        reduction = PrimeReduction.for_conductor(group.conductor, p)
 
 
 class DimensionTriples:
@@ -308,51 +306,40 @@ class DimensionTriples:
           its |W|/e_K cosets turns A's rows into sums S_i divisible by
           ell_K^i, so ell_K^a_K divides det A, a_K = |W|(e_K - 1)/2.
           F_j(x) = x . e_j is equivariant, so lift_membership decides it
-          from e_j on the identity cosets alone (the proof is in the
-          equivariant module docstring);
+          from e_j on the identity cosets (equivariant module docstring);
       (b) rank: A at a fixed moment-curve point, reduced by PrimeReduction,
           has rank |W| over F_p, so det A is nonzero; A[x][j] is e_j at
-          x^-1 . point;
-      (c) degrees: the |W| lifts e_j are nonzero and homogeneous (so is
-          F_j, of the same degree: x is a graded automorphism), and
-          2 * sum_j deg F_j = |W| * #reflections = 2 * sum_K a_K.
+          x^-1 . point.  A prime dividing a denominator is skipped; where
+          the rank drops (p | kappa below, or the point is on a hyperplane
+          mod p) the next prime = 1 (mod m) is tried, _RANK_PRIMES in all;
+      (c) degrees: the |W| lifts e_j are homogeneous (so is F_j, of the
+          same degree: x is a graded automorphism), and
+          2 * sum_j deg F_j = |W| * #reflections = 2 * sum_K a_K.  (b)
+          makes every F_j nonzero.
 
     So det A = kappa * prod_K ell_K^a_K, kappa a nonzero constant.  A member
     G put in place of any column keeps the bound of (a), so Cramer's rule
     makes G an R-combination of the F_j: members = image, free on the F_j,
-    of dimension sum_j dim R_(d - deg F_j) in degree d.  That count is read
-    from the lifts, but coinvariant_basis raises HistogramMismatch unless
-    the lifts' degree histogram is the predicted one, so when the
-    certificate closes the rows restate that check; they compare the
-    prediction independently only on the exact fallback (or under edited
-    lifts).  The F_j are built (localized_lifts) only when a step
-    fails: refused_by names it, and every row is computed exactly by
-    image_graded_dimension and membership_basis.
+    of dimension sum_j dim R_(d - deg F_j) in degree d, read from the lifts
+    (coinvariant_basis checks their histogram against the prediction).
+    Every step holds on coinvariant lifts, so a failure is a program fault,
+    raised at once (_certify), and no row is computed another way.  No F_j
+    is built.
     """
 
     def __init__(self, group: ReflectionGroup):
         self.group = group
         self._predicted = coinvariant_histogram(group.fundamental_degrees())
         lifts = coinvariant_basis(group).lifts
-        # None when the certificate closed, else "members", "rank" or "degrees"
-        self.refused_by = _refusal(group, lifts)
-        if self.refused_by is None:
-            # step (c) made every degree an int
-            self._free = degree_histogram(e.degree() for e in lifts)
-        else:
-            # for the exact fallback rows only
-            self._localized = localized_lifts(group)
+        _certify(group, lifts)
+        # (b) made every lift nonzero, so every degree an int
+        self._free = degree_histogram(e.degree() for e in lifts)
 
     def triple(self, d: int) -> tuple[int, int, int]:
         """(predicted, localized image, divisibility nullspace) in degree d."""
-        group = self.group
-        expected = graded_count(self._predicted, group.dimension, d)
-        if self.refused_by is None:
-            free = graded_count(self._free, group.dimension, d)
-            return expected, free, free
-        image = image_graded_dimension(group, self._localized, d)
-        null = len(membership_basis(group, d))
-        return expected, image, null
+        n = self.group.dimension
+        free = graded_count(self._free, n, d)
+        return graded_count(self._predicted, n, d), free, free
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,17 @@
 
 run_suite drives everything the library claims about a group, in three
 sections.  The theorem section compares, degree by degree, the predicted
-dimension of the localized image against its actual rank and against the
-divisibility nullspace, and spot-checks that localizations of random
-tensors pass membership.  The lemma section exercises the operator
-identities on seeded random data: constants, the right action with its
-conjugation twist, orbit decomposition, the product rule, commutation with
-localization, and closure of the operators on members.  The hypergraph
-section certifies each edge's Vandermonde inverse, which proves that edge
-interpolation agrees with orbit membership and that the edge integral is
-the Lagrange sum on every map; it counts each edge's identity, read once,
-for every sampled map and checks membership on members and on perturbed
-non-members alike.
+dimension of the localized image with the image and member dimensions
+one DimensionTriples certificate proves in every degree, and spot-checks
+that localizations of random tensors pass membership.  The lemma section
+exercises the operator identities on seeded random data: constants, the
+right action with its conjugation twist, orbit decomposition, the product
+rule, commutation with localization, and closure of the operators on
+members.  The hypergraph section certifies each edge's Vandermonde
+inverse, which proves that edge interpolation agrees with orbit
+membership and that the edge integral is the Lagrange sum on every map;
+it counts each edge's identity, read once, for every sampled map and
+checks membership on members and on perturbed non-members alike.
 
 Each check runner yields one outcome per check, and one tally turns an
 outcome stream into its count of checks and failures.  Reports are

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflect_gkm import cyclotomic
+from reflect_gkm import cyclotomic, localization
 from reflect_gkm.cyclotomic import (
     ArithmeticFault,
     ConductorMismatch,
@@ -192,33 +193,45 @@ def test_text_round_trip(coeffs):
     assert parse_cyc(v.text(), 12) == v
 
 
-# the smallest prime p = 1 (mod m) above 2^30, for each conductor tested
+# the primes p = 1 (mod m) above 2^30, in order, for each conductor tested:
+# the first is for_conductor(m), and each next one the prime that the
+# theorem certificate's rank step retries with
 FOR_CONDUCTOR_PRIMES = {
-    1: 1073741827,
-    2: 1073741827,
-    3: 1073741827,
-    4: 1073741833,
-    5: 1073741831,
-    8: 1073741833,
-    12: 1073741833,
+    1: (1073741827, 1073741831, 1073741833),
+    2: (1073741827, 1073741831, 1073741833),
+    3: (1073741827, 1073741833, 1073741839),
+    4: (1073741833, 1073741857, 1073741909),
+    5: (1073741831, 1073741891, 1073741971),
+    8: (1073741833, 1073741857, 1073741953),
+    12: (1073741833, 1073741857, 1073741953),
 }
+
+
+def _prime_by_trial_division(n):
+    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12])
 def test_prime_reduction_is_a_ring_map(m):
+    pins = FOR_CONDUCTOR_PRIMES[m]
+    assert len(pins) == localization._RANK_PRIMES
+    # every prime = 1 (mod m) from 2^30 to the last pin, none skipped
+    span = range(2**30, pins[-1] + 1)
+    assert tuple(n for n in span if n % m == 1 % m and _prime_by_trial_division(n)) == pins
     red = PrimeReduction.for_conductor(m)
-    p = red.prime
-    assert p % m == 1 % m and p > 2**30
-    assert p == FOR_CONDUCTOR_PRIMES[m]
-    assert red.reduce(root_of_unity(m, 1)) == red.root
-    vals = [
-        CycNum(m, [Fraction(k * j - 2, j + 1) for j in range(euler_phi(m))])
-        for k in range(-2, 3)
-    ]
-    for a in vals:
-        for b in vals:
-            assert red.reduce(a + b) == (red.reduce(a) + red.reduce(b)) % p
-            assert red.reduce(a * b) == red.reduce(a) * red.reduce(b) % p
+    for want in pins:
+        p = red.prime
+        assert p == want and p % m == 1 % m
+        assert red.reduce(root_of_unity(m, 1)) == red.root
+        vals = [
+            CycNum(m, [Fraction(k * j - 2, j + 1) for j in range(euler_phi(m))])
+            for k in range(-2, 3)
+        ]
+        for a in vals:
+            for b in vals:
+                assert red.reduce(a + b) == (red.reduce(a) + red.reduce(b)) % p
+                assert red.reduce(a * b) == red.reduce(a) * red.reduce(b) % p
+        red = PrimeReduction.for_conductor(m, p)
 
 
 def test_prime_reduction_refuses_denominators_divisible_by_p():

@@ -314,6 +314,45 @@ def test_generators_index_the_file_matrices(name, tmp_path):
     assert again.generators == (0,) + g.generators + g.generators[:1]
 
 
+# (element, order) of each hyperplane generator; g412's hyperplane through
+# elements 2, 5 and 10 has two of order 4, and the first one is kept
+HYPERPLANE_GENERATORS = {
+    "z2": [(1, 2)],
+    "z3": [(1, 3)],
+    "z4": [(1, 4)],
+    "s3": [(1, 2), (2, 2), (5, 2)],
+    "b2": [(1, 2), (2, 2), (5, 2), (6, 2)],
+    "g312": [(1, 3), (2, 2), (9, 3), (10, 2), (11, 2)],
+    "g412": [(1, 2), (2, 4), (6, 4), (20, 2), (21, 2), (22, 2)],
+}
+
+
+def first_of_maximal_order(g):
+    """Per hyperplane, the first reflection of maximal order in
+    reflections() order, rebuilt by a dict on every call."""
+    best = {}
+    for s in g.reflections():
+        got = best.get(s.hyperplane)
+        if got is None or s.order > got.order:
+            best[s.hyperplane] = s
+    return tuple(best.values())
+
+
+@pytest.mark.parametrize("name", SEVEN)
+def test_hyperplane_generators_are_the_first_of_maximal_order(name, tmp_path):
+    g = load_seven(name, tmp_path)
+    generators = g.hyperplane_generators()
+    assert generators == first_of_maximal_order(g)
+    assert [(s.element, s.order) for s in generators] == HYPERPLANE_GENERATORS[name]
+    # computed once, with the reflections
+    assert g.hyperplane_generators() is generators
+    # each generates its hyperplane's stabilizer: the other reflections
+    # there are its nontrivial powers
+    for s in generators:
+        on_it = {r.element for r in g.reflections() if r.hyperplane == s.hyperplane}
+        assert on_it == set(g.cyclic_powers(s.element)) - {0}
+
+
 def test_molien_coefficients(groups):
     s3 = groups["s3"]
     assert s3.molien().coefficients(6) == [1, 0, 1, 1, 1, 1, 2]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from math import prod
 
@@ -11,15 +12,9 @@ import pytest
 
 from reflect_gkm import equivariant, localization, polynomials
 from reflect_gkm.cyclotomic import ConductorMismatch, root_of_unity
-from reflect_gkm.equivariant import GroupMap, membership, membership_basis, orbit_difference
-from reflect_gkm.groups import bundled_names, load_group, parse_group_dict
-from reflect_gkm.invariants import (
-    CoinvariantBasis,
-    coinvariant_basis,
-    coinvariant_histogram,
-    graded_count,
-    invariant_basis,
-)
+from reflect_gkm.equivariant import GroupMap, membership, orbit_difference
+from reflect_gkm.groups import GroupInvariantViolated, bundled_names, load_group, parse_group_dict
+from reflect_gkm.invariants import CoinvariantBasis, coinvariant_basis, invariant_basis
 from reflect_gkm.linalg import PrimeReduction
 from reflect_gkm.localization import (
     DimensionTriples,
@@ -28,9 +23,8 @@ from reflect_gkm.localization import (
     image_graded_dimension,
     localize,
     localize_at,
-    localized_lifts,
 )
-from reflect_gkm.polynomials import MultiPoly, parse_poly, sum_of_products, weighted_sum
+from reflect_gkm.polynomials import MultiPoly, parse_poly, poly_text, sum_of_products, weighted_sum
 from reflect_gkm.sampling import (
     random_member,
     random_nonmember,
@@ -38,7 +32,7 @@ from reflect_gkm.sampling import (
     random_tensor,
 )
 from reflect_gkm.suite import default_max_degree
-from oracles import reynolds
+from oracles import exact_rows, localized_lifts, predicted_dimensions, reynolds
 
 
 def P(text, group):
@@ -338,6 +332,7 @@ def test_image_dimensions(z2, z3):
 
 @pytest.mark.parametrize("name", bundled_names())
 def test_localized_lifts_are_localized_pure_tensors(name):
+    # the oracle's maps x -> x . e, built by the action, are localize(1 (x) e)
     group = load_group(name)
     one = MultiPoly.one(group.dimension, group.conductor)
     lifts = coinvariant_basis(group).lifts
@@ -353,29 +348,10 @@ def test_dimension_triples_agree(z2, z3, s3):
             assert expected == image == null, (group.name, d)
 
 
-def predicted_dimensions(group, dmax):
-    """The expected graded dimensions for d <= dmax, from the fundamental
-    degrees: prod_i (1 + ... + t^{d_i - 1}) / (1 - t)^n."""
-    histogram = coinvariant_histogram(group.fundamental_degrees())
-    return [graded_count(histogram, group.dimension, d) for d in range(dmax + 1)]
-
-
-def exact_rows(group, dmax):
-    """(predicted, image, nullspace) for d <= dmax, the last two by exact
-    elimination on the localized lifts DimensionTriples sees."""
-    predicted = predicted_dimensions(group, dmax)
-    lifts = localization.localized_lifts(group)
-    return [
-        (predicted[d], image_graded_dimension(group, lifts, d), len(membership_basis(group, d)))
-        for d in range(dmax + 1)
-    ]
-
-
 @pytest.mark.parametrize("name", bundled_names())
 def test_certified_rows_equal_exact_rows(name):
     group = load_group(name)
     triples = DimensionTriples(group)
-    assert triples.refused_by is None
     dmax = default_max_degree(group)
     rows = [triples.triple(d) for d in range(dmax + 1)]
     assert all(expected == image == null for expected, image, null in rows), rows
@@ -384,8 +360,8 @@ def test_certified_rows_equal_exact_rows(name):
 
 
 def edit_lifts(monkeypatch, edit):
-    """Make DimensionTriples (and the exact image) see edit(lifts) as the
-    coinvariant lifts."""
+    """Make DimensionTriples see edit(lifts) as the coinvariant lifts; the
+    oracle still sees the true ones."""
     original = localization.coinvariant_basis
 
     def edited(group):
@@ -395,11 +371,32 @@ def edit_lifts(monkeypatch, edit):
     monkeypatch.setattr(localization, "coinvariant_basis", edited)
 
 
+def prime_chain(m, count=localization._RANK_PRIMES):
+    """The first count primes step (b) tries at conductor m, in order."""
+    primes = [PrimeReduction.for_conductor(m).prime]
+    while len(primes) < count:
+        primes.append(PrimeReduction.for_conductor(m, primes[-1]).prime)
+    return primes
+
+
+def record_primes(monkeypatch):
+    """The prime of every lift matrix step (b) builds, in order."""
+    primes = []
+    build = localization._lift_matrix_mod_p
+
+    def recorded(group, lifts, reduction):
+        primes.append(reduction.prime)
+        return build(group, lifts, reduction)
+
+    monkeypatch.setattr(localization, "_lift_matrix_mod_p", recorded)
+    return primes
+
+
 def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
     # x -> x . e is a member for every e, so only a fault in step (a)'s
     # divisibility verdicts can refuse: here one failed verdict, the first,
     # on a nonzero dividend (the constant lift's sums vanish, so it is a
-    # degree-1 lift's)
+    # degree-1 lift's), and the refusal names that lift
     original = equivariant.linear_power_divides
     faults = []
 
@@ -410,20 +407,40 @@ def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
         return original(terms, form, power)
 
     monkeypatch.setattr(equivariant, "linear_power_divides", faulty)
-    triples = DimensionTriples(s3)
+    primes = record_primes(monkeypatch)
+    text = poly_text(coinvariant_basis(s3).lifts[1], names=s3.variables)
+    want = rf"^certificate step \(a\): lift 1, {re.escape(text)}, is not a member$"
+    with pytest.raises(GroupInvariantViolated, match=want):
+        DimensionTriples(s3)
     assert faults == [1]
-    assert triples.refused_by == "members"
-    assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
+    assert primes == []
 
 
-def test_unreducible_lift_is_refused_by_rank(s3, monkeypatch):
+@pytest.mark.parametrize("name", ["s3", "g312", "g412"])
+def test_rank_drop_at_the_first_prime_closes_at_the_next(name, monkeypatch):
+    # what p | kappa, or the point on a hyperplane mod p, would do: step (b)
+    # moves to the next prime = 1 (mod m) and closes there
+    group = parse_group_dict(G412) if name == "g412" else load_group(name)
+    first, second = prime_chain(group.conductor, 2)
+    primes = record_primes(monkeypatch)
+    rank = localization.rank_mod_p
+    monkeypatch.setattr(
+        localization, "rank_mod_p", lambda matrix, p: 0 if p == first else rank(matrix, p)
+    )
+    triples = DimensionTriples(group)
+    assert primes == [first, second]
+    assert [triples.triple(d) for d in range(4)] == exact_rows(group, 3)
+
+
+def test_unreducible_lift_closes_at_the_next_prime(s3, monkeypatch):
     # a lift scaled by 1/p is still a member and the lifts still span, but
-    # step (b) cannot reduce its coefficients mod p, so the rows come from
-    # exact elimination
-    p = PrimeReduction.for_conductor(s3.conductor).prime
-    edit_lifts(monkeypatch, lambda lifts: [lifts[0], lifts[1] * Fraction(1, p), *lifts[2:]])
+    # step (b) cannot reduce its coefficients mod p: it skips p and closes
+    # at the next prime, with the rows of the true lifts
+    first, second = prime_chain(s3.conductor, 2)
+    edit_lifts(monkeypatch, lambda lifts: [lifts[0], lifts[1] * Fraction(1, first), *lifts[2:]])
+    primes = record_primes(monkeypatch)
     triples = DimensionTriples(s3)
-    assert triples.refused_by == "rank"
+    assert primes == [first, second]
     assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
 
 
@@ -452,17 +469,13 @@ def test_certificate_divides_identity_cosets_only(monkeypatch):
         "divide_numerators",
         counting("divide", equivariant.divide_numerators),
     )
-    triples = DimensionTriples(group)
-    assert triples.refused_by is None
+    DimensionTriples(group)
     assert calls == {"membership": 0, "verdict": 18 * 7, "divide": 0}
 
 
-def test_closing_certificate_builds_no_map(monkeypatch):
-    group = load_group("g312")
-    # the basis substitutes the file's generators; the certificate comes after
-    coinvariant_basis(group)
-    before = set(group._subs)
-    built, localized = [], []
+def count_maps(monkeypatch):
+    """A list that gains an entry for every GroupMap built."""
+    built = []
     init = GroupMap.__init__
 
     def counted_init(self, *args, **kwargs):
@@ -470,12 +483,19 @@ def test_closing_certificate_builds_no_map(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(GroupMap, "__init__", counted_init)
-    monkeypatch.setattr(localization, "localized_lifts", localized.append)
-    triples = DimensionTriples(group)
-    assert triples.refused_by is None
-    assert built == localized == []
+    return built
+
+
+def test_closing_certificate_builds_no_map(monkeypatch):
+    group = load_group("g312")
+    # the basis substitutes the file's generators; the certificate comes after
+    coinvariant_basis(group)
+    before = set(group._subs)
+    built = count_maps(monkeypatch)
+    DimensionTriples(group)
+    assert built == []
     # only step (a) acts on the lifts, at the identity cosets <s>
-    generators = equivariant._hyperplane_generators(group)
+    generators = group.hyperplane_generators()
     identity_cosets = {x for s in generators for x in group.cyclic_powers(s.element)}
     added = set(group._subs) - before
     assert added and added <= identity_cosets < set(range(group.order))
@@ -513,6 +533,21 @@ def test_lift_matrix_equals_the_per_entry_route(name, tmp_path):
     assert localization._lift_matrix_mod_p(group, lifts, reduction) == want
 
 
+def assert_refused_by_rank(group, monkeypatch):
+    """DimensionTriples(group) refuses at step (b) after every prime it
+    may try, names them all, and builds no map on the way; returns the
+    message."""
+    built = count_maps(monkeypatch)
+    primes = record_primes(monkeypatch)
+    with pytest.raises(GroupInvariantViolated, match=r"^certificate step \(b\): ") as info:
+        DimensionTriples(group)
+    assert primes == prime_chain(group.conductor)
+    message = str(info.value)
+    assert all(f"modulo {p}" in message for p in primes)
+    assert built == []
+    return message
+
+
 def duplicate_a_lift(lifts):
     # one degree-2 lift replaced by a copy of the other: every lift is a
     # member and the degree count holds, but det A vanishes
@@ -520,78 +555,61 @@ def duplicate_a_lift(lifts):
     return lifts[:3] + [lifts[4]] + lifts[4:]
 
 
-def test_duplicated_lift_falls_back_to_exact(s3, monkeypatch):
+def test_duplicated_lift_is_refused_by_rank(s3, monkeypatch):
     edit_lifts(monkeypatch, duplicate_a_lift)
-    triples = DimensionTriples(s3)
-    assert triples.refused_by == "rank"
-    rows = [triples.triple(d) for d in range(5)]
-    assert rows == exact_rows(s3, 4)
-    assert all(image < expected == null for expected, image, null in rows[2:])
+    message = assert_refused_by_rank(s3, monkeypatch)
+    # two equal columns: rank |W| - 1 at every prime
+    assert message.count(f"rank {s3.order - 1} modulo") == localization._RANK_PRIMES
 
 
-def test_zero_lift_spans_nothing_in_the_exact_rows(s3, monkeypatch):
-    # a zero lift leaves a zero column in A, so the certificate refuses, and
-    # the exact rows must count the image of the other lifts
+def test_zero_lift_is_refused_by_rank(s3, monkeypatch):
+    # a zero in place of the constant lift keeps the degree count, so only
+    # its zero column in A refuses
     zero = MultiPoly.zero(s3.dimension, s3.conductor)
-    edit_lifts(monkeypatch, lambda lifts: lifts[:3] + [zero] + lifts[4:])
-    triples = DimensionTriples(s3)
-    assert triples.refused_by == "rank"
-    nonzero = [F for F in localization.localized_lifts(s3) if F]
-    assert len(nonzero) == s3.order - 1
-    predicted = predicted_dimensions(s3, 4)
-    rows = [triples.triple(d) for d in range(5)]
-    assert rows == [
-        (predicted[d], image_graded_dimension(s3, nonzero, d), len(membership_basis(s3, d)))
-        for d in range(5)
-    ]
-    assert rows[2] == (9, 8, 9)
 
+    def zero_first(lifts):
+        assert lifts[0].degree() == 0
+        return [zero] + lifts[1:]
 
-def test_refused_rows_localize_the_lifts_once(s3, monkeypatch):
-    edit_lifts(monkeypatch, duplicate_a_lift)
-    calls = []
-    original = localization.localized_lifts
-
-    def counted(group):
-        calls.append(group)
-        return original(group)
-
-    monkeypatch.setattr(localization, "localized_lifts", counted)
-    triples = DimensionTriples(s3)
-    assert triples.refused_by == "rank"
-    for d in range(5):
-        triples.triple(d)
-    assert calls == [s3]
+    edit_lifts(monkeypatch, zero_first)
+    message = assert_refused_by_rank(s3, monkeypatch)
+    assert message.count(f"rank {s3.order - 1} modulo") == localization._RANK_PRIMES
 
 
 def test_lift_times_an_invariant_is_refused_by_degrees(s3, monkeypatch):
     # f invariant makes x . (f e) = f (x . e): the lift stays a member and
     # its column of A is scaled by f(point), nonzero mod p, so det A stays
-    # nonzero; only the degree count sees the extra factor
+    # nonzero; only the degree count sees the extra factor, and no prime is
+    # tried
     f = invariant_basis(s3, min(s3.fundamental_degrees())).vectors[0]
     edit_lifts(monkeypatch, lambda lifts: [lifts[0] * f] + lifts[1:])
-    triples = DimensionTriples(s3)
-    assert triples.refused_by == "degrees"
-    assert [triples.triple(d) for d in range(5)] == exact_rows(s3, 4)
+    primes = record_primes(monkeypatch)
+    twice = 2 * (sum(e.degree() for e in coinvariant_basis(s3).lifts) + f.degree())
+    want = rf"^certificate step \(c\): 2 \* sum of lift degrees is {twice}, not"
+    with pytest.raises(GroupInvariantViolated, match=want):
+        DimensionTriples(s3)
+    assert primes == []
+
+
+def test_inhomogeneous_lift_is_refused_by_degrees(s3, monkeypatch):
+    # the constant added to a degree-1 lift keeps it a member and keeps its
+    # degree, so only homogeneity sees it
+    edit_lifts(monkeypatch, lambda lifts: [lifts[0], lifts[1] + lifts[0], *lifts[2:]])
+    text = poly_text(coinvariant_basis(s3).lifts[1] + 1, names=s3.variables)
+    want = rf"^certificate step \(c\): lift 1, {re.escape(text)}, is not homogeneous$"
+    with pytest.raises(GroupInvariantViolated, match=want):
+        DimensionTriples(s3)
 
 
 def test_certificate_refuses_what_it_cannot_prove(s3, monkeypatch):
-    # a dropped lift: A is no longer square, and the image falls short
+    # a dropped lift: A is no longer square, and step (c) says so before
+    # any prime is tried
     edit_lifts(monkeypatch, lambda lifts: lifts[:-1])
-    triples = DimensionTriples(s3)
-    assert triples.refused_by is not None
-    rows = [triples.triple(d) for d in range(5)]
-    assert rows == exact_rows(s3, 4)
-    assert rows[3] == (15, 14, 15)
-
-
-G412 = {
-    "name": "g412",
-    "dimension": 2,
-    "conductor": 4,
-    "variables": ["x1", "x2"],
-    "generators": [["0", "1", "1", "0"], ["z", "0", "0", "1"]],
-}
+    primes = record_primes(monkeypatch)
+    want = r"^certificate step \(c\): 5 lifts for a group of order 6$"
+    with pytest.raises(GroupInvariantViolated, match=want):
+        DimensionTriples(s3)
+    assert primes == []
 
 
 def test_certificate_closes_on_g412(tmp_path):
@@ -600,7 +618,6 @@ def test_certificate_closes_on_g412(tmp_path):
     group = load_group(str(path))
     assert (group.order, group.conductor) == (32, 4)
     triples = DimensionTriples(group)
-    assert triples.refused_by is None
     dmax = default_max_degree(group)
     assert dmax == 13
     predicted = predicted_dimensions(group, dmax)

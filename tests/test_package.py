@@ -286,3 +286,40 @@ def test_one_linear_polynomial_builder():
     tree = ast.parse((Path(reflect_gkm.__file__).parent / "polynomials.py").read_text())
     builders = {name for name, node in _functions(tree) if _mentions(node, "_linear_poly")}
     assert builders == {"LinearForm.as_poly", "LinearSubstitution.__init__", "MultiPoly.variable"}
+
+
+# exact elimination for the theorem rows: kept only as the tests' oracle
+EXACT_ROUTINES = ("divisibility_conditions", "image_graded_dimension", "membership_basis")
+
+
+def _references(tree, names):
+    """(innermost enclosing function, name, is the callee of a call) for
+    every name or attribute in tree spelled as one of names."""
+    found = []
+
+    def visit(node, where, callee):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, None)
+                continue
+            spelled = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and spelled in names:
+                found.append((where, spelled, child is callee))
+            visit(child, where, child.func if isinstance(child, ast.Call) else None)
+
+    visit(tree, "<module>", None)
+    return found
+
+
+def test_exact_routines_are_reached_only_from_each_other():
+    # the certificate is the theorem rows' one route: no program path
+    # reaches exact elimination, and the only call among the three is
+    # membership_basis eliminating divisibility_conditions' rows
+    references = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        references.update(
+            (f"{path.stem}.{where}", name, called)
+            for where, name, called in _references(tree, EXACT_ROUTINES)
+        )
+    assert references == {("equivariant.membership_basis", "divisibility_conditions", True)}
