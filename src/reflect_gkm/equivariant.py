@@ -46,25 +46,38 @@ no quotient built.  membership writes the values of F once as integer
 coefficient vectors over one common denominator L, the lcm of all their
 coefficient denominators (integral_numerators), so it holds L F(x).  The
 weights lambda^{-ij} are roots of unity (reflections() checks the
-eigenvalue), hence algebraic integers with integer coordinates in the
-power basis, and L S_i is an integer combination of those vectors.  A
-coset where F is zero, whose S_i are 0, and a zero sum are skipped.  A
-coordinate form x_p divides S_i to order i exactly when every term has
-x_p-exponent at least i (linear_power_divides reads the exponents); any
-other form ell = x_p + a(x') decides ell^i | S_i by i Horner steps.  Let
-D be the lcm of the coefficient denominators of a, so r = -D a has
-integer coefficients, and top the x_p-degree of S_i.  Substituting
-y = D x_p and scaling the slice of x_p^k by D^(top - k) gives
+eigenvalue), with integer coordinates in the power basis, so L S_i is
+an integer combination of those vectors.  A coset where F is zero is
+skipped.  One routine, _sum_divides, forms S_i on a coset and decides it
+from what decides it.  (1) A coordinate form x_p divides S_i to order i
+exactly when every term has x_p-exponent at least i; the weights are
+scalars, so only the terms of the values below x_p^i are summed, and
+they must cancel.  Any other form is ell = x_p + a(x').  Let D be the
+lcm of the coefficient denominators of a, so r = -D a has integer
+coefficients, and top the x_p-degree of S_i.  (2) At i = 1: ell is monic
+of degree 1 in x_p with root x_p = -a = r / D, so by the remainder
+theorem over the polynomials in x' it divides S_1 exactly when
+S_1(r / D, x') = 0.  With L S_1 = sum_e c_e x_p^(e_p) x'^(e'), c_e
+integer vectors,
+
+    L D^top S_1(r / D, x') = sum_e c_e D^(top - e_p) r^(e_p) x'^(e'),
+
+an integer combination (e_p <= top), and L D^top is a nonzero scalar.
+So one pass over the terms of S_1, with the powers r^k of the
+x_p-degrees k present (_root_power, kept per form), decides it, where
+Horner walks every x_p-degree from top down.  (3) At i >= 2,
+substituting y = D x_p and scaling the slice of x_p^k by D^(top - k)
+gives
 
     g(y, x') = L D^top S_i(y / D, x'),    D ell = y - r(x'),
 
 with g integral.  x_p -> y / D is an invertible change of variables and
 L D^top and D are nonzero scalars, so ell^i divides S_i exactly when
 (y - r)^i divides g, and each Horner step on g adds integer products
-only.  One routine, _orbit_sum, forms S_i from an Orbit record for
-membership, lift_membership, orbit_difference and divided_difference;
-divide_numerators runs the same steps for the last two's quotients and
-scales the quotient or the witness back once per coefficient.
+only.  _orbit_sum forms S_i for _sum_divides, orbit_difference and
+divided_difference; divide_numerators divides the last two's sums, by
+the exponents for a coordinate form and by the steps of (3) otherwise,
+and scales the quotient or the witness back once per coefficient.
 
 An equivariant map, F(x) = x . e, needs only the identity coset <s> of
 each generator, the first record of its orbit table, group.orbits(s)[0]:
@@ -91,6 +104,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 from pathlib import Path
 
 from .cyclotomic import CycNum, numerator_dot_products
@@ -101,6 +116,7 @@ from .polynomials import (
     MultiPoly,
     NotDivisible,
     _horner,
+    _plus_root_multiple,
     divide_numerators,
     graded_monomials,
     hyperplane_coordinates,
@@ -343,25 +359,81 @@ def orbit_difference(group: ReflectionGroup, s: PseudoReflection, i: int, F: Gro
     return GroupMap(group, values)
 
 
-def _orbit_sum(orbit: Orbit, i: int, values) -> dict:
+def _orbit_sum(orbit: Orbit, i: int, values, below=None) -> dict:
     """S_i = sum_j lambda^{-ij} F(x s^j) on the orbit x<s>, from values[y],
     the integer numerator dict of F(y) (integral_numerators), at each
-    member y.  The weights are powers of a root of unity (reflections()
-    checks it), so their numerators over denominator 1 are exact, and the
-    first is 1."""
-    first, *rest = (values[x] for x in orbit.members)
-    pairs = zip(rest, orbit.reflection.weights(i)[1:])
-    return numerator_dot_products(
-        orbit.form.conductor, ((e, w.num, c) for v, w in pairs for e, c in v.items()), first
+    member y; only its terms of pivot exponent below `below` if given.
+    The weights are roots of unity, with integer numerators read once per
+    call, and the first is 1."""
+    members = orbit.members
+    first = values[members[0]]
+    weights = [w.num for w in orbit.reflection.weights(i)[1:]]
+    pairs = zip([values[x] for x in members[1:]], weights)
+    if below is None:
+        triples = ((e, w, c) for v, w in pairs for e, c in v.items())
+    else:
+        p = orbit.form.pivot
+        triples = ((e, w, c) for v, w in pairs for e, c in v.items() if e[p] < below)
+        first = {e: c for e, c in first.items() if e[p] < below}
+    return numerator_dot_products(orbit.form.conductor, triples, first)
+
+
+def _times(m: int, a: dict, b: dict) -> dict:
+    """The product of two polynomials with integer numerators."""
+    pairs = ((tuple(map(add, e, f)), c, d) for e, c in a.items() for f, d in b.items())
+    return numerator_dot_products(m, pairs, {})
+
+
+# the degrees of r^k kept per root, by _root_power
+_POWERS_KEPT = 64
+
+
+@lru_cache(maxsize=256)
+def _root_powers(m: int, n: int, p: int, root) -> dict:
+    """{k: r^k}, filled by _root_power, for the form x_p + a in n variables
+    at conductor m with integral_root root: these fix the form, so its
+    copies on every orbit share one table."""
+    return {}
+
+
+def _root_power(form: LinearForm, powers: dict, k: int) -> tuple:
+    """r^k for r = -D a, the root of form = x_p + a times D (integral_root),
+    as (shift, numerators) pairs with pivot entry -k, so that x_p^k x'^e
+    plus a shift is a term of x'^e r^k.  Squared up the bits of k from the
+    pivot coefficient 1; powers keeps the first _POWERS_KEPT degrees."""
+    n, m, p = form.nvars, form.conductor, form.pivot
+    got = {(0,) * n: form.coeffs[p].num}
+    for bit in bin(k)[2:]:
+        got = _times(m, got, got)
+        if bit == "1":
+            got = _plus_root_multiple(m, {}, got, form.integral_root[1])
+    got = tuple((e[:p] + (-k,) + e[p + 1 :], tuple(c)) for e, c in got.items())
+    if len(powers) < _POWERS_KEPT:
+        powers[k] = got
+    return got
+
+
+def _sum_divides(orbit: Orbit, i: int, values) -> bool:
+    """Does the orbit's form^i divide its S_i?  Decided as the module
+    docstring's (1)-(3) say, on the coset's values alone."""
+    form = orbit.form
+    D, root = form.integral_root
+    if not root:
+        return not _orbit_sum(orbit, i, values, i)
+    S = _orbit_sum(orbit, i, values)
+    if not S or i > 1:
+        return not S or _horner(S, form, i)[0] == i
+    m, p = form.conductor, form.pivot
+    powers = _root_powers(m, form.nvars, p, form.integral_root)
+    if D != 1:
+        top = max(e[p] for e in S)
+        S = {e: [x * D ** (top - e[p]) for x in c] for e, c in S.items()}
+    restricted = (
+        (tuple(map(add, e, f)), c, r)
+        for e, c in S.items()
+        for f, r in powers.get(e[p]) or _root_power(form, powers, e[p])
     )
-
-
-def linear_power_divides(terms: dict, form: LinearForm, power: int) -> bool:
-    """Does form^power divide the polynomial with integer coefficient vectors
-    terms?  Read off the exponents or by Horner steps (module docstring)."""
-    if not terms or not form.integral_root[1]:
-        return all(e[form.pivot] >= power for e in terms)
-    return _horner(terms, form, power)[0] == power
+    return not numerator_dot_products(m, restricted, {})
 
 
 def membership(F: GroupMap) -> MembershipCertificate:
@@ -375,7 +447,7 @@ def membership(F: GroupMap) -> MembershipCertificate:
         orbits = [o for o in group.orbits(s) if not zero.issuperset(o.members)]
         for i in range(1, s.order):
             for orbit in orbits:
-                if not linear_power_divides(_orbit_sum(orbit, i, values), orbit.form, i):
+                if not _sum_divides(orbit, i, values):
                     return MembershipCertificate(False, F)
     return MembershipCertificate(True)
 
@@ -389,7 +461,7 @@ def lift_membership(group: ReflectionGroup, e: MultiPoly) -> MembershipCertifica
         values, _ = integral_numerators(moved, group.dimension, group.conductor)
         values = dict(zip(identity.members, values))
         for i in range(1, s.order):
-            if not linear_power_divides(_orbit_sum(identity, i, values), identity.form, i):
+            if not _sum_divides(identity, i, values):
                 return MembershipCertificate(
                     False, GroupMap(group, [group.act(x, e) for x in range(group.order)])
                 )

@@ -30,9 +30,12 @@ the form's coefficient denominators (integral_root, cached per form), the
 pivot is replaced by y = D x_p and the slice of x_p^k is scaled by
 D^(top - k), so every step adds integer products only.  Why that keeps
 divisibility is proved once, in the equivariant module docstring, where
-the membership verdict counts the steps alone; divide_numerators scales
-each coefficient of the quotient or the witness back once, and
-divide_by_linear_power is it on the numerators of one MultiPoly.
+the membership verdict needs the steps only at powers above 1 and never
+for a coordinate form x_p.  divide_numerators reads a coordinate form off
+the exponents too (the quotient lowers every e_p, the witness is the
+part of least e_p), scales each coefficient of the quotient or the
+witness back once, and divide_by_linear_power is it on the numerators of
+one MultiPoly.
 
 Linear combinations sum_k w_k f_k (weighted_sum) and sums of products
 sum_k f_k g_k (sum_of_products; a product is its one-pair case) go through
@@ -178,11 +181,9 @@ class MultiPoly:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
-            other = MultiPoly.constant(self.nvars, self.conductor, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (int, Fraction, CycNum, MultiPoly)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -230,13 +231,10 @@ class MultiPoly:
 
     def degree(self) -> int | None:
         """Total degree; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.terms), default=None)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len({sum(e) for e in self.terms}) <= 1
 
     def __repr__(self):
         return f"MultiPoly({poly_text(self)!r})"
@@ -262,10 +260,9 @@ class LinearForm:
     def normalize(cls, coeffs: Sequence, conductor: int) -> tuple[CycNum, "LinearForm"]:
         """Split raw coefficients into (scale, normalized form)."""
         vec = [_as_coeff(c, conductor) for c in coeffs]
-        pivot = next((k for k, c in enumerate(vec) if c), None)
-        if pivot is None:
+        scale = next((c for c in vec if c), None)
+        if scale is None:
             raise ValueError("linear form must be nonzero")
-        scale = vec[pivot]
         inv = scale.inverse()
         return scale, cls(len(vec), conductor, tuple(c * inv for c in vec))
 
@@ -339,10 +336,9 @@ class LinearSubstitution:
     per-monomial memo (monomial images are reused heavily downstream)."""
 
     def __init__(self, rows: Sequence[Sequence[CycNum]], conductor: int):
-        self.nvars = len(rows)
+        n = self.nvars = len(rows)
         self.conductor = conductor
         self.rows = tuple(tuple(r) for r in rows)
-        n = self.nvars
         self._row_polys = [_linear_poly(n, conductor, row) for row in self.rows]
         self._memo: dict[Exponents, MultiPoly] = {
             (0,) * n: MultiPoly.one(n, conductor)
@@ -357,7 +353,7 @@ class LinearSubstitution:
         if min(exps) < 0:
             raise ValueError(f"exponents {exps} include a negative one")
         k = next(i for i, e in enumerate(exps) if e)
-        smaller = tuple(e - 1 if i == k else e for i, e in enumerate(exps))
+        smaller = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
         img = self.monomial_image(smaller) * self._row_polys[k]
         self._memo[exps] = img
         return img
@@ -455,8 +451,7 @@ def _horner(terms: dict, form: LinearForm, power: int):
     for e, c in terms.items():
         k = e[p]
         if D != 1 and k < top:
-            scale = D ** (top - k)
-            c = [x * scale for x in c]
+            c = [x * D ** (top - k) for x in c]
         slices[k][e[:p] + (0,) + e[p + 1 :]] = c
     for step in range(power):
         quotient: list[dict] = [{} for _ in range(len(slices) - 1)]
@@ -484,8 +479,9 @@ def divide_numerators(terms: dict, den: int, form: LinearForm, power: int):
     integer coefficient vectors terms over the common denominator den.
 
     power <= 0 multiplies by the |power|-th power of the form, so the
-    result is always a polynomial in that range.  Otherwise f is divided by
-    the fraction-free Horner steps in the pivot variable (see the module
+    result is always a polynomial in that range.  Otherwise a coordinate
+    form x_p divides off the exponents, and any other form by the
+    fraction-free Horner steps in the pivot variable (see the module
     docstring), one step per power, stopping at the first nonzero
     remainder; each coefficient of the quotient or witness is scaled back
     once.
@@ -494,8 +490,17 @@ def divide_numerators(terms: dict, den: int, form: LinearForm, power: int):
     if power <= 0 or not terms:
         f = MultiPoly._make(n, m, {e: from_numerators(m, c, den) for e, c in terms.items()})
         return f * form.as_poly() ** -power if power <= 0 else f
+    (D, root), p = form.integral_root, form.pivot
+    if not root:
+        # x_p: lower every e_p by power, or the witness is the least e_p part
+        v = min(power, *(e[p] for e in terms))
+        f = MultiPoly._make(n, m, {
+            e[:p] + (e[p] - v,) + e[p + 1 :]: from_numerators(m, c, den)
+            for e, c in terms.items()
+            if e[p] == v or v == power
+        })
+        return f if v == power else NotDivisible(v, f * form.as_poly() ** v)
     steps, top, pieces = _horner(terms, form, power)
-    D, p = form.integral_root[0], form.pivot
     if steps < power:
         # f / form^steps at x_p = root is D^(steps - top) / den times pieces
         scale = den * D ** (top - steps)
@@ -527,11 +532,9 @@ def graded_monomials(nvars: int, d: int) -> tuple[Exponents, ...]:
         return ((),) if d == 0 else ()
     if nvars == 1:
         return ((d,),)
-    out = []
-    for e in range(d, -1, -1):
-        for tail in graded_monomials(nvars - 1, d - e):
-            out.append((e,) + tail)
-    return tuple(out)
+    return tuple(
+        (e,) + tail for e in range(d, -1, -1) for tail in graded_monomials(nvars - 1, d - e)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -547,13 +550,7 @@ def _names(names: Sequence[str] | None, nvars: int) -> list[str]:
 
 
 def _monomial_text(exps: Exponents, names: Sequence[str]) -> str:
-    pieces = []
-    for k, e in enumerate(exps):
-        if e == 1:
-            pieces.append(names[k])
-        elif e > 1:
-            pieces.append(f"{names[k]}^{e}")
-    return "*".join(pieces)
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
 
 
 def _coeff_pieces(c: CycNum) -> tuple[int, str | None]:

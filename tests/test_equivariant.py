@@ -11,7 +11,7 @@ import pytest
 
 import reflect_gkm.equivariant as equivariant_module
 import reflect_gkm.polynomials as polynomials_module
-from reflect_gkm.cyclotomic import ConductorMismatch, CycNum, root_of_unity
+from reflect_gkm.cyclotomic import ConductorMismatch, CycNum, parse_cyc, root_of_unity
 from reflect_gkm.equivariant import (
     GroupMap,
     MapFileError,
@@ -33,6 +33,8 @@ from reflect_gkm.equivariant import (
 )
 from reflect_gkm.groups import (
     GroupInvariantViolated,
+    Orbit,
+    PseudoReflection,
     ReflectionGroup,
     bundled_names,
     load_group,
@@ -570,17 +572,17 @@ def test_g312_verdict_takes_one_generator_per_hyperplane(monkeypatch):
     g = load_group("g312")
     member = random_member(random.Random(8), g)
     passes = []
-    original = equivariant_module._orbit_sum
+    original = equivariant_module._sum_divides
 
     def counting(orbit, i, values):
         passes.append((orbit.reflection.element, i))
         return original(orbit, i, values)
 
-    monkeypatch.setattr(equivariant_module, "_orbit_sum", counting)
+    monkeypatch.setattr(equivariant_module, "_sum_divides", counting)
     assert membership(member).ok
     # 7 (reflection, power) passes against 11 for every reflection: the
     # order-3 hyperplanes are checked through one of their two generators,
-    # each pass summing over every orbit of its reflection
+    # each pass deciding the sum on every orbit of its reflection
     assert list(dict.fromkeys(passes)) == [
         (1, 1), (1, 2), (2, 1), (9, 1), (9, 2), (10, 1), (11, 1)
     ]
@@ -601,11 +603,20 @@ def test_transport_verdict_equals_membership(name, monkeypatch):
     assert [lift_membership(g, e).ok for e in lifts] == [membership(F).ok for F in maps]
     assert all(membership(F).ok for F in maps)
     # every such map is a member, so only a fault refuses one: here the
-    # verdict refuses every nonzero dividend, which x . P_i is exactly when
-    # P_i is, and the Horner routine behind the failures list fails it at
-    # step 0 with the dividend as its witness
-    monkeypatch.setattr(equivariant_module, "linear_power_divides", lambda terms, form, power: not terms)
-    monkeypatch.setattr(polynomials_module, "_horner", lambda terms, form, power: (0, 0, terms))
+    # verdict refuses every nonzero sum, which x . P_i is exactly when P_i
+    # is, and the division behind the failures list fails it at order 0
+    # with the sum as its witness
+    orbit_sum, divide = equivariant_module._orbit_sum, equivariant_module.divide_numerators
+
+    def refusing(terms, den, form, power):
+        if not terms:
+            return divide(terms, den, form, power)
+        return NotDivisible(0, divide(terms, den, form, 0))
+
+    monkeypatch.setattr(
+        equivariant_module, "_sum_divides", lambda orbit, i, values: not orbit_sum(orbit, i, values)
+    )
+    monkeypatch.setattr(equivariant_module, "divide_numerators", refusing)
     verdicts = [lift_membership(g, e) for e in lifts]
     assert [v.ok for v in verdicts] == [membership(F).ok for F in maps]
     assert {v.ok for v in verdicts} == {True, False}
@@ -679,9 +690,20 @@ def test_integral_verdict_equals_the_failure_loop(name):
     assert all(verdicts[len(maps) :: 2])
 
 
+def sum_verdict(terms, form, power):
+    """The verdict _sum_divides on a one-member orbit, whose sum is terms."""
+    one = CycNum.one(form.conductor)
+    s = PseudoReflection(0, power + 1, form, one, 0, ((one,),) * (power + 1))
+    return equivariant_module._sum_divides(Orbit(s, (0,), form, (one,)), power, [terms])
+
+
+def horner_verdict(terms, form, power):
+    return not terms or polynomials_module._horner(terms, form, power)[0] == power
+
+
 def test_coordinate_verdict_equals_the_horner_verdict():
     # a coordinate form x_p divides to order i exactly when every term has
-    # x_p-exponent at least i; the verdict reads that off the exponents,
+    # x_p-exponent at least i; the verdict sums only the terms below x_p^i,
     # where Horner steps run through every power of x_p up to the degree
     rng = random.Random("coordinate")
     verdicts = set()
@@ -694,11 +716,74 @@ def test_coordinate_verdict_equals_the_horner_verdict():
                 f = random_poly(rng, n, m, max_degree=4) * pivot_power
                 (terms,), _ = integral_numerators([f], n, m)
                 for power in range(1, (f.degree() or 0) + 3):
-                    mine = equivariant_module.linear_power_divides(terms, form, power)
-                    horner = not terms or polynomials_module._horner(terms, form, power)[0] == power
-                    assert mine == horner, (f, p, power)
+                    mine = sum_verdict(terms, form, power)
+                    assert mine == horner_verdict(terms, form, power), (f, p, power)
                     verdicts.add(mine)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "n, m, coeffs",
+    [
+        (2, 1, ["1", "-1"]),
+        (2, 1, ["1", "-1/2"]),  # s3's form, D = 2
+        (2, 1, ["0", "1"]),
+        (2, 3, ["1", "-z"]),
+        (2, 3, ["1", "z + 1"]),
+        (2, 3, ["1", "-1/2*z"]),
+        (2, 4, ["1", "z"]),
+        (2, 4, ["1", "0"]),
+        (3, 1, ["1", "-2", "1/3"]),
+        (3, 3, ["1", "-z", "1/2"]),
+        (3, 4, ["0", "1", "z - 1"]),
+    ],
+)
+def test_sum_verdict_equals_the_horner_verdict(n, m, coeffs):
+    # the verdict on one dividend, at powers 1-3, against Horner steps:
+    # coordinate forms summed below x_p^i, power 1 restricted to the
+    # hyperplane, higher powers by Horner itself
+    _, form = LinearForm.normalize([parse_cyc(c, m) for c in coeffs], m)
+    rng = random.Random(f"sum verdict:{n}:{m}:{coeffs}")
+    verdicts = set()
+    for _ in range(16):
+        f = random_poly(rng, n, m, max_degree=3) * form.as_poly() ** rng.randint(0, 3)
+        (terms,), _ = integral_numerators([f], n, m)
+        for power in (1, 2, 3):
+            mine = sum_verdict(terms, form, power)
+            assert mine == horner_verdict(terms, form, power), (f, power)
+            verdicts.add(mine)
+    assert verdicts == {True, False}
+
+
+def test_power_one_verdict_follows_terms_not_degree():
+    # a one-term dividend of x1-degree 10^6 on b2's form x1 - x2 is decided
+    # at power 1 from one root power; every copy of the form shares the
+    # powers asked for, at most _POWERS_KEPT of them, and no other form does
+    b2 = load_group("b2")
+    orbits = [o for s in b2.hyperplane_generators() for o in b2.orbits(s)]
+    orbit = next(o for o in orbits if str(o.form) == "x1 - x2")
+
+    def table(form):
+        root = form.integral_root
+        return equivariant_module._root_powers(form.conductor, form.nvars, form.pivot, root)
+
+    powers = table(orbit.form)
+    assert all((table(o.form) is powers) == (o.form == orbit.form) for o in orbits)
+    powers.clear()
+    big = 10**6
+    rep, other = orbit.members
+    assert not equivariant_module._sum_divides(orbit, 1, {rep: {(big, 0): [1]}, other: {}})
+    difference = {(big, 0): [1], (0, big): [-1]}
+    assert equivariant_module._sum_divides(orbit, 1, {rep: difference, other: {}})
+    assert set(powers) == {0, big}
+    kept = equivariant_module._POWERS_KEPT
+    for k in range(2 * kept):
+        got = equivariant_module._root_power(orbit.form, powers, k)
+        assert got == (((-k, k), (1,)),)
+    assert len(powers) == kept
+    one_value = [MultiPoly.zero(2, 1)] * b2.order
+    one_value[0] = MultiPoly(2, 1, {(big, 0): 1})
+    assert not membership(GroupMap(b2, one_value)).ok
 
 
 @pytest.mark.parametrize("name", list(bundled_names()) + ["g412"])
@@ -711,13 +796,13 @@ def test_one_value_map_sums_only_the_cosets_through_its_element(name, monkeypatc
     for s in g.reflections():
         orders[s.hyperplane] = max(orders.get(s.hyperplane, 1), s.order)
     summed = []
-    original = equivariant_module._orbit_sum
+    original = equivariant_module._sum_divides
 
     def counting(orbit, i, values):
         summed.append(orbit.members)
         return original(orbit, i, values)
 
-    monkeypatch.setattr(equivariant_module, "_orbit_sum", counting)
+    monkeypatch.setattr(equivariant_module, "_sum_divides", counting)
     for y in (0, g.order - 1):
         summed.clear()
         # the value sits at y: (F . y)(x) = F(x y^-1)

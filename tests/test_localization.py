@@ -397,16 +397,17 @@ def test_non_member_lift_is_refused_by_members(s3, monkeypatch):
     # divisibility verdicts can refuse: here one failed verdict, the first,
     # on a nonzero dividend (the constant lift's sums vanish, so it is a
     # degree-1 lift's), and the refusal names that lift
-    original = equivariant.linear_power_divides
+    original = equivariant._sum_divides
     faults = []
 
-    def faulty(terms, form, power):
+    def faulty(orbit, i, values):
+        terms = equivariant._orbit_sum(orbit, i, values)
         if terms and not faults:
             faults.append(max(sum(e) for e in terms))
             return False
-        return original(terms, form, power)
+        return original(orbit, i, values)
 
-    monkeypatch.setattr(equivariant, "linear_power_divides", faulty)
+    monkeypatch.setattr(equivariant, "_sum_divides", faulty)
     primes = record_primes(monkeypatch)
     text = poly_text(coinvariant_basis(s3).lifts[1], names=s3.variables)
     want = rf"^certificate step \(a\): lift 1, {re.escape(text)}, is not a member$"
@@ -459,11 +460,7 @@ def test_certificate_divides_identity_cosets_only(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(equivariant, "membership", counting("membership", equivariant.membership))
-    monkeypatch.setattr(
-        equivariant,
-        "linear_power_divides",
-        counting("verdict", equivariant.linear_power_divides),
-    )
+    monkeypatch.setattr(equivariant, "_sum_divides", counting("verdict", equivariant._sum_divides))
     monkeypatch.setattr(
         equivariant,
         "divide_numerators",

@@ -187,19 +187,23 @@ def test_one_grammar_reads_every_literal():
 
 
 def test_orbit_sums_are_read_from_orbit_records():
-    # every weighted orbit sum of the operators is formed by _orbit_sum from
-    # an Orbit record, and the identity coset is the first record of the
-    # orbit table, never rebuilt from the powers of s
+    # every weighted orbit sum of the operators and the verdict is formed by
+    # _orbit_sum from an Orbit record, and the identity coset is the first
+    # record of the orbit table, never rebuilt from the powers of s; the
+    # verdict's only other sums are its restriction of that sum and the
+    # products behind the root powers it restricts with
     tree = ast.parse((Path(reflect_gkm.__file__).parent / "equivariant.py").read_text())
-    summing = {
-        name
-        for name, node in _functions(tree)
-        if any(
-            isinstance(n, ast.Call) and _mentions(n.func, "numerator_dot_products")
-            for n in ast.walk(node)
-        )
-    }
-    assert summing == {"_orbit_sum"}
+
+    def calling(callee):
+        return {
+            name
+            for name, node in _functions(tree)
+            if any(isinstance(n, ast.Call) and _mentions(n.func, callee) for n in ast.walk(node))
+        }
+
+    assert calling("numerator_dot_products") == {"_orbit_sum", "_sum_divides", "_times"}
+    assert calling("_orbit_sum") == {"_sum_divides", "orbit_difference", "divided_difference"}
+    assert calling("_sum_divides") == {"membership", "lift_membership"}
     assert not _mentions(tree, "cyclic_powers")
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reflect_gkm.polynomials as polynomials_module
 from reflect_gkm.cyclotomic import ConductorMismatch, CycNum, euler_phi, parse_cyc, root_of_unity
 from reflect_gkm.polynomials import (
     LinearForm,
@@ -359,6 +360,34 @@ def test_integer_horner_equals_cycnum_horner():
                 divided += 1
                 assert mine.terms == oracle.terms
     assert scaled > 20 and divided > 100 and witnessed > 100
+
+
+def test_coordinate_division_reads_the_exponents(monkeypatch):
+    # a coordinate form x_p divides by lowering e_p, and its witness is the
+    # part of least e_p: equal to the Horner route, with no Horner step
+    def no_steps(*args):
+        raise AssertionError("a coordinate form took Horner steps")
+
+    monkeypatch.setattr(polynomials_module, "_horner", no_steps)
+    rng = random.Random(22)
+    outcomes = set()
+    for m in (1, 3, 4):
+        for n in (1, 2, 3):
+            for p in range(n):
+                _, form = LinearForm.normalize([int(j == p) for j in range(n)], m)
+                for a in range(4):
+                    f = _random_poly(rng, n, m) * MultiPoly.variable(n, m, p) ** a
+                    for power in range(6):
+                        mine = divide_by_linear_power(f, form, power)
+                        oracle = cycnum_horner_division(f, form, power) if f else f
+                        assert type(mine) is type(oracle), (f, form, power)
+                        outcomes.add(type(mine))
+                        if isinstance(oracle, NotDivisible):
+                            assert mine.valuation == oracle.valuation
+                            assert mine.witness == oracle.witness
+                        else:
+                            assert mine == oracle
+    assert outcomes == {MultiPoly, NotDivisible}
 
 
 def test_division_by_a_single_variable_shifts():

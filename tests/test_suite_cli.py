@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -497,6 +498,29 @@ def test_cli_member_reads_a_coordinate_power_off_its_exponent(tmp_path, capsys):
         signal.signal(signal.SIGALRM, previous)
     assert code == 0
     assert "member (all divisibility conditions hold)" in capsys.readouterr().out
+
+
+def test_cli_member_lists_coordinate_failures_of_a_huge_degree(tmp_path):
+    # the failure list divides by z3's coordinate form x1 off the
+    # exponents, so x1^100000000 + 1 is listed at once in a fresh process
+    # with a 1.5 GB address space and a wall budget: dividing with one
+    # Horner slice per power of x1 would run out of memory instead
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"values": {"0": "x1^100000000 + 1"}}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    limit = 1500000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "reflect_gkm", "member", "--group", "z3", "--input", str(path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert proc.stdout.splitlines()[1:] == [
+        f"  coset of element 0, reflection {s}, power {i}: divisible only to order 0"
+        for s in (1, 2)
+        for i in (1, 2)
+    ]
 
 
 def test_python_dash_m_runs_the_command_line(capsys):
