@@ -42,12 +42,15 @@ definition reads; it is built by that full loop when it is first read,
 which only the command line does.
 
 The verdict runs on integer numerators, with no CycNum canonicalised and
-no quotient built.  membership writes the values of F once as integer
-coefficient vectors over one common denominator L, the lcm of all their
-coefficient denominators (integral_numerators), so it holds L F(x).  The
-weights lambda^{-ij} are roots of unity (reflections() checks the
-eigenvalue), with integer coordinates in the power basis, so L S_i is
-an integer combination of those vectors.  A coset where F is zero is
+no quotient built.  It reads F.numerators(), the values of F as integer
+coefficient vectors over one positive common denominator L, so it holds
+L F(x).  A map made by localize or the sampler holds only these, and its
+values are built from them when first read; a map made from values
+computes them once, with L the lcm of all their coefficient denominators
+(integral_numerators), and the verdict, the operators and the failure
+list share them.  The weights lambda^{-ij} are roots of unity
+(reflections() checks the eigenvalue), with integer coordinates in the
+power basis, so L S_i is an integer combination of those vectors.  A coset where F is zero is
 skipped.  One routine, _sum_divides, forms S_i on a coset and decides it
 from what decides it.  (1) A coordinate form x_p divides S_i to order i
 exactly when every term has x_p-exponent at least i; the weights are
@@ -108,7 +111,7 @@ from functools import lru_cache
 from operator import add
 from pathlib import Path
 
-from .cyclotomic import CycNum, numerator_dot_products
+from .cyclotomic import CycNum, from_numerators, numerator_dot_products
 from .groups import GroupInvariantViolated, Orbit, PseudoReflection, ReflectionGroup, _read_json
 from .linalg import nullspace
 from .polynomials import (
@@ -165,17 +168,78 @@ class NotAMember(Exception):
         self.certificate = certificate
 
 
-class GroupMap:
-    """A tuple of polynomials indexed by group elements."""
+def _polynomial(group: ReflectionGroup, num: dict, den: int) -> MultiPoly:
+    """The polynomial with the integer numerator dict num over den."""
+    m = group.conductor
+    return MultiPoly._make(
+        group.dimension, m, {e: from_numerators(m, c, den) for e, c in num.items()}
+    )
 
-    __slots__ = ("group", "values")
+
+class GroupMap:
+    """A tuple of polynomials indexed by group elements.
+
+    A map holds its values, or their integer numerators over one positive
+    common denominator, (numerators, den), or both.  localize and the
+    sampler build maps from numerators alone; values are then built from
+    them, one from_numerators per coefficient, only when first read.  The
+    verdicts and operators read numerators(), which a map built from
+    values computes once.  Nothing mutates a value or a numerator dict,
+    and numerators() hands out the ones it keeps: maps made by act share
+    them."""
+
+    __slots__ = ("group", "_values", "_numerators")
 
     def __init__(self, group: ReflectionGroup, values):
         vals = tuple(values)
         if len(vals) != group.order:
             raise ValueError("one value per group element required")
+        self._set(group, vals, None)
+
+    def _set(self, group, values, numerators):
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_numerators", numerators)
+
+    @classmethod
+    def _from_numerators(cls, group: ReflectionGroup, numerators, den: int) -> "GroupMap":
+        """The map whose value at x has the integer numerator dict
+        numerators[x] over den > 0; its values are built on first read."""
+        nums = tuple(numerators)
+        if len(nums) != group.order:
+            raise ValueError("one value per group element required")
+        if den <= 0:
+            raise ValueError("a common denominator must be positive")
+        out = object.__new__(cls)
+        out._set(group, None, (nums, den))
+        return out
+
+    @property
+    def values(self) -> tuple[MultiPoly, ...]:
+        vals = self._values
+        if vals is None:
+            nums, den = self._numerators
+            vals = tuple(_polynomial(self.group, v, den) for v in nums)
+            object.__setattr__(self, "_values", vals)
+        return vals
+
+    def _value(self, x: int) -> MultiPoly:
+        """F(x), built alone when the values are not."""
+        if self._values is not None:
+            return self._values[x]
+        nums, den = self._numerators
+        return _polynomial(self.group, nums[x], den)
+
+    def numerators(self) -> tuple[tuple[dict, ...], int]:
+        """([{exponents: integer numerators}] per element, den): the values
+        over one positive common denominator, computed once."""
+        got = self._numerators
+        if got is None:
+            g = self.group
+            nums, den = integral_numerators(self._values, g.dimension, g.conductor)
+            got = (tuple(nums), den)
+            object.__setattr__(self, "_numerators", got)
+        return got
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupMap is immutable")
@@ -242,7 +306,9 @@ class GroupMap:
         return NotImplemented
 
     def __bool__(self):
-        return any(self.values)
+        if self._values is None:
+            return any(self._numerators[0])
+        return any(self._values)
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -258,7 +324,15 @@ class GroupMap:
         """(F . w)(x) = F(x w^-1)."""
         g = self.group
         wi = g.inv(w)
-        return GroupMap(g, [self.values[g.mul(x, wi)] for x in range(g.order)])
+        moved = [g.mul(x, wi) for x in range(g.order)]
+        vals, nums = self._values, self._numerators
+        out = object.__new__(GroupMap)
+        out._set(
+            g,
+            None if vals is None else tuple(vals[y] for y in moved),
+            None if nums is None else (tuple(nums[0][y] for y in moved), nums[1]),
+        )
+        return out
 
     # -- grading -------------------------------------------------------------
 
@@ -343,7 +417,7 @@ def orbit_difference(group: ReflectionGroup, s: PseudoReflection, i: int, F: Gro
     """The order-i weighted difference of F along right <s>-orbits; returns
     the certificate of failed divisibilities instead of a map when F is not
     smooth enough."""
-    numerators, den = integral_numerators(F.values, group.dimension, group.conductor)
+    numerators, den = F.numerators()
     values: list[MultiPoly | None] = [None] * group.order
     failures: list[MembershipFailure] = []
     for orbit in group.orbits(s):
@@ -399,14 +473,25 @@ def _root_powers(m: int, n: int, p: int, root) -> dict:
 def _root_power(form: LinearForm, powers: dict, k: int) -> tuple:
     """r^k for r = -D a, the root of form = x_p + a times D (integral_root),
     as (shift, numerators) pairs with pivot entry -k, so that x_p^k x'^e
-    plus a shift is a term of x'^e r^k.  Squared up the bits of k from the
-    pivot coefficient 1; powers keeps the first _POWERS_KEPT degrees."""
+    plus a shift is a term of x'^e r^k.  Built from r^j, the largest power
+    below k in powers (1 if none is): one more factor r for j = k - 1,
+    else r^(k - j) squared up its bits from the pivot coefficient 1.
+    powers keeps the first _POWERS_KEPT degrees."""
     n, m, p = form.nvars, form.conductor, form.pivot
-    got = {(0,) * n: form.coeffs[p].num}
-    for bit in bin(k)[2:]:
-        got = _times(m, got, got)
-        if bit == "1":
-            got = _plus_root_multiple(m, {}, got, form.integral_root[1])
+    root = form.integral_root[1]
+    unit = {(0,) * n: form.coeffs[p].num}
+    j = max((d for d in powers if d < k), default=None)
+    got = unit if j is None else {e[:p] + (0,) + e[p + 1 :]: c for e, c in powers[j]}
+    step = k - (j or 0)
+    if step == 1:
+        got = _plus_root_multiple(m, {}, got, root)
+    elif step:
+        factor = unit
+        for bit in bin(step)[2:]:
+            factor = _times(m, factor, factor)
+            if bit == "1":
+                factor = _plus_root_multiple(m, {}, factor, root)
+        got = _times(m, got, factor)
     got = tuple((e[:p] + (-k,) + e[p + 1 :], tuple(c)) for e, c in got.items())
     if len(powers) < _POWERS_KEPT:
         powers[k] = got
@@ -441,7 +526,7 @@ def membership(F: GroupMap) -> MembershipCertificate:
     per hyperplane, stopping at the first failed division; the certificate
     lists the failures over all pseudo-reflections on read."""
     group = F.group
-    values, _ = integral_numerators(F.values, group.dimension, group.conductor)
+    values, _ = F.numerators()
     zero = {x for x, v in enumerate(values) if not v}
     for s in group.hyperplane_generators():
         orbits = [o for o in group.orbits(s) if not zero.issuperset(o.members)]

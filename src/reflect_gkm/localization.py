@@ -9,13 +9,15 @@ group:
 one polynomial per element, which is exactly the GroupMap picture.  It is
 computed in collected form: the first legs are gathered once per tensor by
 second-leg monomial, F_e = sum_k c_{k,e} f_k for g_k = sum_e c_{k,e} x^e,
-and every value sum_e F_e . x(x^e) comes out of one keyed dot product
-(cyclotomic.keyed_dot_products) keyed by (element, monomial), over the
-group's memoized monomial images, so no polynomial is substituted per
-element and one CycNum is built per term of the result.  The
-tensor product over invariants has no canonical normal form worth
-maintaining at this scale, so equality of tensors is extensional: two
-tensors are equal when their localizations agree everywhere.
+and each value sum_e F_e . x(x^e) comes out of one numerator dot product
+(cyclotomic.numerator_dot_products) keyed by monomial, over the group's
+memoized monomial images, so no polynomial is substituted per element.
+The map holds integer numerators over one common denominator, which the
+verdicts read as they are; a value, one CycNum per term, is built from
+them only when it is read.  The tensor product over invariants has no
+canonical normal form worth maintaining at this scale, so equality of
+tensors is extensional: two tensors are equal when their localizations
+agree everywhere.
 
 The theorem rows of the verification suite come from here too, from the
 group alone: DimensionTriples proves localized image = members in every
@@ -29,16 +31,16 @@ per-degree elimination (image_graded_dimension) is the tests' oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import add
 from typing import Sequence
 
-from .cyclotomic import CycNum, keyed_dot_products
+from .cyclotomic import CycNum, numerator_dot_products
 from .equivariant import GroupMap, divided_difference, lift_membership, orbit_difference
 from .groups import GroupInvariantViolated, PseudoReflection, ReflectionGroup
 from .invariants import coinvariant_basis, coinvariant_histogram, degree_histogram, graded_count
 from .linalg import NotReducible, PrimeReduction, rank, rank_mod_p
-from .polynomials import MultiPoly, _check_operand, graded_monomials, poly_text, weighted_sum
+from .polynomials import MultiPoly, graded_monomials, integral_numerators, poly_text
 
 __all__ = [
     "DimensionTriples",
@@ -147,40 +149,51 @@ def localize(T: TensorElement) -> GroupMap:
     Computed as sum_e F_e . x(x^e) with F_e = sum_k c_{k,e} f_k collected
     over the monomials of the second legs g_k = sum_e c_{k,e} x^e.  The two
     agree because x acts linearly, x(g_k) = sum_e c_{k,e} x(x^e), and the
-    product is bilinear; as exact canonical polynomials they are equal, not
-    merely close.  One keyed dot product forms every value, keyed by
-    (x, monomial), over the products of F_e's terms with those of the
-    group's memoized x(x^e).  Each leg of T is checked once."""
+    product is bilinear; as exact polynomials they are equal, not merely
+    close.  The map is formed as integer numerators over one common
+    denominator, the product of the legs' and the images' denominators, by
+    numerator dot products: one over the legs' numerators collects the F_e,
+    keyed by (e, monomial), and one per element x multiplies them with the
+    group's memoized images x(x^e).  No CycNum is built here: a value is
+    built from its numerators when it is first read, and the verdicts read
+    the numerators.  Each leg of T is checked once."""
     group = T.group
     n, m = group.dimension, group.conductor
-    by_monomial = {}
-    for f, g in T.summands:
-        _check_operand(g, n, m)
-        for e, c in g.terms.items():
-            by_monomial.setdefault(e, []).append((f, c))
-    collected = [(e, weighted_sum(pairs, n, m)) for e, pairs in by_monomial.items()]
-    collected = [(e, F.terms.items()) for e, F in collected if F]
-    elements = range(group.order)
+    firsts, den_f = integral_numerators([f for f, _ in T.summands], n, m)
+    seconds, den_g = integral_numerators([g for _, g in T.summands], n, m)
+    legs = (
+        ((e, e1), c1, c)
+        for f, g in zip(firsts, seconds)
+        for e, c in g.items()
+        for e1, c1 in f.items()
+    )
+    # the monomials e in order of first appearance, as the values' terms are
+    by_monomial: dict = {e: [] for g in seconds for e in g}
+    for (e, e1), c in numerator_dot_products(m, legs, {}).items():
+        by_monomial[e].append((e1, c))
+    rows = [
+        [(F, group.monomial_image(x, e).terms.items()) for e, F in by_monomial.items() if F]
+        for x in range(group.order)
+    ]
+    den = lcm(1, *(c.den for row in rows for _, image in row for _, c in image))
 
-    def triples():
-        for x in elements:
-            for e, F in collected:
-                image = group.monomial_image(x, e).terms.items()
-                for e1, c1 in F:
-                    for e2, c2 in image:
-                        yield (x, tuple(map(add, e1, e2))), c1, c2
+    def products(row):
+        for F, image in row:
+            for e1, c1 in F:
+                for e2, c2 in image:
+                    c = c2.num if c2.den == den else [a * (den // c2.den) for a in c2.num]
+                    yield tuple(map(add, e1, e2)), c1, c
 
-    values = [{} for _ in elements]
-    for (x, e), c in keyed_dot_products(m, triples()).items():
-        values[x][e] = c
-    return GroupMap(group, [MultiPoly._make(n, m, v) for v in values])
+    numerators = [numerator_dot_products(m, products(row), {}) for row in rows]
+    return GroupMap._from_numerators(group, numerators, den_f * den_g * den)
 
 
 def localize_at(T: TensorElement, x: int) -> MultiPoly:
-    """localize(T) read at the group element x, an index in range(order)."""
+    """localize(T) read at the group element x, an index in range(order);
+    only that value is built."""
     if x not in range(T.group.order):
         raise ValueError(f"element index {x!r} not in range({T.group.order})")
-    return localize(T).values[x]
+    return localize(T)._value(x)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .cyclotomic import euler_phi, from_numerators
+from .cyclotomic import euler_phi, from_numerators, numerator_dot_products
 from .equivariant import GroupMap, membership
 from .groups import ReflectionGroup
 from .localization import TensorElement, localize
@@ -89,18 +89,24 @@ def random_nonmember(rng: random.Random, group: ReflectionGroup, max_degree: int
     F + Delta is a member exactly when the sparse map Delta (the monomial
     at one element, zero elsewhere) is: each attempt is decided on Delta,
     on the cosets through that element, and only the map returned
-    localizes its tensor and adds Delta there.  Raises RuntimeError if the
-    group refuses to produce one in _NONMEMBER_ATTEMPTS tries (it will
-    not, for nontrivial reflection groups)."""
+    localizes its tensor and adds Delta there.  Delta and F + Delta are
+    built on integer numerators, as localize builds F.  Raises
+    RuntimeError if the group refuses to produce one in
+    _NONMEMBER_ATTEMPTS tries (it will not, for nontrivial reflection
+    groups)."""
     n, m = group.dimension, group.conductor
+    one = [1] + [0] * (euler_phi(m) - 1)
     for _ in range(_NONMEMBER_ATTEMPTS):
         T = random_tensor(rng, group, max_degree=max_degree)
-        values = [MultiPoly.zero(n, m)] * group.order
         x = rng.randrange(group.order)
         pool = graded_monomials(n, rng.randint(0, max_degree))
-        values[x] = MultiPoly(n, m, {pool[rng.randrange(len(pool))]: 1})
-        if not membership(GroupMap(group, values)).ok:
-            perturbed = list(localize(T).values)
-            perturbed[x] += values[x]
-            return GroupMap(group, perturbed)
+        e = pool[rng.randrange(len(pool))]
+        delta = [{}] * group.order
+        delta[x] = {e: one}
+        if not membership(GroupMap._from_numerators(group, delta, 1)).ok:
+            numerators, den = localize(T).numerators()
+            perturbed = list(numerators)
+            # den (F(x) + x^e), in the term order of F(x) + x^e
+            perturbed[x] = numerator_dot_products(m, [(e, one, [den, *one[1:]])], numerators[x])
+            return GroupMap._from_numerators(group, perturbed, den)
     raise RuntimeError("could not find a nonmember by perturbation")

@@ -252,10 +252,14 @@ def test_orbit_difference_matches_per_element_oracle(s3, b2, z3):
 
 
 def test_orbit_difference_converts_once_and_sums_on_numerators(monkeypatch):
-    # one integral_numerators call per operator call, its sums formed by
-    # _orbit_sum on integer numerators, never by weighted_sum on CycNums
+    # at most one integral_numerators call per map: none for a localized
+    # map, which holds its numerators, and for a map built from values one
+    # on the first operator call and none after it, the verdict and the
+    # failure list included; the sums are formed by _orbit_sum on integer
+    # numerators, never by weighted_sum on CycNums
     g = load_group("g312")
-    F = random_member(random.Random(3), g)
+    localized = random_member(random.Random(3), g)
+    from_values = GroupMap(g, random_member(random.Random(3), g).values)
     calls = {"integral_numerators": 0, "weighted_sum": 0}
 
     def counting(name, fn):
@@ -271,10 +275,57 @@ def test_orbit_difference_converts_once_and_sums_on_numerators(monkeypatch):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    for s in g.reflections():
-        calls.update(integral_numerators=0, weighted_sum=0)
-        assert isinstance(orbit_difference(g, s, s.order - 1, F), GroupMap)
-        assert calls == {"integral_numerators": 1, "weighted_sum": 0}
+    for F, first in ((localized, 0), (from_values, 1)):
+        for k, s in enumerate(g.reflections()):
+            calls.update(integral_numerators=0, weighted_sum=0)
+            assert isinstance(orbit_difference(g, s, s.order - 1, F), GroupMap)
+            assert calls == {"integral_numerators": first if k == 0 else 0, "weighted_sum": 0}
+        assert membership(F).ok and equivariant_module._all_failures(F) == []
+        assert calls == {"integral_numerators": 0, "weighted_sum": 0}
+
+
+@pytest.mark.parametrize("name", ["z4", "b2", "g312"])
+def test_numerator_backed_maps_act_and_differ_as_value_backed_ones(name):
+    # act permutes whichever form a map holds, and the operators, the
+    # verdict and the failure list read the same numerators either way
+    g = load_group(name)
+    rng = random.Random(f"backed:{name}")
+    maps = [random_member(rng, g, max_degree=4), random_nonmember(rng, g)]
+    for F in maps:
+        numerators, den = F.numerators()
+        backed = GroupMap._from_numerators(g, numerators, den)
+        valued = GroupMap(g, F.values)
+        for w in range(g.order):
+            moved = backed.act(w)
+            assert moved._values is None
+            assert moved == valued.act(w)
+            wi = g.inv(w)
+            permuted = tuple(numerators[g.mul(x, wi)] for x in range(g.order))
+            assert moved.numerators() == (permuted, den)
+        for s in g.reflections():
+            for i in range(-1, s.order + 1):
+                mine, theirs = orbit_difference(g, s, i, backed), orbit_difference(g, s, i, valued)
+                if isinstance(theirs, GroupMap):
+                    assert mine == theirs
+                else:
+                    assert mine.failures == theirs.failures != []
+        assert membership(backed).ok == membership(valued).ok
+        assert equivariant_module._all_failures(backed) == equivariant_module._all_failures(valued)
+    assert membership(maps[0]).ok and not membership(maps[1]).ok
+
+
+def test_numerator_backed_maps_check_their_shape(z2):
+    one = {(0,): [1]}
+    with pytest.raises(ValueError, match="one value per group element required"):
+        GroupMap._from_numerators(z2, [one], 1)
+    with pytest.raises(ValueError, match="one value per group element required"):
+        GroupMap._from_numerators(z2, [one] * 3, 1)
+    with pytest.raises(ValueError, match="a common denominator must be positive"):
+        GroupMap._from_numerators(z2, [one, {}], 0)
+    F = GroupMap._from_numerators(z2, [one, {}], 2)
+    assert F and not GroupMap._from_numerators(z2, [{}, {}], 2)
+    assert F._values is None
+    assert F == gmap(z2, "1/2", "0")
 
 
 @pytest.mark.parametrize("name", ["b2", "g312"])
@@ -784,6 +835,38 @@ def test_power_one_verdict_follows_terms_not_degree():
     one_value = [MultiPoly.zero(2, 1)] * b2.order
     one_value[0] = MultiPoly(2, 1, {(big, 0): 1})
     assert not membership(GroupMap(b2, one_value)).ok
+
+
+@pytest.mark.parametrize(
+    "n, m, coeffs",
+    [
+        (2, 1, ["1", "-1/2"]),  # s3's form, D = 2
+        (3, 3, ["1", "-z", "1/2"]),  # a two-term root, D = 2
+    ],
+)
+def test_root_powers_from_kept_powers_equal_the_powers_from_scratch(n, m, coeffs):
+    # r^k is built from the largest kept power below k; for k = 0 .. 70,
+    # across the bound of _POWERS_KEPT = 64, ascending and then in a
+    # shuffled order on a fresh table, it is r^k as MultiPoly powers give it
+    _, form = LinearForm.normalize([parse_cyc(c, m) for c in coeffs], m)
+    if n == 2 and m == 1:
+        assert form == load_group("s3").reflections()[0].coroot
+    D, root = form.integral_root
+    p = form.pivot
+    assert D == 2 and len(root) == n - 1
+    r = (form.as_poly() - MultiPoly.variable(n, m, p)) * -D
+    kept = equivariant_module._POWERS_KEPT
+    degrees = list(range(71))
+    assert max(degrees) > kept
+    for order in (degrees, random.Random(f"root powers:{coeffs}").sample(degrees, len(degrees))):
+        powers = {}
+        for k in order:
+            got = equivariant_module._root_power(form, powers, k)
+            (terms,), den = integral_numerators([r**k], n, m)
+            assert den == 1
+            shifted = {e[:p] + (-k,) + e[p + 1 :]: tuple(c) for e, c in terms.items()}
+            assert dict(got) == shifted, k
+        assert len(powers) == kept
 
 
 @pytest.mark.parametrize("name", list(bundled_names()) + ["g412"])

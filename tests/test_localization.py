@@ -6,7 +6,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -31,7 +31,7 @@ from reflect_gkm.sampling import (
     random_poly,
     random_tensor,
 )
-from reflect_gkm.suite import default_max_degree
+from reflect_gkm.suite import default_max_degree, run_suite
 from oracles import exact_rows, localized_lifts, predicted_dimensions, reynolds
 
 
@@ -198,6 +198,91 @@ def test_keyed_localization_equals_the_per_element_products(name):
             # the same terms in the same order, so nothing downstream that
             # walks a value's terms sees a different sequence
             assert list(F.values[x].terms) == list(expected.terms)
+
+
+def _value_builds(monkeypatch):
+    """A list that grows by one entry per value a numerator-backed GroupMap
+    builds from its numerators."""
+    built = []
+    polynomial = equivariant._polynomial
+
+    def counted(group, num, den):
+        built.append(den)
+        return polynomial(group, num, den)
+
+    monkeypatch.setattr(equivariant, "_polynomial", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", list(bundled_names()) + ["g412"])
+def test_lazy_values_equal_the_eagerly_built_values(name):
+    # localize keeps numerators over the product of its legs' and images'
+    # denominators, which is not minimal; the values built from them on
+    # first read are the canonical CycNums the per-element products build,
+    # term for term and in the same order
+    group = parse_group_dict(G412) if name == "g412" else load_group(name)
+    rng = random.Random(f"lazy:{name}")
+    tensors = []
+    for _ in range(4):
+        T = random_tensor(rng, group, max_degree=4)
+        tensors.append(T)
+        tensors.append(TensorElement(group, [(f / 2, g / 3) for f, g in T.summands]))
+    minimal = []
+    for T in tensors:
+        F = localize(T)
+        numerators, den = F.numerators()
+        values = F.values
+        assert F.numerators() == (numerators, den)
+        denominators = set()
+        for x in range(group.order):
+            expected = _value_by_products(T, x)
+            assert values[x] == expected == localize(T)._value(x)
+            assert list(values[x].terms) == list(expected.terms)
+            for c, e in zip(values[x].terms.values(), expected.terms.values()):
+                assert (c.num, c.den) == (e.num, e.den)
+                assert gcd(c.den, *c.num) == 1
+                denominators.add(c.den)
+        minimal.append(den == lcm(1, *denominators))
+    assert False in minimal
+
+
+def test_localize_at_builds_only_the_value_it_returns(monkeypatch):
+    group = load_group("g312")
+    rng = random.Random("localize_at")
+    tensors = [random_tensor(rng, group, max_degree=4) for _ in range(3)]
+    built = _value_builds(monkeypatch)
+    for T in tensors:
+        for x in range(group.order):
+            del built[:]
+            assert localize_at(T, x) == localize(T).values[x]
+            # one value for localize_at, every value for .values
+            assert len(built) == 1 + group.order
+    # a tensor's truth value reads the numerators and builds no value
+    del built[:]
+    assert all(tensors) and not TensorElement.zero(group)
+    assert built == []
+
+
+def test_hypergraph_pass_reads_numerators_only(monkeypatch):
+    # the sampled members and non-members are built on numerators and the
+    # verdict reads them as they are: a seed-0 hypergraph pass builds no
+    # value, and membership of a localized map converts nothing
+    group = load_group("g312")
+    built = _value_builds(monkeypatch)
+    report = run_suite(group, sections=("hypergraph",), trials=24, seed=0)
+    assert report.hypergraph.trials > 0 and report.ok
+    assert built == []
+    converted = []
+    integral_numerators = equivariant.integral_numerators
+
+    def counted(*args):
+        converted.append(args)
+        return integral_numerators(*args)
+
+    F = localize(random_tensor(random.Random("numerators"), group, max_degree=4))
+    monkeypatch.setattr(equivariant, "integral_numerators", counted)
+    assert membership(F).ok
+    assert converted == [] and built == []
 
 
 def test_malformed_legs_are_refused(z3):

@@ -275,13 +275,42 @@ def test_caches_are_bounded_or_keyed_by_the_conductor():
 
 
 def test_one_localization_routine():
-    # localize forms every value in one keyed dot product; localize_at is
-    # localize read at one element
+    # localize forms every value's numerators with numerator_dot_products,
+    # its one kernel, and builds no CycNum; localize_at is localize read at
+    # one element
     tree = ast.parse((Path(reflect_gkm.__file__).parent / "localization.py").read_text())
     functions = dict(_functions(tree))
-    callers = {name for name, node in functions.items() if _mentions(node, "keyed_dot_products")}
+    callers = {
+        name for name, node in functions.items() if _mentions(node, "numerator_dot_products")
+    }
     assert callers == {"localize"}
+    for name in ("keyed_dot_products", "from_numerators", "weighted_sum", "sum_of_products"):
+        assert not _mentions(tree, name), name
     assert _mentions(functions["localize_at"], "localize")
+
+
+def test_maps_convert_to_numerators_in_one_place():
+    # integral_numerators is applied to a map's values only inside
+    # GroupMap.numerators, which keeps the result, so no verdict or
+    # operator converts a map again; its other callers convert polynomials
+    # that are not a map's values
+    calls = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, node in _functions(tree):
+            for n in ast.walk(node):
+                if isinstance(n, ast.Call) and _mentions(n.func, "integral_numerators"):
+                    reads_values = any(
+                        _mentions(a, "values") or _mentions(a, "_values") for a in n.args
+                    )
+                    calls.add((f"{path.stem}.{name}", reads_values))
+    assert calls == {
+        ("equivariant.GroupMap.numerators", True),
+        ("equivariant.divided_difference", False),
+        ("equivariant.lift_membership", False),
+        ("localization.localize", False),
+        ("polynomials.divide_by_linear_power", False),
+    }
 
 
 def test_one_linear_polynomial_builder():
