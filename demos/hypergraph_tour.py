@@ -21,7 +21,8 @@ from reflect_gkm import (
     membership,
     poly_text,
 )
-from reflect_gkm.hypergraph import section_polynomial, to_dot
+from reflect_gkm.hypergraph import to_dot
+from reflect_gkm.polynomials import divide_by_linear_power
 from reflect_gkm.sampling import random_member
 
 g = load_group("z4")
@@ -45,7 +46,8 @@ print(f"\nintegrating over the size-{edge.size} edge {edge.members}:")
 # reading the inverse certifies V . D = I, or raises GroupInvariantViolated
 print("certified inverse, row 0:", ", ".join(w.text() for w in edge.vandermonde_inverse[0]))
 for k in range(edge.size):
-    value = section_polynomial(edge_integral(edge, F, k), edge.form)
+    section = edge_integral(edge, F, k)  # section.poly / form^section.power
+    value = divide_by_linear_power(section.poly, edge.form, section.power)
     text = poly_text(value, names=g.variables) if isinstance(value, MultiPoly) else "pole"
     print(f"  insertion {k}: value {text}")
 

@@ -13,11 +13,11 @@ from reflect_gkm import (
     coroot_map,
     load_group,
     membership,
-    membership_basis,
     orbit_decomposition,
     orbit_difference,
     poly_text,
 )
+from reflect_gkm.localization import DimensionTriples
 from reflect_gkm.polynomials import parse_poly
 
 g = load_group("z3")
@@ -58,4 +58,5 @@ for fail in cert.failures:
           f"divisible only to order {fail.witness.valuation}")
 
 print("\ndegree-1 map space: pairwise conditions allow 3 dimensions,")
-print("membership allows", len(membership_basis(g, 1)))
+# the certificate's degree-1 row: (predicted, image, members)
+print("membership allows", DimensionTriples(g).triple(1)[2])

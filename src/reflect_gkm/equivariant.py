@@ -39,7 +39,9 @@ hyperplane, and returns at the first failure; divisibility_conditions
 takes the same generators.  The certificate's failures list is still per
 reflection, over every pseudo-reflection and power, exactly as the
 definition reads; it is built by that full loop when it is first read,
-which only the command line does.
+which only the command line does.  _coset_failure decides each coset
+there by _sum_divides and divides only a failing sum, for its witness;
+the hypergraph's edges, which are orbit records, share it.
 
 The verdict runs on integer numerators, with no CycNum canonicalised and
 no quotient built.  It reads F.numerators(), the values of F as integer
@@ -77,10 +79,13 @@ gives
 with g integral.  x_p -> y / D is an invertible change of variables and
 L D^top and D are nonzero scalars, so ell^i divides S_i exactly when
 (y - r)^i divides g, and each Horner step on g adds integer products
-only.  _orbit_sum forms S_i for _sum_divides, orbit_difference and
-divided_difference; divide_numerators divides the last two's sums, by
-the exponents for a coordinate form and by the steps of (3) otherwise,
-and scales the quotient or the witness back once per coefficient.
+only.  _orbit_sum is the one place a coset sum S_i is formed, for the
+verdict, the failures, the operators and the hypergraph's edges.
+divide_numerators divides one, by the exponents for a coordinate form
+and by the steps of (3) otherwise, and scales the quotient or the
+witness back once per coefficient; a failing S_1 on any other form
+takes (2)'s sum as its witness, Horner's first remainder times L D^top,
+so a huge x_p-degree is never sliced.
 
 An equivariant map, F(x) = x . e, needs only the identity coset <s> of
 each generator, the first record of its orbit table, group.orbits(s)[0]:
@@ -498,27 +503,56 @@ def _root_power(form: LinearForm, powers: dict, k: int) -> tuple:
     return got
 
 
-def _sum_divides(orbit: Orbit, i: int, values) -> bool:
-    """Does the orbit's form^i divide its S_i?  Decided as the module
-    docstring's (1)-(3) say, on the coset's values alone."""
-    form = orbit.form
-    D, root = form.integral_root
-    if not root:
-        return not _orbit_sum(orbit, i, values, i)
-    S = _orbit_sum(orbit, i, values)
-    if not S or i > 1:
-        return not S or _horner(S, form, i)[0] == i
+def _restriction(form: LinearForm, S: dict) -> tuple[dict, int]:
+    """(L D^top S_1(r / D, x'), top) for S = L S_1 nonzero, top its
+    x_p-degree, and a form that is not a coordinate: (2) of the module
+    docstring."""
+    D = form.integral_root[0]
     m, p = form.conductor, form.pivot
     powers = _root_powers(m, form.nvars, p, form.integral_root)
+    top = max(e[p] for e in S)
     if D != 1:
-        top = max(e[p] for e in S)
         S = {e: [x * D ** (top - e[p]) for x in c] for e, c in S.items()}
     restricted = (
         (tuple(map(add, e, f)), c, r)
         for e, c in S.items()
         for f, r in powers.get(e[p]) or _root_power(form, powers, e[p])
     )
-    return not numerator_dot_products(m, restricted, {})
+    return numerator_dot_products(m, restricted, {}), top
+
+
+def _sum_divides(orbit: Orbit, i: int, values) -> bool:
+    """Does the orbit's form^i divide its S_i?  Decided as the module
+    docstring's (1)-(3) say, on the coset's values alone."""
+    form = orbit.form
+    if not form.integral_root[1]:
+        return not _orbit_sum(orbit, i, values, i)
+    S = _orbit_sum(orbit, i, values)
+    if not S or i > 1:
+        return not S or _horner(S, form, i)[0] == i
+    return not _restriction(form, S)[0]
+
+
+def _witness(form: LinearForm, i: int, S: dict, den: int) -> NotDivisible | None:
+    """None when form^i divides the sum S, integer numerators over den;
+    else divide_numerators' NotDivisible.  At i = 1 on a form that is not
+    a coordinate, that witness is Horner's first remainder, (2)'s R over
+    den D^top (divide_numerators at power 0 builds it), so it is read off
+    R with no slice per x_p-degree."""
+    D, root = form.integral_root
+    if i > 1 or not root or not S:
+        res = divide_numerators(S, den, form, i)
+        return res if isinstance(res, NotDivisible) else None
+    R, top = _restriction(form, S)
+    return NotDivisible(0, divide_numerators(R, den * D**top, form, 0)) if R else None
+
+
+def _coset_failure(orbit: Orbit, i: int, values, den: int) -> NotDivisible | None:
+    """The witness of the coset's S_i, or None: decided by _sum_divides,
+    so only a failing sum is divided."""
+    if _sum_divides(orbit, i, values):
+        return None
+    return _witness(orbit.form, i, _orbit_sum(orbit, i, values), den)
 
 
 def membership(F: GroupMap) -> MembershipCertificate:
@@ -556,12 +590,15 @@ def lift_membership(group: ReflectionGroup, e: MultiPoly) -> MembershipCertifica
 def _all_failures(F: GroupMap) -> list[MembershipFailure]:
     """Every failing (coset, reflection, power), over all pseudo-reflections
     and all orders 1 <= i < order(s)."""
+    group = F.group
+    values, den = F.numerators()
     failures: list[MembershipFailure] = []
-    for s in F.group.reflections():
+    for s in group.reflections():
         for i in range(1, s.order):
-            res = orbit_difference(F.group, s, i, F)
-            if isinstance(res, MembershipCertificate):
-                failures.extend(res.failures)
+            for orbit in group.orbits(s):
+                witness = _coset_failure(orbit, i, values, den)
+                if witness is not None:
+                    failures.append(MembershipFailure(orbit.rep, s, i, witness))
     return failures
 
 

@@ -22,9 +22,10 @@ Conventions used throughout the package:
     holds one Orbit (a hypergraph edge) per right coset x<s>, in
     right_cosets order: s, the members [x, xs, ...], and x . ell = scale *
     form, form normalized, so member j sees tau_j * form, tau_j = scale *
-    lambda^j.  Each per-coset scalar (scale^-i, the eigenvalue weights,
-    also the edge integral's, and the certified Vandermonde inverse) is a
-    function of tau, built on first use and shared by equal-tau orbits.
+    lambda^j.  Each per-coset scalar (scale^-i and the certified
+    Vandermonde inverse, whose row i is scale^-i / size times s.weights(i))
+    is a function of tau, built on first use and shared by equal-tau
+    orbits.
 
 The invariant ring is polynomial exactly when the pseudo-reflections
 generate the group (Chevalley-Shephard-Todd), and then the fundamental
@@ -138,24 +139,25 @@ class Orbit:
 
     @property
     def vandermonde_inverse(self):
-        """The matrix D with row i = eigenvalue_weights(size - 1 - i), once
-        V . D = I is checked exactly for V = [tau_j^i] (what that proves is
-        in the hypergraph module docstring); else GroupInvariantViolated,
-        naming the orbit's members and reflection."""
+        """The matrix D with row i = scale^-i lambda^{-ij} / size, read from
+        the pieces the edge sums use, inverse_scale_power(i) / size and
+        reflection.weights(i), once V . D = I is checked exactly for
+        V = [tau_j^i] (what that proves is in the hypergraph module
+        docstring); else GroupInvariantViolated, naming the orbit's members
+        and reflection."""
         return self._kept("vandermonde", lambda: _certified_inverse(self))
 
     def inverse_scale_power(self, i: int) -> CycNum:
         """scale^-i, which turns (rep . ell_s)^i into form^i."""
         return self._kept(("scale", i), lambda: self.scale ** (-i))
 
-    def eigenvalue_weights(self, k: int) -> tuple[CycNum, ...]:
-        """scale^-i lambda^{-ij} / size for each member j, i = size - 1 - k."""
-        return self._kept(("eigenvalue", k), lambda: _eigenvalue_weights(self, k))
-
 
 def _certified_inverse(orbit: Orbit) -> tuple[tuple[CycNum, ...], ...]:
+    # the reflection's eigenvalue and order are tau[1] / tau[0] and
+    # len(tau), so orbits with equal tau have equal rows
     r = orbit.size
-    inverse = tuple(orbit.eigenvalue_weights(r - 1 - i) for i in range(r))
+    rows = ((orbit.inverse_scale_power(i) / r, orbit.reflection.weights(i)) for i in range(r))
+    inverse = tuple(tuple(base * w for w in weights) for base, weights in rows)
     V = tuple(tuple(t**i for i in range(r)) for t in orbit.tau)
     if mat_mul(V, inverse) != mat_identity(r, orbit.form.conductor):
         raise GroupInvariantViolated(
@@ -163,14 +165,6 @@ def _certified_inverse(orbit: Orbit) -> tuple[tuple[CycNum, ...], ...]:
             "its eigenvalue weights do not invert the Vandermonde matrix of its tau"
         )
     return inverse
-
-
-def _eigenvalue_weights(orbit: Orbit, k: int) -> tuple[CycNum, ...]:
-    # the reflection's eigenvalue and order are tau[1] / tau[0] and
-    # len(tau), so orbits with equal tau have equal weights
-    i = orbit.size - 1 - k
-    base = orbit.inverse_scale_power(i) / orbit.size
-    return tuple(base * w for w in orbit.reflection.weights(i))
 
 
 def _matrix_key(matrix) -> tuple:

@@ -1,17 +1,14 @@
 """The reflection hypergraph of a group and membership along its edges.
 
-Vertices are the group elements.  Each hyperedge is a right orbit of a
-pseudo-reflection s, carrying the reflecting hyperplane transported to the
-orbit: every vertex rep.s^j sees the same normalized linear form (the
-form of the edge) scaled by tau_j = c . lambda^j, where c is the scale
-picked up at the representative and lambda is the eigenvalue of s on its
-co-root.  That is the group's orbit record, so a hyperedge is the
-groups.Orbit entry of ReflectionGroup.orbits(s) itself, which keeps its
-Vandermonde inverse and integral weights.  Orbits of different powers of
-s coincide as vertex sets exactly when the powers generate the same
-cyclic group, so edges are deduplicated by (vertex set, hyperplane), the
-first in reflections() order kept; proper powers with a smaller orbit
-contribute their own shorter edges inside the long one.
+Vertices are the group elements.  Each hyperedge is a right coset x<s>
+of a pseudo-reflection s, the groups.Orbit record in
+ReflectionGroup.orbits(s) itself: vertex j, rep.s^j, sees the edge's
+normalized form scaled by tau_j = c . lambda^j, c the scale picked up at
+the representative and lambda the eigenvalue of s on its co-root.  Orbits
+of powers of s coincide as vertex sets exactly when the powers generate
+the same cyclic group, so edges are deduplicated by (vertex set,
+hyperplane), the first in reflections() order kept; proper powers with a
+smaller orbit contribute shorter edges inside the long one.
 
 A map on the vertices passes an edge when it interpolates along it with
 polynomial coefficients: writing the values at the r vertices as
@@ -30,12 +27,12 @@ r - 1 - k.
 One exact check proves, for every map, that passing the edges is
 membership and that the integral is g_{r-1-k}.  Let c = tau_0, lambda
 the eigenvalue of the edge's reflection s (a primitive r-th root of
-unity), and D the matrix whose row i is the eigenvalue weights
-c^-i lambda^-ij / r (Orbit.eigenvalue_weights(r - 1 - i)).
-Orbit.vandermonde_inverse checks V . D = I exactly for V = [tau_j^i],
-once per distinct tau, and raises GroupInvariantViolated naming the
-edge's members and reflection when it fails.  W = [(c . lambda^j)^i]
-has W . D = I (sum_i lambda^{i(j - l)} = r [j = l]), so V . D = I forces
+unity), and D the matrix with row i = c^-i lambda^-ij / r, built from the
+pieces the edge sums read, Orbit.inverse_scale_power(i) / r and
+s.weights(i).  Orbit.vandermonde_inverse checks V . D = I exactly for
+V = [tau_j^i], once per distinct tau, or raises GroupInvariantViolated
+naming the edge's members and reflection.  W = [(c . lambda^j)^i] has
+W . D = I (sum_i lambda^{i(j - l)} = r [j = l]), so V . D = I forces
 V = W = D^-1, that is tau_j = c . lambda^j.  Then:
 
   (i) h_i = sum_j D[i][j] F(p_j) is c^-i / r times the order-i sum
@@ -48,16 +45,18 @@ V = W = D^-1, that is tau_j = c . lambda^j.  Then:
       reflection, proper powers included, so it passes every edge.
   (ii) the last row of V^-1 is 1 / prod_{l != j}(tau_j - tau_l), so the
       Lagrange weights tau_j^k D[r-1][j] are c^-i lambda^-ij / r with
-      i = r - 1 - k (lambda^r = 1 covers k >= r): the eigenvalue weights,
-      for every k >= 0.  So edge_integral sums the eigenvalue weights
-      against the values of F, and for k < r the integral is
-      h_{r-1-k} / form^{r-1-k} = g_{r-1-k}: an edge's divisions are its
-      integrals made polynomial.
+      i = r - 1 - k, for every k >= 0 (S_i reads i mod r): the integral
+      is c^-i / r times S_i, h_i for k < r, and g_i once divided.
 
-The pairwise condition (adjacent values congruent modulo the form, first
-order only) is kept as a deliberately weaker control: it agrees with
-membership when every reflection has order two and is strictly larger
-otherwise.  The JSON export keeps the key "axial" for the edge's form.
+So an edge is an orbit: the edge routines run the orbit computation of
+the equivariant module on F.numerators(), and build no value of F.
+edge_witness decides each order with _sum_divides, as membership
+decides a coset, and divides only a failing one, by the failures list's
+routine.  The pairwise condition (adjacent values congruent modulo the
+form, first order only) is a weaker control, on differences of
+numerators: it is membership when every reflection has order two and
+strictly larger otherwise.  The JSON export keeps the key "axial" for
+the edge's form.
 """
 
 from __future__ import annotations
@@ -66,19 +65,12 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, numerator_dot_products
 from .equivariant import GroupMap, condition_entries, scatter_conditions
+from .equivariant import _coset_failure, _orbit_sum, _polynomial, _witness
 from .groups import Orbit, ReflectionGroup
 from .linalg import rank
-from .polynomials import (
-    LinearForm,
-    MultiPoly,
-    NotDivisible,
-    divide_by_linear_power,
-    graded_monomials,
-    poly_text,
-    weighted_sum,
-)
+from .polynomials import MultiPoly, NotDivisible, divide_numerators, graded_monomials, poly_text
 
 __all__ = [
     "EdgeSection",
@@ -92,7 +84,6 @@ __all__ = [
     "integral_identity",
     "pairwise_graded_dimension",
     "pairwise_membership",
-    "section_polynomial",
     "to_dot",
     "to_json",
     "to_json_dict",
@@ -125,23 +116,18 @@ class EdgeSection:
     power: int
 
 
-def section_polynomial(section: EdgeSection, form: LinearForm):
-    """The section as a polynomial, or NotDivisible when it has a pole."""
-    return divide_by_linear_power(section.poly, form, section.power)
-
-
 def edge_integral(edge: Orbit, F: GroupMap, k: int) -> EdgeSection:
-    """The Lagrange sum of F over the edge with insertion exponent k.  Once
-    the edge is certified (GroupInvariantViolated if that fails), its
-    Lagrange weights are its eigenvalue weights (module docstring, (ii)),
-    and those are summed against the vertex values.  For k >= size - 1
-    the section power is nonpositive: the result is a polynomial."""
+    """The Lagrange sum of F over the edge with insertion exponent k: once
+    the edge is certified (or GroupInvariantViolated), scale^-i / size
+    times the orbit sum S_i over form^i, i = size - 1 - k (module
+    docstring, (ii)); i <= 0, k >= size - 1, makes it a polynomial."""
     if k < 0:
         raise ValueError("insertion exponent must be nonnegative")
     edge.vandermonde_inverse  # certified once per tau, or raises
-    pairs = zip((F.values[x] for x in edge.members), edge.eigenvalue_weights(k))
-    total = weighted_sum(pairs, F.group.dimension, F.group.conductor)
-    return EdgeSection(total, edge.size - 1 - k)
+    i = edge.size - 1 - k
+    values, den = F.numerators()
+    total = _polynomial(F.group, _orbit_sum(edge, i, values), den)
+    return EdgeSection(total * _weight(edge, i), i)
 
 
 def integral_identity(edge: Orbit, F: GroupMap, k: int) -> bool:
@@ -170,30 +156,39 @@ class EdgeWitness:
     witness: NotDivisible
 
 
-def _edge_divisions(edge: Orbit, F: GroupMap, orders: range):
-    """(i, h_i / form^i, or NotDivisible) for each order i in turn: h_i is
-    the integral with insertion size - 1 - i (module docstring, (ii))."""
-    for i in orders:
-        yield i, section_polynomial(edge_integral(edge, F, edge.size - 1 - i), edge.form)
+def _weight(edge: Orbit, i: int) -> CycNum:
+    """scale^-i / size, which turns S_i into h_i (module docstring, (i))."""
+    return edge.inverse_scale_power(i) / edge.size
+
+
+def _failed(edge: Orbit, i: int, res: NotDivisible) -> EdgeWitness:
+    """The edge's failure at order i, from the failure res of S_i."""
+    return EdgeWitness(edge, i, NotDivisible(res.valuation, res.witness * _weight(edge, i)))
 
 
 def edge_quotients(edge: Orbit, F: GroupMap):
     """Interpolate F along the edge and divide; the list of quotients
     g_i = h_i / form^i, or an EdgeWitness at the first failure."""
+    edge.vandermonde_inverse  # certified once per tau, or raises
+    values, den = F.numerators()
     quotients = []
-    for i, res in _edge_divisions(edge, F, range(edge.size)):
+    for i in range(edge.size):
+        res = divide_numerators(_orbit_sum(edge, i, values), den, edge.form, i)
         if isinstance(res, NotDivisible):
-            return EdgeWitness(edge, i, res)
-        quotients.append(res)
+            return _failed(edge, i, res)
+        quotients.append(res * _weight(edge, i))
     return quotients
 
 
 def edge_witness(edge: Orbit, F: GroupMap) -> EdgeWitness | None:
-    """The first failure of edge_quotients, or None; form^0 divides every
-    h_0, so only the orders 1 .. size - 1 are interpolated and divided."""
-    for i, res in _edge_divisions(edge, F, range(1, edge.size)):
-        if isinstance(res, NotDivisible):
-            return EdgeWitness(edge, i, res)
+    """The first failure of edge_quotients, or None: the orders 1 .. size - 1
+    (form^0 divides h_0), each decided as membership decides a coset."""
+    edge.vandermonde_inverse  # certified once per tau, or raises
+    values, den = F.numerators()
+    for i in range(1, edge.size):
+        res = _coset_failure(edge, i, values, den)
+        if res is not None:
+            return _failed(edge, i, res)
     return None
 
 
@@ -205,11 +200,15 @@ def hypergraph_membership(H: Hypergraph, F: GroupMap) -> list[EdgeWitness]:
 def pairwise_membership(H: Hypergraph, F: GroupMap) -> list[EdgeWitness]:
     """The weaker control: adjacent values congruent modulo the edge's
     form, first order only, reported in the same witness shape (power 1)."""
+    values, den = F.numerators()
+    m = H.group.conductor
+    minus = (-CycNum.one(m)).num
     out = []
     for edge in H.edges:
         for a, b in combinations(edge.members, 2):
-            res = divide_by_linear_power(F.values[a] - F.values[b], edge.form, 1)
-            if isinstance(res, NotDivisible):
+            negated = ((e, c, minus) for e, c in values[b].items())
+            res = _witness(edge.form, 1, numerator_dot_products(m, negated, values[a]), den)
+            if res is not None:
                 out.append(EdgeWitness(edge, 1, res))
                 break
     return out

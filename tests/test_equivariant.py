@@ -655,19 +655,17 @@ def test_transport_verdict_equals_membership(name, monkeypatch):
     assert all(membership(F).ok for F in maps)
     # every such map is a member, so only a fault refuses one: here the
     # verdict refuses every nonzero sum, which x . P_i is exactly when P_i
-    # is, and the division behind the failures list fails it at order 0
-    # with the sum as its witness
+    # is, and the witness routine behind the failures list fails it at
+    # order 0 with the sum as its witness
     orbit_sum, divide = equivariant_module._orbit_sum, equivariant_module.divide_numerators
 
-    def refusing(terms, den, form, power):
-        if not terms:
-            return divide(terms, den, form, power)
-        return NotDivisible(0, divide(terms, den, form, 0))
+    def refusing(form, i, terms, den):
+        return NotDivisible(0, divide(terms, den, form, 0)) if terms else None
 
     monkeypatch.setattr(
         equivariant_module, "_sum_divides", lambda orbit, i, values: not orbit_sum(orbit, i, values)
     )
-    monkeypatch.setattr(equivariant_module, "divide_numerators", refusing)
+    monkeypatch.setattr(equivariant_module, "_witness", refusing)
     verdicts = [lift_membership(g, e) for e in lifts]
     assert [v.ok for v in verdicts] == [membership(F).ok for F in maps]
     assert {v.ok for v in verdicts} == {True, False}

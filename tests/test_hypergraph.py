@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 import re
@@ -14,9 +15,10 @@ import reflect_gkm.hypergraph as hypergraph_module
 import reflect_gkm.sampling as sampling_module
 import reflect_gkm.suite as suite_module
 from reflect_gkm.cyclotomic import CycNum
-from reflect_gkm.equivariant import GroupMap, membership, membership_basis
-from reflect_gkm.groups import GroupInvariantViolated, load_group
+from reflect_gkm.equivariant import GroupMap, MembershipFailure, membership, membership_basis
+from reflect_gkm.groups import GroupInvariantViolated, load_group, parse_group_dict
 from reflect_gkm.hypergraph import (
+    EdgeSection,
     EdgeWitness,
     Hypergraph,
     build_hypergraph,
@@ -27,14 +29,19 @@ from reflect_gkm.hypergraph import (
     integral_identity,
     pairwise_graded_dimension,
     pairwise_membership,
-    section_polynomial,
     to_dot,
     to_json,
     to_json_dict,
 )
 from reflect_gkm.linalg import mat_inv
 from reflect_gkm.localization import TensorElement, localize
-from reflect_gkm.polynomials import MultiPoly, graded_monomials, parse_poly
+from reflect_gkm.polynomials import (
+    MultiPoly,
+    NotDivisible,
+    divide_by_linear_power,
+    graded_monomials,
+    parse_poly,
+)
 from reflect_gkm.sampling import random_member, random_nonmember
 from reflect_gkm.suite import run_suite
 
@@ -142,13 +149,12 @@ def test_integral_constants(z2, z3, z4, s3):
         one = GroupMap.constant(group, 1)
         for edge in H.edges:
             top = edge_integral(edge, one, edge.size - 1)
-            val = section_polynomial(top, edge.form)
+            val = divide_by_linear_power(top.poly, edge.form, top.power)
             assert val == MultiPoly.one(group.dimension, group.conductor)
             for k in range(edge.size - 1):
                 sec = edge_integral(edge, one, k)
-                assert section_polynomial(sec, edge.form) == MultiPoly.zero(
-                    group.dimension, group.conductor
-                )
+                value = divide_by_linear_power(sec.poly, edge.form, sec.power)
+                assert value == MultiPoly.zero(group.dimension, group.conductor)
 
 
 def test_integral_polynomiality_tracks_membership(z3):
@@ -156,14 +162,15 @@ def test_integral_polynomiality_tracks_membership(z3):
     good = localize(TensorElement.pure(z3, 1, P("x1^2", z3)))
     for k in range(edge.size):
         sec = edge_integral(edge, good, k)
-        assert not isinstance(section_polynomial(sec, edge.form), type(None))
-        assert isinstance(section_polynomial(sec, edge.form), MultiPoly)
+        value = divide_by_linear_power(sec.poly, edge.form, sec.power)
+        assert isinstance(value, MultiPoly)
     bad = GroupMap(z3, [P("x1", z3), P("x1", z3), MultiPoly.zero(1, 3)])
     assert not membership(bad).ok
     poles = []
     for k in range(edge.size):
         sec = edge_integral(edge, bad, k)
-        poles.append(not isinstance(section_polynomial(sec, edge.form), MultiPoly))
+        value = divide_by_linear_power(sec.poly, edge.form, sec.power)
+        poles.append(not isinstance(value, MultiPoly))
     assert any(poles)
 
 
@@ -177,7 +184,7 @@ def test_integral_large_insertion_is_polynomial(z2, z3):
         for k in range(edge.size - 1, edge.size + 3):
             sec = edge_integral(edge, F, k)
             assert sec.power <= 0
-            assert isinstance(section_polynomial(sec, edge.form), MultiPoly)
+            assert isinstance(divide_by_linear_power(sec.poly, edge.form, sec.power), MultiPoly)
             assert integral_identity(edge, F, k)
     with pytest.raises(ValueError):
         edge_integral(build_hypergraph(z2).edges[0], GroupMap.constant(z2, 1), -1)
@@ -262,12 +269,10 @@ def test_vandermonde_agrees_with_integral_flags(z3, z4):
         for F in maps:
             for edge in H.edges:
                 solved = not isinstance(edge_quotients(edge, F), EdgeWitness)
+                sections = [edge_integral(edge, F, k) for k in range(edge.size - 1)]
                 flags = all(
-                    isinstance(
-                        section_polynomial(edge_integral(edge, F, k), edge.form),
-                        MultiPoly,
-                    )
-                    for k in range(edge.size - 1)
+                    isinstance(divide_by_linear_power(sec.poly, edge.form, sec.power), MultiPoly)
+                    for sec in sections
                 )
                 assert solved == flags
 
@@ -352,16 +357,16 @@ def test_rebuilt_hypergraph_inverts_nothing_again(monkeypatch):
     assert len(calls) == first
 
 
-def count_weighted_sums(monkeypatch):
-    """Record every weighted sum the hypergraph module forms."""
+def count_orbit_sums(monkeypatch):
+    """Record every coset sum the hypergraph module forms."""
     calls = []
-    original = hypergraph_module.weighted_sum
+    original = hypergraph_module._orbit_sum
 
-    def counting(pairs, nvars, conductor):
-        calls.append(conductor)
-        return original(pairs, nvars, conductor)
+    def counting(orbit, i, values, below=None):
+        calls.append((orbit.members, i))
+        return original(orbit, i, values, below)
 
-    monkeypatch.setattr(hypergraph_module, "weighted_sum", counting)
+    monkeypatch.setattr(hypergraph_module, "_orbit_sum", counting)
     return calls
 
 
@@ -369,13 +374,14 @@ def count_weighted_sums(monkeypatch):
 def test_integral_weights_once_per_tau_and_insertion(name, monkeypatch):
     g = load_group(name)
     built = []
-    original = groups_module._eigenvalue_weights
+    original = groups_module.Orbit._kept
 
-    def counting(orbit, k):
-        built.append((id(orbit.scalars), k))
-        return original(orbit, k)
+    def counting(orbit, key, build):
+        if key not in orbit.scalars:
+            built.append((id(orbit.scalars), key))
+        return original(orbit, key, build)
 
-    monkeypatch.setattr(groups_module, "_eigenvalue_weights", counting)
+    monkeypatch.setattr(groups_module.Orbit, "_kept", counting)
     H = build_hypergraph(g)
     rng = random.Random(11)
     maps = [random_member(rng, g), random_nonmember(rng, g), random_member(rng, g)]
@@ -383,30 +389,32 @@ def test_integral_weights_once_per_tau_and_insertion(name, monkeypatch):
     x = g.variables[-1]
     maps.append(GroupMap(g, [P(f"{x}^2 - 3*{x} + 1/5", g)] * (g.order - 1) + [P(x, g)]))
     maps.append(GroupMap.constant(g, 0))
-    summed = count_weighted_sums(monkeypatch)
+    summed = count_orbit_sums(monkeypatch)
     for F in maps:
         for edge in H.edges:
             for k in range(edge.size):
                 assert integral_identity(edge, F, k)
-    # the certificate reads each row of eigenvalue weights once per (edge, k),
-    # or fewer: edges with equal tau share the result
-    wanted = sorted({(id(edge.scalars), k) for edge in H.edges for k in range(edge.size)})
-    assert sorted(built) == wanted
+    # the certificate builds each row from the pieces the edge sums read:
+    # scale^-i once per (tau, i), and the certified inverse once per tau;
+    # edges with equal tau share both
+    wanted = {(id(edge.scalars), ("scale", i)) for edge in H.edges for i in range(edge.size)}
+    wanted |= {(id(edge.scalars), "vandermonde") for edge in H.edges}
+    assert sorted(built, key=repr) == sorted(wanted, key=repr)
     # it proves the edge integral is the Lagrange sum for every map, so no
     # sum on a map is formed
     assert summed == []
 
 
 def unscaled_eigenvalue_weights(monkeypatch, edges):
-    """Fault: the eigenvalue weights without their 1/size, so the rows of D
-    are size times the Vandermonde inverse on every edge."""
+    """Fault: the scale powers, which the certified rows and the edge sums
+    share, times size, so the rows of D lose their 1/size and are size
+    times the Vandermonde inverse on every edge."""
+    original = groups_module.Orbit.inverse_scale_power
 
-    def unscaled(orbit, k):
-        i = orbit.size - 1 - k
-        base = orbit.inverse_scale_power(i)
-        return tuple(base * w for w in orbit.reflection.weights(i))
+    def unscaled(orbit, i):
+        return original(orbit, i) * orbit.size
 
-    monkeypatch.setattr(groups_module, "_eigenvalue_weights", unscaled)
+    monkeypatch.setattr(groups_module.Orbit, "inverse_scale_power", unscaled)
     return edges[0]
 
 
@@ -461,10 +469,12 @@ def test_vandermonde_rows_are_the_eigenvalue_weights(name):
         # the elimination is the oracle for the certified inverse
         V = [[t**i for i in range(edge.size)] for t in edge.tau]
         rows = mat_inv(V, g.conductor)
-        # row i is scale^-i lambda^-ij / size for every order, 0 included
+        # row i is scale^-i lambda^-ij / size for every order, 0 included,
+        # from the two pieces the edge sums read
         for i in range(edge.size):
             assert edge.vandermonde_inverse[i] == rows[i]
-            assert rows[i] == edge.eigenvalue_weights(edge.size - 1 - i)
+            base = edge.inverse_scale_power(i) / edge.size
+            assert rows[i] == tuple(base * w for w in edge.reflection.weights(i))
 
 
 @pytest.mark.parametrize("name", ["z4", "g312"])
@@ -621,17 +631,17 @@ def test_edge_witness_agrees_with_edge_quotients(name, monkeypatch):
     maps = [random_member(rng, g) for _ in range(3)]
     maps += [random_nonmember(rng, g) for _ in range(3)]
     powers = []
-    original = hypergraph_module.divide_by_linear_power
+    original = hypergraph_module._coset_failure
 
-    def recording(f, form, power):
-        powers.append(power)
-        return original(f, form, power)
+    def recording(orbit, i, values, den):
+        powers.append(i)
+        return original(orbit, i, values, den)
 
     failed = 0
     for F in maps:
         for edge in H.edges:
             full = edge_quotients(edge, F)
-            monkeypatch.setattr(hypergraph_module, "divide_by_linear_power", recording)
+            monkeypatch.setattr(hypergraph_module, "_coset_failure", recording)
             short = edge_witness(edge, F)
             monkeypatch.undo()
             if isinstance(full, EdgeWitness):
@@ -645,5 +655,141 @@ def test_edge_witness_agrees_with_edge_quotients(name, monkeypatch):
             else:
                 assert short is None
     assert failed > 0
-    # form^0 divides everything, so the verdict never divides at order 0
+    # form^0 divides everything, so the verdict never decides order 0
     assert powers and 0 not in powers
+
+
+# ---------------------------------------------------------------------------
+# the edge routines against a CycNum reference on the values
+
+G412 = {
+    "name": "g412",
+    "dimension": 2,
+    "conductor": 4,
+    "variables": ["x1", "x2"],
+    "generators": [["0", "1", "1", "0"], ["z", "0", "0", "1"]],
+}
+
+
+def _reference_sum(edge, F, i):
+    """h_i = scale^-i / size * sum_j lambda^-ij F(rep s^j), summed in CycNum
+    on the values, with scale and lambda read off tau."""
+    tau, r = edge.tau, edge.size
+    lam = tau[1] / tau[0]
+    total = MultiPoly.zero(F.group.dimension, F.group.conductor)
+    for j, x in enumerate(edge.members):
+        total = total + F.values[x] * (tau[0] ** (-i) * lam ** (-i * j) / r)
+    return total
+
+
+def _reference_quotients(edge, F, orders):
+    out = []
+    for i in orders:
+        res = divide_by_linear_power(_reference_sum(edge, F, i), edge.form, i)
+        if isinstance(res, NotDivisible):
+            return EdgeWitness(edge, i, res)
+        out.append(res)
+    return out
+
+
+def _reference_pairwise(H, F):
+    out = []
+    for edge in H.edges:
+        for a, b in itertools.combinations(edge.members, 2):
+            res = divide_by_linear_power(F.values[a] - F.values[b], edge.form, 1)
+            if isinstance(res, NotDivisible):
+                out.append(EdgeWitness(edge, 1, res))
+                break
+    return out
+
+
+def _reference_failures(F):
+    """Every failing (coset, reflection, power), each S_i summed in CycNum
+    and divided by the Horner route."""
+    g = F.group
+    out = []
+    for s in g.reflections():
+        for i in range(1, s.order):
+            for orbit in g.orbits(s):
+                total = MultiPoly.zero(g.dimension, g.conductor)
+                for j, x in enumerate(orbit.members):
+                    total = total + F.values[x] * s.eigenvalue ** (-i * j)
+                res = divide_by_linear_power(total, orbit.form, i)
+                if isinstance(res, NotDivisible):
+                    out.append(MembershipFailure(orbit.rep, s, i, res))
+    return out
+
+
+def _route_maps(g, rng):
+    """Seeded members and non-members, which hold numerators only, and
+    maps made from values: a non-member's values, and rational values
+    that fail at every order."""
+    x = g.variables[-1]
+    made = [P(f"{x}^2 - 3*{x} + 1/5", g)] * (g.order - 1) + [P(f"{x}^3 + {x}", g)]
+    maps = [random_member(rng, g), random_member(rng, g, max_degree=5)]
+    maps += [random_nonmember(rng, g), random_nonmember(rng, g)]
+    return maps + [GroupMap(g, maps[-1].values), GroupMap(g, made)]
+
+
+def _reference_witness(edge, F):
+    got = _reference_quotients(edge, F, range(1, edge.size))
+    return got if isinstance(got, EdgeWitness) else None
+
+
+@pytest.mark.parametrize("name", BUNDLED + ["g412"])
+def test_edge_routines_equal_the_cycnum_reference(name):
+    g = parse_group_dict(G412) if name == "g412" else load_group(name)
+    H = build_hypergraph(g)
+    forms = {(o.rep, s.element): o.form for s in g.reflections() for o in g.orbits(s)}
+    rng = random.Random(f"edge-route:{name}")
+    failing, restricted = 0, 0
+    for F in _route_maps(g, rng):
+        got = (
+            [edge_integral(edge, F, k) for edge in H.edges for k in range(edge.size + 2)],
+            [edge_quotients(edge, F) for edge in H.edges],
+            [edge_witness(edge, F) for edge in H.edges],
+            hypergraph_membership(H, F),
+            pairwise_membership(H, F),
+            membership(F).failures,
+        )
+        witnesses = [_reference_witness(edge, F) for edge in H.edges]
+        want = (
+            [
+                EdgeSection(_reference_sum(edge, F, edge.size - 1 - k), edge.size - 1 - k)
+                for edge in H.edges
+                for k in range(edge.size + 2)
+            ],
+            [_reference_quotients(edge, F, range(edge.size)) for edge in H.edges],
+            witnesses,
+            [w for w in witnesses if w],
+            _reference_pairwise(H, F),
+            _reference_failures(F),
+        )
+        assert got == want
+        failing += len(got[5])
+        restricted += sum(
+            f.power == 1 and bool(forms[f.element, f.reflection.element].integral_root[1])
+            for f in got[5]
+        )
+    assert failing > 0
+    # the power-1 witness read off the restriction to the hyperplane is
+    # reached wherever the group has a form that is not a coordinate
+    assert (restricted > 0) == any(form.integral_root[1] for form in forms.values())
+
+
+@pytest.mark.parametrize("name", BUNDLED + ["g412"])
+def test_localized_maps_pass_the_edge_routines_without_values(name):
+    g = parse_group_dict(G412) if name == "g412" else load_group(name)
+    H = build_hypergraph(g)
+    rng = random.Random(f"edge-numerators:{name}")
+    for F in (random_member(rng, g), random_nonmember(rng, g)):
+        assert F._values is None
+        for edge in H.edges:
+            for k in range(edge.size + 2):
+                edge_integral(edge, F, k)
+            edge_quotients(edge, F)
+            edge_witness(edge, F)
+        hypergraph_membership(H, F)
+        pairwise_membership(H, F)
+        membership(F).failures
+        assert F._values is None

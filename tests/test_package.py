@@ -129,18 +129,46 @@ def test_mat_inv_only_in_linalg_and_group_closure():
 
 
 def test_one_sum_over_a_hypergraph_edge():
-    # the certified Vandermonde inverse makes an edge's Lagrange weights its
-    # eigenvalue weights, so edge_integral is the one sum over an edge and
-    # no second weight table exists
-    summing = set()
+    # an edge is an orbit: the hypergraph's sums and verdicts are the orbit
+    # sums equivariant forms on a map's numerators, so hypergraph.py sums no
+    # values and reads none; the certified rows are built from the pieces
+    # the sums read, so groups.py keeps no second weight table; and every
+    # function that reads a reflection's weight row is _orbit_sum, the one
+    # coset sum, the certificate's rows, or the exact oracle's conditions
+    readers = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         assert not _mentions(tree, "lagrange_weights"), path.name
         if path.stem == "hypergraph":
-            summing.update(
-                name for name, node in _functions(tree) if _mentions(node, "weighted_sum")
+            # a map's values are an attribute read; dict.values() is a call
+            called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+            assert not any(
+                isinstance(n, ast.Attribute) and n.attr in ("values", "_values")
+                and id(n) not in called
+                for n in ast.walk(tree)
             )
-    assert summing == {"edge_integral"}
+        if path.stem == "groups":
+            assert "eigenvalue_weights" not in path.read_text()
+        if path.stem != "polynomials":
+            assert not _mentions(tree, "weighted_sum"), path.name
+        else:
+            # weighted_sum sits only behind the linear action
+            calling = {name for name, node in _functions(tree) if _mentions(node, "weighted_sum")}
+            assert calling == {"LinearSubstitution.apply"}
+        readers.update(
+            f"{path.stem}.{name}"
+            for name, node in _functions(tree)
+            if any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "weights"
+                for n in ast.walk(node)
+            )
+        )
+    assert readers == {
+        "equivariant._orbit_sum",
+        "equivariant.divisibility_conditions",
+        "groups._certified_inverse",
+    }
 
 
 def test_suite_counts_checks_only_in_its_tally():
@@ -190,8 +218,9 @@ def test_orbit_sums_are_read_from_orbit_records():
     # every weighted orbit sum of the operators and the verdict is formed by
     # _orbit_sum from an Orbit record, and the identity coset is the first
     # record of the orbit table, never rebuilt from the powers of s; the
-    # verdict's only other sums are its restriction of that sum and the
-    # products behind the root powers it restricts with
+    # verdict's only other sums are its restriction of that sum, which the
+    # power-1 witness shares, and the products behind the root powers it
+    # restricts with
     tree = ast.parse((Path(reflect_gkm.__file__).parent / "equivariant.py").read_text())
 
     def calling(callee):
@@ -201,9 +230,15 @@ def test_orbit_sums_are_read_from_orbit_records():
             if any(isinstance(n, ast.Call) and _mentions(n.func, callee) for n in ast.walk(node))
         }
 
-    assert calling("numerator_dot_products") == {"_orbit_sum", "_sum_divides", "_times"}
-    assert calling("_orbit_sum") == {"_sum_divides", "orbit_difference", "divided_difference"}
-    assert calling("_sum_divides") == {"membership", "lift_membership"}
+    assert calling("numerator_dot_products") == {"_orbit_sum", "_restriction", "_times"}
+    assert calling("_orbit_sum") == {
+        "_sum_divides",
+        "_coset_failure",
+        "orbit_difference",
+        "divided_difference",
+    }
+    assert calling("_sum_divides") == {"membership", "lift_membership", "_coset_failure"}
+    assert calling("_restriction") == {"_sum_divides", "_witness"}
     assert not _mentions(tree, "cyclic_powers")
 
 
@@ -345,11 +380,13 @@ def _references(tree, names):
 
 
 def test_exact_routines_are_reached_only_from_each_other():
-    # the certificate is the theorem rows' one route: no program path
-    # reaches exact elimination, and the only call among the three is
+    # the certificate is the theorem rows' one route: no program path or
+    # demo reaches exact elimination, and the only call among the three is
     # membership_basis eliminating divisibility_conditions' rows
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert demos
     references = set()
-    for path in SOURCES:
+    for path in SOURCES + demos:
         tree = ast.parse(path.read_text(), filename=str(path))
         references.update(
             (f"{path.stem}.{where}", name, called)

@@ -501,26 +501,39 @@ def test_cli_member_reads_a_coordinate_power_off_its_exponent(tmp_path, capsys):
 
 
 def test_cli_member_lists_coordinate_failures_of_a_huge_degree(tmp_path):
-    # the failure list divides by z3's coordinate form x1 off the
-    # exponents, so x1^100000000 + 1 is listed at once in a fresh process
-    # with a 1.5 GB address space and a wall budget: dividing with one
-    # Horner slice per power of x1 would run out of memory instead
+    # the failure lists divide by a coordinate form x_p off the exponents,
+    # and take a power-1 witness on any other form (b2's x1 - x2 and
+    # x1 + x2) from the verdict's restriction to the hyperplane, so
+    # x1^100000000 + 1 is listed at once in a fresh process with a 1.5 GB
+    # address space and a wall budget: dividing with one Horner slice per
+    # power of x1 would run out of memory instead
     path = tmp_path / "map.json"
     path.write_text(json.dumps({"values": {"0": "x1^100000000 + 1"}}))
     src = Path(__file__).resolve().parents[1] / "src"
     limit = 1500000 * 1024
-    proc = subprocess.run(
-        [sys.executable, "-m", "reflect_gkm", "member", "--group", "z3", "--input", str(path)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=10,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
-    assert proc.returncode == 1 and proc.stderr == ""
-    assert proc.stdout.splitlines()[1:] == [
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "reflect_gkm", *argv, "--input", str(path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1 and proc.stderr == ""
+        return proc.stdout.splitlines()[1:]
+
+    assert run("member", "--group", "z3") == [
         f"  coset of element 0, reflection {s}, power {i}: divisible only to order 0"
         for s in (1, 2)
         for i in (1, 2)
     ]
+    b2 = (1, 2, 5, 6)
+    assert run("member", "--group", "b2") == [
+        f"  coset of element 0, reflection {s}, power 1: divisible only to order 0" for s in b2
+    ]
+    edges = [f"  edge [0, {s}] (reflection {s}), power 1: divisible only to order 0" for s in b2]
+    assert run("hypergraph", "member", "--group", "b2") == edges
+    assert run("hypergraph", "member", "--group", "b2", "--naive") == edges
 
 
 def test_python_dash_m_runs_the_command_line(capsys):
