@@ -52,6 +52,7 @@ from pathlib import Path
 from .cyclotomic import ConductorMismatch, CycNum, parse_cyc, upoly_series_quotient
 from .linalg import mat_identity, mat_inv, mat_mul, mat_vec, rank
 from .polynomials import Exponents, LinearForm, LinearSubstitution, MultiPoly, _check_operand
+from .polynomials import integral_numerators
 
 __all__ = [
     "CapExceeded",
@@ -252,6 +253,7 @@ class ReflectionGroup:
         self._molien: MolienSeries | None = None
         self._degrees: tuple[int, ...] | None = None
         self._orbits: dict[int, tuple[Orbit, ...]] = {}
+        self._image_tables: dict[Exponents, tuple[int, list]] = {}
         self._transported: dict[tuple[int, int], tuple[CycNum, LinearForm]] = {}
         self._scalars: dict[tuple, dict] = {}
 
@@ -333,6 +335,15 @@ class ReflectionGroup:
     def monomial_image(self, i: int, exps: Exponents) -> MultiPoly:
         """w . x^exps for w the element at index i, memoized on the group."""
         return self._substitution(i).monomial_image(exps)
+
+    def monomial_numerators(self, exps: Exponents) -> tuple[int, list]:
+        """(L, [x . x^exps as integer numerator items over L, per element x]):
+        integral_numerators of the memoized images, cached on the group."""
+        if exps not in self._image_tables:
+            images = [self.monomial_image(x, exps) for x in range(self.order)]
+            nums, den = integral_numerators(images, self.dimension, self.conductor)
+            self._image_tables[exps] = den, [tuple(v.items()) for v in nums]
+        return self._image_tables[exps]
 
     def act_linear(self, i: int, form: LinearForm) -> tuple[CycNum, LinearForm]:
         """w . form, split as (scale, normalized form)."""

@@ -7,17 +7,19 @@ group:
     localize(T)(x) = sum f . (x applied to g),
 
 one polynomial per element, which is exactly the GroupMap picture.  It is
-computed in collected form: the first legs are gathered once per tensor by
-second-leg monomial, F_e = sum_k c_{k,e} f_k for g_k = sum_e c_{k,e} x^e,
-and each value sum_e F_e . x(x^e) comes out of one numerator dot product
-(cyclotomic.numerator_dot_products) keyed by monomial, over the group's
-memoized monomial images, so no polynomial is substituted per element.
-The map holds integer numerators over one common denominator, which the
-verdicts read as they are; a value, one CycNum per term, is built from
-them only when it is read.  The tensor product over invariants has no
-canonical normal form worth maintaining at this scale, so equality of
-tensors is extensional: two tensors are equal when their localizations
-agree everywhere.
+computed in collected form on integer numerators (_localized_numerators,
+which the sampler's maps share): the first legs are gathered once per
+tensor by second-leg monomial, F_e = sum_k c_{k,e} f_k for g_k = sum_e
+c_{k,e} x^e, and each value sum_e F_e . x(x^e) comes out of one numerator
+dot product keyed by monomial.  Each monomial's images x(x^e), for all x,
+are one table over one denominator L_e (ReflectionGroup.monomial_numerators),
+and F_e is scaled once by L / L_e, L the lcm, so no polynomial is
+substituted per element.  The map holds integer numerators over one common
+denominator, which the verdicts read as they are; a value, one CycNum per
+term, is built from them only when it is read.  The tensor product over
+invariants has no canonical normal form worth maintaining at this scale,
+so equality of tensors is extensional: two tensors are equal when their
+localizations agree everywhere.
 
 The theorem rows of the verification suite come from here too, from the
 group alone: DimensionTriples proves localized image = members in every
@@ -150,42 +152,39 @@ def localize(T: TensorElement) -> GroupMap:
     over the monomials of the second legs g_k = sum_e c_{k,e} x^e.  The two
     agree because x acts linearly, x(g_k) = sum_e c_{k,e} x(x^e), and the
     product is bilinear; as exact polynomials they are equal, not merely
-    close.  The map is formed as integer numerators over one common
-    denominator, the product of the legs' and the images' denominators, by
-    numerator dot products: one over the legs' numerators collects the F_e,
-    keyed by (e, monomial), and one per element x multiplies them with the
-    group's memoized images x(x^e).  No CycNum is built here: a value is
-    built from its numerators when it is first read, and the verdicts read
-    the numerators.  Each leg of T is checked once."""
+    close.  Each leg is checked once, by integral_numerators, and the map
+    is formed on numerators by _localized_numerators; no CycNum is built."""
     group = T.group
     n, m = group.dimension, group.conductor
     firsts, den_f = integral_numerators([f for f, _ in T.summands], n, m)
     seconds, den_g = integral_numerators([g for _, g in T.summands], n, m)
-    legs = (
-        ((e, e1), c1, c)
-        for f, g in zip(firsts, seconds)
-        for e, c in g.items()
-        for e1, c1 in f.items()
-    )
+    numerators, den = _localized_numerators(group, list(zip(firsts, seconds)), den_f * den_g)
+    return GroupMap._from_numerators(group, numerators, den)
+
+
+def _localized_numerators(group: ReflectionGroup, legs, den: int):
+    """(numerators per element, den * L) of x -> sum_k f_k . x(g_k), for
+    legs [(f_k, g_k)] of integer numerator dicts, f_k g_k over den."""
+    m = group.conductor
+    products = (((e, e1), c1, c) for f, g in legs for e, c in g.items() for e1, c1 in f.items())
     # the monomials e in order of first appearance, as the values' terms are
-    by_monomial: dict = {e: [] for g in seconds for e in g}
-    for (e, e1), c in numerator_dot_products(m, legs, {}).items():
+    by_monomial: dict = {e: [] for _, g in legs for e in g}
+    for (e, e1), c in numerator_dot_products(m, products, {}).items():
         by_monomial[e].append((e1, c))
-    rows = [
-        [(F, group.monomial_image(x, e).terms.items()) for e, F in by_monomial.items() if F]
-        for x in range(group.order)
+    tables = [(F, *group.monomial_numerators(e)) for e, F in by_monomial.items() if F]
+    L = lcm(1, *(d for _, d, _ in tables))
+    scaled = [
+        (F if d == L else [(e1, [a * (L // d) for a in c]) for e1, c in F], images)
+        for F, d, images in tables
     ]
-    den = lcm(1, *(c.den for row in rows for _, image in row for _, c in image))
 
-    def products(row):
-        for F, image in row:
+    def row(x):
+        for F, images in scaled:
             for e1, c1 in F:
-                for e2, c2 in image:
-                    c = c2.num if c2.den == den else [a * (den // c2.den) for a in c2.num]
-                    yield tuple(map(add, e1, e2)), c1, c
+                for e2, c2 in images[x]:
+                    yield tuple(map(add, e1, e2)), c1, c2
 
-    numerators = [numerator_dot_products(m, products(row), {}) for row in rows]
-    return GroupMap._from_numerators(group, numerators, den_f * den_g * den)
+    return [numerator_dot_products(m, row(x), {}) for x in range(group.order)], den * L
 
 
 def localize_at(T: TensorElement, x: int) -> MultiPoly:

@@ -42,7 +42,7 @@ from reflect_gkm.polynomials import (
     graded_monomials,
     parse_poly,
 )
-from reflect_gkm.sampling import random_member, random_nonmember
+from reflect_gkm.sampling import random_member, random_nonmember, random_tensor
 from reflect_gkm.suite import run_suite
 
 
@@ -589,24 +589,18 @@ def test_random_nonmember_localizes_only_what_it_returns(name, monkeypatch):
     g = load_group(name)
     reference = random.Random(f"nonmember:{name}")
     expected = [perturbation_by_full_check(reference, g) for _ in range(3)]
-    localized, tensors, verdicts = [], [], []
-    names = ("localize", "random_tensor", "membership")
-    originals = {n: getattr(sampling_module, n) for n in names}
+    localized, verdicts = [], []
+    core, verdict = sampling_module._localized_numerators, sampling_module.membership
 
-    def counting_localize(T):
-        localized.append(T)
-        return originals["localize"](T)
-
-    def recording_tensor(*args, **kwargs):
-        tensors.append(originals["random_tensor"](*args, **kwargs))
-        return tensors[-1]
+    def counting_core(*args):
+        localized.append(args)
+        return core(*args)
 
     def recording_membership(delta):
-        verdicts.append((delta, originals["membership"](delta).ok))
-        return originals["membership"](delta)
+        verdicts.append((delta, verdict(delta).ok))
+        return verdict(delta)
 
-    monkeypatch.setattr(sampling_module, "localize", counting_localize)
-    monkeypatch.setattr(sampling_module, "random_tensor", recording_tensor)
+    monkeypatch.setattr(sampling_module, "_localized_numerators", counting_core)
     monkeypatch.setattr(sampling_module, "membership", recording_membership)
     rng = random.Random(f"nonmember:{name}")
     for k, want in enumerate(expected, start=1):
@@ -616,10 +610,17 @@ def test_random_nonmember_localizes_only_what_it_returns(name, monkeypatch):
     assert rng.random() == reference.random()
     monkeypatch.undo()
     # on every attempt, the verdict on the perturbation alone is the
-    # verdict on the perturbed member
-    assert len(tensors) == len(verdicts) >= 3
-    for T, (delta, ok) in zip(tensors, verdicts):
+    # verdict on the perturbed member; the attempts' tensors and monomials
+    # are replayed from the seed in random_nonmember's draw order
+    replay = random.Random(f"nonmember:{name}")
+    assert len(verdicts) >= 3
+    for delta, ok in verdicts:
+        T = random_tensor(replay, g, max_degree=4)
+        x = replay.randrange(g.order)
+        pool = graded_monomials(g.dimension, replay.randint(0, 4))
+        e = pool[replay.randrange(len(pool))]
         assert sum(map(bool, delta.values)) == 1
+        assert delta.values[x] == MultiPoly(g.dimension, g.conductor, {e: 1})
         assert ok == membership(localize(T) + delta).ok
 
 

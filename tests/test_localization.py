@@ -10,10 +10,11 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from reflect_gkm import equivariant, localization, polynomials
+from reflect_gkm import equivariant, localization, polynomials, sampling
 from reflect_gkm.cyclotomic import ConductorMismatch, root_of_unity
 from reflect_gkm.equivariant import GroupMap, membership, orbit_difference
 from reflect_gkm.groups import GroupInvariantViolated, bundled_names, load_group, parse_group_dict
+from reflect_gkm.hypergraph import build_hypergraph
 from reflect_gkm.invariants import CoinvariantBasis, coinvariant_basis, invariant_basis
 from reflect_gkm.linalg import PrimeReduction
 from reflect_gkm.localization import (
@@ -155,6 +156,15 @@ SCALAR3 = {
     "variables": ["x1", "x2"],
     "generators": [["z", "0", "0", "z"]],
 }
+# s3 conjugated by diag(1, 2): the monomials' images have denominators that
+# differ by degree, so localize scales the collected first legs
+S3_CONJUGATED = {
+    "name": "s3c",
+    "dimension": 2,
+    "conductor": 1,
+    "variables": ["x1", "x2"],
+    "generators": [["-1", "1/2", "0", "1"], ["1", "0", "2", "-1"]],
+}
 
 
 def _value_by_products(T, x):
@@ -176,9 +186,9 @@ def _value_by_products(T, x):
     )
 
 
-@pytest.mark.parametrize("name", list(bundled_names()) + ["g412", "scalar3"])
+@pytest.mark.parametrize("name", list(bundled_names()) + ["g412", "scalar3", "s3c"])
 def test_keyed_localization_equals_the_per_element_products(name):
-    extra = {"g412": G412, "scalar3": SCALAR3}
+    extra = {"g412": G412, "scalar3": SCALAR3, "s3c": S3_CONJUGATED}
     group = parse_group_dict(extra[name]) if name in extra else load_group(name)
     n, m = group.dimension, group.conductor
     xs = [MultiPoly.variable(n, m, k) for k in range(n)]
@@ -264,14 +274,27 @@ def test_localize_at_builds_only_the_value_it_returns(monkeypatch):
 
 
 def test_hypergraph_pass_reads_numerators_only(monkeypatch):
-    # the sampled members and non-members are built on numerators and the
-    # verdict reads them as they are: a seed-0 hypergraph pass builds no
-    # value, and membership of a localized map converts nothing
+    # the sampled members and non-members go from the draws to the verdict
+    # on integer numerators: after set-up, a seed-0 hypergraph pass builds
+    # no value and no CycNum from numerators (no leg either), and
+    # membership of a localized map converts nothing
     group = load_group("g312")
+    group.reflections()
+    group.fundamental_degrees()
+    coinvariant_basis(group)
+    build_hypergraph(group)
     built = _value_builds(monkeypatch)
+    canonicalised = []
+    for module in (equivariant, polynomials, sampling):
+        original = module.from_numerators
+        monkeypatch.setattr(
+            module, "from_numerators", lambda *a, f=original: canonicalised.append(a) or f(*a)
+        )
     report = run_suite(group, sections=("hypergraph",), trials=24, seed=0)
     assert report.hypergraph.trials > 0 and report.ok
-    assert built == []
+    assert built == [] and canonicalised == []
+    monkeypatch.undo()
+    built = _value_builds(monkeypatch)
     converted = []
     integral_numerators = equivariant.integral_numerators
 

@@ -310,18 +310,25 @@ def test_caches_are_bounded_or_keyed_by_the_conductor():
 
 
 def test_one_localization_routine():
-    # localize forms every value's numerators with numerator_dot_products,
-    # its one kernel, and builds no CycNum; localize_at is localize read at
-    # one element
-    tree = ast.parse((Path(reflect_gkm.__file__).parent / "localization.py").read_text())
+    # _localized_numerators forms every value's numerators with
+    # numerator_dot_products, its one kernel, and builds no CycNum; localize
+    # and the sampler's maps both reach it, and localize_at is localize read
+    # at one element
+    source = Path(reflect_gkm.__file__).parent
+    tree = ast.parse((source / "localization.py").read_text())
     functions = dict(_functions(tree))
     callers = {
         name for name, node in functions.items() if _mentions(node, "numerator_dot_products")
     }
-    assert callers == {"localize"}
+    assert callers == {"_localized_numerators"}
     for name in ("keyed_dot_products", "from_numerators", "weighted_sum", "sum_of_products"):
         assert not _mentions(tree, name), name
+    assert _mentions(functions["localize"], "_localized_numerators")
     assert _mentions(functions["localize_at"], "localize")
+    sampling = dict(_functions(ast.parse((source / "sampling.py").read_text())))
+    routes = {name for name, node in sampling.items() if _mentions(node, "_localized_numerators")}
+    assert routes == {"_localized"}
+    assert not any(_mentions(node, "localize") for node in sampling.values())
 
 
 def test_maps_convert_to_numerators_in_one_place():
@@ -343,6 +350,7 @@ def test_maps_convert_to_numerators_in_one_place():
         ("equivariant.GroupMap.numerators", True),
         ("equivariant.divided_difference", False),
         ("equivariant.lift_membership", False),
+        ("groups.ReflectionGroup.monomial_numerators", False),
         ("localization.localize", False),
         ("polynomials.divide_by_linear_power", False),
     }
