@@ -40,7 +40,7 @@ takes the same generators.  The certificate's failures list is still per
 reflection, over every pseudo-reflection and power, exactly as the
 definition reads; it is built by that full loop when it is first read,
 which only the command line does.  _coset_failure decides each coset
-there by _sum_divides and divides only a failing sum, for its witness;
+there by _sum_divides and takes power_witness of a failing sum only;
 the hypergraph's edges, which are orbit records, share it.
 
 The verdict runs on integer numerators, with no CycNum canonicalised and
@@ -52,40 +52,14 @@ computes them once, with L the lcm of all their coefficient denominators
 (integral_numerators), and the verdict, the operators and the failure
 list share them.  The weights lambda^{-ij} are roots of unity
 (reflections() checks the eigenvalue), with integer coordinates in the
-power basis, so L S_i is an integer combination of those vectors.  A coset where F is zero is
-skipped.  One routine, _sum_divides, forms S_i on a coset and decides it
-from what decides it.  (1) A coordinate form x_p divides S_i to order i
-exactly when every term has x_p-exponent at least i; the weights are
-scalars, so only the terms of the values below x_p^i are summed, and
-they must cancel.  Any other form is ell = x_p + a(x').  Let D be the
-lcm of the coefficient denominators of a, so r = -D a has integer
-coefficients, and top the x_p-degree of S_i.  (2) At i = 1: ell is monic
-of degree 1 in x_p with root x_p = -a = r / D, so by the remainder
-theorem over the polynomials in x' it divides S_1 exactly when
-S_1(r / D, x') = 0.  With L S_1 = sum_e c_e x_p^(e_p) x'^(e'), c_e
-integer vectors,
-
-    L D^top S_1(r / D, x') = sum_e c_e D^(top - e_p) r^(e_p) x'^(e'),
-
-an integer combination (e_p <= top), and L D^top is a nonzero scalar.
-So one pass over the terms of S_1, with the powers r^k of the
-x_p-degrees k present (_root_power, kept per form), decides it, where
-Horner walks every x_p-degree from top down.  (3) At i >= 2,
-substituting y = D x_p and scaling the slice of x_p^k by D^(top - k)
-gives
-
-    g(y, x') = L D^top S_i(y / D, x'),    D ell = y - r(x'),
-
-with g integral.  x_p -> y / D is an invertible change of variables and
-L D^top and D are nonzero scalars, so ell^i divides S_i exactly when
-(y - r)^i divides g, and each Horner step on g adds integer products
-only.  _orbit_sum is the one place a coset sum S_i is formed, for the
-verdict, the failures, the operators and the hypergraph's edges.
-divide_numerators divides one, by the exponents for a coordinate form
-and by the steps of (3) otherwise, and scales the quotient or the
-witness back once per coefficient; a failing S_1 on any other form
-takes (2)'s sum as its witness, Horner's first remainder times L D^top,
-so a huge x_p-degree is never sliced.
+power basis, so L S_i is an integer combination of those vectors.
+_orbit_sum is the one place a coset sum S_i is formed, for the verdict,
+the failures, the operators and the hypergraph's edges, and a coset
+where F is zero is skipped.  Whether ell^i divides it, how and with what
+witness is decided in polynomials alone, whose module docstring proves
+the rule.  _sum_divides hands S_i to power_divides; for a coordinate
+form x_p it sums only the terms of the values below x_p^i, since the
+weights are scalars and only those terms decide.
 
 An equivariant map, F(x) = x . e, needs only the identity coset <s> of
 each generator, the first record of its orbit table, group.orbits(s)[0]:
@@ -112,8 +86,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
 from pathlib import Path
 
 from .cyclotomic import CycNum, from_numerators, numerator_dot_products
@@ -123,14 +95,14 @@ from .polynomials import (
     LinearForm,
     MultiPoly,
     NotDivisible,
-    _horner,
-    _plus_root_multiple,
     divide_numerators,
     graded_monomials,
     hyperplane_coordinates,
     integral_numerators,
     parse_poly,
     poly_text,
+    power_divides,
+    power_witness,
 )
 
 __all__ = [
@@ -457,94 +429,11 @@ def _orbit_sum(orbit: Orbit, i: int, values, below=None) -> dict:
     return numerator_dot_products(orbit.form.conductor, triples, first)
 
 
-def _times(m: int, a: dict, b: dict) -> dict:
-    """The product of two polynomials with integer numerators."""
-    pairs = ((tuple(map(add, e, f)), c, d) for e, c in a.items() for f, d in b.items())
-    return numerator_dot_products(m, pairs, {})
-
-
-# the degrees of r^k kept per root, by _root_power
-_POWERS_KEPT = 64
-
-
-@lru_cache(maxsize=256)
-def _root_powers(m: int, n: int, p: int, root) -> dict:
-    """{k: r^k}, filled by _root_power, for the form x_p + a in n variables
-    at conductor m with integral_root root: these fix the form, so its
-    copies on every orbit share one table."""
-    return {}
-
-
-def _root_power(form: LinearForm, powers: dict, k: int) -> tuple:
-    """r^k for r = -D a, the root of form = x_p + a times D (integral_root),
-    as (shift, numerators) pairs with pivot entry -k, so that x_p^k x'^e
-    plus a shift is a term of x'^e r^k.  Built from r^j, the largest power
-    below k in powers (1 if none is): one more factor r for j = k - 1,
-    else r^(k - j) squared up its bits from the pivot coefficient 1.
-    powers keeps the first _POWERS_KEPT degrees."""
-    n, m, p = form.nvars, form.conductor, form.pivot
-    root = form.integral_root[1]
-    unit = {(0,) * n: form.coeffs[p].num}
-    j = max((d for d in powers if d < k), default=None)
-    got = unit if j is None else {e[:p] + (0,) + e[p + 1 :]: c for e, c in powers[j]}
-    step = k - (j or 0)
-    if step == 1:
-        got = _plus_root_multiple(m, {}, got, root)
-    elif step:
-        factor = unit
-        for bit in bin(step)[2:]:
-            factor = _times(m, factor, factor)
-            if bit == "1":
-                factor = _plus_root_multiple(m, {}, factor, root)
-        got = _times(m, got, factor)
-    got = tuple((e[:p] + (-k,) + e[p + 1 :], tuple(c)) for e, c in got.items())
-    if len(powers) < _POWERS_KEPT:
-        powers[k] = got
-    return got
-
-
-def _restriction(form: LinearForm, S: dict) -> tuple[dict, int]:
-    """(L D^top S_1(r / D, x'), top) for S = L S_1 nonzero, top its
-    x_p-degree, and a form that is not a coordinate: (2) of the module
-    docstring."""
-    D = form.integral_root[0]
-    m, p = form.conductor, form.pivot
-    powers = _root_powers(m, form.nvars, p, form.integral_root)
-    top = max(e[p] for e in S)
-    if D != 1:
-        S = {e: [x * D ** (top - e[p]) for x in c] for e, c in S.items()}
-    restricted = (
-        (tuple(map(add, e, f)), c, r)
-        for e, c in S.items()
-        for f, r in powers.get(e[p]) or _root_power(form, powers, e[p])
-    )
-    return numerator_dot_products(m, restricted, {}), top
-
-
 def _sum_divides(orbit: Orbit, i: int, values) -> bool:
-    """Does the orbit's form^i divide its S_i?  Decided as the module
-    docstring's (1)-(3) say, on the coset's values alone."""
-    form = orbit.form
-    if not form.integral_root[1]:
-        return not _orbit_sum(orbit, i, values, i)
-    S = _orbit_sum(orbit, i, values)
-    if not S or i > 1:
-        return not S or _horner(S, form, i)[0] == i
-    return not _restriction(form, S)[0]
-
-
-def _witness(form: LinearForm, i: int, S: dict, den: int) -> NotDivisible | None:
-    """None when form^i divides the sum S, integer numerators over den;
-    else divide_numerators' NotDivisible.  At i = 1 on a form that is not
-    a coordinate, that witness is Horner's first remainder, (2)'s R over
-    den D^top (divide_numerators at power 0 builds it), so it is read off
-    R with no slice per x_p-degree."""
-    D, root = form.integral_root
-    if i > 1 or not root or not S:
-        res = divide_numerators(S, den, form, i)
-        return res if isinstance(res, NotDivisible) else None
-    R, top = _restriction(form, S)
-    return NotDivisible(0, divide_numerators(R, den * D**top, form, 0)) if R else None
+    """Does the orbit's form^i divide its S_i?  power_divides on the sum,
+    which for a coordinate form holds only the terms below x_p^i."""
+    below = None if orbit.form.integral_root[1] else i
+    return power_divides(orbit.form, i, _orbit_sum(orbit, i, values, below))
 
 
 def _coset_failure(orbit: Orbit, i: int, values, den: int) -> NotDivisible | None:
@@ -552,7 +441,7 @@ def _coset_failure(orbit: Orbit, i: int, values, den: int) -> NotDivisible | Non
     so only a failing sum is divided."""
     if _sum_divides(orbit, i, values):
         return None
-    return _witness(orbit.form, i, _orbit_sum(orbit, i, values), den)
+    return power_witness(orbit.form, i, _orbit_sum(orbit, i, values), den)
 
 
 def membership(F: GroupMap) -> MembershipCertificate:

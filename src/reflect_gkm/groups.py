@@ -51,7 +51,7 @@ from pathlib import Path
 
 from .cyclotomic import ConductorMismatch, CycNum, parse_cyc, upoly_series_quotient
 from .linalg import mat_identity, mat_inv, mat_mul, mat_vec, rank
-from .polynomials import Exponents, LinearForm, LinearSubstitution, MultiPoly, _check_operand
+from .polynomials import Exponents, LinearForm, LinearSubstitution, MultiPoly, check_operand
 from .polynomials import integral_numerators
 
 __all__ = [
@@ -327,7 +327,7 @@ class ReflectionGroup:
 
     def act(self, i: int, f: MultiPoly) -> MultiPoly:
         """(w . f)(v) = f(w^-1 v) for w the element at index i."""
-        _check_operand(f, self.dimension, self.conductor)
+        check_operand(f, self.dimension, self.conductor)
         if i == 0:
             return f
         return self._substitution(i).apply(f)

@@ -54,7 +54,8 @@ edge_witness decides each order with _sum_divides, as membership
 decides a coset, and divides only a failing one, by the failures list's
 routine.  The pairwise condition (adjacent values congruent modulo the
 form, first order only) is a weaker control, on differences of
-numerators: it is membership when every reflection has order two and
+numerators, each decided by polynomials.power_divides and divided only
+when it fails: it is membership when every reflection has order two and
 strictly larger otherwise.  The JSON export keeps the key "axial" for
 the edge's form.
 """
@@ -67,10 +68,11 @@ from itertools import combinations
 
 from .cyclotomic import CycNum, numerator_dot_products
 from .equivariant import GroupMap, condition_entries, scatter_conditions
-from .equivariant import _coset_failure, _orbit_sum, _polynomial, _witness
+from .equivariant import _coset_failure, _orbit_sum, _polynomial
 from .groups import Orbit, ReflectionGroup
 from .linalg import rank
 from .polynomials import MultiPoly, NotDivisible, divide_numerators, graded_monomials, poly_text
+from .polynomials import power_divides, power_witness
 
 __all__ = [
     "EdgeSection",
@@ -207,9 +209,9 @@ def pairwise_membership(H: Hypergraph, F: GroupMap) -> list[EdgeWitness]:
     for edge in H.edges:
         for a, b in combinations(edge.members, 2):
             negated = ((e, c, minus) for e, c in values[b].items())
-            res = _witness(edge.form, 1, numerator_dot_products(m, negated, values[a]), den)
-            if res is not None:
-                out.append(EdgeWitness(edge, 1, res))
+            difference = numerator_dot_products(m, negated, values[a])
+            if not power_divides(edge.form, 1, difference):
+                out.append(EdgeWitness(edge, 1, power_witness(edge.form, 1, difference, den)))
                 break
     return out
 

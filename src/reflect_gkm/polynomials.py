@@ -11,31 +11,43 @@ than one power of z is parenthesized, ``(z + 1)*x1``.  parse_poly inverts
 poly_text bit-exactly; the grammar is defined once, in cyclotomic
 (parse_terms), and parse_poly reads it over the variable names.
 
-The workhorse for everything downstream is exact division by a power of a
-linear form.  A normalized form is ell = x_p + a(x') with pivot variable
-x_p and a a linear form in the other variables x'.  Writing f as a
-polynomial in x_p with coefficients in x', one division by ell is
-synthetic division by x_p - (-a), i.e. Horner's rule in x_p: from the top
-x_p-degree down, each quotient coefficient is the next coefficient of f
-plus -a times the previous one, one linear-form product per step, and what
-is left at the bottom is the remainder f(x_p = -a), a polynomial in x'
-alone.  ell divides f exactly when that remainder is zero.  Division by
-ell^k repeats the step on the quotient and stops at the first nonzero
-remainder: after v exact steps that remainder is the component of f of
-order exactly v along ell, and ell^v times it is the NotDivisible witness.
+The workhorse for everything downstream is one question, answered here
+alone: does the i-th power of a linear form ell divide S, and what is
+left if not.  power_divides decides, divide_numerators divides and
+power_witness gives the obstruction.  S comes as integer coefficient
+vectors over a common denominator L, so it holds L S, every step adds
+integer products only, and only a quotient or witness is turned back
+into CycNums, once per coefficient.  (1) A coordinate form x_p divides S
+to order i exactly when every term has x_p-exponent at least i: the
+quotient lowers every e_p by i, the witness is the part of least e_p.
+Any other form is ell = x_p + a(x'), x' the other variables.  Let D be
+the lcm of the coefficient denominators of a (integral_root, cached per
+form), so r = -D a has integer coefficients, and top the x_p-degree of
+S.  (2) At i = 1: ell is monic of degree 1 in x_p with root
+x_p = -a = r / D, so by the remainder theorem over the polynomials in x'
+it divides S exactly when S(r / D, x') = 0.  With
+L S = sum_e c_e x_p^(e_p) x'^(e'), c_e integer vectors,
 
-The steps run fraction-free, on integer numerators (_horner): f comes as
-integer coefficient vectors over a common denominator L, D is the lcm of
-the form's coefficient denominators (integral_root, cached per form), the
-pivot is replaced by y = D x_p and the slice of x_p^k is scaled by
-D^(top - k), so every step adds integer products only.  Why that keeps
-divisibility is proved once, in the equivariant module docstring, where
-the membership verdict needs the steps only at powers above 1 and never
-for a coordinate form x_p.  divide_numerators reads a coordinate form off
-the exponents too (the quotient lowers every e_p, the witness is the
-part of least e_p), scales each coefficient of the quotient or the
-witness back once, and divide_by_linear_power is it on the numerators of
-one MultiPoly.
+    L D^top S(r / D, x') = sum_e c_e D^(top - e_p) r^(e_p) x'^(e'),
+
+an integer combination (e_p <= top), and L D^top is a nonzero scalar.
+So one pass over the terms of S with the powers r^k of the x_p-degrees k
+present (_root_power, kept per form) decides it (_restriction), and a
+failing S takes that sum over L D^top as its witness: a huge x_p-degree
+is never sliced.  (3) At i >= 2, substituting y = D x_p and scaling the
+slice of x_p^k by D^(top - k) gives
+
+    g(y, x') = L D^top S(y / D, x'),    D ell = y - r(x'),
+
+with g integral.  x_p -> y / D is an invertible change of variables and
+L D^top and D are nonzero scalars, so ell^i divides S exactly when
+(y - r)^i divides g.  Division by y - r is Horner's rule in y (_horner):
+from the top y-degree down, each quotient slice is the next slice of g
+plus r times the previous one, and the remainder g(r, x') is what is
+left at the bottom.  Division by ell^i repeats the step and stops at the
+first nonzero remainder: after v exact steps it is the component of S of
+order exactly v along ell, and ell^v times it is the NotDivisible
+witness.  divide_by_linear_power is divide_numerators on one MultiPoly.
 
 Linear combinations sum_k w_k f_k (weighted_sum) and sums of products
 sum_k f_k g_k (sum_of_products; a product is its one-pair case) go through
@@ -75,6 +87,8 @@ __all__ = [
     "integral_numerators",
     "parse_poly",
     "poly_text",
+    "power_divides",
+    "power_witness",
     "sum_of_products",
     "weighted_sum",
 ]
@@ -162,7 +176,7 @@ class MultiPoly:
             other = MultiPoly.constant(self.nvars, self.conductor, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        _check_operand(other, self.nvars, self.conductor)
+        check_operand(other, self.nvars, self.conductor)
         out = dict(self.terms)
         for exps, c in other.terms.items():
             acc = out.get(exps)
@@ -294,7 +308,7 @@ class LinearForm:
 # substitutions and hyperplane coordinates
 
 
-def _check_operand(f, nvars: int, conductor: int) -> None:
+def check_operand(f, nvars: int, conductor: int) -> None:
     """A polynomial or linear form must fit the call, once per operand."""
     if f.nvars != nvars:
         raise ValueError(f"an operand in {f.nvars} variables, not {nvars}")
@@ -307,7 +321,7 @@ def weighted_sum(pairs, nvars: int, conductor: int) -> MultiPoly:
     dot product over all their terms."""
     def triples():
         for f, w in pairs:
-            _check_operand(f, nvars, conductor)
+            check_operand(f, nvars, conductor)
             w = _as_coeff(w, conductor)
             if w:
                 for e, c in f.terms.items():
@@ -321,8 +335,8 @@ def sum_of_products(pairs, nvars: int, conductor: int) -> MultiPoly:
     product over every pair of terms, keyed by the product monomial."""
     def triples():
         for f, g in pairs:
-            _check_operand(f, nvars, conductor)
-            _check_operand(g, nvars, conductor)
+            check_operand(f, nvars, conductor)
+            check_operand(g, nvars, conductor)
             right = g.terms.items()
             for e1, c1 in f.terms.items():
                 for e2, c2 in right:
@@ -413,7 +427,7 @@ def integral_numerators(polys, nvars: int, conductor: int) -> tuple[list[dict], 
     for f in polys:
         if not isinstance(f, MultiPoly):
             raise TypeError(f"a polynomial is required, not {type(f).__name__}")
-        _check_operand(f, nvars, conductor)
+        check_operand(f, nvars, conductor)
     den = lcm(1, *(c.den for f in polys for c in f.terms.values()))
     return [
         {
@@ -465,11 +479,79 @@ def _horner(terms: dict, form: LinearForm, power: int):
     return power, top, slices
 
 
+def _times(m: int, a: dict, b: dict) -> dict:
+    """The product of two polynomials with integer numerators."""
+    pairs = ((tuple(map(add, e, f)), c, d) for e, c in a.items() for f, d in b.items())
+    return numerator_dot_products(m, pairs, {})
+
+
+# the degrees of r^k kept per root, by _root_power
+_POWERS_KEPT = 64
+
+
+@lru_cache(maxsize=256)
+def _root_powers(m: int, n: int, p: int, root) -> dict:
+    """{k: r^k}, filled by _root_power, for the form x_p + a in n variables
+    at conductor m with integral_root root: these fix the form, so its
+    copies share one table."""
+    return {}
+
+
+def _root_power(form: LinearForm, powers: dict, k: int) -> tuple:
+    """r^k for r = -D a, the root of form = x_p + a times D (integral_root),
+    as (shift, numerators) pairs with pivot entry -k, so that x_p^k x'^e
+    plus a shift is a term of x'^e r^k: squared up the bits of k from the
+    pivot coefficient 1.  powers keeps the first _POWERS_KEPT degrees."""
+    n, m, p = form.nvars, form.conductor, form.pivot
+    root = form.integral_root[1]
+    got = {(0,) * n: form.coeffs[p].num}
+    for bit in bin(k)[2:]:
+        got = _times(m, got, got)
+        if bit == "1":
+            got = _plus_root_multiple(m, {}, got, root)
+    got = tuple((e[:p] + (-k,) + e[p + 1 :], tuple(c)) for e, c in got.items())
+    if len(powers) < _POWERS_KEPT:
+        powers[k] = got
+    return got
+
+
+def _restriction(form: LinearForm, S: dict) -> tuple[dict, int]:
+    """(L D^top S(r / D, x'), top) for the nonzero S with integer
+    numerators, top its x_p-degree, and a form that is not a coordinate:
+    (2) of the module docstring."""
+    D = form.integral_root[0]
+    m, p = form.conductor, form.pivot
+    powers = _root_powers(m, form.nvars, p, form.integral_root)
+    top = max(e[p] for e in S)
+    if D != 1:
+        S = {e: [x * D ** (top - e[p]) for x in c] for e, c in S.items()}
+    restricted = (
+        (tuple(map(add, e, f)), c, r)
+        for e, c in S.items()
+        for f, r in powers.get(e[p]) or _root_power(form, powers, e[p])
+    )
+    return numerator_dot_products(m, restricted, {}), top
+
+
+def power_divides(form: LinearForm, i: int, S: dict) -> bool:
+    """Does form^i, i >= 1, divide the S with integer numerators?  Decided
+    as the module docstring's (1)-(3) say: a coordinate form off the
+    exponents, power 1 by the restriction, higher powers by Horner's
+    steps."""
+    if not S:
+        return True
+    if not form.integral_root[1]:
+        return all(e[form.pivot] >= i for e in S)
+    if i > 1:
+        return _horner(S, form, i)[0] == i
+    return not _restriction(form, S)[0]
+
+
 def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):
     """f / form^power as a polynomial, or NotDivisible: divide_numerators
     on the integer numerators of f."""
     n, m = f.nvars, f.conductor
-    _check_operand(form, n, m)
+    check_operand(form, n, m)
     (terms,), den = integral_numerators([f], n, m)
     return divide_numerators(terms, den, form, power)
 
@@ -480,11 +562,9 @@ def divide_numerators(terms: dict, den: int, form: LinearForm, power: int):
 
     power <= 0 multiplies by the |power|-th power of the form, so the
     result is always a polynomial in that range.  Otherwise a coordinate
-    form x_p divides off the exponents, and any other form by the
-    fraction-free Horner steps in the pivot variable (see the module
-    docstring), one step per power, stopping at the first nonzero
-    remainder; each coefficient of the quotient or witness is scaled back
-    once.
+    form divides by (1) of the module docstring and any other by (3)'s
+    Horner steps, and each coefficient of the quotient or witness is
+    scaled back once.
     """
     n, m = form.nvars, form.conductor
     if power <= 0 or not terms:
@@ -518,6 +598,19 @@ def divide_numerators(terms: dict, den: int, form: LinearForm, power: int):
             for e, c in piece.items()
         },
     )
+
+
+def power_witness(form: LinearForm, i: int, S: dict, den: int) -> NotDivisible | None:
+    """None when form^i divides S, integer numerators over den; else
+    divide_numerators' NotDivisible.  At i = 1 on a form that is not a
+    coordinate, that witness is Horner's first remainder, (2)'s sum over
+    den D^top, read off the restriction with no slice per x_p-degree."""
+    D, root = form.integral_root
+    if i > 1 or not root or not S:
+        res = divide_numerators(S, den, form, i)
+        return res if isinstance(res, NotDivisible) else None
+    R, top = _restriction(form, S)
+    return NotDivisible(0, divide_numerators(R, den * D**top, form, 0)) if R else None
 
 
 # ---------------------------------------------------------------------------

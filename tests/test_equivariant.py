@@ -665,7 +665,7 @@ def test_transport_verdict_equals_membership(name, monkeypatch):
     monkeypatch.setattr(
         equivariant_module, "_sum_divides", lambda orbit, i, values: not orbit_sum(orbit, i, values)
     )
-    monkeypatch.setattr(equivariant_module, "_witness", refusing)
+    monkeypatch.setattr(equivariant_module, "power_witness", refusing)
     verdicts = [lift_membership(g, e) for e in lifts]
     assert [v.ok for v in verdicts] == [membership(F).ok for F in maps]
     assert {v.ok for v in verdicts} == {True, False}
@@ -814,7 +814,7 @@ def test_power_one_verdict_follows_terms_not_degree():
 
     def table(form):
         root = form.integral_root
-        return equivariant_module._root_powers(form.conductor, form.nvars, form.pivot, root)
+        return polynomials_module._root_powers(form.conductor, form.nvars, form.pivot, root)
 
     powers = table(orbit.form)
     assert all((table(o.form) is powers) == (o.form == orbit.form) for o in orbits)
@@ -825,9 +825,9 @@ def test_power_one_verdict_follows_terms_not_degree():
     difference = {(big, 0): [1], (0, big): [-1]}
     assert equivariant_module._sum_divides(orbit, 1, {rep: difference, other: {}})
     assert set(powers) == {0, big}
-    kept = equivariant_module._POWERS_KEPT
+    kept = polynomials_module._POWERS_KEPT
     for k in range(2 * kept):
-        got = equivariant_module._root_power(orbit.form, powers, k)
+        got = polynomials_module._root_power(orbit.form, powers, k)
         assert got == (((-k, k), (1,)),)
     assert len(powers) == kept
     one_value = [MultiPoly.zero(2, 1)] * b2.order
@@ -842,10 +842,9 @@ def test_power_one_verdict_follows_terms_not_degree():
         (3, 3, ["1", "-z", "1/2"]),  # a two-term root, D = 2
     ],
 )
-def test_root_powers_from_kept_powers_equal_the_powers_from_scratch(n, m, coeffs):
-    # r^k is built from the largest kept power below k; for k = 0 .. 70,
-    # across the bound of _POWERS_KEPT = 64, ascending and then in a
-    # shuffled order on a fresh table, it is r^k as MultiPoly powers give it
+def test_root_powers_equal_the_powers_from_scratch(n, m, coeffs):
+    # for k = 0 .. 70, across the bound of _POWERS_KEPT = 64, r^k is r^k
+    # as MultiPoly powers give it, shifted by -k in the pivot exponent
     _, form = LinearForm.normalize([parse_cyc(c, m) for c in coeffs], m)
     if n == 2 and m == 1:
         assert form == load_group("s3").reflections()[0].coroot
@@ -853,18 +852,15 @@ def test_root_powers_from_kept_powers_equal_the_powers_from_scratch(n, m, coeffs
     p = form.pivot
     assert D == 2 and len(root) == n - 1
     r = (form.as_poly() - MultiPoly.variable(n, m, p)) * -D
-    kept = equivariant_module._POWERS_KEPT
-    degrees = list(range(71))
-    assert max(degrees) > kept
-    for order in (degrees, random.Random(f"root powers:{coeffs}").sample(degrees, len(degrees))):
-        powers = {}
-        for k in order:
-            got = equivariant_module._root_power(form, powers, k)
-            (terms,), den = integral_numerators([r**k], n, m)
-            assert den == 1
-            shifted = {e[:p] + (-k,) + e[p + 1 :]: tuple(c) for e, c in terms.items()}
-            assert dict(got) == shifted, k
-        assert len(powers) == kept
+    kept = polynomials_module._POWERS_KEPT
+    powers = {}
+    for k in range(kept + 7):
+        got = polynomials_module._root_power(form, powers, k)
+        (terms,), den = integral_numerators([r**k], n, m)
+        assert den == 1
+        shifted = {e[:p] + (-k,) + e[p + 1 :]: tuple(c) for e, c in terms.items()}
+        assert dict(got) == shifted, k
+    assert len(powers) == kept
 
 
 @pytest.mark.parametrize("name", list(bundled_names()) + ["g412"])

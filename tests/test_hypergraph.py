@@ -10,8 +10,10 @@ import re
 
 import pytest
 
+import reflect_gkm.equivariant as equivariant_module
 import reflect_gkm.groups as groups_module
 import reflect_gkm.hypergraph as hypergraph_module
+import reflect_gkm.polynomials as polynomials_module
 import reflect_gkm.sampling as sampling_module
 import reflect_gkm.suite as suite_module
 from reflect_gkm.cyclotomic import CycNum
@@ -794,3 +796,28 @@ def test_localized_maps_pass_the_edge_routines_without_values(name):
         pairwise_membership(H, F)
         membership(F).failures
         assert F._values is None
+
+
+@pytest.mark.parametrize("name", ["z3", "g312"])
+def test_pairwise_control_divides_only_a_failing_pair(name, monkeypatch):
+    # each pair is decided by the verdict first: a passing map makes no
+    # division, and a failing edge one, for its witness, which equals the
+    # CycNum reference on the values
+    g = load_group(name)
+    H = build_hypergraph(g)
+    rng = random.Random(f"pairwise-divisions:{name}")
+    members = [random_member(rng, g) for _ in range(3)]
+    others = [random_nonmember(rng, g) for _ in range(3)]
+    want = [_reference_pairwise(H, F) for F in others]
+    calls = []
+    for module in (polynomials_module, equivariant_module, hypergraph_module):
+        divide = getattr(module, "divide_numerators", None)
+        if divide is not None:
+            counted = lambda *args, divide=divide: calls.append(args) or divide(*args)
+            monkeypatch.setattr(module, "divide_numerators", counted)
+    assert [pairwise_membership(H, F) for F in members] == [[], [], []]
+    assert calls == []
+    got = [pairwise_membership(H, F) for F in others]
+    assert got == want
+    assert len(calls) == sum(map(len, got)) > 0
+

@@ -217,10 +217,8 @@ def test_one_grammar_reads_every_literal():
 def test_orbit_sums_are_read_from_orbit_records():
     # every weighted orbit sum of the operators and the verdict is formed by
     # _orbit_sum from an Orbit record, and the identity coset is the first
-    # record of the orbit table, never rebuilt from the powers of s; the
-    # verdict's only other sums are its restriction of that sum, which the
-    # power-1 witness shares, and the products behind the root powers it
-    # restricts with
+    # record of the orbit table, never rebuilt from the powers of s; what
+    # the verdict and the witness do with that sum is polynomials' (below)
     tree = ast.parse((Path(reflect_gkm.__file__).parent / "equivariant.py").read_text())
 
     def calling(callee):
@@ -230,7 +228,7 @@ def test_orbit_sums_are_read_from_orbit_records():
             if any(isinstance(n, ast.Call) and _mentions(n.func, callee) for n in ast.walk(node))
         }
 
-    assert calling("numerator_dot_products") == {"_orbit_sum", "_restriction", "_times"}
+    assert calling("numerator_dot_products") == {"_orbit_sum"}
     assert calling("_orbit_sum") == {
         "_sum_divides",
         "_coset_failure",
@@ -238,8 +236,45 @@ def test_orbit_sums_are_read_from_orbit_records():
         "divided_difference",
     }
     assert calling("_sum_divides") == {"membership", "lift_membership", "_coset_failure"}
-    assert calling("_restriction") == {"_sum_divides", "_witness"}
     assert not _mentions(tree, "cyclic_powers")
+
+
+# how polynomials decides, divides and witnesses form^i | S
+DIVISION_INTERNALS = (
+    "_horner", "_plus_root_multiple", "_times", "_root_power", "_root_powers", "_restriction"
+)
+
+
+def test_one_module_divides_by_a_form_power():
+    # whether form^i divides a sum, its quotient and its witness are
+    # polynomials' alone: the division internals are defined and named
+    # nowhere else, no module imports a private name from polynomials, and
+    # elsewhere only equivariant._sum_divides reads integral_root, to sum a
+    # coordinate form's S_i below x_p^i
+    defined, readers = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined.update(
+            f"{path.stem}.{name}" for name, _ in _functions(tree) if name in DIVISION_INTERNALS
+        )
+        if path.stem == "polynomials":
+            continue
+        for name in DIVISION_INTERNALS:
+            assert not _mentions(tree, name), (path.stem, name)
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("polynomials")
+            for alias in node.names
+        ]
+        assert not [name for name in imported if name.startswith("_")], path.stem
+        readers.update(
+            f"{path.stem}.{name}"
+            for name, node in _functions(tree)
+            if _mentions(node, "integral_root")
+        )
+    assert defined == {f"polynomials.{name}" for name in DIVISION_INTERNALS}
+    assert readers == {"equivariant._sum_divides"}
 
 
 def _euclid_steps(node):
