@@ -36,6 +36,14 @@ output (a polynomial coefficient, a matrix entry) costs one gcd instead of
 one per product and partial sum.  numerator_dot_products is its twin on
 bare integer numerators, for callers that keep one common denominator
 themselves; from_numerators turns such a vector back into a CycNum.
+numerator_dot_products adds each product into its key's sum where it is
+formed.  At phi = 1 the field is Q and a product is one integer; at
+phi = 2 (m = 3, 4, 6) it is (a0 b0 - c Phi_0, a0 b1 + a1 b0 - c Phi_1)
+with c = a1 b1, from z^2 = -Phi_0 - Phi_1 z.  Above that a key sums the
+unreduced convolutions of its products and is reduced once: the residue
+modulo the monic Phi_m is Z-linear (r(u + v) - r(u) - r(v) is a multiple
+of Phi_m of degree below phi, so 0), so the residue of the sum is the sum
+of the residues, the vector that reducing every product gives.
 """
 
 from __future__ import annotations
@@ -506,14 +514,44 @@ def keyed_dot_products(conductor: int, triples) -> dict:
 def numerator_dot_products(conductor: int, triples, start: dict) -> dict:
     """{key: start[key] + sum a * b} over (key, a, b) triples of integer
     coefficient vectors at the conductor, zero sums dropped; nothing is
-    canonicalised."""
+    canonicalised and start's vectors are left as they are.  Each product
+    is added into its key's sum where it is formed (see the module
+    docstring): a new tuple per product at phi <= 2, and above that an
+    unreduced convolution per key, reduced once."""
     m = conductor
-    sums = dict(start)
+    mod = cyclotomic_polynomial(m)
+    phi = len(mod) - 1
+    if phi <= 2:
+        sums = dict(start)
+        get = sums.get
+        if phi == 1:
+            for key, a, b in triples:
+                acc = get(key)
+                sums[key] = (a[0] * b[0],) if acc is None else (acc[0] + a[0] * b[0],)
+            return {key: acc for key, acc in sums.items() if acc[0]}
+        p0, p1 = mod[:2]
+        for key, (a0, a1), (b0, b1) in triples:
+            c2 = a1 * b1
+            acc = get(key)
+            if acc is None:
+                sums[key] = (a0 * b0 - c2 * p0, a0 * b1 + a1 * b0 - c2 * p1)
+            else:
+                sums[key] = (acc[0] + a0 * b0 - c2 * p0, acc[1] + a0 * b1 + a1 * b0 - c2 * p1)
+        return {key: acc for key, acc in sums.items() if acc[0] or acc[1]}
+    pad = [0] * (phi - 1)
+    sums = {key: [*v, *pad] for key, v in start.items()}
+    get = sums.get
     for key, a, b in triples:
-        prod = [a[0] * b[0]] if len(a) == 1 else _mul_int(m, a, b)
-        acc = sums.get(key)
-        sums[key] = prod if acc is None else [u + v for u, v in zip(acc, prod)]
-    return {key: acc for key, acc in sums.items() if any(acc)}
+        acc = get(key)
+        if acc is None:
+            acc = sums[key] = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    if y:
+                        acc[k] += x * y
+    # _reduce_mod works in place, so each kept acc is its residue
+    return {key: acc for key, acc in sums.items() if any(_reduce_mod(m, acc))}
 
 
 def from_numerators(conductor: int, num, den: int) -> CycNum:

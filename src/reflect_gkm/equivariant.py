@@ -39,9 +39,10 @@ hyperplane, and returns at the first failure; divisibility_conditions
 takes the same generators.  The certificate's failures list is still per
 reflection, over every pseudo-reflection and power, exactly as the
 definition reads; it is built by that full loop when it is first read,
-which only the command line does.  _coset_failure decides each coset
-there by _sum_divides and takes power_witness of a failing sum only;
-the hypergraph's edges, which are orbit records, share it.
+which only the command line does.  _coset_failure hands each coset's
+sum there to power_witness, which decides it and divides only a failing
+one, in one pass; the hypergraph's edges, which are orbit records, share
+it.
 
 The verdict runs on integer numerators, with no CycNum canonicalised and
 no quotient built.  It reads F.numerators(), the values of F as integer
@@ -57,9 +58,10 @@ _orbit_sum is the one place a coset sum S_i is formed, for the verdict,
 the failures, the operators and the hypergraph's edges, and a coset
 where F is zero is skipped.  Whether ell^i divides it, how and with what
 witness is decided in polynomials alone, whose module docstring proves
-the rule.  _sum_divides hands S_i to power_divides; for a coordinate
-form x_p it sums only the terms of the values below x_p^i, since the
-weights are scalars and only those terms decide.
+the rule.  _sum_divides hands S_i to power_divides, and _coset_failure
+to power_witness; for a coordinate form x_p, _deciding_sum sums only the
+terms of the values below x_p^i, since the weights are scalars and only
+those terms decide, and they hold the witness's least-e_p part too.
 
 An equivariant map, F(x) = x . e, needs only the identity coset <s> of
 each generator, the first record of its orbit table, group.orbits(s)[0]:
@@ -429,19 +431,22 @@ def _orbit_sum(orbit: Orbit, i: int, values, below=None) -> dict:
     return numerator_dot_products(orbit.form.conductor, triples, first)
 
 
+def _deciding_sum(orbit: Orbit, i: int, values) -> dict:
+    """The orbit's S_i, for a coordinate form only its terms below x_p^i:
+    the weights are scalars, so only those decide ell^i | S_i."""
+    return _orbit_sum(orbit, i, values, None if orbit.form.integral_root[1] else i)
+
+
 def _sum_divides(orbit: Orbit, i: int, values) -> bool:
-    """Does the orbit's form^i divide its S_i?  power_divides on the sum,
-    which for a coordinate form holds only the terms below x_p^i."""
-    below = None if orbit.form.integral_root[1] else i
-    return power_divides(orbit.form, i, _orbit_sum(orbit, i, values, below))
+    """Does the orbit's form^i divide its S_i?  power_divides on the
+    deciding sum."""
+    return power_divides(orbit.form, i, _deciding_sum(orbit, i, values))
 
 
 def _coset_failure(orbit: Orbit, i: int, values, den: int) -> NotDivisible | None:
-    """The witness of the coset's S_i, or None: decided by _sum_divides,
-    so only a failing sum is divided."""
-    if _sum_divides(orbit, i, values):
-        return None
-    return power_witness(orbit.form, i, _orbit_sum(orbit, i, values), den)
+    """The witness of the coset's S_i, or None: power_witness on the
+    deciding sum, which it decides and divides in one pass."""
+    return power_witness(orbit.form, i, _deciding_sum(orbit, i, values), den)
 
 
 def membership(F: GroupMap) -> MembershipCertificate:

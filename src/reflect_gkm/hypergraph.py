@@ -50,14 +50,14 @@ V = W = D^-1, that is tau_j = c . lambda^j.  Then:
 
 So an edge is an orbit: the edge routines run the orbit computation of
 the equivariant module on F.numerators(), and build no value of F.
-edge_witness decides each order with _sum_divides, as membership
-decides a coset, and divides only a failing one, by the failures list's
-routine.  The pairwise condition (adjacent values congruent modulo the
-form, first order only) is a weaker control, on differences of
-numerators, each decided by polynomials.power_divides and divided only
-when it fails: it is membership when every reflection has order two and
-strictly larger otherwise.  The JSON export keeps the key "axial" for
-the edge's form.
+edge_witness decides each order by the failures list's routine, which
+decides a coset's sum and gives a failing one's witness in one pass.  The
+pairwise condition (adjacent values congruent modulo the form, first
+order only) is a weaker control, on differences of numerators, each
+decided and, when it fails, divided in one pass by
+polynomials.power_witness: it is membership when every reflection has
+order two and strictly larger otherwise.  The JSON export keeps the key
+"axial" for the edge's form.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .equivariant import _coset_failure, _orbit_sum, _polynomial
 from .groups import Orbit, ReflectionGroup
 from .linalg import rank
 from .polynomials import MultiPoly, NotDivisible, divide_numerators, graded_monomials, poly_text
-from .polynomials import power_divides, power_witness
+from .polynomials import power_witness
 
 __all__ = [
     "EdgeSection",
@@ -210,8 +210,9 @@ def pairwise_membership(H: Hypergraph, F: GroupMap) -> list[EdgeWitness]:
         for a, b in combinations(edge.members, 2):
             negated = ((e, c, minus) for e, c in values[b].items())
             difference = numerator_dot_products(m, negated, values[a])
-            if not power_divides(edge.form, 1, difference):
-                out.append(EdgeWitness(edge, 1, power_witness(edge.form, 1, difference, den)))
+            witness = power_witness(edge.form, 1, difference, den)
+            if witness is not None:
+                out.append(EdgeWitness(edge, 1, witness))
                 break
     return out
 

@@ -533,18 +533,30 @@ def _restriction(form: LinearForm, S: dict) -> tuple[dict, int]:
     return numerator_dot_products(m, restricted, {}), top
 
 
-def power_divides(form: LinearForm, i: int, S: dict) -> bool:
-    """Does form^i, i >= 1, divide the S with integer numerators?  Decided
-    as the module docstring's (1)-(3) say: a coordinate form off the
-    exponents, power 1 by the restriction, higher powers by Horner's
-    steps."""
-    if not S:
-        return True
+def _first_remainder(form: LinearForm, i: int, S: dict):
+    """None when form^i, i >= 1, divides the nonzero S with integer
+    numerators; else (steps, top, R) for the first nonzero remainder:
+    S / form^steps at x_p = root is D^(steps - top) times R, a polynomial
+    in x', and top is S's x_p-degree.  Decided as the module docstring's
+    (1)-(3) say: a coordinate form off the exponents, its remainder the
+    part of least e_p; power 1 by the restriction; higher powers by
+    Horner's steps."""
+    p = form.pivot
     if not form.integral_root[1]:
-        return all(e[form.pivot] >= i for e in S)
+        v = min(e[p] for e in S)
+        if v >= i:
+            return None
+        return v, v, {e[:p] + (0,) + e[p + 1 :]: c for e, c in S.items() if e[p] == v}
     if i > 1:
-        return _horner(S, form, i)[0] == i
-    return not _restriction(form, S)[0]
+        steps, top, R = _horner(S, form, i)
+        return None if steps == i else (steps, top, R)
+    R, top = _restriction(form, S)
+    return (0, top, R) if R else None
+
+
+def power_divides(form: LinearForm, i: int, S: dict) -> bool:
+    """Does form^i, i >= 1, divide the S with integer numerators?"""
+    return not S or _first_remainder(form, i, S) is None
 
 
 def divide_by_linear_power(f: MultiPoly, form: LinearForm, power: int):
@@ -582,11 +594,7 @@ def divide_numerators(terms: dict, den: int, form: LinearForm, power: int):
         return f if v == power else NotDivisible(v, f * form.as_poly() ** v)
     steps, top, pieces = _horner(terms, form, power)
     if steps < power:
-        # f / form^steps at x_p = root is D^(steps - top) / den times pieces
-        scale = den * D ** (top - steps)
-        remainder = {e: from_numerators(m, c, scale) for e, c in pieces.items()}
-        witness = MultiPoly._make(n, m, remainder) * form.as_poly() ** steps
-        return NotDivisible(steps, witness)
+        return _remainder_witness(form, steps, top, pieces, den)
     # the x_p^k coefficient of the quotient is D^(power - top + k) / den
     # times slice k, and k <= top - power
     return MultiPoly._make(
@@ -600,17 +608,22 @@ def divide_numerators(terms: dict, den: int, form: LinearForm, power: int):
     )
 
 
+def _remainder_witness(form: LinearForm, steps: int, top: int, R: dict, den: int) -> NotDivisible:
+    """The NotDivisible of a sum over den from its first nonzero remainder
+    (_first_remainder): form^steps times D^(steps - top) / den times R."""
+    scale = den * form.integral_root[0] ** (top - steps)
+    return NotDivisible(steps, divide_numerators(R, scale, form, -steps))
+
+
 def power_witness(form: LinearForm, i: int, S: dict, den: int) -> NotDivisible | None:
     """None when form^i divides S, integer numerators over den; else
-    divide_numerators' NotDivisible.  At i = 1 on a form that is not a
-    coordinate, that witness is Horner's first remainder, (2)'s sum over
-    den D^top, read off the restriction with no slice per x_p-degree."""
-    D, root = form.integral_root
-    if i > 1 or not root or not S:
-        res = divide_numerators(S, den, form, i)
-        return res if isinstance(res, NotDivisible) else None
-    R, top = _restriction(form, S)
-    return NotDivisible(0, divide_numerators(R, den * D**top, form, 0)) if R else None
+    divide_numerators' NotDivisible.  The one pass that decides also gives
+    the witness, and a passing S builds no quotient: on a coordinate form
+    the part of least e_p, which a sum of the terms below x_p^i already
+    holds; at i = 1 on any other form the restriction, with no slice per
+    x_p-degree."""
+    failed = _first_remainder(form, i, S) if S else None
+    return None if failed is None else _remainder_witness(form, *failed, den)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from reflect_gkm.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     keyed_dot_products,
+    numerator_dot_products,
     parse_cyc,
 )
 
@@ -164,6 +165,44 @@ def test_ring_operations_match_the_fraction_reference(m):
             assert_canonical(v, m)
             assert (v.num, v.den) == (want[key].num, want[key].den)
     assert keyed_dot_products(m, ((None, x, y) for x, y in cancelling)) == {}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 12])
+def test_numerator_kernel_equals_the_cycnum_reference(m):
+    # numerator_dot_products adds products into per-key sums in closed form
+    # at phi <= 2 and reduces each key once above; CycNum reduces every
+    # product.  Integer vectors are CycNums over 1, so the vectors must be
+    # equal, with repeated keys, cancelling keys dropped, start keys with
+    # and without products, and start's own lists left as they were
+    rng = random.Random(f"numerator-kernel:{m}")
+    phi = euler_phi(m)
+
+    def vec():
+        return [rng.choice([0, rng.randint(-30, 30)]) for _ in range(phi)]
+
+    for _ in range(25):
+        triples = [(rng.randrange(4), vec(), vec()) for _ in range(rng.randrange(10))]
+        a, b = vec(), vec()
+        a[0] = a[0] or 1
+        b[0] = b[0] or 1
+        # a product and its negative, and a start vector a product cancels
+        triples += [("gone", a, b), (rng.randrange(4), vec(), vec()), ("gone", [-x for x in a], b)]
+        triples.append(("cancelled", a, b))
+        start = {key: vec() for key in rng.sample(range(8), 4)}
+        start["cancelled"] = list((-(CycNum(m, a) * CycNum(m, b))).num)
+        start["zero"] = [0] * phi
+        kept = {key: list(v) for key, v in start.items()}
+        want = {key: CycNum(m, v) for key, v in start.items()}
+        for key, x, y in triples:
+            want[key] = want.get(key, CycNum.zero(m)) + CycNum(m, x) * CycNum(m, y)
+        got = numerator_dot_products(m, iter(triples), start)
+        assert start == kept
+        assert {key: list(v) for key, v in got.items()} == {
+            key: list(w.num) for key, w in want.items() if w
+        }
+        assert not {"gone", "cancelled", "zero"} & set(got)
+        assert all(len(v) == phi and all(type(c) is int for c in v) for v in got.values())
+    assert numerator_dot_products(m, iter([]), {}) == {}
 
 
 @pytest.mark.parametrize("m", CONDUCTORS)

@@ -655,8 +655,8 @@ def test_transport_verdict_equals_membership(name, monkeypatch):
     assert all(membership(F).ok for F in maps)
     # every such map is a member, so only a fault refuses one: here the
     # verdict refuses every nonzero sum, which x . P_i is exactly when P_i
-    # is, and the witness routine behind the failures list fails it at
-    # order 0 with the sum as its witness
+    # is, and the witness routine behind the failures list, handed the
+    # whole sum, fails it at order 0 with the sum as its witness
     orbit_sum, divide = equivariant_module._orbit_sum, equivariant_module.divide_numerators
 
     def refusing(form, i, terms, den):
@@ -665,11 +665,57 @@ def test_transport_verdict_equals_membership(name, monkeypatch):
     monkeypatch.setattr(
         equivariant_module, "_sum_divides", lambda orbit, i, values: not orbit_sum(orbit, i, values)
     )
+    monkeypatch.setattr(equivariant_module, "_deciding_sum", orbit_sum)
     monkeypatch.setattr(equivariant_module, "power_witness", refusing)
     verdicts = [lift_membership(g, e) for e in lifts]
     assert [v.ok for v in verdicts] == [membership(F).ok for F in maps]
     assert {v.ok for v in verdicts} == {True, False}
     assert [v.failures for v in verdicts] == [membership(F).failures for F in maps]
+
+
+# the failures of random_nonmember(random.Random(1), b2), recorded when a
+# failing coset was summed and divided a second time for its witness:
+# (coset, index in reflections(), power, valuation, witness)
+B2_FAILURES = [(6, 0, 1, 0, "x2^4"), (4, 1, 1, 0, "-x1^4"), (0, 3, 1, 0, "-x2^4")]
+
+
+def test_failures_sum_and_restrict_each_coset_once(monkeypatch):
+    # the failures list forms each coset's deciding sum once, and
+    # power_witness decides it and takes a failure's witness from that one
+    # pass: b2 has 16 (reflection, coset) pairs, 8 on forms that are not
+    # coordinates, and its failures here are all at power 1
+    g = load_group("b2")
+    F = random_nonmember(random.Random(1), g)
+    cert = membership(F)
+    assert not cert.ok
+    calls = {"sums": 0, "restrictions": 0}
+
+    def counted(name, routine):
+        def wrapped(*args):
+            calls[name] += 1
+            return routine(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        equivariant_module, "_orbit_sum", counted("sums", equivariant_module._orbit_sum)
+    )
+    monkeypatch.setattr(
+        polynomials_module, "_restriction", counted("restrictions", polynomials_module._restriction)
+    )
+    failures = cert.failures
+    assert calls == {"sums": 16, "restrictions": 8}
+    reflections = g.reflections()
+    assert [
+        (
+            f.element,
+            reflections.index(f.reflection),
+            f.power,
+            f.witness.valuation,
+            poly_text(f.witness.witness, g.variables),
+        )
+        for f in failures
+    ] == B2_FAILURES
 
 
 def test_failures_of_a_wrong_verdict_raise():

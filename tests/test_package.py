@@ -82,31 +82,64 @@ def _multiplies_denominators(node):
     )
 
 
+def _adds_products_in_place(node):
+    """Does a loop in node add a product into an indexed slot in place,
+    acc[k] += x * y, the step of a sum of products?"""
+    return any(
+        isinstance(n, ast.AugAssign)
+        and isinstance(n.op, (ast.Add, ast.Sub))
+        and isinstance(n.target, ast.Subscript)
+        and any(isinstance(b, ast.BinOp) and isinstance(b.op, ast.Mult) for b in ast.walk(n.value))
+        for loop in ast.walk(node)
+        if isinstance(loop, (ast.For, ast.While))
+        for n in ast.walk(loop)
+    )
+
+
 def test_one_product_kernel():
-    # integer-numerator products exist only in cyclotomic, and their
-    # accumulation over a common denominator once, in
-    # cyclotomic.keyed_dot_products; the rest of the package reaches them
-    # through it or, for the membership verdict's fraction-free sums over a
-    # denominator the caller keeps, through numerator_dot_products
-    mul_int, accumulating = set(), set()
+    # products of integer numerators are formed only in cyclotomic, and
+    # summed per key only in its two kernels: keyed_dot_products, over a
+    # common denominator it keeps, reducing each product by _mul_int, and
+    # numerator_dot_products, for the fraction-free sums over a denominator
+    # the caller keeps, reducing each key's sum once by _reduce_mod; the
+    # rest of the package reaches products through them
+    mul_int, reducing, accumulating, in_place = set(), set(), set(), set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.name != "cyclotomic.py":
-            assert not _mentions(tree, "_mul_int"), path.name
+            for name in ("_mul_int", "_reduce_mod"):
+                assert not _mentions(tree, name), (path.name, name)
         for name, node in _functions(tree):
             where = f"{path.stem}.{name}"
             if _mentions(node, "_mul_int") and not name.startswith("_mul_int"):
                 mul_int.add(where)
+            if _mentions(node, "_reduce_mod") and not name.startswith("_reduce_mod"):
+                reducing.add(where)
             if _multiplies_denominators(node):
                 accumulating.add(where)
-    # the two kernels, one product, and the norm of an inverse
+            if _adds_products_in_place(node):
+                in_place.add(where)
+    # one product, the norm of an inverse and the denominator-keeping kernel
     assert mul_int == {
         "cyclotomic.keyed_dot_products",
-        "cyclotomic.numerator_dot_products",
         "cyclotomic.CycNum.__mul__",
         "cyclotomic._inverse",
     }
+    # a literal, a power of z, one product and the per-key sums
+    assert reducing == {
+        "cyclotomic.CycNum.__init__",
+        "cyclotomic._zeta_power",
+        "cyclotomic._mul_int",
+        "cyclotomic.numerator_dot_products",
+    }
     assert accumulating == {"cyclotomic.keyed_dot_products"}
+    # a product, its reduction, a conjugate's power map and the per-key sums
+    assert in_place == {
+        "cyclotomic._mul_int",
+        "cyclotomic._reduce_mod",
+        "cyclotomic._power_map",
+        "cyclotomic.numerator_dot_products",
+    }
 
 
 def test_mat_inv_only_in_linalg_and_group_closure():
@@ -229,19 +262,23 @@ def test_orbit_sums_are_read_from_orbit_records():
         }
 
     assert calling("numerator_dot_products") == {"_orbit_sum"}
-    assert calling("_orbit_sum") == {
-        "_sum_divides",
-        "_coset_failure",
-        "orbit_difference",
-        "divided_difference",
-    }
-    assert calling("_sum_divides") == {"membership", "lift_membership", "_coset_failure"}
+    assert calling("_orbit_sum") == {"_deciding_sum", "orbit_difference", "divided_difference"}
+    # the verdict and the failures list read the same deciding sum, once
+    assert calling("_deciding_sum") == {"_sum_divides", "_coset_failure"}
+    assert calling("_sum_divides") == {"membership", "lift_membership"}
     assert not _mentions(tree, "cyclic_powers")
 
 
 # how polynomials decides, divides and witnesses form^i | S
 DIVISION_INTERNALS = (
-    "_horner", "_plus_root_multiple", "_times", "_root_power", "_root_powers", "_restriction"
+    "_horner",
+    "_plus_root_multiple",
+    "_times",
+    "_root_power",
+    "_root_powers",
+    "_restriction",
+    "_first_remainder",
+    "_remainder_witness",
 )
 
 
@@ -249,7 +286,7 @@ def test_one_module_divides_by_a_form_power():
     # whether form^i divides a sum, its quotient and its witness are
     # polynomials' alone: the division internals are defined and named
     # nowhere else, no module imports a private name from polynomials, and
-    # elsewhere only equivariant._sum_divides reads integral_root, to sum a
+    # elsewhere only equivariant._deciding_sum reads integral_root, to sum a
     # coordinate form's S_i below x_p^i
     defined, readers = set(), set()
     for path in SOURCES:
@@ -274,7 +311,7 @@ def test_one_module_divides_by_a_form_power():
             if _mentions(node, "integral_root")
         )
     assert defined == {f"polynomials.{name}" for name in DIVISION_INTERNALS}
-    assert readers == {"equivariant._sum_divides"}
+    assert readers == {"equivariant._deciding_sum"}
 
 
 def _euclid_steps(node):

@@ -153,6 +153,26 @@ def test_report_bytes_are_pinned(name):
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_DIGESTS[name]
 
 
+# sha256 of run_suite on the 1 x 1 group [["z"]] at conductor m, every
+# section, trials=3, recorded before numerator_dot_products reduced once
+# per key: phi(5) = phi(8) = 4, so these reach its phi > 2 branch through
+# every verdict, which no bundled group does
+CYCLIC_DIGESTS = {
+    5: "8d7dbd6547798da573ea4c1fa556208639c08d3dc8902c4fb564d5a7cda8e176",
+    8: "63ce238cd1d76d65257466ab54a976694017e2298cf0f15dfda9dabe5ba66aee",
+}
+
+
+@pytest.mark.parametrize("m", sorted(CYCLIC_DIGESTS))
+def test_report_bytes_are_pinned_past_quadratic_fields(m, tmp_path):
+    path = tmp_path / f"z{m}.json"
+    spec = {"name": f"z{m}", "dimension": 1, "conductor": m, "variables": ["x"]}
+    path.write_text(json.dumps({**spec, "generators": [["z"]]}))
+    report = run_suite(str(path), trials=3)
+    assert report.ok
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == CYCLIC_DIGESTS[m]
+
+
 def test_lemma_runner_bytes_are_pinned():
     # no gated benchmark workload runs the lemma runners, so their report
     # is pinned here, to the lemmas-g312 workload's seed-0 digest
