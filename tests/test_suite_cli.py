@@ -166,8 +166,8 @@ CYCLIC_DIGESTS = {
 @pytest.mark.parametrize("m", sorted(CYCLIC_DIGESTS))
 def test_report_bytes_are_pinned_past_quadratic_fields(m, tmp_path):
     path = tmp_path / f"z{m}.json"
-    spec = {"name": f"z{m}", "dimension": 1, "conductor": m, "variables": ["x"]}
-    path.write_text(json.dumps({**spec, "generators": [["z"]]}))
+    group = {"name": f"z{m}", "dimension": 1, "conductor": m, "variables": ["x"]}
+    path.write_text(json.dumps(dict(group, generators=[["z"]])))
     report = run_suite(str(path), trials=3)
     assert report.ok
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == CYCLIC_DIGESTS[m]
